@@ -51,10 +51,9 @@ from .superpose import (
     Constants,
     PhaseTuple,
     constants_from_four,
-    integral_F0,
-    integral_F1,
-    integral_F2,
+    cyclic_integral,
     superpose_point,
+    superpose_states,
     superpose_trajectory,
 )
 from .timefn import Cos, Exp, Poly, Sin, TimeFn, constant, parse_timefn, render_timefn

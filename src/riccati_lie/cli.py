@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -42,7 +43,6 @@ from . import suites
 from .errors import ConfigError, DomainError, GenericityError, NumericError
 from .integrator import hamiltonian_guard, integrate, sample_at
 from .model import (
-    PhasePoint,
     PotentialSpec,
     RiccatiSpec,
     coefficients_from_potential,
@@ -50,8 +50,8 @@ from .model import (
     potential_from_coefficients,
     riccati2_field,
 )
-from .superpose import Constants, integral_F0, integral_F1, integral_F2, superpose_point
-from .timefn import parse_timefn
+from .superpose import Constants, cyclic_integral, superpose_states
+from .timefn import _fmt, parse_timefn
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -80,8 +80,12 @@ class Scenario:
     c0_residual: float    # consistency defect of the inverse map (riccati source)
 
     def grid(self) -> np.ndarray:
-        n = max(1, round((self.t1 - self.t0) / self.step))
-        return np.linspace(self.t0, self.t1, n + 1)
+        return _grid(self.t0, self.t1, self.step)
+
+
+def _grid(t0: float, t1: float, step: float) -> np.ndarray:
+    """Output grid: [t0, t1] split into round((t1 - t0)/step) >= 1 equal steps."""
+    return np.linspace(t0, t1, max(1, round((t1 - t0) / step)) + 1)
 
 
 def _get(cfg, section, key, default=None):
@@ -95,9 +99,12 @@ def _get(cfg, section, key, default=None):
 def _get_float(cfg, section, key, default=None):
     raw = _get(cfg, section, key, default)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_pair(raw: str):
@@ -141,7 +148,7 @@ def load_scenario(path: str) -> Scenario:
         for key in cfg["ics"]:
             ics.append(_parse_pair(cfg.get("ics", key)))
 
-    grid = np.linspace(t0, t1, max(2, round((t1 - t0) / step) + 1))
+    grid = _grid(t0, t1, step)
     if has_pot:
         P = PotentialSpec(
             parse_timefn(_get(cfg, "potential", "a0")),
@@ -177,21 +184,21 @@ def scenario_seed(scenario: Scenario) -> int:
 # --- CSV ------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path: str, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in np.asarray(rows, dtype=float).tolist():  # floats format faster than numpy scalars
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write table {path}: {exc}") from exc
 
 
 def read_csv(path: str):
     """Read a solution table; returns (header, data array).
 
-    Validates numeric cells and a strictly increasing first (time) column.
+    Validates finite numeric cells and a strictly increasing first (time)
+    column.
     """
     try:
         with open(path) as fh:
@@ -211,37 +218,12 @@ def read_csv(path: str):
         except ValueError:
             raise ConfigError(f"{path}:{ln}: non-numeric cell") from None
     data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"{path}:{int(finite.argmin()) + 2}: non-finite cell")
     if np.any(np.diff(data[:, 0]) <= 0):
         raise ConfigError(f"table {path}: time column must be strictly increasing")
     return header, data
-
-
-@dataclass(frozen=True)
-class SolutionTable:
-    """A time column plus per-solution state pairs, CSV-backed."""
-
-    header: list
-    data: np.ndarray
-
-    @classmethod
-    def read(cls, path: str) -> "SolutionTable":
-        header, data = read_csv(path)
-        return cls(header, data)
-
-    def write(self, path: str) -> None:
-        write_csv(path, self.header, self.data)
-
-    @property
-    def ts(self) -> np.ndarray:
-        return self.data[:, 0]
-
-    def n_solutions(self) -> int:
-        return (self.data.shape[1] - 1) // 2
-
-    def solution_points(self, row: int):
-        """Phase points of every solution at one table row."""
-        vals = self.data[row]
-        return [PhasePoint(vals[1 + 2 * j], vals[2 + 2 * j]) for j in range(self.n_solutions())]
 
 
 # --- commands ---------------------------------------------------------------
@@ -276,7 +258,7 @@ def cmd_simulate(args) -> int:
         system=args.system,
     )
     grid = scenario.grid()
-    rows = [(t, *sample_at(traj, t)) for t in grid]
+    rows = np.column_stack((grid, sample_at(traj, grid)))
     write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} samples to {args.out} "
           f"({traj.stats.n_accepted} steps, {traj.stats.n_rhs} RHS evaluations)")
@@ -310,46 +292,41 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _constants_from_table(args, table: SolutionTable) -> Constants:
-    xi1, xi2, xi3 = table.solution_points(0)
-    F0 = integral_F0(xi1, xi2, xi3)
+def _constants_from_row(args, sols) -> Constants:
+    """Constants from the first table row, x1, p1, x2, p2, x3, p3."""
+    xi1, xi2, xi3 = sols.reshape(3, 2)
+    F0 = cyclic_integral(xi1, xi2, xi3)
     if args.k1 is not None or args.k2 is not None:
         if args.k1 is None or args.k2 is None:
             raise ConfigError("--k1 and --k2 must be given together")
         return Constants(args.k1, args.k2, F0)
     if args.fourth_ic is None:
         raise ConfigError("need either --k1/--k2 or --fourth-ic")
-    x0, p0 = _parse_pair(args.fourth_ic)
-    xi0 = PhasePoint(x0, p0)
-    return Constants(integral_F1(xi0, xi1, xi2), integral_F2(xi0, xi1, xi3), F0)
+    xi0 = _parse_pair(args.fourth_ic)
+    return Constants(cyclic_integral(xi0, xi1, xi2), cyclic_integral(xi0, xi1, xi3), F0)
 
 
 def cmd_superpose(args) -> int:
     load_scenario(args.config)  # validates the scenario the table came from
-    table = SolutionTable.read(args.sols)
-    if len(table.header) != 7:
+    header, data = read_csv(args.sols)
+    if len(header) != 7:
         raise ConfigError(
-            f"solution table must have columns t,x1,p1,x2,p2,x3,p3; got {len(table.header)}"
+            f"solution table must have columns t,x1,p1,x2,p2,x3,p3; got {len(header)}"
         )
-    k = _constants_from_table(args, table)
-    rows = []
-    for row in range(len(table.ts)):
-        t = table.ts[row]
-        try:
-            rec = superpose_point(*table.solution_points(row), k)
-        except GenericityError as exc:
-            raise type(exc)(f"at t={t}: {exc}") from exc
-        rows.append((t, rec.x, rec.p))
-    write_csv(args.out, ["t", "x0", "p0"], rows)
+    ts, sols = data[:, 0], data[:, 1:]
+    states = superpose_states(sols, _constants_from_row(args, sols[0]), ts=ts)
+    write_csv(args.out, ["t", "x0", "p0"], np.column_stack((ts, states)))
     root, ext = os.path.splitext(args.out)
     upsilon_path = f"{root}_upsilon{ext or '.csv'}"
-    write_csv(upsilon_path, ["t", "x0"], [(t, x) for t, x, _ in rows])
-    print(f"wrote {len(rows)} reconstructed samples to {args.out} "
+    write_csv(upsilon_path, ["t", "x0"], np.column_stack((ts, states[:, 0])))
+    print(f"wrote {len(ts)} reconstructed samples to {args.out} "
           f"(x-only view: {upsilon_path})")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     scenario = load_scenario(args.config)
     rng = np.random.default_rng(scenario_seed(scenario))
     results = suites.run_suites(

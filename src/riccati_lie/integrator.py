@@ -184,30 +184,29 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
     )
 
 
-def sample_at(traj: Trajectory, t: float) -> np.ndarray:
-    """Cubic Hermite interpolation of the trajectory at time t.
+def sample_at(traj: Trajectory, t) -> np.ndarray:
+    """Cubic Hermite interpolation of the trajectory at a time or an array of times.
 
-    Exact at the stored nodes (and on any cubic segment); t must lie in
-    [t0, t_end].
+    Returns one state for a scalar t and a row per time for an array.
+    Exact at the stored nodes (and on any cubic segment); every t must
+    lie in [t0, t_end].
     """
     ts = traj.ts
-    if not ts[0] <= t <= ts[-1]:
-        raise DomainError(f"t={t} outside trajectory range [{ts[0]}, {ts[-1]}]")
+    t = np.asarray(t, dtype=float)
+    outside = ~((ts[0] <= t) & (t <= ts[-1]))
+    if outside.any():
+        raise DomainError(f"t={t[outside].flat[0]} outside trajectory range [{ts[0]}, {ts[-1]}]")
     if traj.derivs is None:
         raise ValueError("trajectory carries no derivatives; cannot interpolate")
-    i = int(np.searchsorted(ts, t, side="right")) - 1
-    if i >= len(ts) - 1:
-        return traj.states[-1].copy()
-    if t == ts[i]:
-        return traj.states[i].copy()
+    i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
     dt = ts[i + 1] - ts[i]
-    u = (t - ts[i]) / dt
+    u = ((t - ts[i]) / dt)[..., None]
     # h00 = 1 - h01 identically, so constants are preserved exactly
     h01 = u * u * (3.0 - 2.0 * u)
     h10 = u * (1.0 - u) ** 2
     h11 = u * u * (u - 1.0)
-    return (
-        traj.states[i]
-        + h01 * (traj.states[i + 1] - traj.states[i])
-        + dt * (h10 * traj.derivs[i] + h11 * traj.derivs[i + 1])
-    )
+    y0, y1 = traj.states[i], traj.states[i + 1]
+    out = y0 + h01 * (y1 - y0) + dt[..., None] * (h10 * traj.derivs[i] + h11 * traj.derivs[i + 1])
+    # a node time (t_end included) returns the stored state itself
+    out = np.where((t == ts[i])[..., None], y0, out)
+    return np.where((t == ts[i + 1])[..., None], y1, out)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import PhasePoint, hamilton_rhs
+from .model import PhasePoint, _momentum_root, hamilton_rhs
 
 __all__ = [
     "FIELD_IDS",
@@ -69,11 +69,6 @@ FUNDAMENTAL_CORRESPONDENCE = {
 }
 
 
-def _require_momentum(p) -> None:
-    if not p < 0:
-        raise DomainError(f"momentum must be negative (half-plane O), got p={p}")
-
-
 def _check_id(i) -> None:
     if i not in FIELD_IDS:
         raise ValueError(f"vector field id must be one of {FIELD_IDS}, got {i}")
@@ -83,8 +78,7 @@ def vf_eval(i: int, s) -> tuple:
     """Components (vx, vp) of field i at the phase point s."""
     _check_id(i)
     x, p = s
-    _require_momentum(p)
-    r = math.sqrt(-p)
+    r = _momentum_root(p)
     if i == 1:
         return (1.0 / r, 0.0)
     if i == 2:
@@ -100,8 +94,7 @@ def vf_jacobian(i: int, s) -> np.ndarray:
     """Closed-form Jacobian d(vx, vp)/d(x, p) of field i at s."""
     _check_id(i)
     x, p = s
-    _require_momentum(p)
-    r = math.sqrt(-p)
+    r = _momentum_root(p)
     if i == 1:
         return np.array([[0.0, 0.5 / r**3], [0.0, 0.0]])
     if i == 2:
@@ -280,7 +273,7 @@ def act(g: GroupElement, s) -> PhasePoint:
     ((sqrt(-pb) xb - lambda1)/(sqrt(-pb) + lambda5), -(sqrt(-pb) + lambda5)^2).
     """
     x, p = s
-    _require_momentum(p)
+    _momentum_root(p)  # DomainError off the half-plane
     alpha, beta = g.A[0]
     gamma, delta = g.A[1]
     den = gamma * x + delta

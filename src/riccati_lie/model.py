@@ -102,9 +102,11 @@ class RiccatiSpec:
         return cls(c0, c1, c2, c3, JetFn(f0_jet), JetFn(f1_jet))
 
 
-def _require_momentum(p) -> None:
+def _momentum_root(p) -> float:
+    """sqrt(-p) on the half-plane O; DomainError for p >= 0 (or NaN)."""
     if not p < 0:
         raise DomainError(f"momentum must be negative (half-plane O), got p={p}")
+    return math.sqrt(-p)
 
 
 def eval_U(P: PotentialSpec, t: float, x: float):
@@ -199,17 +201,17 @@ def riccati2_rhs(R: RiccatiSpec, t: float, s: LagrangianPoint):
 def hamilton_rhs(P: PotentialSpec, t: float, s: PhasePoint):
     """d(x, p)/dt on the half-plane O."""
     x, p = s
-    _require_momentum(p)
+    r = _momentum_root(p)
     U, dU_dx, _ = eval_U(P, t, x)
-    return (1.0 / math.sqrt(-p) - U, p * dU_dx)
+    return (1.0 / r - U, p * dU_dx)
 
 
 def hamiltonian(P: PotentialSpec, t: float, s: PhasePoint) -> float:
     """h(t, x, p) = -2 sqrt(-p) - p U(t, x)."""
     x, p = s
-    _require_momentum(p)
+    r = _momentum_root(p)
     U, _, _ = eval_U(P, t, x)
-    return -2.0 * math.sqrt(-p) - p * U
+    return -2.0 * r - p * U
 
 
 def legendre_forward(P: PotentialSpec, t: float, s: LagrangianPoint) -> PhasePoint:
@@ -225,16 +227,16 @@ def legendre_forward(P: PotentialSpec, t: float, s: LagrangianPoint) -> PhasePoi
 def legendre_inverse(P: PotentialSpec, t: float, s: PhasePoint) -> LagrangianPoint:
     """(x, p) -> (x, 1/sqrt(-p) - U); inverse of legendre_forward on O."""
     x, p = s
-    _require_momentum(p)
+    r = _momentum_root(p)
     U, _, _ = eval_U(P, t, x)
-    return LagrangianPoint(x, 1.0 / math.sqrt(-p) - U)
+    return LagrangianPoint(x, 1.0 / r - U)
 
 
 def hamiltonian_field(P: PotentialSpec):
     """RHS closure over raw (x, p) pairs, for the integrator."""
 
     def rhs(t, y):
-        return hamilton_rhs(P, t, PhasePoint(y[0], y[1]))
+        return hamilton_rhs(P, t, y)
 
     return rhs
 
@@ -243,6 +245,6 @@ def riccati2_field(R: RiccatiSpec):
     """RHS closure over raw (x, v) pairs, for the integrator."""
 
     def rhs(t, y):
-        return riccati2_rhs(R, t, LagrangianPoint(y[0], y[1]))
+        return riccati2_rhs(R, t, y)
 
     return rhs

@@ -159,32 +159,19 @@ def suite_action(rng, trials: int) -> list:
     return results
 
 
-_INTEGRAL_NAMES = ("F0", "F1", "F2")
-
-
-def _integral_values(points4) -> tuple:
-    xi0, xi1, xi2, xi3 = points4
-    return (
-        superpose.integral_F0(xi1, xi2, xi3),
-        superpose.integral_F1(xi0, xi1, xi2),
-        superpose.integral_F2(xi0, xi1, xi3),
-    )
-
-
 def suite_integrals(P, t0, t1, tol, rng, n_grid: int = 41) -> list:
     """Drift of F0, F1, F2 along four simultaneously integrated solutions."""
     trajs = draw_surviving_solutions(P, t0, t1, tol, rng, 4)
     grid = np.linspace(t0, t1, n_grid)
-    start = _integral_values([PhasePoint(*sample_at(tr, t0)) for tr in trajs])
-    drift = [0.0, 0.0, 0.0]
-    for t in grid:
-        vals = _integral_values([PhasePoint(*sample_at(tr, t)) for tr in trajs])
-        for j in range(3):
-            drift[j] = max(drift[j], abs(vals[j] - start[j]))
+    states = np.hstack([sample_at(tr, grid) for tr in trajs])
+    consts = [superpose.constants_from_four(superpose.PhaseTuple(*row.reshape(4, 2))) for row in states]
+    values = np.array([(k.F0, k.k1, k.k2) for k in consts])
+    start, drift = values[0], np.max(np.abs(values - values[0]), axis=0)
     results = []
-    for j, name in enumerate(_INTEGRAL_NAMES):
+    for j, name in enumerate(("F0", "F1", "F2")):
         threshold = 1e-7 * max(1.0, abs(start[j]))
-        results.append(CheckResult(f"integrals.{name}_drift", drift[j] <= threshold, drift[j], threshold))
+        results.append(CheckResult(f"integrals.{name}_drift", bool(drift[j] <= threshold),
+                                   float(drift[j]), threshold))
     return results
 
 
@@ -209,8 +196,7 @@ def suite_superposition(P, t0, t1, tol, rng, trials: int, n_grid: int = 41) -> l
     for attempt in range(20):
         trajs = draw_surviving_solutions(P, t0, t1, tol, rng, 4)
         grid = np.linspace(t0, t1, n_grid)
-        points0 = [PhasePoint(*sample_at(tr, t0)) for tr in trajs]
-        k = superpose.constants_from_four(superpose.PhaseTuple(*points0))
+        k = superpose.constants_from_four(superpose.PhaseTuple(*(tr.states[0] for tr in trajs)))
         try:
             rec = superpose.superpose_trajectory(trajs[1], trajs[2], trajs[3], k, grid)
         except GenericityError:
@@ -218,7 +204,7 @@ def suite_superposition(P, t0, t1, tol, rng, trials: int, n_grid: int = 41) -> l
         break
     else:
         raise GenericityError("no generic four-solution configuration found in 20 draws")
-    direct = np.vstack([sample_at(trajs[0], t) for t in grid])
+    direct = sample_at(trajs[0], grid)
     scale = max(1.0, float(np.max(np.abs(direct))))
     err = float(np.max(np.abs(rec.states - direct))) / scale
     results.append(CheckResult("superposition.reconstruction", err <= 1e-5, err, 1e-5))

@@ -8,8 +8,8 @@ With s_i = sqrt(-p_i), the three conserved quantities are the cyclic sums
 
 Products sqrt(p_i p_j) are always evaluated as s_i s_j, which fixes the
 branch on the half-plane p < 0.  Setting F1 = k1 and F2 = k2 and solving
-for copy 0 yields the closed-form reconstruction implemented by
-`superpose_point`; with Gamma(i, j) = s_i x_i - s_j x_j,
+for copy 0 yields the closed-form reconstruction implemented on arrays by
+`superpose_states`; with Gamma(i, j) = s_i x_i - s_j x_j,
 
     x0 = [k1 G(1,3) + k2 G(2,1) - F0 x1 s1]
          / [k1 (s1 - s3) + k2 (s2 - s1) - s1 F0]
@@ -21,23 +21,21 @@ and the bracketed root is positive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BranchError, DomainError, GenericityError
+from .errors import BranchError, GenericityError, RiccatiLieError
 from .integrator import Trajectory, sample_at
-from .model import PhasePoint
+from .model import PhasePoint, _momentum_root
 
 __all__ = [
     "PhaseTuple",
     "Constants",
-    "integral_F0",
-    "integral_F1",
-    "integral_F2",
+    "cyclic_integral",
     "constants_from_four",
+    "superpose_states",
     "superpose_point",
     "superpose_trajectory",
 ]
@@ -61,81 +59,92 @@ class Constants:
     F0: float
 
 
-def _root(p) -> float:
-    if not p < 0:
-        raise DomainError(f"momentum must be negative (half-plane O), got p={p}")
-    return math.sqrt(-p)
+def cyclic_integral(a, b, c) -> float:
+    """(xa - xb) sa sb + (xb - xc) sb sc + (xc - xa) sc sa with s = sqrt(-p).
 
-
-def _cyclic_integral(a, b, c) -> float:
+    The three first integrals are this sum over different copies:
+    F0 = cyclic_integral(xi1, xi2, xi3), F1 = cyclic_integral(xi0, xi1, xi2)
+    and F2 = cyclic_integral(xi0, xi1, xi3).
+    """
     (xa, pa), (xb, pb), (xc, pc) = a, b, c
-    sa, sb, sc = _root(pa), _root(pb), _root(pc)
+    sa, sb, sc = _momentum_root(pa), _momentum_root(pb), _momentum_root(pc)
     return (xa - xb) * sa * sb + (xb - xc) * sb * sc + (xc - xa) * sc * sa
-
-
-def integral_F0(xi1, xi2, xi3) -> float:
-    return _cyclic_integral(xi1, xi2, xi3)
-
-
-def integral_F1(xi0, xi1, xi2) -> float:
-    return _cyclic_integral(xi0, xi1, xi2)
-
-
-def integral_F2(xi0, xi1, xi3) -> float:
-    return _cyclic_integral(xi0, xi1, xi3)
 
 
 def constants_from_four(tup: PhaseTuple) -> Constants:
     """Extract (k1, k2, F0) from a full four-copy configuration."""
     xi0, xi1, xi2, xi3 = tup
     return Constants(
-        k1=integral_F1(xi0, xi1, xi2),
-        k2=integral_F2(xi0, xi1, xi3),
-        F0=integral_F0(xi1, xi2, xi3),
+        k1=cyclic_integral(xi0, xi1, xi2),
+        k2=cyclic_integral(xi0, xi1, xi3),
+        F0=cyclic_integral(xi1, xi2, xi3),
     )
 
 
-def superpose_point(xi1, xi2, xi3, k: Constants, eps_gen: float | None = None) -> PhasePoint:
-    """Reconstruct copy 0 from three phase points and the constants.
+def superpose_states(states, k: Constants, eps_gen: float | None = None, ts=None) -> np.ndarray:
+    """Reconstruct copy 0 from rows x1, p1, x2, p2, x3, p3 of three solutions.
 
-    eps_gen is the genericity threshold; by default 1e-12 times the input
-    magnitude scale.  Raises GenericityError when F0 or the x0 denominator
-    is within eps_gen of zero, BranchError when the sqrt(-p0) bracket is
-    not positive.
+    states is one such row (returns one (x0, p0)) or an (N, 6) array of
+    them (returns an (N, 2) array).  eps_gen is the genericity threshold;
+    by default 1e-12 times each row's magnitude scale.  The first
+    offending row raises: DomainError for a momentum p >= 0,
+    GenericityError when F0 or the x0 denominator is within eps_gen of
+    zero, BranchError when the sqrt(-p0) bracket is not positive.  With
+    the row times ts given, the message names the time of that row.
     """
-    x1, p1 = xi1
-    x2, p2 = xi2
-    x3, p3 = xi3
-    s1, s2, s3 = _root(p1), _root(p2), _root(p3)
+    cols = np.asarray(states, dtype=float).T  # a single row unpacks to scalars, which is fast
+    x1, p1, x2, p2, x3, p3 = cols
+    mag = np.abs(cols)
+    mag[1::2] = np.sqrt(mag[1::2])  # sqrt(-p) on every row that passes the momentum check
+    s1, s2, s3 = mag[1::2]
     if eps_gen is None:
-        scale = max(1.0, abs(x1), abs(x2), abs(x3), s1, s2, s3, abs(k.k1), abs(k.k2))
-        eps_gen = 1e-12 * scale
-    if abs(k.F0) <= eps_gen:
-        raise GenericityError(f"degenerate configuration: |F0|={abs(k.F0)} <= {eps_gen}")
+        # fmax, unlike maximum, passes over NaN magnitudes
+        eps_gen = 1e-12 * np.fmax.reduce(mag, initial=max(1.0, abs(k.k1), abs(k.k2)))
     num = k.k1 * (s1 * x1 - s3 * x3) + k.k2 * (s2 * x2 - s1 * x1) - k.F0 * x1 * s1
     den = k.k1 * (s1 - s3) + k.k2 * (s2 - s1) - s1 * k.F0
-    if abs(den) <= eps_gen:
-        raise GenericityError(f"degenerate configuration: |x0 denominator|={abs(den)} <= {eps_gen}")
-    bracket = (k.k1 / k.F0) * (s3 - s1) + (k.k2 / k.F0) * (s1 - s2) + s1
-    if not bracket > 0.0:
-        raise BranchError(f"no p<0 reconstruction: sqrt(-p0) bracket = {bracket} <= 0")
-    return PhasePoint(num / den, -bracket * bracket)
+    # F0 == 0 trips the F0 guard on every row, so no bracket is ever used then
+    k1_F0, k2_F0 = (k.k1 / k.F0, k.k2 / k.F0) if k.F0 else (np.nan, np.nan)
+    bracket = k1_F0 * (s3 - s1) + k2_F0 * (s1 - s2) + s1
+    fault = (~(p1 < 0) | ~(p2 < 0) | ~(p3 < 0) | (abs(k.F0) <= eps_gen) | (abs(den) <= eps_gen)
+             | ~(bracket > 0.0))
+    if np.count_nonzero(fault):
+        row = int(np.argmax(fault))
+
+        def at(v):
+            return np.broadcast_to(v, np.shape(fault)).flat[row]
+
+        try:
+            for p in (p1, p2, p3):
+                _momentum_root(at(p))
+            eps = at(eps_gen)
+            if abs(k.F0) <= eps:
+                raise GenericityError(f"degenerate configuration: |F0|={abs(k.F0)} <= {eps}")
+            if abs(at(den)) <= eps:
+                raise GenericityError(f"degenerate configuration: |x0 denominator|={abs(at(den))} <= {eps}")
+            raise BranchError(f"no p<0 reconstruction: sqrt(-p0) bracket = {at(bracket)} <= 0")
+        except RiccatiLieError as exc:
+            if ts is None:
+                raise
+            raise type(exc)(f"at t={ts[row]}: {exc}") from exc
+    return np.array((num / den, -bracket * bracket)).T
+
+
+def superpose_point(xi1, xi2, xi3, k: Constants, eps_gen: float | None = None) -> PhasePoint:
+    """Reconstruct copy 0 from three phase points and the constants
+    (one row of `superpose_states`, with its guards and errors)."""
+    x0, p0 = superpose_states((*xi1, *xi2, *xi3), k, eps_gen)
+    return PhasePoint(float(x0), float(p0))
 
 
 def superpose_trajectory(traj1, traj2, traj3, k: Constants, grid) -> Trajectory:
     """Apply the reconstruction at every grid time.
 
-    The three trajectories must cover the grid; genericity and branch
-    errors are re-raised with the offending time attached.  The result
-    carries the grid times, the reconstructed (x0, p0) states and the
-    x-only view is its first state column.
+    The three trajectories must cover the grid; errors name the first
+    offending time.  The result carries the grid times and the
+    reconstructed (x0, p0) states; the x-only view is its first state
+    column.
     """
-    grid = np.asarray([float(t) for t in grid])
-    states = np.empty((len(grid), 2))
-    for row, t in enumerate(grid):
-        pts = [PhasePoint(*sample_at(traj, t)) for traj in (traj1, traj2, traj3)]
-        try:
-            states[row] = superpose_point(*pts, k)
-        except (GenericityError, BranchError) as exc:
-            raise type(exc)(f"at t={t}: {exc}") from exc
+    grid = np.array(grid, dtype=float)
+    sols = np.hstack([sample_at(traj, grid) for traj in (traj1, traj2, traj3)])
+    states = superpose_states(sols, k, ts=grid)
     return Trajectory(ts=grid, states=states, derivs=None, system="superposed")

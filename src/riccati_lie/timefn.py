@@ -165,6 +165,7 @@ def parse_timefn(text: str) -> TimeFn:
 
 
 def _fmt(x: float) -> str:
+    """17 significant digits: re-reading gives back the same double."""
     return format(float(x), ".17g")
 
 

@@ -21,9 +21,7 @@ from riccati_lie.superpose import (
     Constants,
     PhaseTuple,
     constants_from_four,
-    integral_F0,
-    integral_F1,
-    integral_F2,
+    cyclic_integral,
     superpose_point,
     superpose_trajectory,
 )
@@ -109,9 +107,9 @@ def test_criterion_02_lagrangian_hamiltonian_equivalence():
 
 def _integral_triplet(points):
     return np.array([
-        integral_F0(points[1], points[2], points[3]),
-        integral_F1(points[0], points[1], points[2]),
-        integral_F2(points[0], points[1], points[3]),
+        cyclic_integral(points[1], points[2], points[3]),
+        cyclic_integral(points[0], points[1], points[2]),
+        cyclic_integral(points[0], points[1], points[3]),
     ])
 
 

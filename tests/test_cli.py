@@ -153,6 +153,10 @@ class TestCsvRoundtrip:
         bad_time.write_text("t,x,p\n1.0,0,-1\n0.5,0,-1\n")
         with pytest.raises(cli.ConfigError):
             cli.read_csv(str(bad_time))
+        nan_time = tmp_path / "nan.csv"
+        nan_time.write_text("t,x,p\n0.0,0,-1\nnan,0,-1\n1.0,0,-1\n")
+        with pytest.raises(cli.ConfigError, match="non-finite"):
+            cli.read_csv(str(nan_time))
 
 
 class TestDerive:
@@ -240,6 +244,25 @@ class TestSuperposeCommand:
                        "--out", str(tmp_path / "x.csv")])
         assert rc == cli.EXIT_CONFIG
 
+    def test_table_path_matches_library_path_bitwise(self, config, tmp_path):
+        from riccati_lie.integrator import hamiltonian_guard, integrate
+        from riccati_lie.model import PhasePoint, hamiltonian_field
+        from riccati_lie.superpose import PhaseTuple, constants_from_four, superpose_trajectory
+
+        cfg = config(CANONICAL)
+        table = _write_three_solution_table(cfg, tmp_path)
+        out = tmp_path / "rec.csv"
+        assert cli.main(["superpose", cfg, "--sols", table, "--fourth-ic", "0.0,-0.25",
+                         "--out", str(out)]) == 0
+        _, rec = cli.read_csv(str(out))
+        sc = cli.load_scenario(cfg)
+        trajs = [integrate(hamiltonian_field(sc.potential), (sc.t0, sc.ics[i]), sc.t1, sc.tol,
+                           guard=hamiltonian_guard, max_step=sc.step) for i in (1, 2, 3)]
+        k = constants_from_four(PhaseTuple(PhasePoint(0.0, -0.25), *(tr.states[0] for tr in trajs)))
+        lib = superpose_trajectory(*trajs, k, sc.grid())
+        np.testing.assert_array_equal(rec[:, 0], lib.ts)
+        np.testing.assert_array_equal(rec[:, 1:], lib.states)
+
     def test_wrong_column_count_rejected(self, config, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x1,p1\n0.0,0.0,-1.0\n")
@@ -272,6 +295,12 @@ class TestVerify:
         assert rc == cli.EXIT_FAIL
         assert "FAIL brackets.commutation_table" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_a_config_error(self, config, capsys, trials):
+        rc = cli.main(["verify", "brackets", config(CANONICAL), "--trials", trials])
+        assert rc == cli.EXIT_CONFIG
+        assert "PASS" not in capsys.readouterr().out
+
     def test_env_seed_override(self, config, monkeypatch):
         scenario = cli.load_scenario(config(CANONICAL))
         assert cli.scenario_seed(scenario) == 99
@@ -302,6 +331,19 @@ class TestConfigErrors:
     def test_bad_window(self, config):
         rc = cli.main(["derive", config(CANONICAL.replace("t1 = 1.0", "t1 = -1.0"))])
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [("t1", "inf"), ("t0", "-inf"), ("step", "nan"), ("tol", "inf")])
+    def test_nonfinite_run_values(self, config, key, value):
+        text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                         for line in CANONICAL.splitlines())
+        rc = cli.main(["derive", config(text)])
+        assert rc == cli.EXIT_CONFIG
+
+    def test_unwritable_output(self, config, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.csv"
+        rc = cli.main(["simulate", config(CANONICAL), "--ic", "0", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot write table")
 
     def test_error_classes_are_distinct(self):
         codes = {cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_CONFIG, cli.EXIT_DOMAIN,

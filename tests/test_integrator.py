@@ -153,9 +153,22 @@ class TestSampleAt:
 
     def test_out_of_range_rejected(self):
         traj = integrate(lambda t, y: (0.0, 0.0), (0.0, (1.0, -1.0)), 1.0, 1e-10)
-        for t in (-0.1, 1.1):
+        for t in (-0.1, 1.1, np.nan, np.array([0.0, 0.5, 1.1, 1.0]), np.array([0.5, np.nan])):
             with pytest.raises(DomainError):
                 sample_at(traj, t)
+
+    def test_array_of_times_matches_scalar_calls_bitwise(self):
+        traj = integrate(hamiltonian_field(canonical_potential()), (0.0, (0.0, -0.25)),
+                         2.0, 1e-8, guard=hamiltonian_guard)
+        rng = np.random.default_rng(2)
+        # every node (t0 and t_end included) plus off-node times, unsorted
+        times = np.concatenate([traj.ts, rng.uniform(0.0, 2.0, 200)])
+        rng.shuffle(times)
+        batch = sample_at(traj, times)
+        assert batch.shape == (len(times), 2)
+        np.testing.assert_array_equal(batch, np.vstack([sample_at(traj, t) for t in times]))
+        np.testing.assert_array_equal(sample_at(traj, traj.ts), traj.states)
+        np.testing.assert_array_equal(sample_at(traj, traj.t_end), traj.states[-1])
 
     def test_derivative_free_trajectories_not_resampled(self):
         traj = Trajectory(ts=np.array([0.0, 1.0]), states=np.zeros((2, 2)),

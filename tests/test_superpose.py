@@ -1,5 +1,7 @@
 """Tests for the first integrals and the superposition rule."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,9 @@ from riccati_lie.superpose import (
     Constants,
     PhaseTuple,
     constants_from_four,
-    integral_F0,
-    integral_F1,
-    integral_F2,
+    cyclic_integral,
     superpose_point,
+    superpose_states,
     superpose_trajectory,
 )
 from riccati_lie.suites import random_phase_points, random_potential
@@ -27,28 +28,28 @@ XI3 = PhasePoint(3.0, -9.0)
 
 class TestIntegrals:
     def test_F0_values(self):
-        assert integral_F0(XI1, XI2, PhasePoint(0.0, -1.0)) == pytest.approx(1.0, rel=1e-15)
-        assert integral_F0(XI1, XI2, XI3) == pytest.approx(-2.0, rel=1e-15)
+        assert cyclic_integral(XI1, XI2, PhasePoint(0.0, -1.0)) == pytest.approx(1.0, rel=1e-15)
+        assert cyclic_integral(XI1, XI2, XI3) == pytest.approx(-2.0, rel=1e-15)
 
     def test_F0_collapses_on_coincident_copies(self):
-        assert integral_F0(XI1, XI1, XI3) == pytest.approx(0.0, abs=1e-15)
+        assert cyclic_integral(XI1, XI1, XI3) == pytest.approx(0.0, abs=1e-15)
 
     def test_F1_F2_values(self):
-        assert integral_F1(XI0, XI1, XI2) == pytest.approx(1.0, rel=1e-15)
-        assert integral_F2(XI0, XI1, XI3) == pytest.approx(2.0, rel=1e-15)
-        assert integral_F1(XI0, XI0, XI2) == pytest.approx(0.0, abs=1e-15)
+        assert cyclic_integral(XI0, XI1, XI2) == pytest.approx(1.0, rel=1e-15)
+        assert cyclic_integral(XI0, XI1, XI3) == pytest.approx(2.0, rel=1e-15)
+        assert cyclic_integral(XI0, XI0, XI2) == pytest.approx(0.0, abs=1e-15)
 
     def test_momentum_domain_enforced(self):
         with pytest.raises(DomainError):
-            integral_F0(XI1, XI2, PhasePoint(1.0, 0.0))
+            cyclic_integral(XI1, XI2, PhasePoint(1.0, 0.0))
 
     def test_F0_cyclic_invariance(self):
         rng = np.random.default_rng(51)
         for _ in range(100):
             a, b, c = random_phase_points(rng, 3)
-            v1 = integral_F0(a, b, c)
-            v2 = integral_F0(b, c, a)
-            v3 = integral_F0(c, a, b)
+            v1 = cyclic_integral(a, b, c)
+            v2 = cyclic_integral(b, c, a)
+            v3 = cyclic_integral(c, a, b)
             assert v2 == pytest.approx(v1, rel=1e-15, abs=1e-15)
             assert v3 == pytest.approx(v1, rel=1e-15, abs=1e-15)
 
@@ -76,21 +77,21 @@ class TestSuperposePoint:
         assert rec.p == pytest.approx(-1.0, rel=1e-15)
 
     def test_zero_constants_select_first_solution(self):
-        k = Constants(0.0, 0.0, integral_F0(XI1, XI2, XI3))
+        k = Constants(0.0, 0.0, cyclic_integral(XI1, XI2, XI3))
         rec = superpose_point(XI1, XI2, XI3, k)
         assert rec.x == pytest.approx(XI1.x, rel=1e-14)
         assert rec.p == pytest.approx(XI1.p, rel=1e-14)
 
     def test_degenerate_configuration_rejected(self):
         # two coincident copies force F0 = 0
-        k = Constants(1.0, 2.0, integral_F0(XI1, XI1, XI3))
+        k = Constants(1.0, 2.0, cyclic_integral(XI1, XI1, XI3))
         with pytest.raises(GenericityError):
             superpose_point(XI1, XI1, XI3, k)
 
     def test_branch_exit_rejected(self):
         # with F0 = -2, s1 = 1, s3 = 3 and k2 = 0 the sqrt(-p0) bracket is
         # 1 - k1, so k1 = 2 exits the branch while the denominator stays safe
-        F0 = integral_F0(XI1, XI2, XI3)
+        F0 = cyclic_integral(XI1, XI2, XI3)
         with pytest.raises(BranchError):
             superpose_point(XI1, XI2, XI3, Constants(2.0, 0.0, F0))
 
@@ -119,7 +120,7 @@ class TestSuperposePoint:
         for _ in range(50):
             xi1, xi2, xi3 = random_phase_points(rng, 3)
             k1, k2 = rng.uniform(-1.0, 1.0, 2)
-            k = Constants(float(k1), float(k2), integral_F0(xi1, xi2, xi3))
+            k = Constants(float(k1), float(k2), cyclic_integral(xi1, xi2, xi3))
             try:
                 rec = superpose_point(xi1, xi2, xi3, k)
             except (GenericityError, BranchError):
@@ -127,6 +128,55 @@ class TestSuperposePoint:
             back = constants_from_four(PhaseTuple(rec, xi1, xi2, xi3))
             assert back.k1 == pytest.approx(k.k1, rel=1e-9, abs=1e-9)
             assert back.k2 == pytest.approx(k.k2, rel=1e-9, abs=1e-9)
+
+
+def _rows(*triples):
+    return np.array([[*a, *b, *c] for a, b, c in triples])
+
+
+def _reference_point(xi1, xi2, xi3, k):
+    """The rule in plain float arithmetic, guards left out."""
+    (x1, p1), (x2, p2), (x3, p3) = xi1, xi2, xi3
+    s1, s2, s3 = math.sqrt(-p1), math.sqrt(-p2), math.sqrt(-p3)
+    num = k.k1 * (s1 * x1 - s3 * x3) + k.k2 * (s2 * x2 - s1 * x1) - k.F0 * x1 * s1
+    den = k.k1 * (s1 - s3) + k.k2 * (s2 - s1) - s1 * k.F0
+    bracket = (k.k1 / k.F0) * (s3 - s1) + (k.k2 / k.F0) * (s1 - s2) + s1
+    return (num / den, -bracket * bracket)
+
+
+class TestSuperposeStates:
+    def test_rows_match_float_reference_bitwise(self):
+        _, trajs = _four_canonical_trajectories()
+        grid = np.linspace(0.0, 1.0, 101)
+        k = constants_from_four(PhaseTuple(*(PhasePoint(*tr.states[0]) for tr in trajs)))
+        rows = np.hstack([sample_at(tr, grid) for tr in trajs[1:]])
+        points = [[PhasePoint(float(x), float(p)) for x, p in row.reshape(3, 2)] for row in rows]
+        want = np.array([_reference_point(*pts, k) for pts in points])
+        np.testing.assert_array_equal(superpose_states(rows, k), want)
+        np.testing.assert_array_equal([superpose_point(*pts, k) for pts in points], want)
+
+    def test_first_offending_row_sets_the_error(self):
+        F0 = cyclic_integral(XI1, XI2, XI3)
+        k = Constants(0.5, 0.0, F0)
+        good = (XI1, XI2, XI3)
+        branch = (XI1, XI2, PhasePoint(3.0, -36.0))  # bracket = (0.5 / -2)(6 - 1) + 1 < 0
+        off_plane = (XI1, XI2, PhasePoint(3.0, 0.5))
+        ts = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(BranchError, match=r"^at t=0\.5: no p<0"):
+            superpose_states(_rows(good, branch, off_plane), k, ts=ts)
+        with pytest.raises(DomainError, match=r"^at t=0\.5: momentum"):
+            superpose_states(_rows(good, off_plane, branch), k, ts=ts)
+        with pytest.raises(DomainError, match=r"^momentum"):
+            superpose_states(_rows(good, off_plane, branch), k)
+
+    def test_genericity_threshold_scales_per_row(self):
+        # eps = 1e-12 * 3 on the first row, 1e-12 * 30 on the second
+        k = Constants(0.0, 0.0, 1e-11)
+        far = (XI1, XI2, PhasePoint(30.0, -9.0))
+        rows = _rows((XI1, XI2, XI3), far)
+        np.testing.assert_array_equal(superpose_states(rows[:1], k), [XI1])
+        with pytest.raises(GenericityError, match=r"^at t=2\.0: degenerate configuration: \|F0\|"):
+            superpose_states(rows, k, ts=np.array([1.0, 2.0]))
 
 
 def _four_canonical_trajectories(t1=1.0, tol=1e-10):
@@ -147,9 +197,9 @@ class TestConservation:
         def values(t):
             pts = [PhasePoint(*sample_at(tr, t)) for tr in trajs]
             return np.array([
-                integral_F0(pts[1], pts[2], pts[3]),
-                integral_F1(pts[0], pts[1], pts[2]),
-                integral_F2(pts[0], pts[1], pts[3]),
+                cyclic_integral(pts[1], pts[2], pts[3]),
+                cyclic_integral(pts[0], pts[1], pts[2]),
+                cyclic_integral(pts[0], pts[1], pts[3]),
             ])
 
         start = values(0.0)
@@ -173,7 +223,7 @@ class TestSuperposeTrajectory:
         _, trajs = _four_canonical_trajectories()
         grid = np.linspace(0.0, 1.0, 11)
         pts0 = [PhasePoint(*sample_at(tr, 0.0)) for tr in trajs]
-        k = Constants(0.0, 0.0, integral_F0(pts0[1], pts0[2], pts0[3]))
+        k = Constants(0.0, 0.0, cyclic_integral(pts0[1], pts0[2], pts0[3]))
         rec = superpose_trajectory(trajs[1], trajs[2], trajs[3], k, grid)
         resampled = np.vstack([sample_at(trajs[1], t) for t in grid])
         np.testing.assert_allclose(rec.states, resampled, rtol=1e-12, atol=1e-12)
@@ -203,15 +253,15 @@ class TestConservationRandom:
         pts = lambda t: [PhasePoint(*sample_at(tr, t)) for tr in trajs]
         p0 = pts(0.0)
         start = np.array([
-            integral_F0(p0[1], p0[2], p0[3]),
-            integral_F1(p0[0], p0[1], p0[2]),
-            integral_F2(p0[0], p0[1], p0[3]),
+            cyclic_integral(p0[1], p0[2], p0[3]),
+            cyclic_integral(p0[0], p0[1], p0[2]),
+            cyclic_integral(p0[0], p0[1], p0[3]),
         ])
         for t in grid:
             pt = pts(t)
             vals = np.array([
-                integral_F0(pt[1], pt[2], pt[3]),
-                integral_F1(pt[0], pt[1], pt[2]),
-                integral_F2(pt[0], pt[1], pt[3]),
+                cyclic_integral(pt[1], pt[2], pt[3]),
+                cyclic_integral(pt[0], pt[1], pt[2]),
+                cyclic_integral(pt[0], pt[1], pt[3]),
             ])
             assert np.all(np.abs(vals - start) <= 1e-7 * np.maximum(1.0, np.abs(start)))
