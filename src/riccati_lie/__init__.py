@@ -36,7 +36,9 @@ from .model import (
     PhasePoint,
     PotentialSpec,
     RiccatiSpec,
+    c0_defect,
     coefficients_from_potential,
+    drag_defect,
     eval_U,
     hamilton_rhs,
     hamiltonian,

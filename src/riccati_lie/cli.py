@@ -45,13 +45,15 @@ from .integrator import hamiltonian_guard, integrate, sample_at
 from .model import (
     PotentialSpec,
     RiccatiSpec,
+    c0_defect,
     coefficients_from_potential,
+    drag_defect,
     hamiltonian_field,
     potential_from_coefficients,
     riccati2_field,
 )
 from .superpose import Constants, cyclic_integral, superpose_states
-from .timefn import _fmt, parse_timefn
+from .timefn import JetFn, _fmt, parse_timefn
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -68,8 +70,8 @@ SEED_ENV_VAR = "RICCATI_LIE_SEED"
 
 @dataclass
 class Scenario:
-    potential: PotentialSpec
-    riccati: RiccatiSpec
+    potential: JetFn      # (a0, a1, a2)
+    riccati: JetFn        # (c0, c1, c2, c3, f0, f1)
     t0: float
     t1: float
     step: float
@@ -77,10 +79,14 @@ class Scenario:
     seed: int
     ics: list
     source: str           # "potential" | "riccati"
-    c0_residual: float    # consistency defect of the inverse map (riccati source)
 
     def grid(self) -> np.ndarray:
         return _grid(self.t0, self.t1, self.step)
+
+    @property
+    def c0_residual(self) -> float:
+        """`c0_defect` of the two pictures on the grid, computed on read."""
+        return c0_defect(self.riccati, self.potential, self.grid())
 
 
 def _grid(t0: float, t1: float, step: float) -> np.ndarray:
@@ -108,13 +114,13 @@ def _get_float(cfg, section, key, default=None):
 
 
 def _parse_pair(raw: str):
-    parts = raw.replace(",", " ").split()
-    if len(parts) != 2:
-        raise ConfigError(f"expected two numbers, got {raw!r}")
     try:
-        return (float(parts[0]), float(parts[1]))
+        pair = tuple(float(v) for v in raw.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"expected two numbers, got {raw!r}") from None
+        pair = ()
+    if len(pair) != 2 or not all(map(math.isfinite, pair)):
+        raise ConfigError(f"expected two finite numbers, got {raw!r}")
+    return pair
 
 
 def load_scenario(path: str) -> Scenario:
@@ -135,7 +141,9 @@ def load_scenario(path: str) -> Scenario:
     t1 = _get_float(cfg, "run", "t1", "1.0")
     step = _get_float(cfg, "run", "step", "0.01")
     tol = _get_float(cfg, "run", "tol", "1e-10")
-    seed = int(_get_float(cfg, "run", "seed", "0"))
+    seed = _get_float(cfg, "run", "seed", "0")
+    if not (seed.is_integer() and seed >= 0):
+        raise ConfigError(f"[run] seed must be a non-negative integer, got {seed}")
     if not t1 > t0:
         raise ConfigError(f"[run] needs t1 > t0, got t0={t0}, t1={t1}")
     if not step > 0.0:
@@ -150,35 +158,27 @@ def load_scenario(path: str) -> Scenario:
 
     grid = _grid(t0, t1, step)
     if has_pot:
-        P = PotentialSpec(
-            parse_timefn(_get(cfg, "potential", "a0")),
-            parse_timefn(_get(cfg, "potential", "a1")),
-            parse_timefn(_get(cfg, "potential", "a2")),
-        )
+        P = PotentialSpec(*(parse_timefn(_get(cfg, "potential", a)) for a in PotentialSpec.names))
         # no grid validation here: a2 > 0 is needed by the coefficient
         # correspondence (checked in `derive`), not by simulation itself
         R = coefficients_from_potential(P)
-        source, residual = "potential", 0.0
+        source = "potential"
     else:
-        R = RiccatiSpec.from_cubic(
-            parse_timefn(_get(cfg, "riccati", "c0")),
-            parse_timefn(_get(cfg, "riccati", "c1")),
-            parse_timefn(_get(cfg, "riccati", "c2")),
-            parse_timefn(_get(cfg, "riccati", "c3")),
-        )
-        P, residual = potential_from_coefficients(R, grid)
+        R = RiccatiSpec(*(parse_timefn(_get(cfg, "riccati", c)) for c in RiccatiSpec.names[:4]))
+        P = potential_from_coefficients(R, grid)  # checks c3 > 0 on the grid
         source = "riccati"
-    return Scenario(P, R, t0, t1, step, tol, seed, ics, source, residual)
+    return Scenario(P, R, t0, t1, step, tol, int(seed), ics, source)
 
 
 def scenario_seed(scenario: Scenario) -> int:
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    return scenario.seed
+    try:
+        seed = scenario.seed if raw is None else int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 # --- CSV ------------------------------------------------------------------
@@ -273,21 +273,14 @@ def cmd_derive(args) -> int:
     print(f"source = {scenario.source}")
     if scenario.source == "potential":
         coefficients_from_potential(P, grid)  # a2 > 0 validation
-        for name in ("c0", "c1", "c2", "c3", "f0", "f1"):
-            print(f"{name}(t0) = {_fmt(getattr(R, name).eval(t0))}")
-        res_f1 = max(abs(R.f1.eval(t) - 3.0 * np.sqrt(R.c3.eval(t))) for t in grid)
-        res_f0 = max(
-            abs(
-                R.f0.eval(t)
-                - (R.c2.eval(t) / np.sqrt(R.c3.eval(t)) - R.c3.eval(t, 1) / (2.0 * R.c3.eval(t)))
-            )
-            for t in grid
-        )
+        for name, value in zip(R.names, R.eval(t0)):
+            print(f"{name}(t0) = {_fmt(value)}")
+        res_f1, res_f0 = drag_defect(R, grid)
         print(f"f1_constraint_residual = {_fmt(res_f1)}")
         print(f"f0_constraint_residual = {_fmt(res_f0)}")
     else:
-        for name in ("a0", "a1", "a2"):
-            print(f"{name}(t0) = {_fmt(getattr(P, name).eval(t0))}")
+        for name, value in zip(P.names, P.eval(t0)):
+            print(f"{name}(t0) = {_fmt(value)}")
         print(f"c0_defect_residual = {_fmt(scenario.c0_residual)}")
     return EXIT_OK
 
@@ -299,6 +292,8 @@ def _constants_from_row(args, sols) -> Constants:
     if args.k1 is not None or args.k2 is not None:
         if args.k1 is None or args.k2 is None:
             raise ConfigError("--k1 and --k2 must be given together")
+        if not (math.isfinite(args.k1) and math.isfinite(args.k2)):
+            raise ConfigError(f"--k1 and --k2 must be finite, got {args.k1}, {args.k2}")
         return Constants(args.k1, args.k2, F0)
     if args.fourth_ic is None:
         raise ConfigError("need either --k1/--k2 or --fourth-ic")

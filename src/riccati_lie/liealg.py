@@ -36,7 +36,6 @@ __all__ = [
     "vf_eval",
     "vf_jacobian",
     "lie_bracket",
-    "bracket_coefficients",
     "check_commutation_table",
     "levi_structure_check",
     "decompose_rhs_check",
@@ -216,7 +215,7 @@ def decompose_rhs_check(P, t: float, s) -> float:
     max component of |rhs - (X1 - a0 X2 - a1 X3 - a2 X4)| at (t, s)."""
     x, p = s
     rhs = np.asarray(hamilton_rhs(P, t, PhasePoint(x, p)))
-    a0, a1, a2 = P.a0.eval(t), P.a1.eval(t), P.a2.eval(t)
+    a0, a1, a2 = P.eval(t)
     combo = (
         np.asarray(vf_eval(1, s))
         - a0 * np.asarray(vf_eval(2, s))

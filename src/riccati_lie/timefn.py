@@ -9,8 +9,9 @@ Coefficients *derived* from these sums through products, quotients and
 square roots (the maps between the potential and the cubic-equation
 parametrizations need all three) are handled by a small truncated
 Taylor-jet layer: a `Jet` holds the Taylor coefficients of a function at
-one point, jet arithmetic propagates them exactly, and a `JetFn` wraps a
-jet-building rule as another time function.  Derivatives of derived
+one point, and jet arithmetic propagates them exactly.  A `JetFn` is a
+coefficient picture: it builds the jets of all its coefficients at once
+and reads any derivative order off them.  Derivatives of derived
 coefficients therefore stay closed-form as well.
 
 Text grammar for configuration files::
@@ -30,9 +31,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
-from .errors import TimeFnSyntaxError
+from .errors import DomainError, TimeFnSyntaxError
 
 __all__ = [
     "Poly",
@@ -45,6 +46,7 @@ __all__ = [
     "render_timefn",
     "Jet",
     "JetFn",
+    "Coefficient",
 ]
 
 
@@ -192,20 +194,20 @@ def render_timefn(f: TimeFn) -> str:
 class Jet:
     """Truncated Taylor expansion at a point: coeffs[k] = f^(k)(t) / k!.
 
-    Binary operations truncate to the shorter operand, so a rule that
-    needs the derivative of an argument simply requests one extra order
-    from it.
+    Jets add, subtract, multiply and divide with jets, truncating to the
+    shorter operand, so a rule that needs the derivative of an argument
+    simply requests one extra order from it; a number can only scale a jet.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(float(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
 
     @classmethod
     def of(cls, f, t, n: int) -> "Jet":
         """Jet of a time function (anything with .eval(t, order)) to order n."""
-        return cls(f.eval(t, k) / math.factorial(k) for k in range(n + 1))
+        return cls([float(f.eval(t, k)) / math.factorial(k) for k in range(n + 1)])
 
     def deriv(self, order: int) -> float:
         """The order-th derivative encoded by this jet."""
@@ -224,21 +226,12 @@ class Jet:
         return self.coeffs[:n], other.coeffs[:n]
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            a, b = self._pair(other)
-            return Jet(x + y for x, y in zip(a, b))
-        return Jet((self.coeffs[0] + other,) + self.coeffs[1:])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-c for c in self.coeffs)
+        a, b = self._pair(other)
+        return Jet(x + y for x, y in zip(a, b))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        a, b = self._pair(other)
+        return Jet(x - y for x, y in zip(a, b))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -251,25 +244,19 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            a, b = self._pair(other)
-            if b[0] == 0.0:
-                raise ZeroDivisionError("jet division by a function vanishing at the point")
-            out = []
-            for k in range(len(a)):
-                s = a[k] - math.fsum(b[j] * out[k - j] for j in range(1, k + 1))
-                out.append(s / b[0])
-            return Jet(out)
-        return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        const = Jet((float(other),) + (0.0,) * (len(self.coeffs) - 1))
-        return const / self
+        a, b = self._pair(other)
+        if b[0] == 0.0:
+            raise ZeroDivisionError("jet division by a function vanishing at the point")
+        out = []
+        for k in range(len(a)):
+            s = a[k] - math.fsum(b[j] * out[k - j] for j in range(1, k + 1))
+            out.append(s / b[0])
+        return Jet(out)
 
     def sqrt(self) -> "Jet":
         a = self.coeffs
         if not a[0] > 0.0:
-            raise ValueError(f"jet sqrt needs a positive value at the point, got {a[0]}")
+            raise DomainError(f"jet sqrt needs a positive value at the point, got {a[0]}")
         out = [math.sqrt(a[0])]
         for k in range(1, len(a)):
             s = a[k] - math.fsum(out[j] * out[k - j] for j in range(1, k))
@@ -277,17 +264,34 @@ class Jet:
         return Jet(out)
 
 
-@dataclass(frozen=True)
 class JetFn:
-    """Time function defined by a jet-building rule.
+    """A coefficient picture: every coefficient evaluated from one jet build.
 
-    `build(t, n)` must return a Jet carrying at least n+1 coefficients;
-    eval reads the requested derivative off that jet.
+    Subclasses implement `jets(t, n)`, returning one Jet per coefficient,
+    in the order of `names`, each carrying at least n+1 Taylor coefficients.
+    `eval` reads the order-th derivative of every coefficient off those
+    jets, as a tuple.  A name that is not a field reads as a `Coefficient`.
     """
 
-    build: Callable[[float, int], Jet]
+    names = ()
 
     def eval(self, t, order=0):
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        return self.build(t, order).deriv(order)
+        return tuple([jet.deriv(order) for jet in self.jets(t, order)])
+
+    def __getattr__(self, name):
+        if name not in type(self).names:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return Coefficient(self, type(self).names.index(name))
+
+
+class Coefficient:
+    """One coefficient of a picture read as a time function.  Each `eval`
+    builds the whole picture, so it suits single reads, not a hot path."""
+
+    def __init__(self, picture: JetFn, index: int):
+        self.picture, self.index = picture, index
+
+    def eval(self, t, order=0):
+        return self.picture.eval(t, order)[self.index]

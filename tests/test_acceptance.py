@@ -11,6 +11,7 @@ from riccati_lie.integrator import hamiltonian_guard, integrate, sample_at
 from riccati_lie.model import (
     PhasePoint,
     PotentialSpec,
+    c0_defect,
     coefficients_from_potential,
     hamiltonian_field,
     legendre_inverse,
@@ -54,8 +55,7 @@ def analytic_p(t):
 def test_criterion_01_canonical_analytic_oracle():
     # the potential (0, 0, 1) produces exactly x'' + 3 x x' + x^3 = 0
     R = coefficients_from_potential(canonical_potential())
-    coeffs = [getattr(R, n).eval(0.37) for n in ("c0", "c1", "c2", "c3", "f0", "f1")]
-    assert coeffs == [0.0, 0.0, 0.0, 1.0, 0.0, 3.0]
+    assert R.eval(0.37) == (0.0, 0.0, 0.0, 1.0, 0.0, 3.0)
 
     # substitution check: the candidate solves that equation identically
     ts = np.linspace(0.0, 2.0, 201)
@@ -248,19 +248,17 @@ def test_criterion_09_coefficient_maps():
     constraint_worst = 0.0
     for _ in range(50):
         P = random_potential(rng, scale=0.4, a2_base=(1.0, 2.0), a2_wobble=0.4)
-        assert min(P.a2.eval(t) for t in grid) >= 0.5
+        assert min(P.eval(t)[2] for t in grid) >= 0.5
         R = coefficients_from_potential(P, grid)
-        P2, defect = potential_from_coefficients(R, grid)
-        defect_worst = max(defect_worst, defect)
+        P2 = potential_from_coefficients(R, grid)
+        defect_worst = max(defect_worst, c0_defect(R, P2, grid))
         for t in grid[::5]:
-            for name in ("a0", "a1", "a2"):
-                want = getattr(P, name).eval(t)
-                got = getattr(P2, name).eval(t)
+            for want, got in zip(P.eval(t), P2.eval(t)):
                 round_worst = max(round_worst, abs(got - want) / max(1.0, abs(want)))
-            c3 = R.c3.eval(t)
-            f1_res = abs(R.f1.eval(t) - 3.0 * np.sqrt(c3)) / max(1.0, abs(R.f1.eval(t)))
-            f0_expected = R.c2.eval(t) / np.sqrt(c3) - R.c3.eval(t, 1) / (2.0 * c3)
-            f0_res = abs(R.f0.eval(t) - f0_expected) / max(1.0, abs(f0_expected))
+            _, _, c2, c3, f0, f1 = R.eval(t)
+            f1_res = abs(f1 - 3.0 * np.sqrt(c3)) / max(1.0, abs(f1))
+            f0_expected = c2 / np.sqrt(c3) - R.eval(t, 1)[3] / (2.0 * c3)
+            f0_res = abs(f0 - f0_expected) / max(1.0, abs(f0_expected))
             constraint_worst = max(constraint_worst, f1_res, f0_res)
     passed = round_worst <= 1e-10 and defect_worst <= 1e-10 and constraint_worst <= 1e-12
     report(9, "coefficient map roundtrip", passed,

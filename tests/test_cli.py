@@ -113,9 +113,32 @@ class TestSimulate:
                        "--ic=-2.0,-3.0", "--out", str(tmp_path / "x.csv")])
         assert rc == cli.EXIT_NUMERIC
 
-    def test_ic_index_out_of_range(self, config, tmp_path):
+    def test_ic_index_out_of_range(self, config, tmp_path, capsys):
         rc = cli.main(["simulate", config(FREE), "--ic", "5", "--out", str(tmp_path / "x.csv")])
         assert rc == cli.EXIT_CONFIG
+        capsys.readouterr()
+        # non-finite literal pairs are config errors too, before any integration
+        for system, ic in [("hamiltonian", "nan,-1"), ("hamiltonian", "inf,-1"),
+                           ("hamiltonian", "0,-inf"), ("riccati2", "nan,1")]:
+            rc = cli.main(["simulate", config(CANONICAL), "--system", system, f"--ic={ic}",
+                           "--out", str(tmp_path / "x.csv")])
+            assert rc == cli.EXIT_CONFIG
+            assert len(capsys.readouterr().err.splitlines()) == 1
+        rc = cli.main(["simulate", config(FREE + "ic2 = nan -1.0\n"), "--out", str(tmp_path / "x.csv")])
+        assert rc == cli.EXIT_CONFIG
+
+    def test_c3_dipping_between_grid_nodes_is_domain_error(self, config, tmp_path, capsys):
+        # c3 = 1 + 1.5 cos(4 pi t) is positive at the grid nodes 0, 0.5, 1 and
+        # negative near t = 0.25, where the integrator evaluates it
+        cfg = config(RICCATI.replace("c3 = poly 1", "c3 = poly 1; cos 1.5 12.566370614359172 0")
+                     .replace("step = 0.1", "step = 0.5"))
+        assert cli.main(["derive", cfg]) == 0
+        capsys.readouterr()
+        rc = cli.main(["simulate", cfg, "--system", "riccati2", "--ic=0,1", "--out", str(tmp_path / "x.csv")])
+        assert rc == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: c3(t) must be positive")
+        assert len(err.splitlines()) == 1
 
 
 class TestCsvRoundtrip:
@@ -243,6 +266,11 @@ class TestSuperposeCommand:
         rc = cli.main(["superpose", cfg, "--sols", table, "--k1", "1",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == cli.EXIT_CONFIG
+        # non-finite constants or fourth IC are config errors, not branch failures
+        for extra in (["--k1", "nan", "--k2", "0"], ["--k1", "0", "--k2", "inf"],
+                      ["--fourth-ic=nan,-0.5"], ["--fourth-ic=0,-inf"]):
+            rc = cli.main(["superpose", cfg, "--sols", table, *extra, "--out", str(tmp_path / "x.csv")])
+            assert rc == cli.EXIT_CONFIG
 
     def test_table_path_matches_library_path_bitwise(self, config, tmp_path):
         from riccati_lie.integrator import hamiltonian_guard, integrate
@@ -306,9 +334,10 @@ class TestVerify:
         assert cli.scenario_seed(scenario) == 99
         monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
         assert cli.scenario_seed(scenario) == 123
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
-        with pytest.raises(cli.ConfigError):
-            cli.scenario_seed(scenario)
+        for bad in ("not-a-number", "-4"):
+            monkeypatch.setenv(cli.SEED_ENV_VAR, bad)
+            with pytest.raises(cli.ConfigError):
+                cli.scenario_seed(scenario)
 
 
 class TestConfigErrors:
@@ -332,7 +361,8 @@ class TestConfigErrors:
         rc = cli.main(["derive", config(CANONICAL.replace("t1 = 1.0", "t1 = -1.0"))])
         assert rc == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("key, value", [("t1", "inf"), ("t0", "-inf"), ("step", "nan"), ("tol", "inf")])
+    @pytest.mark.parametrize("key, value", [("t1", "inf"), ("t0", "-inf"), ("step", "nan"), ("tol", "inf"),
+                                            ("seed", "1.5"), ("seed", "-1")])
     def test_nonfinite_run_values(self, config, key, value):
         text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
                          for line in CANONICAL.splitlines())

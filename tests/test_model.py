@@ -12,7 +12,9 @@ from riccati_lie.model import (
     PhasePoint,
     PotentialSpec,
     RiccatiSpec,
+    c0_defect,
     coefficients_from_potential,
+    drag_defect,
     eval_U,
     hamilton_rhs,
     hamiltonian,
@@ -35,42 +37,46 @@ def canonical():
 
 class TestEvalU:
     def test_pure_quadratic(self):
-        U, dU_dx, dU_dt = eval_U(canonical(), 1.7, 2.0)
-        assert (U, dU_dx, dU_dt) == (4.0, 4.0, 0.0)
+        assert eval_U(canonical(), 1.7, 2.0) == (4.0, 4.0)
+        assert canonical().eval(1.7, 1) == (0.0, 0.0, 0.0)
 
     def test_zero_potential(self):
         P = PotentialSpec(constant(0.0), constant(0.0), constant(0.0))
-        assert eval_U(P, 0.3, -1.2) == (0.0, 0.0, 0.0)
+        assert eval_U(P, 0.3, -1.2) == (0.0, 0.0)
+        assert P.eval(0.3, 1) == (0.0, 0.0, 0.0)
 
     def test_time_dependent_constant_term(self):
         P = PotentialSpec(TimeFn((Poly((0.0, 1.0)),)), constant(0.0), constant(0.0))
-        assert eval_U(P, 3.0, 5.0) == (3.0, 0.0, 1.0)
+        assert eval_U(P, 3.0, 5.0) == (3.0, 0.0)
+        assert P.eval(3.0, 1) == (1.0, 0.0, 0.0)
 
 
 class TestCoefficientsFromPotential:
     def test_canonical_cubic(self):
         R = coefficients_from_potential(canonical(), GRID)
-        assert [getattr(R, n).eval(0.8) for n in ("c0", "c1", "c2", "c3")] == [0.0, 0.0, 0.0, 1.0]
-        assert R.f0.eval(0.8) == 0.0
-        assert R.f1.eval(0.8) == 3.0
+        c0, c1, c2, c3, f0, f1 = R.eval(0.8)
+        assert [c0, c1, c2, c3] == [0.0, 0.0, 0.0, 1.0]
+        assert f0 == 0.0
+        assert f1 == 3.0
 
     def test_shifted_potential(self):
         P = PotentialSpec(constant(1.0), constant(0.0), constant(1.0))
         R = coefficients_from_potential(P, GRID)
-        assert [getattr(R, n).eval(0.5) for n in ("c0", "c1", "c2", "c3")] == [0.0, 1.0, 0.0, 1.0]
+        assert list(R.eval(0.5)[:4]) == [0.0, 1.0, 0.0, 1.0]
 
     def test_exponential_a2(self):
         P = PotentialSpec(constant(0.0), constant(0.0), TimeFn((Exp(1.0, 1.0),)))
         R = coefficients_from_potential(P, GRID)
         for t in (0.0, 0.7, 1.3):
-            assert R.c3.eval(t) == pytest.approx(math.exp(2 * t), rel=1e-14)
-            assert R.c2.eval(t) == pytest.approx(math.exp(t), rel=1e-14)
-            assert R.c1.eval(t) == 0.0
-            assert R.c0.eval(t) == 0.0
+            c0, c1, c2, c3, f0, _ = R.eval(t)
+            assert c3 == pytest.approx(math.exp(2 * t), rel=1e-14)
+            assert c2 == pytest.approx(math.exp(t), rel=1e-14)
+            assert c1 == 0.0
+            assert c0 == 0.0
             # drag constraint: c2/sqrt(c3) - c3'/(2 c3) collapses to zero
-            constraint = R.c2.eval(t) / math.sqrt(R.c3.eval(t)) - R.c3.eval(t, 1) / (2 * R.c3.eval(t))
+            constraint = c2 / math.sqrt(c3) - R.eval(t, 1)[3] / (2 * c3)
             assert constraint == pytest.approx(0.0, abs=1e-14)
-            assert R.f0.eval(t) == 0.0
+            assert f0 == 0.0
 
     def test_rejects_nonpositive_a2_on_grid(self):
         P = PotentialSpec(constant(0.0), constant(0.0), constant(-1.0))
@@ -88,7 +94,9 @@ class TestCoefficientsFromPotential:
             x = float(rng.uniform(-2.0, 2.0))
             v = float(rng.uniform(-2.0, 2.0))
             _, dvdt = riccati2_rhs(R, t, LagrangianPoint(x, v))
-            U, U_x, U_t = eval_U(P, t, x)
+            U, U_x = eval_U(P, t, x)
+            a0_t, a1_t, a2_t = P.eval(t, 1)
+            U_t = a0_t + x * (a1_t + x * a2_t)
             direct = -1.5 * U_x * v - U_t - 0.5 * U_x * U
             assert dvdt == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
@@ -97,10 +105,11 @@ class TestCoefficientsFromPotential:
         for _ in range(20):
             R = coefficients_from_potential(random_potential(rng))
             for t in GRID:
-                c3, c3dot = R.c3.eval(t), R.c3.eval(t, 1)
-                assert R.f1.eval(t) == pytest.approx(3.0 * math.sqrt(c3), rel=1e-12)
-                expected_f0 = R.c2.eval(t) / math.sqrt(c3) - c3dot / (2.0 * c3)
-                assert R.f0.eval(t) == pytest.approx(expected_f0, rel=1e-12, abs=1e-12)
+                _, _, c2, c3, f0, f1 = R.eval(t)
+                c3dot = R.eval(t, 1)[3]
+                assert f1 == pytest.approx(3.0 * math.sqrt(c3), rel=1e-12)
+                expected_f0 = c2 / math.sqrt(c3) - c3dot / (2.0 * c3)
+                assert f0 == pytest.approx(expected_f0, rel=1e-12, abs=1e-12)
 
     def test_drag_pair_routes_agree(self):
         # two derivations of (f0, f1): straight from the potential, or the
@@ -109,33 +118,32 @@ class TestCoefficientsFromPotential:
         for _ in range(10):
             P = random_potential(rng)
             direct = coefficients_from_potential(P)
-            recon = RiccatiSpec.from_cubic(direct.c0, direct.c1, direct.c2, direct.c3)
+            recon = RiccatiSpec(direct.c0, direct.c1, direct.c2, direct.c3)
             for t in GRID[::2]:
-                for name in ("f0", "f1"):
-                    a = getattr(direct, name).eval(t)
-                    b = getattr(recon, name).eval(t)
+                for a, b in zip(direct.eval(t)[4:], recon.eval(t)[4:]):
                     assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
                 # first derivatives must agree as well (nested-jet path)
-                assert recon.f1.eval(t, 1) == pytest.approx(direct.f1.eval(t, 1), rel=1e-11, abs=1e-11)
+                assert recon.eval(t, 1)[5] == pytest.approx(direct.eval(t, 1)[5], rel=1e-11, abs=1e-11)
 
 
 class TestPotentialFromCoefficients:
     def test_roundtrip_canonical(self):
         R = coefficients_from_potential(canonical())
-        P2, residual = potential_from_coefficients(R, GRID)
-        assert residual <= 1e-12
+        P2 = potential_from_coefficients(R, GRID)
+        assert c0_defect(R, P2, GRID) <= 1e-12
         for t in GRID:
-            assert P2.a0.eval(t) == pytest.approx(0.0, abs=1e-13)
-            assert P2.a1.eval(t) == pytest.approx(0.0, abs=1e-13)
-            assert P2.a2.eval(t) == pytest.approx(1.0, rel=1e-13)
+            a0, a1, a2 = P2.eval(t)
+            assert a0 == pytest.approx(0.0, abs=1e-13)
+            assert a1 == pytest.approx(0.0, abs=1e-13)
+            assert a2 == pytest.approx(1.0, rel=1e-13)
 
     def test_inconsistent_c0_surfaces_as_residual(self):
-        R = RiccatiSpec.from_cubic(constant(1.0), constant(0.0), constant(0.0), constant(1.0))
-        _, residual = potential_from_coefficients(R, GRID)
+        R = RiccatiSpec(constant(1.0), constant(0.0), constant(0.0), constant(1.0))
+        residual = c0_defect(R, potential_from_coefficients(R, GRID), GRID)
         assert residual == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_vanishing_c3(self):
-        R = RiccatiSpec.from_cubic(constant(0.0), constant(0.0), constant(0.0), constant(0.0))
+        R = RiccatiSpec(constant(0.0), constant(0.0), constant(0.0), constant(0.0))
         with pytest.raises(DomainError):
             potential_from_coefficients(R, GRID)
 
@@ -144,13 +152,30 @@ class TestPotentialFromCoefficients:
         for _ in range(20):
             P = random_potential(rng)
             R = coefficients_from_potential(P)
-            P2, residual = potential_from_coefficients(R, GRID)
-            assert residual <= 1e-10
+            P2 = potential_from_coefficients(R, GRID)
+            assert c0_defect(R, P2, GRID) <= 1e-10
             for t in GRID[::4]:
-                for name in ("a0", "a1", "a2"):
-                    want = getattr(P, name).eval(t)
-                    got = getattr(P2, name).eval(t)
+                for want, got in zip(P.eval(t), P2.eval(t)):
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    def test_coefficients_read_by_name(self):
+        P = random_potential(np.random.default_rng(45))
+        R = coefficients_from_potential(P)
+        P2 = potential_from_coefficients(R, GRID)
+        for picture in (R, P2, RiccatiSpec(R.c0, R.c1, R.c2, R.c3)):
+            for t in (0.0, 0.9):
+                for k in (0, 1):
+                    got = tuple(getattr(picture, name).eval(t, k) for name in picture.names)
+                    assert got == picture.eval(t, k)
+        with pytest.raises(AttributeError):
+            P2.c0
+
+    def test_drag_defect(self):
+        P = random_potential(np.random.default_rng(46))
+        R = coefficients_from_potential(P)
+        assert max(drag_defect(R, GRID)) <= 1e-12
+        # a RiccatiSpec derives its drag pair by the very formula measured
+        assert drag_defect(RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID) == (0.0, 0.0)
 
 
 class TestRiccati2Rhs:
@@ -162,7 +187,7 @@ class TestRiccati2Rhs:
         assert dv == pytest.approx(-4.0, rel=1e-15)
 
     def test_rest_point_leaves_constant_term(self):
-        R = RiccatiSpec.from_cubic(constant(0.7), constant(2.0), constant(-1.0), constant(4.0))
+        R = RiccatiSpec(constant(0.7), constant(2.0), constant(-1.0), constant(4.0))
         dx, dv = riccati2_rhs(R, 0.3, LagrangianPoint(0.0, 0.0))
         assert dx == 0.0
         assert dv == pytest.approx(-0.7, rel=1e-15)
@@ -235,7 +260,7 @@ class TestLegendre:
             back = legendre_forward(P, t, legendre_inverse(P, t, PhasePoint(x, p)))
             assert back.x == x
             assert back.p == pytest.approx(p, rel=1e-12)
-            U, _, _ = eval_U(P, t, x)
+            U, _ = eval_U(P, t, x)
             v = float(rng.uniform(0.05, 3.0)) - U  # v + U > 0 by construction
             there = legendre_forward(P, t, LagrangianPoint(x, v))
             again = legendre_inverse(P, t, there)

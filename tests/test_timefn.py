@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from riccati_lie.errors import TimeFnSyntaxError
+from riccati_lie.errors import DomainError, TimeFnSyntaxError
 from riccati_lie.timefn import (
     Cos,
     Exp,
@@ -178,11 +178,18 @@ class TestJets:
 
     def test_jetfn_is_a_time_function(self):
         f = TimeFn((Poly((0.0, 0.0, 1.0)),))  # t^2
-        squared = JetFn(lambda t, n: Jet.of(f, t, n) * Jet.of(f, t, n))  # t^4
-        assert squared.eval(2.0) == pytest.approx(16.0, rel=1e-15)
-        assert squared.eval(2.0, 1) == pytest.approx(32.0, rel=1e-15)
-        assert squared.eval(2.0, 3) == pytest.approx(48.0, rel=1e-15)
+
+        class Powers(JetFn):
+            def jets(self, t, n):
+                j = Jet.of(f, t, n)
+                return j, j * j  # t^2, t^4
+
+        assert Powers().eval(2.0) == (4.0, 16.0)
+        assert Powers().eval(2.0, 1)[1] == pytest.approx(32.0, rel=1e-15)
+        assert Powers().eval(2.0, 3) == (0.0, pytest.approx(48.0, rel=1e-15))
+        with pytest.raises(ValueError):
+            Powers().eval(2.0, -1)
 
     def test_sqrt_requires_positive_value(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             Jet.of(constant(-1.0), 0.0, 2).sqrt()
