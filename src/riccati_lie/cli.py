@@ -124,10 +124,10 @@ def _parse_pair(raw: str):
 
 
 def load_scenario(path: str) -> Scenario:
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     try:
         read = cfg.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -203,7 +203,7 @@ def read_csv(path: str):
     try:
         with open(path) as fh:
             lines = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read table {path}: {exc}") from exc
     if len(lines) < 2:
         raise ConfigError(f"table {path} needs a header and at least one row")

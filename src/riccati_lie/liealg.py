@@ -105,61 +105,53 @@ def vf_jacobian(i: int, s) -> np.ndarray:
     return np.array([[1.0 / r, 0.5 * x / r**3], [0.0, -1.0 / r]])
 
 
+def _structure_constants() -> np.ndarray:
+    """C[a-1, b-1] = coefficients of [Xa, Xb] over X1..X5, antisymmetric in
+    (a, b); built from COMMUTATION_TABLE on every call."""
+    C = np.zeros((5, 5, 5))
+    for (a, b), terms in COMMUTATION_TABLE.items():
+        for coeff, i in terms:
+            C[a - 1, b - 1, i - 1] += coeff
+            C[b - 1, a - 1, i - 1] -= coeff
+    return C
+
+
+def _values(s) -> np.ndarray:
+    """The five field values at s, one row per field: shape (5, 2)."""
+    return np.array([vf_eval(i, s) for i in FIELD_IDS])
+
+
+def _jacobians(s) -> np.ndarray:
+    """The five field Jacobians at s: shape (5, 2, 2)."""
+    return np.array([vf_jacobian(i, s) for i in FIELD_IDS])
+
+
+def _brackets(V: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """All 25 brackets [Xa, Xb] = J_b V_a - J_a V_b, at index [a-1, b-1],
+    from the field values V and Jacobians J at one point."""
+    JbVa = (J[None] @ V[:, None, :, None])[..., 0]
+    return JbVa - JbVa.transpose(1, 0, 2)
+
+
 def lie_bracket(a: int, b: int, s) -> tuple:
     """[Xa, Xb] at s, from the closed-form values and Jacobians."""
-    va = np.asarray(vf_eval(a, s))
-    vb = np.asarray(vf_eval(b, s))
-    out = vf_jacobian(b, s) @ va - vf_jacobian(a, s) @ vb
+    _check_id(a)
+    _check_id(b)
+    out = _brackets(_values(s), _jacobians(s))[a - 1, b - 1]
     return (out[0], out[1])
-
-
-def _table_bracket(a: int, b: int):
-    """Expected bracket as (coefficient, field) terms, antisymmetrized."""
-    if a == b:
-        return ()
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
-    return tuple((sign * c, i) for c, i in COMMUTATION_TABLE.get((a, b), ()))
 
 
 def check_commutation_table(points) -> float:
     """Max component-wise deviation of computed brackets from the table,
     over all 10 unordered pairs and all supplied points."""
+    pairs = np.triu_indices(5, 1)
+    C = _structure_constants()[pairs]
     worst = 0.0
     for s in points:
-        for a in FIELD_IDS:
-            for b in FIELD_IDS:
-                if a >= b:
-                    continue
-                got = np.asarray(lie_bracket(a, b, s))
-                expected = np.zeros(2)
-                for coeff, i in _table_bracket(a, b):
-                    expected += coeff * np.asarray(vf_eval(i, s))
-                worst = max(worst, float(np.max(np.abs(got - expected))))
+        V = _values(s)
+        deviation = _brackets(V, _jacobians(s))[pairs] - C @ V
+        worst = max(worst, float(np.max(np.abs(deviation))))
     return worst
-
-
-def bracket_coefficients(u, v) -> np.ndarray:
-    """Bracket of two algebra elements given as coefficient 5-vectors,
-    computed bilinearly from the table; returns a coefficient 5-vector."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(5)
-    for a in FIELD_IDS:
-        for b in FIELD_IDS:
-            w = u[a - 1] * v[b - 1]
-            if w == 0.0:
-                continue
-            for coeff, i in _table_bracket(a, b):
-                out[i - 1] += w * coeff
-    return out
-
-
-def _basis(i: int) -> np.ndarray:
-    e = np.zeros(5)
-    e[i - 1] = 1.0
-    return e
 
 
 def levi_structure_check() -> dict:
@@ -170,43 +162,24 @@ def levi_structure_check() -> dict:
     e = X2, h = -2 X3, f = -X4; the span of {X1, X5} is abelian; and it is
     an ideal of the full algebra.  Returns pass/fail per assertion.
     """
-    semisimple = (2, 3, 4)
-    radical = (1, 5)
+    C = _structure_constants()
+    semisimple = [1, 2, 3]  # X2, X3, X4 as indices of C
+    radical = [0, 4]  # X1, X5
 
-    def supported_on(vec, ids):
-        others = [i - 1 for i in FIELD_IDS if i not in ids]
-        return bool(np.all(vec[others] == 0.0))
+    def bracket(u, v):
+        return np.einsum("a,b,abk->k", u, v, C)
 
-    v2_closes = all(
-        supported_on(bracket_coefficients(_basis(a), _basis(b)), semisimple)
-        for a in semisimple
-        for b in semisimple
-    )
-
-    e, h, f = _basis(2), -2.0 * _basis(3), -1.0 * _basis(4)
-    v2_sl2 = (
-        np.array_equal(bracket_coefficients(h, e), 2.0 * e)
-        and np.array_equal(bracket_coefficients(h, f), -2.0 * f)
-        and np.array_equal(bracket_coefficients(e, f), h)
-    )
-
-    v1_abelian = all(
-        np.array_equal(bracket_coefficients(_basis(a), _basis(b)), np.zeros(5))
-        for a in radical
-        for b in radical
-    )
-
-    v1_ideal = all(
-        supported_on(bracket_coefficients(_basis(a), _basis(b)), radical)
-        for a in FIELD_IDS
-        for b in radical
-    )
-
+    basis = np.eye(5)
+    e, h, f = basis[1], -2.0 * basis[2], -1.0 * basis[3]
     return {
-        "v2_closes": v2_closes,
-        "v2_sl2_constants": v2_sl2,
-        "v1_abelian": v1_abelian,
-        "v1_ideal": v1_ideal,
+        "v2_closes": not C[np.ix_(semisimple, semisimple, radical)].any(),
+        "v2_sl2_constants": (
+            np.array_equal(bracket(h, e), 2.0 * e)
+            and np.array_equal(bracket(h, f), -2.0 * f)
+            and np.array_equal(bracket(e, f), h)
+        ),
+        "v1_abelian": not C[np.ix_(radical, radical)].any(),
+        "v1_ideal": not C[np.ix_(range(5), radical, semisimple)].any(),
     }
 
 
@@ -216,12 +189,8 @@ def decompose_rhs_check(P, t: float, s) -> float:
     x, p = s
     rhs = np.asarray(hamilton_rhs(P, t, PhasePoint(x, p)))
     a0, a1, a2 = P.eval(t)
-    combo = (
-        np.asarray(vf_eval(1, s))
-        - a0 * np.asarray(vf_eval(2, s))
-        - a1 * np.asarray(vf_eval(3, s))
-        - a2 * np.asarray(vf_eval(4, s))
-    )
+    V = _values(s)
+    combo = V[0] - a0 * V[1] - a1 * V[2] - a2 * V[3]
     return float(np.max(np.abs(rhs - combo)))
 
 

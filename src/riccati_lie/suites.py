@@ -30,6 +30,10 @@ __all__ = [
     "run_suites",
 ]
 
+_A2_WOBBLE = 0.4  # largest cosine amplitude of a random a2, relative to its constant
+_MAX_DRAWS = 80  # initial points tried per draw_surviving_solutions call
+_CHECK_GRID = 41  # grid points of the drift and reconstruction checks
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -43,12 +47,12 @@ class CheckResult:
         return f"{status} {self.name} residual={self.residual:.3e} threshold={self.threshold:.3e}"
 
 
-def random_potential(rng, scale: float = 0.4, a2_base=(0.8, 1.6), a2_wobble: float = 0.4) -> PotentialSpec:
+def random_potential(rng, scale: float = 0.4, a2_base=(0.8, 1.6)) -> PotentialSpec:
     """Random quadratic potential with a2 bounded away from zero.
 
     a0, a1 are degree-1 polynomials plus one sine term of amplitude
     <= scale; a2 is a constant in a2_base plus a cosine whose amplitude is
-    at most a2_wobble times the headroom, so min a2 >= (1 - a2_wobble) *
+    at most _A2_WOBBLE times that constant, so min a2 >= (1 - _A2_WOBBLE) *
     a2_base[0].
     """
 
@@ -58,7 +62,7 @@ def random_potential(rng, scale: float = 0.4, a2_base=(0.8, 1.6), a2_wobble: flo
         return TimeFn(tuple(terms))
 
     base = rng.uniform(*a2_base)
-    amp = rng.uniform(0.0, a2_wobble * base)
+    amp = rng.uniform(0.0, _A2_WOBBLE * base)
     a2 = TimeFn((Poly((base,)), Cos(amp, rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi))))
     return PotentialSpec(low_order(rng), low_order(rng), a2)
 
@@ -69,15 +73,15 @@ def random_phase_points(rng, n: int, x_range=(-3.0, 3.0), p_range=(-4.0, -0.25))
     return [PhasePoint(float(x), float(p)) for x, p in zip(xs, ps)]
 
 
-def draw_surviving_solutions(P, t0, t1, tol, rng, n: int, max_attempts: int = 80, max_step=None):
+def draw_surviving_solutions(P, t0, t1, tol, rng, n: int, max_step=None):
     """Integrate n Hamiltonian solutions of P over [t0, t1] from random
     initial points, redrawing any that blow up or leave the half-plane."""
     out = []
     attempts = 0
     while len(out) < n:
-        if attempts >= max_attempts:
+        if attempts >= _MAX_DRAWS:
             raise NumericError(
-                f"could not find {n} solutions surviving [{t0}, {t1}] in {max_attempts} draws"
+                f"could not find {n} solutions surviving [{t0}, {t1}] in {_MAX_DRAWS} draws"
             )
         attempts += 1
         ic = random_phase_points(rng, 1, x_range=(-0.8, 0.8), p_range=(-2.0, -0.5))[0]
@@ -159,10 +163,10 @@ def suite_action(rng, trials: int) -> list:
     return results
 
 
-def suite_integrals(P, t0, t1, tol, rng, n_grid: int = 41) -> list:
+def suite_integrals(P, t0, t1, tol, rng) -> list:
     """Drift of F0, F1, F2 along four simultaneously integrated solutions."""
     trajs = draw_surviving_solutions(P, t0, t1, tol, rng, 4)
-    grid = np.linspace(t0, t1, n_grid)
+    grid = np.linspace(t0, t1, _CHECK_GRID)
     states = np.hstack([sample_at(tr, grid) for tr in trajs])
     consts = [superpose.constants_from_four(superpose.PhaseTuple(*row.reshape(4, 2))) for row in states]
     values = np.array([(k.F0, k.k1, k.k2) for k in consts])
@@ -175,7 +179,7 @@ def suite_integrals(P, t0, t1, tol, rng, n_grid: int = 41) -> list:
     return results
 
 
-def suite_superposition(P, t0, t1, tol, rng, trials: int, n_grid: int = 41) -> list:
+def suite_superposition(P, t0, t1, tol, rng, trials: int) -> list:
     """Algebraic inversion of the rule and reconstruction against integration."""
     results = []
 
@@ -195,7 +199,7 @@ def suite_superposition(P, t0, t1, tol, rng, trials: int, n_grid: int = 41) -> l
 
     for attempt in range(20):
         trajs = draw_surviving_solutions(P, t0, t1, tol, rng, 4)
-        grid = np.linspace(t0, t1, n_grid)
+        grid = np.linspace(t0, t1, _CHECK_GRID)
         k = superpose.constants_from_four(superpose.PhaseTuple(*(tr.states[0] for tr in trajs)))
         try:
             rec = superpose.superpose_trajectory(trajs[1], trajs[2], trajs[3], k, grid)

@@ -247,7 +247,7 @@ def test_criterion_09_coefficient_maps():
     defect_worst = 0.0
     constraint_worst = 0.0
     for _ in range(50):
-        P = random_potential(rng, scale=0.4, a2_base=(1.0, 2.0), a2_wobble=0.4)
+        P = random_potential(rng, scale=0.4, a2_base=(1.0, 2.0))
         assert min(P.eval(t)[2] for t in grid) >= 0.5
         R = coefficients_from_potential(P, grid)
         P2 = potential_from_coefficients(R, grid)

@@ -180,6 +180,10 @@ class TestCsvRoundtrip:
         nan_time.write_text("t,x,p\n0.0,0,-1\nnan,0,-1\n1.0,0,-1\n")
         with pytest.raises(cli.ConfigError, match="non-finite"):
             cli.read_csv(str(nan_time))
+        not_utf8 = tmp_path / "bytes.csv"
+        not_utf8.write_bytes(b"t,x,p\n0.0,0,-1\xff\n")
+        with pytest.raises(cli.ConfigError, match="cannot read table"):
+            cli.read_csv(str(not_utf8))
 
 
 class TestDerive:
@@ -345,6 +349,13 @@ class TestConfigErrors:
         rc = cli.main(["derive", str(tmp_path / "nope.ini")])
         assert rc == cli.EXIT_CONFIG
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bytes.ini"
+        path.write_bytes(CANONICAL.replace("poly 1", "poly 1\xff").encode("latin-1"))
+        rc = cli.main(["derive", str(path)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot parse")
+
     def test_both_sections_rejected(self, config):
         rc = cli.main(["derive", config(CANONICAL + "\n[riccati]\nc0 = poly 0\n")])
         assert rc == cli.EXIT_CONFIG
@@ -353,16 +364,18 @@ class TestConfigErrors:
         rc = cli.main(["derive", config("[run]\nt0 = 0\nt1 = 1\n")])
         assert rc == cli.EXIT_CONFIG
 
-    def test_bad_timefn_grammar(self, config):
-        rc = cli.main(["derive", config(CANONICAL.replace("a2 = poly 1", "a2 = poli 1"))])
-        assert rc == cli.EXIT_CONFIG
+    def test_bad_timefn_grammar(self, config, capsys):
+        for line, bad in (("a2 = poly 1", "a2 = poli 1"), ("a0 = poly 0", "a0 = poly 0%")):
+            rc = cli.main(["derive", config(CANONICAL.replace(line, bad))])
+            assert rc == cli.EXIT_CONFIG
+            assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_bad_window(self, config):
         rc = cli.main(["derive", config(CANONICAL.replace("t1 = 1.0", "t1 = -1.0"))])
         assert rc == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("key, value", [("t1", "inf"), ("t0", "-inf"), ("step", "nan"), ("tol", "inf"),
-                                            ("seed", "1.5"), ("seed", "-1")])
+                                            ("seed", "1.5"), ("seed", "-1"), ("tol", "1e-10%")])
     def test_nonfinite_run_values(self, config, key, value):
         text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
                          for line in CANONICAL.splitlines())
