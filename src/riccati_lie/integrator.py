@@ -4,8 +4,13 @@ Explicit embedded Runge-Kutta pair with PI step-size control and the
 first-same-as-last property; the derivative stored at every accepted
 sample turns the trajectory into a cubic-Hermite dense output.
 
-A state guard (a predicate on the raw state vector) is evaluated at every
-trial stage.  When the flow approaches the guarded boundary the step is
+The step runs on Python floats for two-dimensional states: the state, the
+stage states and times, the error norm and the stored samples are floats.
+numpy computes only the stage and error sums, as products over the (7, 2)
+array of stage derivatives; those products fix the rounding of every step.
+
+A state guard (a predicate on the raw (y0, y1) state tuple) is evaluated at
+every trial stage.  When the flow approaches the guarded boundary the step is
 bisected until the exit time is localized to about 1e-10, then the domain
 exit is reported with the last valid time.  Step-size underflow from
 error control (stiffness or finite-time blow-up) is reported separately.
@@ -13,6 +18,7 @@ error control (stiffness or finite-time blow-up) is reported separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +28,7 @@ from .errors import DomainError, GuardViolation, NumericError
 __all__ = ["Trajectory", "IntegratorStats", "integrate", "sample_at", "hamiltonian_guard"]
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -89,41 +95,43 @@ class Trajectory:
 def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> Trajectory:
     """Integrate dy/dt = rhs(t, y) from ic = (t0, state0) up to t1.
 
+    The state is two-dimensional: rhs and guard receive a float time and a
+    tuple (y0, y1) of floats, and any other state shape raises ValueError.
     Error control uses absolute and relative tolerance `tol`.  max_step
     defaults to (t1 - t0)/50 so the stored samples stay dense enough for
     accurate Hermite resampling.
     """
     t0, y0 = ic
-    t0 = float(t0)
+    t0, t1 = float(t0), float(t1)
     y0 = np.asarray(y0, dtype=float)
-    if not t1 > t0:
-        raise ValueError(f"t1 must exceed t0, got t0={t0}, t1={t1}")
+    if y0.shape != (2,):
+        raise ValueError(f"the state must be two-dimensional, got shape {y0.shape}")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise ValueError(f"t0 and t1 must be finite with t1 > t0, got t0={t0}, t1={t1}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if guard is not None and not guard(y0):
+    if max_step is not None and not 0.0 < max_step < math.inf:
+        raise ValueError(f"max_step must be positive and finite, got {max_step}")
+    y = tuple(y0.tolist())
+    if guard is not None and not guard(y):
         raise DomainError(f"initial state {y0.tolist()} violates the domain guard")
 
     span = t1 - t0
     h_max = span / 50.0 if max_step is None else min(float(max_step), span)
-    n_rhs = 0
 
-    def f(t, y):
-        nonlocal n_rhs
-        n_rhs += 1
-        return np.asarray(rhs(t, y), dtype=float)
-
+    K = np.empty((7, 2))  # stage derivatives
+    K[0] = rhs(t0, y)
+    n_rhs = 1
     ts = [t0]
-    ys = [y0]
-    k_first = f(t0, y0)
-    fs = [k_first]
+    ys = [y]
+    fs = [tuple(K[0].tolist())]
 
-    t, y, k1 = t0, y0, k_first
+    t = t0
     h = min(h_max, span * 1e-3)
     err_prev = 1e-4
     n_accepted = 0
     n_rejected = 0
     rejected_streak = 0
-    K = np.empty((7, y0.size))
 
     while t < t1:
         last = t + h >= t1
@@ -132,14 +140,15 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
         elif h < _UNDERFLOW_T_SCALE * max(1.0, abs(t)):
             raise NumericError(f"step size underflow at t={t} (stiffness or finite-time blow-up)")
 
-        K[0] = k1
         guard_hit = False
         for i in range(1, 7):
-            y_stage = y + h * (_A[i] @ K[:i])
+            d0, d1 = (_A[i] @ K[:i]).tolist()
+            y_stage = (y[0] + h * d0, y[1] + h * d1)
             if guard is not None and not guard(y_stage):
                 guard_hit = True
                 break
-            K[i] = f(t + _C[i] * h, y_stage)
+            K[i] = rhs(t + _C[i] * h, y_stage)
+            n_rhs += 1
         if guard_hit:
             # bisect toward the boundary; report the exit once localized
             if h <= _GUARD_T_RESOLUTION * max(1.0, abs(t)):
@@ -149,18 +158,20 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
             h *= 0.5
             continue
 
-        y_new = y + h * (_A[6] @ K[:6])
-        k_new = K[6].copy()  # rhs at (t + h, y_new): first-same-as-last
-
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_vec = h * (_E @ K)
-        err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        # stage 6 sits at (t + h, y_new): first-same-as-last
+        y_new = y_stage
+        e0, e1 = (_E @ K).tolist()
+        # y_new first, so a NaN state gives a NaN scale
+        e0 = h * e0 / (tol + tol * max(abs(y_new[0]), abs(y[0])))
+        e1 = h * e1 / (tol + tol * max(abs(y_new[1]), abs(y[1])))
+        err_norm = math.sqrt((e0 * e0 + e1 * e1) / 2)
 
         if err_norm <= 1.0:
-            t, y, k1 = (t1 if last else t + h), y_new, k_new
+            t, y = (t1 if last else t + h), y_new
+            K[0] = K[6]
             ts.append(t)
             ys.append(y)
-            fs.append(k1)
+            fs.append(tuple(K[6].tolist()))
             n_accepted += 1
             factor = _SAFETY * err_norm**-_EXPO * err_prev**_BETA if err_norm > 0 else _MAX_GROWTH
             if rejected_streak and factor > 1.0:
@@ -171,14 +182,14 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
         else:
             n_rejected += 1
             rejected_streak += 1
-            factor = _SAFETY * err_norm**-_EXPO if np.isfinite(err_norm) else _MIN_SHRINK
+            factor = _SAFETY * err_norm**-_EXPO if math.isfinite(err_norm) else _MIN_SHRINK
             h *= min(1.0, max(_MIN_SHRINK, factor))
 
     stats = IntegratorStats(n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs)
     return Trajectory(
         ts=np.array(ts),
-        states=np.vstack(ys),
-        derivs=np.vstack(fs),
+        states=np.array(ys),
+        derivs=np.array(fs),
         system=system,
         stats=stats,
     )

@@ -72,9 +72,10 @@ class Sin:
     phase: float
 
     def eval(self, t, order=0):
-        theta = self.omega * t + self.phase
-        cycle = (math.sin(theta), math.cos(theta), -math.sin(theta), -math.cos(theta))
-        return self.amp * self.omega**order * cycle[order % 4]
+        value = (math.cos if order % 2 else math.sin)(self.omega * t + self.phase)
+        if order % 4 >= 2:
+            value = -value
+        return self.amp * self.omega**order * value
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,10 @@ class Cos:
     phase: float
 
     def eval(self, t, order=0):
-        theta = self.omega * t + self.phase
-        cycle = (math.cos(theta), -math.sin(theta), -math.cos(theta), math.sin(theta))
-        return self.amp * self.omega**order * cycle[order % 4]
+        value = (math.sin if order % 2 else math.cos)(self.omega * t + self.phase)
+        if order % 4 in (1, 2):
+            value = -value
+        return self.amp * self.omega**order * value
 
 
 @dataclass(frozen=True)

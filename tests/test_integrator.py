@@ -74,6 +74,37 @@ class TestIntegrate:
             integrate(lambda t, y: (0.0, 0.0), (1.0, (0.0, -1.0)), 1.0, 1e-8)
         with pytest.raises(ValueError):
             integrate(lambda t, y: (0.0, 0.0), (0.0, (0.0, -1.0)), 1.0, 0.0)
+        rhs = hamiltonian_field(canonical_potential())
+        for t0, t1 in ((0.0, np.inf), (0.0, np.nan), (-np.inf, 1.0), (np.nan, 1.0)):
+            with pytest.raises(ValueError):
+                integrate(rhs, (t0, (0.1, -0.8)), t1, 1e-10)
+        for max_step in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                integrate(rhs, (0.0, (0.1, -0.8)), 2.0, 1e-10, max_step=max_step)
+
+    def test_rhs_and_guard_see_float_time_and_float_pair(self):
+        times, states = [], []
+
+        def rhs(t, y):
+            times.append(t)
+            states.append(y)
+            return (y[1], -y[0])
+
+        def guard(y):
+            states.append(y)
+            return True
+
+        traj = integrate(rhs, (0.0, np.array([1.0, 0.0])), 1.0, 1e-8, guard=guard)
+        assert len(times) == traj.stats.n_rhs and len(states) == 2 * traj.stats.n_rhs
+        assert all(type(t) is float for t in times)
+        for y in states:
+            assert type(y) is tuple and len(y) == 2
+            assert type(y[0]) is float and type(y[1]) is float
+
+    def test_state_must_be_two_dimensional(self):
+        for y0 in ((1.0, -1.0, 0.5), (1.0,), ((1.0, -1.0),)):
+            with pytest.raises(ValueError):
+                integrate(lambda t, y: y, (0.0, y0), 1.0, 1e-8)
 
 
 class TestGuards:

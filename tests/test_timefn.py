@@ -57,6 +57,16 @@ class TestEval:
         f = TimeFn((Cos(1.5, 2.0, 0.3),))
         assert f.eval(0.7, 4) == pytest.approx(2.0**4 * f.eval(0.7), rel=1e-15)
 
+    def test_trig_derivatives_exact_for_every_order(self):
+        amp, omega, phase = 1.3, 2.1, 0.4
+        sin_cycle = (math.sin, math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x))
+        cos_cycle = (math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), math.sin)
+        for t in (-2.9, -0.6, 0.0, 0.37, 1.7, 3.0):
+            for k in range(8):
+                theta = omega * t + phase
+                assert Sin(amp, omega, phase).eval(t, k) == amp * omega**k * sin_cycle[k % 4](theta)
+                assert Cos(amp, omega, phase).eval(t, k) == amp * omega**k * cos_cycle[k % 4](theta)
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             constant(1.0).eval(0.0, -1)
