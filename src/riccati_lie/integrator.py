@@ -1,8 +1,12 @@
 """Adaptive Dormand-Prince 5(4) integration with domain guards.
 
 Explicit embedded Runge-Kutta pair with PI step-size control and the
-first-same-as-last property; the derivative stored at every accepted
-sample turns the trajectory into a cubic-Hermite dense output.
+first-same-as-last property.  The seven stage derivatives of every accepted
+step are kept and turned into that step's 4th-order continuous extension
+(Shampine, "Some practical Runge-Kutta formulas", Math. Comp. 46, 1986;
+Hairer-Norsett-Wanner, Solving ODEs I, section II.6), so the trajectory
+can be sampled anywhere as accurately as at its nodes.  The step size is
+set by error control alone; an optional max_step caps it.
 
 The step runs on Python floats for two-dimensional states: the state, the
 stage states and times, the error norm and the stored samples are floats.
@@ -40,6 +44,17 @@ _A = [
 ]
 # 5th-order weights minus the embedded 4th-order ones
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Continuous extension: over a step of size h from y, the state at t + u h
+# is y + h * sum_k (K.T @ _P)[:, k] u**(k + 1), for u in [0, 1]
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 _SAFETY = 0.9
 _BETA = 0.04           # PI stabilization exponent
@@ -67,11 +82,16 @@ class IntegratorStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration samples with derivatives.
+    """Accepted integration samples with derivatives and a dense output.
 
     ts is strictly increasing; derivs[i] is the RHS at (ts[i], states[i])
-    for integrator-produced trajectories.  Reconstructed trajectories
-    (system == "superposed") carry derivs=None and cannot be resampled.
+    for integrator-produced trajectories.  coeffs[i, k] is the coefficient
+    of u**(k + 1) in the state polynomial of segment i, u = (t - ts[i]) /
+    (ts[i + 1] - ts[i]): the continuous extension of each step for
+    integrator-produced trajectories.  Built by hand with coeffs=None, a
+    trajectory takes the cubic Hermite polynomials of its states and
+    derivs.  Reconstructed trajectories (system == "superposed") carry
+    derivs=None and no coeffs, and cannot be resampled.
     """
 
     ts: np.ndarray
@@ -79,6 +99,15 @@ class Trajectory:
     derivs: np.ndarray | None
     system: str = "generic"
     stats: IntegratorStats | None = None
+    coeffs: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.coeffs is None and self.derivs is not None:
+            dt = np.diff(self.ts)[:, None]
+            rise = np.diff(self.states, axis=0)
+            f0, f1 = dt * self.derivs[:-1], dt * self.derivs[1:]
+            cubic = (f0, 3.0 * rise - 2.0 * f0 - f1, f0 + f1 - 2.0 * rise, np.zeros_like(rise))
+            object.__setattr__(self, "coeffs", np.stack(cubic, axis=1))
 
     @property
     def t0(self) -> float:
@@ -97,9 +126,9 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
 
     The state is two-dimensional: rhs and guard receive a float time and a
     tuple (y0, y1) of floats, and any other state shape raises ValueError.
-    Error control uses absolute and relative tolerance `tol`.  max_step
-    defaults to (t1 - t0)/50 so the stored samples stay dense enough for
-    accurate Hermite resampling.
+    Error control uses absolute and relative tolerance `tol` and alone sets
+    the step size unless max_step caps it; the continuous extension keeps
+    `sample_at` as accurate between the nodes as at them.
     """
     t0, y0 = ic
     t0, t1 = float(t0), float(t1)
@@ -117,14 +146,15 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
         raise DomainError(f"initial state {y0.tolist()} violates the domain guard")
 
     span = t1 - t0
-    h_max = span / 50.0 if max_step is None else min(float(max_step), span)
+    h_max = span if max_step is None else min(float(max_step), span)
 
     K = np.empty((7, 2))  # stage derivatives
     K[0] = rhs(t0, y)
     n_rhs = 1
     ts = [t0]
     ys = [y]
-    fs = [tuple(K[0].tolist())]
+    hs = []  # size of each accepted step
+    Ks = []  # stage derivatives of each accepted step
 
     t = t0
     h = min(h_max, span * 1e-3)
@@ -168,10 +198,11 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
 
         if err_norm <= 1.0:
             t, y = (t1 if last else t + h), y_new
-            K[0] = K[6]
             ts.append(t)
             ys.append(y)
-            fs.append(tuple(K[6].tolist()))
+            hs.append(h)
+            Ks.append(K.copy())
+            K[0] = K[6]
             n_accepted += 1
             factor = _SAFETY * err_norm**-_EXPO * err_prev**_BETA if err_norm > 0 else _MAX_GROWTH
             if rejected_streak and factor > 1.0:
@@ -186,38 +217,34 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
             h *= min(1.0, max(_MIN_SHRINK, factor))
 
     stats = IntegratorStats(n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs)
+    Ks = np.array(Ks)
     return Trajectory(
         ts=np.array(ts),
         states=np.array(ys),
-        derivs=np.array(fs),
+        derivs=np.vstack((Ks[:, 0], Ks[-1, 6])),
         system=system,
         stats=stats,
+        coeffs=np.array(hs)[:, None, None] * (_P.T @ Ks),
     )
 
 
 def sample_at(traj: Trajectory, t) -> np.ndarray:
-    """Cubic Hermite interpolation of the trajectory at a time or an array of times.
+    """The trajectory's dense output at a time or an array of times.
 
     Returns one state for a scalar t and a row per time for an array.
-    Exact at the stored nodes (and on any cubic segment); every t must
-    lie in [t0, t_end].
+    Evaluates the polynomial of the segment holding t; a node time
+    returns the stored state itself.  Every t must lie in [t0, t_end].
     """
     ts = traj.ts
     t = np.asarray(t, dtype=float)
     outside = ~((ts[0] <= t) & (t <= ts[-1]))
     if outside.any():
         raise DomainError(f"t={t[outside].flat[0]} outside trajectory range [{ts[0]}, {ts[-1]}]")
-    if traj.derivs is None:
-        raise ValueError("trajectory carries no derivatives; cannot interpolate")
+    if traj.coeffs is None:
+        raise ValueError("trajectory carries no dense output; cannot interpolate")
     i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
-    dt = ts[i + 1] - ts[i]
-    u = ((t - ts[i]) / dt)[..., None]
-    # h00 = 1 - h01 identically, so constants are preserved exactly
-    h01 = u * u * (3.0 - 2.0 * u)
-    h10 = u * (1.0 - u) ** 2
-    h11 = u * u * (u - 1.0)
-    y0, y1 = traj.states[i], traj.states[i + 1]
-    out = y0 + h01 * (y1 - y0) + dt[..., None] * (h10 * traj.derivs[i] + h11 * traj.derivs[i + 1])
-    # a node time (t_end included) returns the stored state itself
-    out = np.where((t == ts[i])[..., None], y0, out)
-    return np.where((t == ts[i + 1])[..., None], y1, out)
+    u = ((t - ts[i]) / (ts[i + 1] - ts[i]))[..., None]
+    c = traj.coeffs[i]
+    # u = 0 at a node returns its state exactly; only t_end needs the stored state
+    out = traj.states[i] + u * (c[..., 0, :] + u * (c[..., 1, :] + u * (c[..., 2, :] + u * c[..., 3, :])))
+    return np.where((t == ts[i + 1])[..., None], traj.states[i + 1], out)

@@ -35,7 +35,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import DomainError
-from .timefn import Jet, JetFn
+from .timefn import Jet, JetFn, TimeFn
 
 __all__ = [
     "PhasePoint",
@@ -89,9 +89,47 @@ class PotentialSpec(JetFn):
         return Jet.of(self.a0, t, n), Jet.of(self.a1, t, n), Jet.of(self.a2, t, n)
 
 
+_C3_T_RESOLUTION = 1e-9  # narrowest interval the window check refines to, relative to the window
+
+
 def _positive_c3(t, c3: float) -> None:
     if not c3 > 0.0:
         raise DomainError(f"c3(t) must be positive on the working interval; c3({t})={c3}")
+
+
+def _positive_c3_on_window(c3, grid) -> None:
+    """DomainError unless c3 > 0 on the whole window [grid[0], grid[-1]].
+
+    c3 is checked at the grid nodes.  With L >= |c3'| on a segment [a, b],
+    taken from the terms' closed-form derivatives on that segment, c3 > 0 on
+    [a, b] whenever c3(a) + c3(b) > L (b - a); a segment where that fails is
+    bisected, so only the intervals near a dip are refined, and a steep part
+    of the window does not tighten the test elsewhere.  The bound for the
+    whole window is tried first, since it is computed once.  A c3 that is
+    not a `TimeFn` (a view of a derived picture) has no such bound, and is
+    checked at the nodes only.
+    """
+    ts = [float(t) for t in grid]
+    values = [c3.eval(t) for t in ts]
+    for t, value in zip(ts, values):
+        _positive_c3(t, value)
+    if not isinstance(c3, TimeFn):
+        return
+    slope = c3.slope_bound(ts[0], ts[-1])
+    finest = _C3_T_RESOLUTION * (ts[-1] - ts[0])
+    # segments (a, c3(a), b, c3(b)), popped left to right
+    todo = list(zip(ts, values, ts[1:], values[1:]))[::-1]
+    while todo:
+        a, ca, b, cb = todo.pop()
+        if ca + cb > slope * (b - a) or ca + cb > c3.slope_bound(a, b) * (b - a):
+            continue
+        if b - a <= finest:
+            raise DomainError(f"c3(t) must be positive on the working interval; "
+                              f"c3 is not bounded away from zero near t={a}")
+        m = 0.5 * (a + b)
+        cm = c3.eval(m)
+        _positive_c3(m, cm)
+        todo += [(m, cm, b, cb), (a, ca, m, cm)]
 
 
 def _drag(c2: Jet, c3: Jet):
@@ -183,15 +221,14 @@ class _PotentialOfCubic(JetFn):
 
 def potential_from_coefficients(R: JetFn, grid) -> JetFn:
     """Invert the coefficient map: the potential (a0, a1, a2) of a cubic
-    picture, after checking c3 > 0 on the working grid.
+    picture, after checking c3 > 0 on the whole window of the working grid.
 
     The map is overdetermined -- four cubic coefficients against three
     potential ones -- so c0 is not used; `c0_defect` measures how far it
     is from the value the potential implies.  c1, c2 and c3 are read as
     time functions: the fields of a `RiccatiSpec`, views of a derived one.
     """
-    for t in map(float, grid):
-        _positive_c3(t, R.c3.eval(t))
+    _positive_c3_on_window(R.c3, grid)
     return _PotentialOfCubic(R)
 
 

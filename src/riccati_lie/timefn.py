@@ -62,6 +62,14 @@ class Poly:
             acc += self.coeffs[k] * math.perm(k, order) * t ** (k - order)
         return acc
 
+    def slope_bound(self, t0, t1):
+        """An upper bound of |d/dt| on [t0, t1], from the Taylor expansion of
+        the derivative at the midpoint m: Σ_j |p^(j)(m)| h^(j-1) / (j-1)!
+        with h the half-width, so it tightens to |p'(m)| on a narrow interval."""
+        m, h = 0.5 * (t0 + t1), 0.5 * abs(t1 - t0)
+        return sum(abs(self.eval(m, j)) * h ** (j - 1) / math.factorial(j - 1)
+                   for j in range(1, len(self.coeffs)))
+
 
 @dataclass(frozen=True)
 class Sin:
@@ -76,6 +84,9 @@ class Sin:
         if order % 4 >= 2:
             value = -value
         return self.amp * self.omega**order * value
+
+    def slope_bound(self, t0, t1):
+        return abs(self.amp * self.omega)
 
 
 @dataclass(frozen=True)
@@ -92,6 +103,9 @@ class Cos:
             value = -value
         return self.amp * self.omega**order * value
 
+    def slope_bound(self, t0, t1):
+        return abs(self.amp * self.omega)
+
 
 @dataclass(frozen=True)
 class Exp:
@@ -102,6 +116,9 @@ class Exp:
 
     def eval(self, t, order=0):
         return self.amp * self.rate**order * math.exp(self.rate * t)
+
+    def slope_bound(self, t0, t1):
+        return abs(self.amp * self.rate) * math.exp(max(self.rate * t0, self.rate * t1))
 
 
 Term = Union[Poly, Sin, Cos, Exp]
@@ -118,6 +135,10 @@ class TimeFn:
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
         return math.fsum(term.eval(t, order) for term in self.terms)
+
+    def slope_bound(self, t0, t1):
+        """An upper bound of |f'| on [t0, t1], from each term's closed-form derivative."""
+        return math.fsum(term.slope_bound(t0, t1) for term in self.terms)
 
     def __add__(self, other):
         if not isinstance(other, TimeFn):

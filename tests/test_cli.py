@@ -129,16 +129,19 @@ class TestSimulate:
 
     def test_c3_dipping_between_grid_nodes_is_domain_error(self, config, tmp_path, capsys):
         # c3 = 1 + 1.5 cos(4 pi t) is positive at the grid nodes 0, 0.5, 1 and
-        # negative near t = 0.25, where the integrator evaluates it
+        # negative near t = 0.25; loading the config rejects the window, so
+        # every command and picture fails the same way before integrating
         cfg = config(RICCATI.replace("c3 = poly 1", "c3 = poly 1; cos 1.5 12.566370614359172 0")
                      .replace("step = 0.1", "step = 0.5"))
-        assert cli.main(["derive", cfg]) == 0
-        capsys.readouterr()
-        rc = cli.main(["simulate", cfg, "--system", "riccati2", "--ic=0,1", "--out", str(tmp_path / "x.csv")])
-        assert rc == cli.EXIT_DOMAIN
-        err = capsys.readouterr().err
-        assert err.startswith("domain error: c3(t) must be positive")
-        assert len(err.splitlines()) == 1
+        out = str(tmp_path / "x.csv")
+        for argv in (["derive", cfg],
+                     ["simulate", cfg, "--system", "riccati2", "--ic=0,1", "--out", out],
+                     ["simulate", cfg, "--system", "riccati2", "--ic=0,-1", "--out", out],
+                     ["simulate", cfg, "--system", "hamiltonian", "--ic=0,-1", "--out", out]):
+            assert cli.main(argv) == cli.EXIT_DOMAIN, argv
+            err = capsys.readouterr().err
+            assert err.startswith("domain error: c3(t) must be positive")
+            assert len(err.splitlines()) == 1
 
 
 class TestCsvRoundtrip:
@@ -163,7 +166,7 @@ class TestCsvRoundtrip:
         _, data = cli.read_csv(str(out))
         P = PotentialSpec(constant(0.0), constant(0.0), constant(1.0))
         traj = integrate(hamiltonian_field(P), (0.0, (0.0, -0.25)), 1.0, 1e-10,
-                         guard=hamiltonian_guard, max_step=0.01, system="hamiltonian")
+                         guard=hamiltonian_guard, system="hamiltonian")
         for row in data[:: len(data) // 10]:
             np.testing.assert_array_equal(row[1:], sample_at(traj, row[0]))
 
@@ -289,7 +292,7 @@ class TestSuperposeCommand:
         _, rec = cli.read_csv(str(out))
         sc = cli.load_scenario(cfg)
         trajs = [integrate(hamiltonian_field(sc.potential), (sc.t0, sc.ics[i]), sc.t1, sc.tol,
-                           guard=hamiltonian_guard, max_step=sc.step) for i in (1, 2, 3)]
+                           guard=hamiltonian_guard) for i in (1, 2, 3)]
         k = constants_from_four(PhaseTuple(PhasePoint(0.0, -0.25), *(tr.states[0] for tr in trajs)))
         lib = superpose_trajectory(*trajs, k, sc.grid())
         np.testing.assert_array_equal(rec[:, 0], lib.ts)

@@ -1,4 +1,4 @@
-"""Tests for the adaptive integrator, guards, and Hermite resampling."""
+"""Tests for the adaptive integrator, guards, and the dense output."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,16 @@ from riccati_lie.integrator import (
     integrate,
     sample_at,
 )
-from riccati_lie.model import PhasePoint, PotentialSpec, hamiltonian, hamiltonian_field
+from riccati_lie.model import (
+    PhasePoint,
+    PotentialSpec,
+    coefficients_from_potential,
+    hamiltonian,
+    hamiltonian_field,
+    legendre_inverse,
+    riccati2_field,
+)
+from riccati_lie.suites import draw_surviving_solutions, random_potential, suite_integrals
 from riccati_lie.timefn import constant
 
 
@@ -173,7 +182,8 @@ class TestSampleAt:
         assert abs(s[1] + 1.0) < 1e-12
 
     def test_exact_on_cubics(self):
-        # Hermite data taken from a cubic is reproduced identically
+        # a hand-built trajectory takes the Hermite polynomials of its data,
+        # so data taken from a cubic is reproduced identically
         ts = np.linspace(0.0, 2.0, 9)
         poly = lambda t: np.column_stack([t**3 - 2 * t**2 + 3 * t - 1, 2 * t**3 + t])
         dpoly = lambda t: np.column_stack([3 * t**2 - 4 * t + 3, 6 * t**2 + 1])
@@ -200,6 +210,30 @@ class TestSampleAt:
         np.testing.assert_array_equal(batch, np.vstack([sample_at(traj, t) for t in times]))
         np.testing.assert_array_equal(sample_at(traj, traj.ts), traj.states)
         np.testing.assert_array_equal(sample_at(traj, traj.t_end), traj.states[-1])
+
+    def test_step_polynomials_end_at_the_next_state(self):
+        # each step's continuous extension at u = 1 is that step's end state
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            P = random_potential(rng)
+            trajs = draw_surviving_solutions(P, 0.0, 2.0, 1e-10, rng, 2)
+            s0 = PhasePoint(*trajs[0].states[0])
+            trajs.append(integrate(riccati2_field(coefficients_from_potential(P)),
+                                   (0.0, legendre_inverse(P, 0.0, s0)), 2.0, 1e-10))
+            for traj in trajs:
+                assert traj.coeffs.shape == (len(traj) - 1, 4, 2)
+                end = traj.states[:-1] + traj.coeffs.sum(axis=1)
+                scale = np.maximum(1.0, np.maximum(np.abs(traj.states[:-1]), np.abs(traj.states[1:])))
+                assert np.all(np.abs(end - traj.states[1:]) <= 4 * np.finfo(float).eps * scale)
+
+    def test_integral_drift_checks_pass_on_seeded_potentials(self):
+        # with cubic Hermite sampling, seed 1 failed the F0 drift check
+        # (1.1e-7 against the 1e-7 threshold)
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            P = random_potential(rng)
+            failed = [r.line() for r in suite_integrals(P, 0.0, 2.0, 1e-10, rng) if not r.passed]
+            assert not failed, (seed, failed)
 
     def test_derivative_free_trajectories_not_resampled(self):
         traj = Trajectory(ts=np.array([0.0, 1.0]), states=np.zeros((2, 2)),

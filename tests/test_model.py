@@ -26,7 +26,7 @@ from riccati_lie.model import (
     riccati2_rhs,
 )
 from riccati_lie.suites import random_potential
-from riccati_lie.timefn import Exp, Poly, TimeFn, constant
+from riccati_lie.timefn import Exp, Poly, TimeFn, constant, parse_timefn
 
 GRID = np.linspace(0.0, 2.0, 21)
 
@@ -146,6 +146,32 @@ class TestPotentialFromCoefficients:
         R = RiccatiSpec(constant(0.0), constant(0.0), constant(0.0), constant(0.0))
         with pytest.raises(DomainError):
             potential_from_coefficients(R, GRID)
+
+    def test_c3_is_decided_on_the_whole_window(self):
+        def check(c3, t1=1.0):
+            R = RiccatiSpec(constant(0.0), constant(0.0), constant(0.0), parse_timefn(c3))
+            potential_from_coefficients(R, np.linspace(0.0, t1, 3))
+
+        # negative between the nodes 0, 0.5, 1 only
+        with pytest.raises(DomainError, match=r"c3\(0.25\)"):
+            check("poly 1; cos 1.5 12.566370614359172 0")
+        # (t - 0.3)**2 + 1e-6 dips to 1e-6 between nodes: proved positive by refining
+        check("poly 0.090001 -0.6 1")
+        # (t - 0.3)**2 - 1e-6 is negative only on (0.299, 0.301)
+        with pytest.raises(DomainError, match="must be positive"):
+            check("poly 0.089999 -0.6 1")
+        # a double root between nodes: refining towards it reaches a point where c3 is 0
+        with pytest.raises(DomainError, match=r"c3\(0.32999999\d*\)=0.0"):
+            check("poly 0.1089 -0.66 1")
+        # t**2 + 1e-20 is positive, but not provably so at the finest resolution
+        with pytest.raises(DomainError, match="not bounded away from zero near t=0.0"):
+            check("poly 1e-20 0 1")
+        # steep only at the far end: |c3'| reaches 2 e^20 near t = 10, but each
+        # segment is bounded with its own slope, so c3 >= 1 is proved quickly
+        check("exp 1 2", t1=10.0)
+        check("exp 1 1", t1=15.0)
+        # (t - 10)**4 + 1 on [0, 20]: large cancelling coefficients near its minimum
+        check("poly 10001 -4000 600 -40 1", t1=20.0)
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(44)

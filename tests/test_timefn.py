@@ -152,6 +152,22 @@ class TestProperties:
                 fd = (f.eval(t + h, n) - f.eval(t - h, n)) / (2 * h)
                 assert abs(fd - f.eval(t, n + 1)) < 1e-5
 
+    def test_slope_bound_covers_the_derivative_on_the_window(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            f = random_timefn(rng)
+            t0 = float(rng.uniform(-2, 1))
+            t1 = t0 + float(rng.uniform(0.1, 2))
+            bound = f.slope_bound(t0, t1)
+            # a polynomial's bound is tight, so both sides may differ in the last ulp
+            assert max(abs(f.eval(t, 1)) for t in np.linspace(t0, t1, 201)) <= bound * (1 + 1e-14)
+        # tight for a line, a growing exponential and a full trig period
+        assert parse_timefn("poly 1 -3").slope_bound(-1.0, 2.0) == 3.0
+        assert Exp(2.0, 0.5).slope_bound(0.0, 2.0) == math.e
+        assert Cos(1.5, 4.0, 0.0).slope_bound(0.0, 1.0) == 6.0
+        # local for a polynomial: (t - 10)**2 has |p'| <= 2 on [9, 11]
+        assert parse_timefn("poly 100 -20 1").slope_bound(9.0, 11.0) == 2.0
+
 
 class TestJets:
     def test_jet_reads_back_derivatives(self):
