@@ -52,7 +52,7 @@ from .model import (
     potential_from_coefficients,
     riccati2_field,
 )
-from .superpose import Constants, cyclic_integral, superpose_states
+from .superpose import Constants, PhaseTuple, constants_from_four, cyclic_integral, superpose_states
 from .timefn import JetFn, _fmt, parse_timefn
 
 EXIT_OK = 0
@@ -244,10 +244,8 @@ def cmd_simulate(args) -> int:
     ic = _resolve_ic(args.ic, scenario)
     if args.system == "hamiltonian":
         rhs = hamiltonian_field(scenario.potential)
-        guard = hamiltonian_guard
+        guard = hamiltonian_guard  # an IC it rejects (p > -1e-9) raises DomainError
         header = ["t", "x", "p"]
-        if not ic[1] < 0:
-            raise DomainError(f"hamiltonian IC needs p < 0, got p={ic[1]}")
     else:
         rhs = riccati2_field(scenario.riccati)
         guard = None
@@ -293,8 +291,7 @@ def _constants_from_row(args, sols) -> Constants:
         return Constants(args.k1, args.k2, F0)
     if args.fourth_ic is None:
         raise ConfigError("need either --k1/--k2 or --fourth-ic")
-    xi0 = _parse_pair(args.fourth_ic)
-    return Constants(cyclic_integral(xi0, xi1, xi2), cyclic_integral(xi0, xi1, xi3), F0)
+    return constants_from_four(PhaseTuple(_parse_pair(args.fourth_ic), xi1, xi2, xi3))
 
 
 def cmd_superpose(args) -> int:

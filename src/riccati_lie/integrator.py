@@ -4,9 +4,10 @@ Explicit embedded Runge-Kutta pair with PI step-size control and the
 first-same-as-last property.  The seven stage derivatives of every accepted
 step are kept and turned into that step's 4th-order continuous extension
 (Shampine, "Some practical Runge-Kutta formulas", Math. Comp. 46, 1986;
-Hairer-Norsett-Wanner, Solving ODEs I, section II.6), so the trajectory
-can be sampled anywhere as accurately as at its nodes.  The step size is
-set by error control alone; an optional max_step caps it.
+Hairer-Norsett-Wanner, Solving ODEs I, section II.6).  Those polynomials
+are a trajectory's only dense output, so it can be sampled anywhere as
+accurately as at its nodes.  The step size is set by error control alone;
+an optional max_step caps it.
 
 The step runs on Python floats for two-dimensional states: the state, the
 stage states and times, the error norm and the stored samples are floats.
@@ -82,32 +83,20 @@ class IntegratorStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration samples with derivatives and a dense output.
+    """Accepted integration samples and their dense output.
 
-    ts is strictly increasing; derivs[i] is the RHS at (ts[i], states[i])
-    for integrator-produced trajectories.  coeffs[i, k] is the coefficient
-    of u**(k + 1) in the state polynomial of segment i, u = (t - ts[i]) /
+    ts is strictly increasing.  coeffs[i, k] is the coefficient of
+    u**(k + 1) in the state polynomial of segment i, u = (t - ts[i]) /
     (ts[i + 1] - ts[i]): the continuous extension of each step for
-    integrator-produced trajectories.  Built by hand with coeffs=None, a
-    trajectory takes the cubic Hermite polynomials of its states and
-    derivs.  Reconstructed trajectories (system == "superposed") carry
-    derivs=None and no coeffs, and cannot be resampled.
+    integrator-produced trajectories.  Reconstructed trajectories
+    (system == "superposed") carry no coeffs and cannot be resampled.
     """
 
     ts: np.ndarray
     states: np.ndarray
-    derivs: np.ndarray | None
     system: str = "generic"
     stats: IntegratorStats | None = None
     coeffs: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.coeffs is None and self.derivs is not None:
-            dt = np.diff(self.ts)[:, None]
-            rise = np.diff(self.states, axis=0)
-            f0, f1 = dt * self.derivs[:-1], dt * self.derivs[1:]
-            cubic = (f0, 3.0 * rise - 2.0 * f0 - f1, f0 + f1 - 2.0 * rise, np.zeros_like(rise))
-            object.__setattr__(self, "coeffs", np.stack(cubic, axis=1))
 
     @property
     def t0(self) -> float:
@@ -217,14 +206,12 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
             h *= min(1.0, max(_MIN_SHRINK, factor))
 
     stats = IntegratorStats(n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs)
-    Ks = np.array(Ks)
     return Trajectory(
         ts=np.array(ts),
         states=np.array(ys),
-        derivs=np.vstack((Ks[:, 0], Ks[-1, 6])),
         system=system,
         stats=stats,
-        coeffs=np.array(hs)[:, None, None] * (_P.T @ Ks),
+        coeffs=np.array(hs)[:, None, None] * (_P.T @ np.array(Ks)),
     )
 
 

@@ -89,47 +89,48 @@ class PotentialSpec(JetFn):
         return Jet.of(self.a0, t, n), Jet.of(self.a1, t, n), Jet.of(self.a2, t, n)
 
 
-_C3_T_RESOLUTION = 1e-9  # narrowest interval the window check refines to, relative to the window
+_WINDOW_T_RESOLUTION = 1e-9  # narrowest interval the window check refines to, relative to the window
 
 
-def _positive_c3(t, c3: float) -> None:
-    if not c3 > 0.0:
-        raise DomainError(f"c3(t) must be positive on the working interval; c3({t})={c3}")
+def _positive(name, t, value: float) -> None:
+    if not value > 0.0:
+        raise DomainError(f"{name}(t) must be positive on the working interval; {name}({t})={value}")
 
 
-def _positive_c3_on_window(c3, grid) -> None:
-    """DomainError unless c3 > 0 on the whole window [grid[0], grid[-1]].
+def _positive_on_window(name, f, grid) -> None:
+    """DomainError unless the coefficient f, called name in messages, is
+    positive on the whole window [grid[0], grid[-1]].
 
-    c3 is checked at the grid nodes.  With L >= |c3'| on a segment [a, b],
-    taken from the terms' closed-form derivatives on that segment, c3 > 0 on
-    [a, b] whenever c3(a) + c3(b) > L (b - a); a segment where that fails is
+    f is checked at the grid nodes.  With L >= |f'| on a segment [a, b],
+    taken from the terms' closed-form derivatives on that segment, f > 0 on
+    [a, b] whenever f(a) + f(b) > L (b - a); a segment where that fails is
     bisected, so only the intervals near a dip are refined, and a steep part
     of the window does not tighten the test elsewhere.  The bound for the
-    whole window is tried first, since it is computed once.  A c3 that is
+    whole window is tried first, since it is computed once.  An f that is
     not a `TimeFn` (a view of a derived picture) has no such bound, and is
     checked at the nodes only.
     """
     ts = [float(t) for t in grid]
-    values = [c3.eval(t) for t in ts]
+    values = [f.eval(t) for t in ts]
     for t, value in zip(ts, values):
-        _positive_c3(t, value)
-    if not isinstance(c3, TimeFn):
+        _positive(name, t, value)
+    if not isinstance(f, TimeFn):
         return
-    slope = c3.slope_bound(ts[0], ts[-1])
-    finest = _C3_T_RESOLUTION * (ts[-1] - ts[0])
-    # segments (a, c3(a), b, c3(b)), popped left to right
+    slope = f.slope_bound(ts[0], ts[-1])
+    finest = _WINDOW_T_RESOLUTION * (ts[-1] - ts[0])
+    # segments (a, f(a), b, f(b)), popped left to right
     todo = list(zip(ts, values, ts[1:], values[1:]))[::-1]
     while todo:
-        a, ca, b, cb = todo.pop()
-        if ca + cb > slope * (b - a) or ca + cb > c3.slope_bound(a, b) * (b - a):
+        a, fa, b, fb = todo.pop()
+        if fa + fb > slope * (b - a) or fa + fb > f.slope_bound(a, b) * (b - a):
             continue
         if b - a <= finest:
-            raise DomainError(f"c3(t) must be positive on the working interval; "
-                              f"c3 is not bounded away from zero near t={a}")
+            raise DomainError(f"{name}(t) must be positive on the working interval; "
+                              f"{name} is not bounded away from zero near t={a}")
         m = 0.5 * (a + b)
-        cm = c3.eval(m)
-        _positive_c3(m, cm)
-        todo += [(m, cm, b, cb), (a, ca, m, cm)]
+        fm = f.eval(m)
+        _positive(name, m, fm)
+        todo += [(m, fm, b, fb), (a, fa, m, fm)]
 
 
 def _drag(c2: Jet, c3: Jet):
@@ -154,7 +155,7 @@ class RiccatiSpec(JetFn):
     def jets(self, t, n):
         c0, c1, c2 = Jet.of(self.c0, t, n), Jet.of(self.c1, t, n), Jet.of(self.c2, t, n)
         c3 = Jet.of(self.c3, t, n + 1)
-        _positive_c3(t, c3.value)
+        _positive("c3", t, c3.value)
         root, f0 = _drag(c2, c3)
         return c0, c1, c2, c3, f0, 3.0 * root
 
@@ -194,14 +195,12 @@ def coefficients_from_potential(P: JetFn, grid=None) -> JetFn:
     """Map a potential to the cubic picture (c0, c1, c2, c3, f0, f1).
 
     Every output is exact, backed by the inputs' closed-form derivatives.
-    When a validation grid is supplied, a2 > 0 is checked on it (the
-    correspondence uses sqrt(c3) = a2).
+    When a validation grid is supplied, a2 > 0 is checked on the whole
+    window it spans, by the same rule as c3 > 0 in
+    `potential_from_coefficients` (the correspondence uses sqrt(c3) = a2).
     """
     if grid is not None:
-        for t in grid:
-            a2 = P.a2.eval(float(t))
-            if not a2 > 0.0:
-                raise DomainError(f"a2(t) must be positive on the working interval; a2({t})={a2}")
+        _positive_on_window("a2", P.a2, grid)
     return _CubicOfPotential(P)
 
 
@@ -228,7 +227,7 @@ def potential_from_coefficients(R: JetFn, grid) -> JetFn:
     is from the value the potential implies.  c1, c2 and c3 are read as
     time functions: the fields of a `RiccatiSpec`, views of a derived one.
     """
-    _positive_c3_on_window(R.c3, grid)
+    _positive_on_window("c3", R.c3, grid)
     return _PotentialOfCubic(R)
 
 

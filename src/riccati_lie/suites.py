@@ -73,7 +73,7 @@ def random_phase_points(rng, n: int, x_range=(-3.0, 3.0), p_range=(-4.0, -0.25))
     return [PhasePoint(float(x), float(p)) for x, p in zip(xs, ps)]
 
 
-def draw_surviving_solutions(P, t0, t1, tol, rng, n: int, max_step=None):
+def draw_surviving_solutions(P, t0, t1, tol, rng, n: int):
     """Integrate n Hamiltonian solutions of P over [t0, t1] from random
     initial points, redrawing any that blow up or leave the half-plane."""
     out = []
@@ -86,10 +86,8 @@ def draw_surviving_solutions(P, t0, t1, tol, rng, n: int, max_step=None):
         attempts += 1
         ic = random_phase_points(rng, 1, x_range=(-0.8, 0.8), p_range=(-2.0, -0.5))[0]
         try:
-            traj = integrate(
-                hamiltonian_field(P), (t0, ic), t1, tol,
-                guard=hamiltonian_guard, max_step=max_step, system="hamiltonian",
-            )
+            traj = integrate(hamiltonian_field(P), (t0, ic), t1, tol,
+                             guard=hamiltonian_guard, system="hamiltonian")
         except (NumericError, GuardViolation):
             continue
         out.append(traj)

@@ -147,4 +147,4 @@ def superpose_trajectory(traj1, traj2, traj3, k: Constants, grid) -> Trajectory:
     grid = np.array(grid, dtype=float)
     sols = np.hstack([sample_at(traj, grid) for traj in (traj1, traj2, traj3)])
     states = superpose_states(sols, k, ts=grid)
-    return Trajectory(ts=grid, states=states, derivs=None, system="superposed")
+    return Trajectory(ts=grid, states=states, system="superposed")

@@ -72,16 +72,21 @@ class Poly:
 
 
 @dataclass(frozen=True)
-class Sin:
-    """A sin(ω t + φ); n-th derivative cycles through cos, -sin, -cos."""
+class _Trig:
+    """A sin(ω t + φ + quarter_turns π/2); the n-th derivative is
+    A ω^n sin(ω t + φ + (quarter_turns + n) π/2), read off the four-cycle
+    sin, cos, -sin, -cos."""
 
     amp: float
     omega: float
     phase: float
 
+    quarter_turns = 0
+
     def eval(self, t, order=0):
-        value = (math.cos if order % 2 else math.sin)(self.omega * t + self.phase)
-        if order % 4 >= 2:
+        turns = order + self.quarter_turns
+        value = (math.cos if turns % 2 else math.sin)(self.omega * t + self.phase)
+        if turns % 4 >= 2:
             value = -value
         return self.amp * self.omega**order * value
 
@@ -89,22 +94,14 @@ class Sin:
         return abs(self.amp * self.omega)
 
 
-@dataclass(frozen=True)
-class Cos:
-    """A cos(ω t + φ)."""
+class Sin(_Trig):
+    """A sin(ω t + φ)."""
 
-    amp: float
-    omega: float
-    phase: float
 
-    def eval(self, t, order=0):
-        value = (math.sin if order % 2 else math.cos)(self.omega * t + self.phase)
-        if order % 4 in (1, 2):
-            value = -value
-        return self.amp * self.omega**order * value
+class Cos(_Trig):
+    """A cos(ω t + φ): a sine a quarter turn ahead."""
 
-    def slope_bound(self, t0, t1):
-        return abs(self.amp * self.omega)
+    quarter_turns = 1
 
 
 @dataclass(frozen=True)

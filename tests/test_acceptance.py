@@ -118,8 +118,7 @@ def test_criterion_03_first_integral_conservation():
     grid = np.linspace(0.0, 2.0, 41)
     worst_ratio = 0.0
     for _ in range(20):
-        trajs = draw_surviving_solutions(random_potential(rng, scale=0.3), 0.0, 2.0, 1e-10, rng, 4,
-                                         max_step=0.02)
+        trajs = draw_surviving_solutions(random_potential(rng, scale=0.3), 0.0, 2.0, 1e-10, rng, 4)
         start = _integral_triplet([PhasePoint(*sample_at(tr, 0.0)) for tr in trajs])
         allowed = 1e-7 * np.maximum(1.0, np.abs(start))
         for t in grid:

@@ -102,10 +102,13 @@ class TestSimulate:
         # Legendre-matched start of the canonical analytic solution
         np.testing.assert_allclose(data[-1][1], 1.0, atol=1e-6)
 
-    def test_bad_momentum_ic_is_domain_error(self, config, tmp_path):
-        rc = cli.main(["simulate", config(CANONICAL), "--ic", "0.0,1.0",
-                       "--out", str(tmp_path / "x.csv")])
-        assert rc == cli.EXIT_DOMAIN
+    def test_bad_momentum_ic_is_domain_error(self, config, tmp_path, capsys):
+        # p = -1e-10 is negative but inside the integrator's guard band
+        for ic in ("0.0,1.0", "0,0", "0,-1e-10"):
+            rc = cli.main(["simulate", config(CANONICAL), f"--ic={ic}",
+                           "--out", str(tmp_path / "x.csv")])
+            assert rc == cli.EXIT_DOMAIN, ic
+            assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_blowup_is_numeric_failure(self, config, tmp_path):
         # --ic=... keeps argparse from reading the leading minus as a flag
@@ -217,9 +220,20 @@ class TestDerive:
         rc = cli.main(["derive", config(RICCATI.replace("c3 = poly 1", "c3 = poly -1"))])
         assert rc == cli.EXIT_DOMAIN
 
-    def test_nonpositive_a2_rejected_for_potential_derive(self, config):
+    def test_nonpositive_a2_rejected_for_potential_derive(self, config, tmp_path, capsys):
         rc = cli.main(["derive", config(FREE)])
         assert rc == cli.EXIT_DOMAIN
+        # a2 = 1 + 1.5 cos(4 pi t) is positive at the grid nodes 0, 0.5, 1 and
+        # negative near t = 0.25: derive rejects the window, while simulate,
+        # which does not need a2 > 0, still runs
+        capsys.readouterr()
+        cfg = config(CANONICAL.replace("a2 = poly 1", "a2 = poly 1; cos 1.5 12.566370614359172 0")
+                     .replace("step = 0.01", "step = 0.5"))
+        assert cli.main(["derive", cfg]) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: a2(t) must be positive")
+        assert len(err.splitlines()) == 1
+        assert cli.main(["simulate", cfg, "--ic", "0", "--out", str(tmp_path / "x.csv")]) == cli.EXIT_OK
 
 
 def _write_three_solution_table(config, tmp_path, ics=(1, 2, 3)):

@@ -35,7 +35,7 @@ class TestIntegrate:
     def test_zero_field_is_constant(self):
         traj = integrate(lambda t, y: (0.0, 0.0), (0.0, (1.0, -1.0)), 5.0, 1e-10)
         assert np.all(traj.states == [1.0, -1.0])
-        assert np.all(traj.derivs == 0.0)
+        assert np.all(traj.coeffs == 0.0)
         assert traj.ts[0] == 0.0 and traj.ts[-1] == 5.0
 
     def test_free_particle_closed_form(self):
@@ -57,10 +57,13 @@ class TestIntegrate:
         assert np.all(np.diff(traj.ts) > 0.0)
 
     def test_stored_derivatives_match_rhs(self):
+        # the linear coefficient of each step polynomial is h times the RHS at
+        # the step's start, the first-same-as-last stage carried over
         rhs = hamiltonian_field(canonical_potential())
         traj = integrate(rhs, (0.0, (0.0, -0.25)), 2.0, 1e-10, guard=hamiltonian_guard)
-        for i, t in enumerate(traj.ts):
-            np.testing.assert_allclose(traj.derivs[i], rhs(t, traj.states[i]), rtol=1e-14)
+        hs = np.diff(traj.ts)
+        for i, t in enumerate(traj.ts[:-1]):
+            np.testing.assert_allclose(traj.coeffs[i, 0] / hs[i], rhs(t, traj.states[i]), rtol=1e-14)
 
     def test_convergence_with_tolerance(self):
         rhs = hamiltonian_field(canonical_potential())
@@ -182,12 +185,17 @@ class TestSampleAt:
         assert abs(s[1] + 1.0) < 1e-12
 
     def test_exact_on_cubics(self):
-        # a hand-built trajectory takes the Hermite polynomials of its data,
-        # so data taken from a cubic is reproduced identically
+        # step polynomials taken from a cubic's Taylor expansion at each node,
+        # h^k y^(k) / k!, reproduce the cubic between the nodes
         ts = np.linspace(0.0, 2.0, 9)
         poly = lambda t: np.column_stack([t**3 - 2 * t**2 + 3 * t - 1, 2 * t**3 + t])
         dpoly = lambda t: np.column_stack([3 * t**2 - 4 * t + 3, 6 * t**2 + 1])
-        traj = Trajectory(ts=ts, states=poly(ts), derivs=dpoly(ts), system="generic")
+        d2poly = lambda t: np.column_stack([6 * t - 4, 12 * t])
+        d3poly = lambda t: np.column_stack([np.full_like(t, 6.0), np.full_like(t, 12.0)])
+        t, h = ts[:-1], np.diff(ts)[:, None]
+        coeffs = np.stack([h * dpoly(t), h**2 * d2poly(t) / 2, h**3 * d3poly(t) / 6,
+                           np.zeros((len(t), 2))], axis=1)
+        traj = Trajectory(ts=ts, states=poly(ts), system="generic", coeffs=coeffs)
         rng = np.random.default_rng(1)
         for t in rng.uniform(0.0, 2.0, 50):
             np.testing.assert_allclose(sample_at(traj, t), poly(np.array([t]))[0], atol=1e-12)
@@ -236,7 +244,6 @@ class TestSampleAt:
             assert not failed, (seed, failed)
 
     def test_derivative_free_trajectories_not_resampled(self):
-        traj = Trajectory(ts=np.array([0.0, 1.0]), states=np.zeros((2, 2)),
-                          derivs=None, system="superposed")
+        traj = Trajectory(ts=np.array([0.0, 1.0]), states=np.zeros((2, 2)), system="superposed")
         with pytest.raises(ValueError):
             sample_at(traj, 0.5)

@@ -113,6 +113,9 @@ class TestParser:
         for text in ("poly 0 0 1", "poly 1; sin 2 3 0", "exp 0.25 -1.5", "cos 1 2 3"):
             f = parse_timefn(text)
             assert parse_timefn(render_timefn(f)) == f
+        # a sine and a cosine of the same numbers are different terms
+        assert parse_timefn("sin 1 2 3") != parse_timefn("cos 1 2 3")
+        assert render_timefn(parse_timefn("cos 1 2 3")) == "cos 1 2 3"
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(2024)
