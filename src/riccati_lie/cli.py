@@ -53,7 +53,7 @@ from .model import (
     riccati2_field,
 )
 from .superpose import Constants, PhaseTuple, constants_from_four, cyclic_integral, superpose_states
-from .timefn import JetFn, _fmt, parse_timefn
+from .timefn import FLOAT_SPEC, JetFn, _fmt, parse_timefn
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -185,11 +185,16 @@ def scenario_seed(scenario: Scenario) -> int:
 
 
 def write_csv(path: str, header, rows) -> None:
+    """One line per row, every cell formatted as `_fmt` does, by one `%`
+    template for the whole table."""
+    table = np.asarray(rows, dtype=float)
+    n_rows, n_cols = table.shape
+    row = ",".join(["%" + FLOAT_SPEC] * n_cols) + "\n"
+    cells = tuple(table.ravel().tolist())  # floats format faster than numpy scalars
     try:
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in np.asarray(rows, dtype=float).tolist():  # floats format faster than numpy scalars
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write((row * n_rows) % cells)
     except OSError as exc:
         raise ConfigError(f"cannot write table {path}: {exc}") from exc
 

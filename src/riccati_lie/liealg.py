@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import PhasePoint, _momentum_root, hamilton_rhs
+from .model import PhasePoint, _LastTime, _momentum_root, hamilton_rhs
 
 __all__ = [
     "FIELD_IDS",
@@ -185,8 +185,10 @@ def levi_structure_check() -> dict:
 
 def decompose_rhs_check(P, t: float, s) -> float:
     """Residual of the decomposition of the Hamiltonian RHS into fields:
-    max component of |rhs - (X1 - a0 X2 - a1 X3 - a2 X4)| at (t, s)."""
+    max component of |rhs - (X1 - a0 X2 - a1 X3 - a2 X4)| at (t, s).
+    The RHS and the decomposition share one evaluation of the potential."""
     x, p = s
+    P = _LastTime(P)
     rhs = np.asarray(hamilton_rhs(P, t, PhasePoint(x, p)))
     a0, a1, a2 = P.eval(t)
     V = _values(s)

@@ -293,11 +293,34 @@ def legendre_inverse(P: JetFn, t: float, s: PhasePoint) -> LagrangianPoint:
     return LagrangianPoint(x, 1.0 / r - U)
 
 
+class _LastTime:
+    """A picture that keeps its last order-0 evaluation, for one repeated t.
+
+    The DP5 stages 5 and 6 both sit at t + h, so a field evaluates its
+    picture once per distinct stage time.  A zero t is always evaluated:
+    0.0 and -0.0 compare equal, but their coefficients may differ in sign.
+    """
+
+    __slots__ = ("picture", "_t", "_values")
+
+    def __init__(self, picture: JetFn):
+        self.picture, self._t, self._values = picture, None, None
+
+    def eval(self, t, order=0):
+        if order:
+            return self.picture.eval(t, order)
+        if t != self._t or not t:
+            self._t, self._values = t, self.picture.eval(t)
+        return self._values
+
+
 def hamiltonian_field(P: JetFn):
-    """RHS over raw (x, p) pairs, for the integrator."""
-    return partial(hamilton_rhs, P)
+    """RHS over raw (x, p) pairs, for the integrator; the potential is
+    evaluated once per distinct time."""
+    return partial(hamilton_rhs, _LastTime(P))
 
 
 def riccati2_field(R: JetFn):
-    """RHS over raw (x, v) pairs, for the integrator."""
-    return partial(riccati2_rhs, R)
+    """RHS over raw (x, v) pairs, for the integrator; the coefficients are
+    evaluated once per distinct time."""
+    return partial(riccati2_rhs, _LastTime(R))

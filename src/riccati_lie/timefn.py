@@ -58,6 +58,10 @@ class Poly:
 
     def eval(self, t, order=0):
         acc = 0.0
+        if not order:  # perm(k, 0) is 1, and c * 1 is exact
+            for k, c in enumerate(self.coeffs):
+                acc += c * t ** k
+            return acc
         for k in range(order, len(self.coeffs)):
             acc += self.coeffs[k] * math.perm(k, order) * t ** (k - order)
         return acc
@@ -131,7 +135,7 @@ class TimeFn:
         """Value (order=0) or exact order-th derivative at time t."""
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        return math.fsum(term.eval(t, order) for term in self.terms)
+        return math.fsum([term.eval(t, order) for term in self.terms])
 
     def slope_bound(self, t0, t1):
         """An upper bound of |f'| on [t0, t1], from each term's closed-form derivative."""
@@ -186,9 +190,12 @@ def parse_timefn(text: str) -> TimeFn:
     return TimeFn(tuple(terms))
 
 
+# 17 significant digits: re-reading gives back the same double
+FLOAT_SPEC = ".17g"
+
+
 def _fmt(x: float) -> str:
-    """17 significant digits: re-reading gives back the same double."""
-    return format(float(x), ".17g")
+    return format(float(x), FLOAT_SPEC)
 
 
 def render_timefn(f: TimeFn) -> str:
@@ -210,6 +217,14 @@ def render_timefn(f: TimeFn) -> str:
 
 # --- Taylor jets ---------------------------------------------------------
 
+# k! as a float: arithmetic with math.factorial's int converts it to this
+# same double, so the table changes no result; past it, math.factorial
+_FACTORIAL = tuple(float(math.factorial(k)) for k in range(19))
+
+
+def _factorial(k: int):
+    return _FACTORIAL[k] if k < len(_FACTORIAL) else math.factorial(k)
+
 
 class Jet:
     """Truncated Taylor expansion at a point: coeffs[k] = f^(k)(t) / k!.
@@ -227,11 +242,12 @@ class Jet:
     @classmethod
     def of(cls, f, t, n: int) -> "Jet":
         """Jet of a time function (anything with .eval(t, order)) to order n."""
-        return cls([float(f.eval(t, k)) / math.factorial(k) for k in range(n + 1)])
+        fact = _FACTORIAL if n < len(_FACTORIAL) else [_factorial(k) for k in range(n + 1)]
+        return cls([float(f.eval(t, k)) / fact[k] for k in range(n + 1)])
 
     def deriv(self, order: int) -> float:
         """The order-th derivative encoded by this jet."""
-        return self.coeffs[order] * math.factorial(order)
+        return self.coeffs[order] * _factorial(order)
 
     @property
     def value(self) -> float:
@@ -239,27 +255,26 @@ class Jet:
 
     def derivative(self) -> "Jet":
         """Jet of f', one order shorter."""
-        return Jet((k + 1) * c for k, c in enumerate(self.coeffs[1:]))
+        return Jet([(k + 1) * c for k, c in enumerate(self.coeffs[1:])])
 
     def _pair(self, other):
         n = min(len(self.coeffs), len(other.coeffs))
         return self.coeffs[:n], other.coeffs[:n]
 
+    # zip truncates to the shorter operand by itself
     def __add__(self, other):
-        a, b = self._pair(other)
-        return Jet(x + y for x, y in zip(a, b))
+        return Jet([x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return Jet(x - y for x, y in zip(a, b))
+        return Jet([x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self._pair(other)
-            return Jet(
-                math.fsum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))
-            )
-        return Jet(c * other for c in self.coeffs)
+            return Jet([
+                math.fsum([a[j] * b[k - j] for j in range(k + 1)]) for k in range(len(a))
+            ])
+        return Jet([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -269,7 +284,7 @@ class Jet:
             raise ZeroDivisionError("jet division by a function vanishing at the point")
         out = []
         for k in range(len(a)):
-            s = a[k] - math.fsum(b[j] * out[k - j] for j in range(1, k + 1))
+            s = a[k] - math.fsum([b[j] * out[k - j] for j in range(1, k + 1)])
             out.append(s / b[0])
         return Jet(out)
 
@@ -279,7 +294,7 @@ class Jet:
             raise DomainError(f"jet sqrt needs a positive value at the point, got {a[0]}")
         out = [math.sqrt(a[0])]
         for k in range(1, len(a)):
-            s = a[k] - math.fsum(out[j] * out[k - j] for j in range(1, k))
+            s = a[k] - math.fsum([out[j] * out[k - j] for j in range(1, k)])
             out.append(s / (2.0 * out[0]))
         return Jet(out)
 
@@ -298,7 +313,8 @@ class JetFn:
     def eval(self, t, order=0):
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        return tuple([jet.deriv(order) for jet in self.jets(t, order)])
+        scale = _factorial(order)
+        return tuple([jet.coeffs[order] * scale for jet in self.jets(t, order)])
 
     def __getattr__(self, name):
         if name not in type(self).names:

@@ -159,6 +159,15 @@ class TestCsvRoundtrip:
         assert header == ["t", "x", "p"]
         np.testing.assert_array_equal(data, np.array(rows))
 
+    def test_table_bytes_match_per_cell_format(self, tmp_path):
+        from riccati_lie.timefn import _fmt
+
+        rows = [(0.0, -0.0, 5e-324), (1e16, 1.0 / 3.0, float("nan")), (-2.5e-310, float("inf"), -1e-300)]
+        path = tmp_path / "table.csv"
+        cli.write_csv(str(path), ["t", "x", "p"], rows)
+        expected = "t,x,p\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()
+
     def test_simulate_output_reproduces_in_process_values(self, config, tmp_path):
         from riccati_lie.integrator import hamiltonian_guard, integrate, sample_at
         from riccati_lie.model import PotentialSpec, hamiltonian_field

@@ -26,7 +26,7 @@ from riccati_lie.model import (
     riccati2_rhs,
 )
 from riccati_lie.suites import random_potential
-from riccati_lie.timefn import Exp, Poly, TimeFn, constant, parse_timefn
+from riccati_lie.timefn import Exp, Poly, Sin, TimeFn, constant, parse_timefn
 
 GRID = np.linspace(0.0, 2.0, 21)
 
@@ -258,6 +258,55 @@ class TestHamiltonSide:
             dh_dx = (hamiltonian(P, t, PhasePoint(x + h, p)) - hamiltonian(P, t, PhasePoint(x - h, p))) / (2 * h)
             assert abs(dx - dh_dp) < 1e-6
             assert abs(dp + dh_dx) < 1e-6
+
+
+class CountingPicture:
+    """A picture that counts its evaluations."""
+
+    def __init__(self, picture):
+        self.picture, self.calls = picture, 0
+
+    def eval(self, t, order=0):
+        self.calls += 1
+        return self.picture.eval(t, order)
+
+
+class TestFieldMemo:
+    def test_one_evaluation_per_distinct_stage_time(self):
+        # DP5 stages 5 and 6 share t + h: every trial step reaching stage 6
+        # evaluates the picture five times, not six
+        P = random_potential(np.random.default_rng(44))
+        hits = []
+
+        def guard(y):
+            return hamiltonian_guard(y) or hits.append(y)
+
+        for field, picture, ic, guard_fn in (
+            (hamiltonian_field, P, (0.1, -1.0), guard),
+            (riccati2_field, coefficients_from_potential(P), (0.1, 0.5), None),
+        ):
+            counting = CountingPicture(picture)
+            stats = integrate(field(counting), (0.0, ic), 2.0, 1e-10, guard=guard_fn).stats
+            assert not hits
+            assert stats.n_rejected > 0
+            assert counting.calls == stats.n_rhs - stats.n_accepted - stats.n_rejected
+
+    def test_field_equals_rhs_across_repeated_and_moved_times(self):
+        rng = np.random.default_rng(48)
+        P = random_potential(rng)
+        R = coefficients_from_potential(P)
+        # raw terms as fields: their value at t = -0.0 keeps the sign of zero
+        signed = PotentialSpec(Sin(1.0, 1.0, -0.0), Sin(1.0, 1.0, -0.0), constant(1.0))
+        times = [0.3, 0.3, 0.3, 0.7, 0.7, 0.3, 0.0, -0.0, -0.0, 0.0]
+        for field, rhs, picture, states in (
+            (hamiltonian_field, hamilton_rhs, P, [(0.2, -1.0), (-1.5, -0.3), (0.9, -2.5)]),
+            (hamiltonian_field, hamilton_rhs, signed, [(0.0, -1.0), (-0.0, -1.0)]),
+            (riccati2_field, riccati2_rhs, R, [(0.2, 1.0), (-1.5, -0.3), (0.9, 2.5)]),
+        ):
+            f = field(picture)
+            for k, t in enumerate(times):
+                for s in states[k % len(states):] + states[:k % len(states)]:
+                    assert repr(f(t, s)) == repr(rhs(picture, t, s))
 
 
 class TestLegendre:

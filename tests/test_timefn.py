@@ -67,6 +67,18 @@ class TestEval:
                 assert Sin(amp, omega, phase).eval(t, k) == amp * omega**k * sin_cycle[k % 4](theta)
                 assert Cos(amp, omega, phase).eval(t, k) == amp * omega**k * cos_cycle[k % 4](theta)
 
+    def test_poly_value_is_the_plain_power_sum(self):
+        # order 0 skips perm(k, 0) = 1; the sum must keep every bit
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            coeffs = [float(c) for c in rng.uniform(-5.0, 5.0, rng.integers(1, 7))]
+            coeffs[int(rng.integers(len(coeffs)))] = -0.0
+            t = float(rng.choice([0.0, -0.0, rng.uniform(-3.0, 3.0), rng.uniform(-1e3, 1e3)]))
+            expected = 0.0
+            for k, c in enumerate(coeffs):
+                expected += c * math.perm(k, 0) * t**k
+            assert repr(Poly(tuple(coeffs)).eval(t, 0)) == repr(expected)
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             constant(1.0).eval(0.0, -1)
@@ -179,6 +191,13 @@ class TestJets:
         jet = Jet.of(f, 0.4, 5)
         for n in range(6):
             assert jet.deriv(n) == pytest.approx(f.eval(0.4, n), rel=1e-13, abs=1e-13)
+
+    def test_orders_past_the_factorial_table(self):
+        f = TimeFn((Exp(1.5, 0.7), Poly((1.0, 2.0, 3.0))))
+        jet = Jet.of(f, 0.4, 30)
+        for k in range(31):
+            assert jet.coeffs[k] == f.eval(0.4, k) / math.factorial(k)
+            assert jet.deriv(k) == jet.coeffs[k] * math.factorial(k)
 
     def test_sqrt_jet_against_closed_form(self):
         # sqrt(1 + t^2): value t=2 -> sqrt5, d/dt = t/sqrt(1+t^2),
