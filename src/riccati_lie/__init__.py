@@ -25,11 +25,10 @@ from .liealg import (
     check_commutation_table,
     compose_subgroup,
     decompose_rhs_check,
+    fields,
     fundamental_vf,
     levi_structure_check,
     lie_bracket,
-    vf_eval,
-    vf_jacobian,
 )
 from .model import (
     LagrangianPoint,

@@ -74,6 +74,10 @@ def hamiltonian_guard(state) -> bool:
     return state[1] <= GUARD_P_MAX
 
 
+# the condition, as integrate quotes it in its guard errors
+hamiltonian_guard.__doc__ = f"p <= {GUARD_P_MAX}"
+
+
 @dataclass(frozen=True)
 class IntegratorStats:
     n_accepted: int
@@ -117,7 +121,9 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
     tuple (y0, y1) of floats, and any other state shape raises ValueError.
     Error control uses absolute and relative tolerance `tol` and alone sets
     the step size unless max_step caps it; the continuous extension keeps
-    `sample_at` as accurate between the nodes as at them.
+    `sample_at` as accurate between the nodes as at them.  A guard's
+    docstring, when it has one, states its condition, and the guard errors
+    quote it.
     """
     t0, y0 = ic
     t0, t1 = float(t0), float(t1)
@@ -131,8 +137,10 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
     if max_step is not None and not 0.0 < max_step < math.inf:
         raise ValueError(f"max_step must be positive and finite, got {max_step}")
     y = tuple(y0.tolist())
-    if guard is not None and not guard(y):
-        raise DomainError(f"initial state {y0.tolist()} violates the domain guard")
+    if guard is not None:
+        condition = f"domain guard {guard.__doc__ or ''}".rstrip()
+        if not guard(y):
+            raise DomainError(f"initial state {y0.tolist()} violates the {condition}")
 
     span = t1 - t0
     h_max = span if max_step is None else min(float(max_step), span)
@@ -171,9 +179,7 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
         if guard_hit:
             # bisect toward the boundary; report the exit once localized
             if h <= _GUARD_T_RESOLUTION * max(1.0, abs(t)):
-                raise GuardViolation(
-                    f"domain guard violated just past t={t}", last_valid_t=t
-                )
+                raise GuardViolation(f"{condition} violated just past t={t}", last_valid_t=t)
             h *= 0.5
             continue
 

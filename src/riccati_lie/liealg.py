@@ -14,8 +14,9 @@ The span of {X2, X3, X4} is a subalgebra of sl(2)-type and {X1, X5} an
 abelian ideal, matching the semidirect group R^2 x| SL(2, R) whose action
 on O is implemented by `act`.
 
-Bracket convention: [X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, evaluated from
-hand-derived closed-form Jacobians (no automatic differentiation).
+`fields` writes the five closed forms and their hand-derived Jacobians
+once, as arrays over any number of points; everything else here reads
+them from it.  Bracket convention: [X, Y]^i = X^j d_j Y^i - Y^j d_j X^i.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ __all__ = [
     "COMMUTATION_TABLE",
     "FUNDAMENTAL_CORRESPONDENCE",
     "GroupElement",
-    "vf_eval",
-    "vf_jacobian",
+    "fields",
     "lie_bracket",
     "check_commutation_table",
     "levi_structure_check",
@@ -68,41 +68,34 @@ FUNDAMENTAL_CORRESPONDENCE = {
 }
 
 
-def _check_id(i) -> None:
-    if i not in FIELD_IDS:
-        raise ValueError(f"vector field id must be one of {FIELD_IDS}, got {i}")
+def fields(points) -> tuple:
+    """The five fields at one (x, p) point, or at each row of an (N, 2) array.
 
-
-def vf_eval(i: int, s) -> tuple:
-    """Components (vx, vp) of field i at the phase point s."""
-    _check_id(i)
-    x, p = s
-    r = _momentum_root(p)
-    if i == 1:
-        return (1.0 / r, 0.0)
-    if i == 2:
-        return (1.0, 0.0)
-    if i == 3:
-        return (x, -p)
-    if i == 4:
-        return (x * x, -2.0 * x * p)
-    return (x / r, 2.0 * r)
-
-
-def vf_jacobian(i: int, s) -> np.ndarray:
-    """Closed-form Jacobian d(vx, vp)/d(x, p) of field i at s."""
-    _check_id(i)
-    x, p = s
-    r = _momentum_root(p)
-    if i == 1:
-        return np.array([[0.0, 0.5 / r**3], [0.0, 0.0]])
-    if i == 2:
-        return np.zeros((2, 2))
-    if i == 3:
-        return np.array([[1.0, 0.0], [0.0, -1.0]])
-    if i == 4:
-        return np.array([[2.0 * x, 0.0], [-2.0 * p, -2.0 * x]])
-    return np.array([[1.0 / r, 0.5 * x / r**3], [0.0, -1.0 / r]])
+    Returns the values V, shape (..., 5, 2), and the closed-form Jacobians
+    J = d(vx, vp)/d(x, p), shape (..., 5, 2, 2); field Xi sits at index
+    i - 1.  A momentum p >= 0 raises DomainError naming the first one.
+    """
+    x, p = np.asarray(points, dtype=float).T
+    inside = p < 0
+    if not inside.all():
+        _momentum_root(float(np.ravel(p)[np.argmin(np.ravel(inside))]))
+    r = np.sqrt(-p)
+    # libm pow whatever the shape (np.power may take a SIMD path on arrays),
+    # so one point and a batch give the same bits
+    r3 = np.float_power(r, 3)
+    # X1..X5 as in the module docstring, entry by entry; the rest stays zero
+    V = np.zeros(np.shape(x) + (5, 2))
+    J = np.zeros(np.shape(x) + (5, 2, 2))
+    V[..., 0, 0] = 1.0 / r
+    J[..., 0, 0, 1] = 0.5 / r3
+    V[..., 1, 0] = 1.0
+    V[..., 2, 0], V[..., 2, 1] = x, -p
+    J[..., 2, 0, 0], J[..., 2, 1, 1] = 1.0, -1.0
+    V[..., 3, 0], V[..., 3, 1] = x * x, -2.0 * x * p
+    J[..., 3, 0, 0], J[..., 3, 1, 0], J[..., 3, 1, 1] = 2.0 * x, -2.0 * p, -2.0 * x
+    V[..., 4, 0], V[..., 4, 1] = x / r, 2.0 * r
+    J[..., 4, 0, 0], J[..., 4, 0, 1], J[..., 4, 1, 1] = 1.0 / r, 0.5 * x / r3, -1.0 / r
+    return V, J
 
 
 def _structure_constants() -> np.ndarray:
@@ -116,28 +109,19 @@ def _structure_constants() -> np.ndarray:
     return C
 
 
-def _values(s) -> np.ndarray:
-    """The five field values at s, one row per field: shape (5, 2)."""
-    return np.array([vf_eval(i, s) for i in FIELD_IDS])
-
-
-def _jacobians(s) -> np.ndarray:
-    """The five field Jacobians at s: shape (5, 2, 2)."""
-    return np.array([vf_jacobian(i, s) for i in FIELD_IDS])
-
-
 def _brackets(V: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """All 25 brackets [Xa, Xb] = J_b V_a - J_a V_b, at index [a-1, b-1],
-    from the field values V and Jacobians J at one point."""
-    JbVa = (J[None] @ V[:, None, :, None])[..., 0]
-    return JbVa - JbVa.transpose(1, 0, 2)
+    """All 25 brackets [Xa, Xb] = J_b V_a - J_a V_b, at index [..., a-1, b-1, :],
+    from the `fields` table V, J at one point or at many."""
+    JbVa = (J[..., None, :, :, :] @ V[..., :, None, :, None])[..., 0]
+    return JbVa - np.swapaxes(JbVa, -3, -2)
 
 
 def lie_bracket(a: int, b: int, s) -> tuple:
     """[Xa, Xb] at s, from the closed-form values and Jacobians."""
-    _check_id(a)
-    _check_id(b)
-    out = _brackets(_values(s), _jacobians(s))[a - 1, b - 1]
+    for i in (a, b):
+        if i not in FIELD_IDS:
+            raise ValueError(f"vector field id must be one of {FIELD_IDS}, got {i}")
+    out = _brackets(*fields(s))[a - 1, b - 1]
     return (out[0], out[1])
 
 
@@ -145,13 +129,9 @@ def check_commutation_table(points) -> float:
     """Max component-wise deviation of computed brackets from the table,
     over all 10 unordered pairs and all supplied points."""
     pairs = np.triu_indices(5, 1)
-    C = _structure_constants()[pairs]
-    worst = 0.0
-    for s in points:
-        V = _values(s)
-        deviation = _brackets(V, _jacobians(s))[pairs] - C @ V
-        worst = max(worst, float(np.max(np.abs(deviation))))
-    return worst
+    V, J = fields(np.reshape(points, (-1, 2)))
+    deviation = _brackets(V, J)[:, pairs[0], pairs[1]] - _structure_constants()[pairs] @ V
+    return float(np.max(np.abs(deviation), initial=0.0))
 
 
 def levi_structure_check() -> dict:
@@ -191,7 +171,7 @@ def decompose_rhs_check(P, t: float, s) -> float:
     P = _LastTime(P)
     rhs = np.asarray(hamilton_rhs(P, t, PhasePoint(x, p)))
     a0, a1, a2 = P.eval(t)
-    V = _values(s)
+    V, _ = fields(s)
     combo = V[0] - a0 * V[1] - a1 * V[2] - a2 * V[3]
     return float(np.max(np.abs(rhs - combo)))
 
@@ -290,9 +270,13 @@ def _one_parameter_family(direction: str, s: float) -> GroupElement:
     )
 
 
-def fundamental_vf(direction: str, s, h: float = 1e-5) -> tuple:
+_FD_STEP = 1e-5  # group-parameter step of fundamental_vf's central difference
+
+
+def fundamental_vf(direction: str, s) -> tuple:
     """Central finite difference of the action along a one-parameter
     subgroup; the derived correspondences are in FUNDAMENTAL_CORRESPONDENCE."""
+    h = _FD_STEP
     plus = act(_one_parameter_family(direction, h), s)
     minus = act(_one_parameter_family(direction, -h), s)
     return ((plus.x - minus.x) / (2.0 * h), (plus.p - minus.p) / (2.0 * h))

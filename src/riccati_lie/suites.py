@@ -30,6 +30,7 @@ __all__ = [
     "run_suites",
 ]
 
+_A2_BASE = (0.8, 1.6)  # range of the constant part of a random a2
 _A2_WOBBLE = 0.4  # largest cosine amplitude of a random a2, relative to its constant
 _MAX_DRAWS = 80  # initial points tried per draw_surviving_solutions call
 _CHECK_GRID = 41  # grid points of the drift and reconstruction checks
@@ -47,13 +48,13 @@ class CheckResult:
         return f"{status} {self.name} residual={self.residual:.3e} threshold={self.threshold:.3e}"
 
 
-def random_potential(rng, scale: float = 0.4, a2_base=(0.8, 1.6)) -> PotentialSpec:
+def random_potential(rng, scale: float = 0.4) -> PotentialSpec:
     """Random quadratic potential with a2 bounded away from zero.
 
     a0, a1 are degree-1 polynomials plus one sine term of amplitude
-    <= scale; a2 is a constant in a2_base plus a cosine whose amplitude is
+    <= scale; a2 is a constant in _A2_BASE plus a cosine whose amplitude is
     at most _A2_WOBBLE times that constant, so min a2 >= (1 - _A2_WOBBLE) *
-    a2_base[0].
+    _A2_BASE[0].
     """
 
     def low_order(r):
@@ -61,7 +62,7 @@ def random_potential(rng, scale: float = 0.4, a2_base=(0.8, 1.6)) -> PotentialSp
         terms.append(Sin(r.uniform(-scale, scale), r.uniform(0.5, 2.0), r.uniform(0.0, 2.0 * math.pi)))
         return TimeFn(tuple(terms))
 
-    base = rng.uniform(*a2_base)
+    base = rng.uniform(*_A2_BASE)
     amp = rng.uniform(0.0, _A2_WOBBLE * base)
     a2 = TimeFn((Poly((base,)), Cos(amp, rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi))))
     return PotentialSpec(low_order(rng), low_order(rng), a2)
@@ -153,10 +154,10 @@ def suite_action(rng, trials: int) -> list:
     worst = 0.0
     n_dir = max(1, trials // 5)
     for direction, (coeff, fid) in liealg.FUNDAMENTAL_CORRESPONDENCE.items():
-        for s in random_phase_points(rng, n_dir):
-            got = liealg.fundamental_vf(direction, s)
-            want = tuple(coeff * c for c in liealg.vf_eval(fid, s))
-            worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
+        points = random_phase_points(rng, n_dir)
+        got = np.array([liealg.fundamental_vf(direction, s) for s in points])
+        want = coeff * liealg.fields(points)[0][:, fid - 1]
+        worst = max(worst, float(np.max(np.abs(got - want))))
     results.append(CheckResult("action.fundamental_fields", worst <= 1e-6, worst, 1e-6))
     return results
 

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# genericity threshold of the reconstruction, relative to a row's magnitude scale
+_GENERICITY_REL = 1e-12
+
+
 class PhaseTuple(NamedTuple):
     """Four phase points; copy 0 is the reconstructed/unknown slot."""
 
@@ -81,12 +85,12 @@ def constants_from_four(tup: PhaseTuple) -> Constants:
     )
 
 
-def superpose_states(states, k: Constants, eps_gen: float | None = None, ts=None) -> np.ndarray:
+def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
     """Reconstruct copy 0 from rows x1, p1, x2, p2, x3, p3 of three solutions.
 
     states is one such row (returns one (x0, p0)) or an (N, 6) array of
-    them (returns an (N, 2) array).  eps_gen is the genericity threshold;
-    by default 1e-12 times each row's magnitude scale.  The first
+    them (returns an (N, 2) array).  The genericity threshold eps_gen is
+    1e-12 times each row's magnitude scale.  The first
     offending row raises: DomainError for a momentum p >= 0,
     GenericityError when F0 or the x0 denominator is within eps_gen of
     zero, BranchError when the sqrt(-p0) bracket is not positive.  With
@@ -97,9 +101,8 @@ def superpose_states(states, k: Constants, eps_gen: float | None = None, ts=None
     mag = np.abs(cols)
     mag[1::2] = np.sqrt(mag[1::2])  # sqrt(-p) on every row that passes the momentum check
     s1, s2, s3 = mag[1::2]
-    if eps_gen is None:
-        # fmax, unlike maximum, passes over NaN magnitudes
-        eps_gen = 1e-12 * np.fmax.reduce(mag, initial=max(1.0, abs(k.k1), abs(k.k2)))
+    # fmax, unlike maximum, passes over NaN magnitudes
+    eps_gen = _GENERICITY_REL * np.fmax.reduce(mag, initial=max(1.0, abs(k.k1), abs(k.k2)))
     num = k.k1 * (s1 * x1 - s3 * x3) + k.k2 * (s2 * x2 - s1 * x1) - k.F0 * x1 * s1
     den = k.k1 * (s1 - s3) + k.k2 * (s2 - s1) - s1 * k.F0
     # F0 == 0 trips the F0 guard on every row, so no bracket is ever used then
@@ -129,10 +132,10 @@ def superpose_states(states, k: Constants, eps_gen: float | None = None, ts=None
     return np.array((num / den, -bracket * bracket)).T
 
 
-def superpose_point(xi1, xi2, xi3, k: Constants, eps_gen: float | None = None) -> PhasePoint:
+def superpose_point(xi1, xi2, xi3, k: Constants) -> PhasePoint:
     """Reconstruct copy 0 from three phase points and the constants
     (one row of `superpose_states`, with its guards and errors)."""
-    x0, p0 = superpose_states((*xi1, *xi2, *xi3), k, eps_gen)
+    x0, p0 = superpose_states((*xi1, *xi2, *xi3), k)
     return PhasePoint(float(x0), float(p0))
 
 

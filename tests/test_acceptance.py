@@ -5,7 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL lines.
 
 import numpy as np
 
-from riccati_lie import cli, liealg
+from riccati_lie import cli, liealg, suites
 from riccati_lie.errors import DomainError, GenericityError, GuardViolation, NumericError
 from riccati_lie.integrator import hamiltonian_guard, integrate, sample_at
 from riccati_lie.model import (
@@ -229,8 +229,8 @@ def test_criterion_08_group_action():
     fundamental_worst = 0.0
     for direction, (coeff, fid) in liealg.FUNDAMENTAL_CORRESPONDENCE.items():
         for s in random_phase_points(rng, 20):
-            got = np.asarray(liealg.fundamental_vf(direction, s, h=1e-5))
-            want = coeff * np.asarray(liealg.vf_eval(fid, s))
+            got = np.asarray(liealg.fundamental_vf(direction, s))
+            want = coeff * liealg.fields(s)[0][fid - 1]
             fundamental_worst = max(fundamental_worst, float(np.max(np.abs(got - want))))
 
     passed = identity_worst <= 1e-15 and compose_worst <= 1e-12 and fundamental_worst <= 1e-6
@@ -239,14 +239,16 @@ def test_criterion_08_group_action():
            f"fundamental fields {fundamental_worst:.1e} <= 1e-6")
 
 
-def test_criterion_09_coefficient_maps():
+def test_criterion_09_coefficient_maps(monkeypatch):
+    # a2's constant drawn from [1, 2], as this criterion's 0.5 floor assumes
+    monkeypatch.setattr(suites, "_A2_BASE", (1.0, 2.0))
     rng = np.random.default_rng(1009)
     grid = np.linspace(0.0, 2.0, 21)
     round_worst = 0.0
     defect_worst = 0.0
     constraint_worst = 0.0
     for _ in range(50):
-        P = random_potential(rng, scale=0.4, a2_base=(1.0, 2.0))
+        P = random_potential(rng, scale=0.4)
         assert min(P.eval(t)[2] for t in grid) >= 0.5
         R = coefficients_from_potential(P, grid)
         P2 = potential_from_coefficients(R, grid)

@@ -108,7 +108,8 @@ class TestSimulate:
             rc = cli.main(["simulate", config(CANONICAL), f"--ic={ic}",
                            "--out", str(tmp_path / "x.csv")])
             assert rc == cli.EXIT_DOMAIN, ic
-            assert len(capsys.readouterr().err.splitlines()) == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert "p <= -1e-09" in line, line
 
     def test_blowup_is_numeric_failure(self, config, tmp_path):
         # --ic=... keeps argparse from reading the leading minus as a flag

@@ -121,14 +121,14 @@ class TestIntegrate:
 
 class TestGuards:
     def test_initial_violation_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"violates the domain guard p <= -1e-09$"):
             integrate(lambda t, y: (0.0, 0.0), (0.0, (0.0, 1.0)), 1.0, 1e-8,
                       guard=hamiltonian_guard)
 
     def test_exit_reported_with_last_valid_time(self):
         # p rises linearly from -0.5 and crosses the guarded boundary at
         # t = 0.5 - 1e-9; bisection localizes the exit to ~1e-10 in t
-        with pytest.raises(GuardViolation) as excinfo:
+        with pytest.raises(GuardViolation, match="guard p <= -1e-09 violated") as excinfo:
             integrate(lambda t, y: (0.0, 1.0), (0.0, (0.0, -0.5)), 1.0, 1e-10,
                       guard=hamiltonian_guard)
         t_exit = 0.5 - 1e-9

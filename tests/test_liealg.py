@@ -15,11 +15,10 @@ from riccati_lie.liealg import (
     check_commutation_table,
     compose_subgroup,
     decompose_rhs_check,
+    fields,
     fundamental_vf,
     levi_structure_check,
     lie_bracket,
-    vf_eval,
-    vf_jacobian,
 )
 from riccati_lie.model import PhasePoint, PotentialSpec
 from riccati_lie.suites import random_phase_points, random_potential
@@ -28,42 +27,56 @@ from riccati_lie.timefn import constant
 
 class TestVectorFields:
     def test_closed_form_values(self):
-        assert vf_eval(1, PhasePoint(0.0, -1.0)) == (1.0, 0.0)
-        assert vf_eval(3, PhasePoint(2.0, -1.0)) == (2.0, 1.0)
-        assert vf_eval(5, PhasePoint(1.0, -4.0)) == (0.5, 4.0)
+        V, _ = fields(PhasePoint(0.0, -1.0))
+        assert tuple(V[0]) == (1.0, 0.0)
+        assert tuple(fields(PhasePoint(2.0, -1.0))[0][2]) == (2.0, 1.0)
+        assert tuple(fields(PhasePoint(1.0, -4.0))[0][4]) == (0.5, 4.0)
+        V, J = fields(PhasePoint(1.5, -2.0))
+        assert V.shape == (5, 2) and J.shape == (5, 2, 2)
 
     def test_momentum_domain_enforced(self):
-        for i in FIELD_IDS:
-            with pytest.raises(DomainError):
-                vf_eval(i, PhasePoint(0.0, 0.0))
-            with pytest.raises(DomainError):
-                vf_jacobian(i, PhasePoint(0.0, 1.0))
+        for bad in (PhasePoint(0.0, 0.0), PhasePoint(0.0, 1.0), PhasePoint(0.0, math.nan)):
+            with pytest.raises(DomainError, match="momentum"):
+                fields(bad)
+            for i in FIELD_IDS:
+                with pytest.raises(DomainError):
+                    lie_bracket(i, i, bad)
+        batch = [(0.0, -1.0), (1.0, 0.5), (2.0, -2.0), (3.0, 0.0)]
+        with pytest.raises(DomainError, match=r"got p=0\.5"):
+            fields(np.array(batch))
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
-            vf_eval(6, PhasePoint(0.0, -1.0))
+            lie_bracket(6, 1, PhasePoint(0.0, -1.0))
 
     def test_jacobian_closed_forms(self):
-        np.testing.assert_array_equal(vf_jacobian(2, PhasePoint(3.0, -2.0)), np.zeros((2, 2)))
+        np.testing.assert_array_equal(fields(PhasePoint(3.0, -2.0))[1][1], np.zeros((2, 2)))
         np.testing.assert_array_equal(
-            vf_jacobian(4, PhasePoint(1.0, -1.0)), [[2.0, 0.0], [2.0, -2.0]]
+            fields(PhasePoint(1.0, -1.0))[1][3], [[2.0, 0.0], [2.0, -2.0]]
         )
         np.testing.assert_array_equal(
-            vf_jacobian(1, PhasePoint(0.0, -1.0)), [[0.0, 0.5], [0.0, 0.0]]
+            fields(PhasePoint(0.0, -1.0))[1][0], [[0.0, 0.5], [0.0, 0.0]]
         )
 
     def test_jacobians_against_finite_differences(self):
         rng = np.random.default_rng(31)
         h = 1e-6
         for s in random_phase_points(rng, 30):
-            for i in FIELD_IDS:
-                J = vf_jacobian(i, s)
-                fd = np.empty((2, 2))
-                for col, (dx, dp) in enumerate(((h, 0.0), (0.0, h))):
-                    plus = vf_eval(i, PhasePoint(s.x + dx, s.p + dp))
-                    minus = vf_eval(i, PhasePoint(s.x - dx, s.p - dp))
-                    fd[:, col] = (np.array(plus) - np.array(minus)) / (2 * h)
-                np.testing.assert_allclose(J, fd, atol=1e-6)
+            J = fields(s)[1]
+            fd = np.empty((5, 2, 2))
+            for col, (dx, dp) in enumerate(((h, 0.0), (0.0, h))):
+                plus = fields(PhasePoint(s.x + dx, s.p + dp))[0]
+                minus = fields(PhasePoint(s.x - dx, s.p - dp))[0]
+                fd[:, :, col] = (plus - minus) / (2 * h)
+            np.testing.assert_allclose(J, fd, atol=1e-6)
+
+    def test_batch_equals_one_point_calls_bitwise(self):
+        points = np.array(random_phase_points(np.random.default_rng(30), 64))
+        V, J = fields(points)
+        assert V.shape == (64, 5, 2) and J.shape == (64, 5, 2, 2)
+        for n, s in enumerate(points):
+            V1, J1 = fields(s)
+            assert V1.tobytes() == V[n].tobytes() and J1.tobytes() == J[n].tobytes()
 
 
 def _numeric_bracket(F, G, s, h=1e-5):
@@ -83,8 +96,9 @@ def _numeric_bracket(F, G, s, h=1e-5):
 class TestBrackets:
     def test_table_examples(self):
         s = PhasePoint(1.0, -1.0)
-        assert lie_bracket(2, 3, s) == pytest.approx(vf_eval(2, s))
-        assert lie_bracket(2, 4, s) == pytest.approx(tuple(2 * c for c in vf_eval(3, s)))
+        V, _ = fields(s)
+        assert lie_bracket(2, 3, s) == pytest.approx(tuple(V[1]))
+        assert lie_bracket(2, 4, s) == pytest.approx(tuple(2 * V[2]))
         for s in random_phase_points(np.random.default_rng(0), 10):
             assert lie_bracket(1, 2, s) == pytest.approx((0.0, 0.0), abs=1e-15)
 
@@ -101,6 +115,10 @@ class TestBrackets:
         rng = np.random.default_rng(33)
         assert check_commutation_table(random_phase_points(rng, 100)) <= 1e-10
 
+    def test_batch_equals_worst_single_point(self):
+        points = random_phase_points(np.random.default_rng(40), 50)
+        assert check_commutation_table(points) == max(check_commutation_table([s]) for s in points)
+
     def test_single_point(self):
         assert check_commutation_table([PhasePoint(0.0, -1.0)]) <= 1e-12
 
@@ -116,7 +134,7 @@ class TestBrackets:
                 total = np.zeros(2)
                 for (i, j, k) in ((a, b, c), (b, c, a), (c, a, b)):
                     inner = lambda s_, j=j, k=k: lie_bracket(j, k, s_)
-                    outer = lambda s_, i=i: vf_eval(i, s_)
+                    outer = lambda s_, i=i: fields(s_)[0][i - 1]
                     total += _numeric_bracket(outer, inner, s)
                 np.testing.assert_allclose(total, 0.0, atol=1e-9)
 
@@ -271,8 +289,8 @@ class TestFundamentalFields:
         rng = np.random.default_rng(39)
         for direction, (coeff, fid) in FUNDAMENTAL_CORRESPONDENCE.items():
             for s in random_phase_points(rng, 20):
-                got = np.asarray(fundamental_vf(direction, s, h=1e-5))
-                want = coeff * np.asarray(vf_eval(fid, s))
+                got = np.asarray(fundamental_vf(direction, s))
+                want = coeff * fields(s)[0][fid - 1]
                 np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_unknown_direction_rejected(self):

@@ -95,10 +95,11 @@ class TestSuperposePoint:
         with pytest.raises(BranchError):
             superpose_point(XI1, XI2, XI3, Constants(2.0, 0.0, F0))
 
-    def test_genericity_threshold_configurable(self):
-        k = Constants(1.0, 2.0, 1e-6)
-        with pytest.raises(GenericityError):
-            superpose_point(XI1, XI2, XI3, k, eps_gen=1e-3)
+    def test_default_threshold_trips_on_tiny_F0(self):
+        # every magnitude at most 1: the threshold is 1e-12 itself
+        a, b, c = PhasePoint(0.0, -1.0), PhasePoint(0.5, -0.25), PhasePoint(1.0, -1.0)
+        with pytest.raises(GenericityError, match=r"\|F0\|=1e-13 <= 1e-12$"):
+            superpose_point(a, b, c, Constants(1.0, -0.5, 1e-13))
 
     def test_inverse_property_random_tuples(self):
         rng = np.random.default_rng(52)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riccati_lie.errors import DomainError, TimeFnSyntaxError
 from riccati_lie.timefn import (
@@ -29,6 +31,19 @@ def random_timefn(rng, scale=0.8):
     if rng.uniform() < 0.5:
         terms.append(Exp(rng.uniform(-scale, scale), rng.uniform(-1.0, 1.0)))
     return TimeFn(tuple(terms))
+
+
+# every finite double; the edges are also drawn on purpose
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+          1.7976931348623157e308, -1.7976931348623157e308)
+_reals = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGES))
+_terms = st.one_of(
+    st.builds(lambda cs: Poly(tuple(cs)), st.lists(_reals, min_size=1, max_size=4)),
+    st.builds(Sin, _reals, _reals, _reals),
+    st.builds(Cos, _reals, _reals, _reals),
+    st.builds(Exp, _reals, _reals),
+)
+_timefns = st.builds(lambda ts: TimeFn(tuple(ts)), st.lists(_terms, min_size=1, max_size=6))
 
 
 class TestEval:
@@ -134,6 +149,14 @@ class TestParser:
         for _ in range(50):
             f = random_timefn(rng)
             assert parse_timefn(render_timefn(f)) == f
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_timefns)
+    @example(TimeFn((Poly((5e-324, -0.0, 1.7976931348623157e308)), Exp(-1e308, 2.2250738585072014e-308))))
+    def test_roundtrip_property(self, f):
+        text = render_timefn(f)
+        assert parse_timefn(text) == f
+        assert render_timefn(parse_timefn(text)) == text  # the sign of a zero survives too
 
 
 class TestProperties:
