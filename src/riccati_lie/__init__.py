@@ -23,7 +23,7 @@ from .liealg import (
     GroupElement,
     act,
     check_commutation_table,
-    compose_subgroup,
+    compose,
     decompose_rhs_check,
     fields,
     fundamental_vf,

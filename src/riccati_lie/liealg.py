@@ -12,7 +12,8 @@ which close on a five-dimensional algebra; the Hamiltonian dynamics of the
 package decomposes as X1 - a0(t) X2 - a1(t) X3 - a2(t) X4 at every time.
 The span of {X2, X3, X4} is a subalgebra of sl(2)-type and {X1, X5} an
 abelian ideal, matching the semidirect group R^2 x| SL(2, R) whose action
-on O is implemented by `act`.
+on O, affine in (x sqrt(-p), sqrt(-p)), is `act` and whose group law is
+`compose`.
 
 `fields` writes the five closed forms and their hand-derived Jacobians
 once, as arrays over any number of points; everything else here reads
@@ -40,7 +41,7 @@ __all__ = [
     "levi_structure_check",
     "decompose_rhs_check",
     "act",
-    "compose_subgroup",
+    "compose",
     "fundamental_vf",
 ]
 
@@ -196,75 +197,45 @@ class GroupElement:
             raise ValueError(f"A must be unimodular, det A = {det}")
         object.__setattr__(self, "A", A)
 
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls(0.0, 0.0, np.eye(2))
-
-    @classmethod
-    def translation(cls, lambda1: float, lambda5: float) -> "GroupElement":
-        return cls(float(lambda1), float(lambda5), np.eye(2))
-
-    @classmethod
-    def special_linear(cls, A) -> "GroupElement":
-        return cls(0.0, 0.0, A)
-
-    def is_translation(self) -> bool:
-        return bool(np.all(np.abs(self.A - np.eye(2)) <= _UNIMODULAR_TOL))
-
-    def is_special_linear(self) -> bool:
-        return abs(self.lambda1) <= _UNIMODULAR_TOL and abs(self.lambda5) <= _UNIMODULAR_TOL
-
 
 def act(g: GroupElement, s) -> PhasePoint:
     """Action of g on the half-plane O.
 
-    With xb = (alpha x + beta)/(gamma x + delta) and
-    pb = p (gamma x + delta)^2, returns
-    ((sqrt(-pb) xb - lambda1)/(sqrt(-pb) + lambda5), -(sqrt(-pb) + lambda5)^2).
+    In (u, sigma) = (x sqrt(-p), sqrt(-p)) the action is affine:
+    (u, sigma) -> A (u, sigma) + (-lambda1, lambda5).  Defined where the
+    new sigma is positive; returns (u/sigma, -sigma^2).
     """
     x, p = s
-    _momentum_root(p)  # DomainError off the half-plane
-    alpha, beta = g.A[0]
-    gamma, delta = g.A[1]
-    den = gamma * x + delta
-    if den == 0.0:
-        raise DomainError(f"action singular at x={x}: gamma*x + delta = 0")
-    xb = (alpha * x + beta) / den
-    pb = p * den * den
-    root = math.sqrt(-pb) + g.lambda5
-    if not root > 0.0:
-        raise DomainError(
-            f"action leaves the p<0 orbit: sqrt(-pb) + lambda5 = {root} <= 0"
-        )
-    return PhasePoint((math.sqrt(-pb) * xb - g.lambda1) / root, -root * root)
+    sigma = _momentum_root(p)  # DomainError off the half-plane
+    u = x * sigma
+    # Python floats: unpacking numpy scalars costs more than the map itself
+    (alpha, beta), (gamma, delta) = g.A.tolist()
+    u, sigma = alpha * u + beta * sigma - g.lambda1, gamma * u + delta * sigma + g.lambda5
+    if not sigma > 0.0:
+        raise DomainError(f"action leaves the p<0 orbit: sigma = {sigma} <= 0")
+    return PhasePoint(u / sigma, -sigma * sigma)
 
 
-def compose_subgroup(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """Composition within either distinguished subgroup.
+def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
+    """The group law: act(compose(g1, g2), s) = act(g1, act(g2, s)).
 
-    Translations add; SL(2) elements multiply.  Mixed arguments are
-    outside the contract and rejected.
+    With tau = (-lambda1, lambda5), returns (A1 A2, A1 tau2 + tau1).
     """
-    if g1.is_translation() and g2.is_translation():
-        return GroupElement.translation(g1.lambda1 + g2.lambda1, g1.lambda5 + g2.lambda5)
-    if g1.is_special_linear() and g2.is_special_linear():
-        return GroupElement.special_linear(g1.A @ g2.A)
-    raise ValueError(
-        "compose_subgroup needs both elements pure translation or both pure SL(2)"
-    )
+    tau1, tau5 = (g1.A @ (-g2.lambda1, g2.lambda5)).tolist()
+    return GroupElement(g1.lambda1 - tau1, g1.lambda5 + tau5, g1.A @ g2.A)
 
 
 def _one_parameter_family(direction: str, s: float) -> GroupElement:
     if direction == "lambda1":
-        return GroupElement.translation(s, 0.0)
+        return GroupElement(s, 0.0)
     if direction == "lambda5":
-        return GroupElement.translation(0.0, s)
+        return GroupElement(0.0, s)
     if direction == "beta":
-        return GroupElement.special_linear(np.array([[1.0, s], [0.0, 1.0]]))
+        return GroupElement(0.0, 0.0, np.array([[1.0, s], [0.0, 1.0]]))
     if direction == "gamma":
-        return GroupElement.special_linear(np.array([[1.0, 0.0], [s, 1.0]]))
+        return GroupElement(0.0, 0.0, np.array([[1.0, 0.0], [s, 1.0]]))
     if direction == "diag":
-        return GroupElement.special_linear(np.diag([math.exp(s), math.exp(-s)]))
+        return GroupElement(0.0, 0.0, np.diag([math.exp(s), math.exp(-s)]))
     raise ValueError(
         f"direction must be one of lambda1, lambda5, beta, gamma, diag; got {direction!r}"
     )

@@ -338,6 +338,17 @@ class TestVerify:
         assert "PASS brackets.commutation_table" in out
         assert "FAIL" not in out
 
+    def test_action_suite_checks(self, config, capsys):
+        rc = cli.main(["verify", "action", config(CANONICAL)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            ["PASS", "action.identity"],
+            ["PASS", "action.composition"],
+            ["PASS", "action.fundamental_fields"],
+        ]
+        assert lines[-1] == "3/3 checks passed"
+
     def test_all_suites_pass(self, config, capsys):
         rc = cli.main(["verify", "all", config(CANONICAL), "--trials", "30"])
         out = capsys.readouterr().out

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_lie.errors import DomainError
 from riccati_lie.liealg import (
@@ -13,7 +15,7 @@ from riccati_lie.liealg import (
     GroupElement,
     act,
     check_commutation_table,
-    compose_subgroup,
+    compose,
     decompose_rhs_check,
     fields,
     fundamental_vf,
@@ -21,7 +23,7 @@ from riccati_lie.liealg import (
     lie_bracket,
 )
 from riccati_lie.model import PhasePoint, PotentialSpec
-from riccati_lie.suites import random_phase_points, random_potential
+from riccati_lie.suites import _random_element, random_phase_points, random_potential
 from riccati_lie.timefn import constant
 
 
@@ -174,6 +176,9 @@ class TestDecomposition:
             assert res <= 1e-14 * (1.0 + max(abs(s.x), abs(s.p)))
 
 
+ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
 class TestGroupElement:
     def test_unimodularity_enforced(self):
         with pytest.raises(ValueError):
@@ -183,30 +188,27 @@ class TestGroupElement:
         with pytest.raises(ValueError):
             GroupElement(0.0, 0.0, np.eye(3))
 
-    def test_constructors(self):
-        assert GroupElement.identity().is_translation()
-        assert GroupElement.identity().is_special_linear()
-        g = GroupElement.translation(1.0, 2.0)
-        assert g.is_translation() and not g.is_special_linear()
-        g = GroupElement.special_linear(np.array([[2.0, 0.0], [0.0, 0.5]]))
-        assert g.is_special_linear() and not g.is_translation()
+    def test_matrix_defaults_to_identity(self):
+        g = GroupElement(1.0, 2.0)
+        assert (g.lambda1, g.lambda5) == (1.0, 2.0)
+        np.testing.assert_array_equal(g.A, np.eye(2))
 
 
 class TestAction:
     def test_identity_axiom(self):
         rng = np.random.default_rng(36)
-        e = GroupElement.identity()
+        e = GroupElement(0.0, 0.0)
         for s in random_phase_points(rng, 50):
             moved = act(e, s)
             assert moved.x == pytest.approx(s.x, rel=1e-15, abs=1e-15)
             assert moved.p == pytest.approx(s.p, rel=1e-15)
 
     def test_translation_example(self):
-        moved = act(GroupElement.translation(1.0, 0.0), PhasePoint(0.0, -1.0))
+        moved = act(GroupElement(1.0, 0.0), PhasePoint(0.0, -1.0))
         assert moved == PhasePoint(-1.0, -1.0)
 
     def test_dilation_example(self):
-        g = GroupElement.special_linear(np.diag([2.0, 0.5]))
+        g = GroupElement(0.0, 0.0, np.diag([2.0, 0.5]))
         moved = act(g, PhasePoint(1.0, -1.0))
         assert moved.x == pytest.approx(4.0, rel=1e-15)
         assert moved.p == pytest.approx(-0.25, rel=1e-15)
@@ -214,62 +216,105 @@ class TestAction:
     def test_result_stays_in_half_plane(self):
         rng = np.random.default_rng(37)
         for s in random_phase_points(rng, 50):
-            g = GroupElement.translation(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.4))
+            g = GroupElement(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.4))
             assert act(g, s).p < 0.0
 
     def test_singular_fraction_rejected(self):
-        g = GroupElement.special_linear(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        with pytest.raises(DomainError, match="gamma"):
+        # where gamma x + delta = 0 the new sigma is lambda5 alone
+        g = GroupElement(0.0, 0.0, ROTATION)
+        with pytest.raises(DomainError, match="orbit"):
             act(g, PhasePoint(0.0, -1.0))
 
     def test_orbit_exit_rejected(self):
         with pytest.raises(DomainError, match="orbit"):
-            act(GroupElement.translation(0.0, -10.0), PhasePoint(0.0, -1.0))
+            act(GroupElement(0.0, -10.0), PhasePoint(0.0, -1.0))
 
     def test_nonnegative_momentum_rejected(self):
         with pytest.raises(DomainError):
-            act(GroupElement.identity(), PhasePoint(0.0, 0.5))
+            act(GroupElement(0.0, 0.0), PhasePoint(0.0, 0.5))
+
+    def test_affine_convention_negative_identity(self):
+        # (u, sigma) = (0.5, 1) -> (-0.5, -1) + (0, 3) = (-0.5, 2)
+        moved = act(GroupElement(0.0, 3.0, -np.eye(2)), PhasePoint(0.5, -1.0))
+        assert moved == PhasePoint(-0.25, -4.0)
+
+    def test_affine_convention_through_the_pole(self):
+        # gamma x + delta = 0 at x = 0; (u, sigma) = (0, 1) -> (-1, 0) + (0, 1)
+        moved = act(GroupElement(0.0, 1.0, ROTATION), PhasePoint(0.0, -1.0))
+        assert moved == PhasePoint(-1.0, -1.0)
 
 
-class TestComposeSubgroup:
+def _unimodular(shear_u, shear_l, log_dilation):
+    upper = np.array([[1.0, shear_u], [0.0, 1.0]])
+    lower = np.array([[1.0, 0.0], [shear_l, 1.0]])
+    return upper @ lower @ np.diag([math.exp(log_dilation), math.exp(-log_dilation)])
+
+
+def _affine(q):
+    """(u, sigma) = (x sqrt(-p), sqrt(-p)), where the action is affine."""
+    sigma = math.sqrt(-q.p)
+    return np.array([q.x * sigma, sigma])
+
+
+_elements = st.builds(
+    lambda l1, l5, b, c, d: GroupElement(l1, l5, _unimodular(b, c, d)),
+    *[st.floats(-1.0, 1.0)] * 2, *[st.floats(-2.0, 2.0)] * 3,
+)
+
+
+class TestCompose:
     def test_translations_add(self):
-        g = compose_subgroup(GroupElement.translation(1.0, 0.0), GroupElement.translation(2.0, 3.0))
+        g = compose(GroupElement(1.0, 0.0), GroupElement(2.0, 3.0))
         assert (g.lambda1, g.lambda5) == (3.0, 3.0)
-        assert g.is_translation()
+        np.testing.assert_array_equal(g.A, np.eye(2))
 
-    def test_special_linear_identity(self):
-        A = np.array([[1.0, 0.5], [0.0, 1.0]])
-        g = compose_subgroup(GroupElement.special_linear(A), GroupElement.identity())
-        np.testing.assert_array_equal(g.A, A)
+    def test_matrices_multiply(self):
+        A, B = np.array([[1.0, 0.5], [0.0, 1.0]]), np.diag([2.0, 0.5])
+        g = compose(GroupElement(0.0, 0.0, A), GroupElement(0.0, 0.0, B))
+        assert (g.lambda1, g.lambda5) == (0.0, 0.0)
+        np.testing.assert_array_equal(g.A, A @ B)
 
-    def test_mixed_elements_rejected(self):
-        with pytest.raises(ValueError):
-            compose_subgroup(GroupElement.translation(1.0, 0.0),
-                             GroupElement.special_linear(np.diag([2.0, 0.5])))
+    def test_mixed_example(self):
+        # tau = (-lambda1, lambda5): A1 tau2 + tau1 = diag(2, 1/2) (0, 1) + (-1, 0)
+        g1 = GroupElement(1.0, 0.0, np.diag([2.0, 0.5]))
+        g2 = GroupElement(0.0, 1.0, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        g = compose(g1, g2)
+        assert (g.lambda1, g.lambda5) == (1.0, 0.5)
+        np.testing.assert_array_equal(g.A, [[2.0, 2.0], [0.0, 0.5]])
+        # (u, sigma) = (0.5, 1) -> (1.5, 2) under g2 -> (2, 1) under g1
+        s = PhasePoint(0.5, -1.0)
+        assert act(g2, s) == PhasePoint(0.75, -4.0)
+        assert act(g, s) == act(g1, act(g2, s)) == PhasePoint(2.0, -1.0)
 
     def test_action_morphism_property(self):
         rng = np.random.default_rng(38)
         checked = 0
         while checked < 50:
             s = random_phase_points(rng, 1)[0]
-            if rng.uniform() < 0.5:
-                g1 = GroupElement.translation(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.4))
-                g2 = GroupElement.translation(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.4))
-            else:
-                th = rng.uniform(-0.4, 0.4, 2)
-                g1 = GroupElement.special_linear(
-                    np.array([[math.cos(th[0]), -math.sin(th[0])], [math.sin(th[0]), math.cos(th[0])]])
-                )
-                g2 = GroupElement.special_linear(np.diag([math.exp(th[1]), math.exp(-th[1])]))
+            g1, g2 = _random_element(rng), _random_element(rng)
             try:
-                once = act(compose_subgroup(g1, g2), s)
+                once = act(compose(g1, g2), s)
                 twice = act(g1, act(g2, s))
-            except (DomainError, ValueError):
+            except DomainError:
                 continue
             scale = max(1.0, abs(once.x), abs(once.p))
             assert abs(once.x - twice.x) <= 1e-12 * scale
             assert abs(once.p - twice.p) <= 1e-12 * scale
             checked += 1
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-4.0, -0.25), _elements, _elements)
+    def test_group_law_property(self, x, p, g1, g2):
+        s = PhasePoint(x, p)
+        try:
+            once = act(compose(g1, g2), s)
+            twice = act(g1, act(g2, s))
+        except DomainError:
+            return
+        # size of the affine terms: |A1| (|A2| |xi| + |tau2|) + |tau1|
+        tau1, tau2 = (np.abs([g.lambda1, g.lambda5]) for g in (g1, g2))
+        size = np.abs(g1.A) @ (np.abs(g2.A) @ np.abs(_affine(s)) + tau2) + tau1
+        assert np.all(np.abs(_affine(once) - _affine(twice)) <= 1e-14 * size)
 
 
 class TestFundamentalFields:

@@ -9,6 +9,7 @@ to 1e-7 relative to max(1, |reference|).
 import numpy as np
 import pytest
 
+from riccati_lie import suites
 from riccati_lie.errors import GuardViolation, NumericError
 from riccati_lie.integrator import hamiltonian_guard, integrate, sample_at
 from riccati_lie.model import (
@@ -33,7 +34,9 @@ def solved():
     rng = np.random.default_rng(1105)
     out = {"hamiltonian": [], "riccati2": []}
     while len(out["hamiltonian"]) < 6:
-        P = random_potential(rng, scale=0.3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(suites, "_LOW_ORDER_AMP", 0.3)
+            P = random_potential(rng)
         s0 = PhasePoint(float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-2.0, -0.5)))
         problems = {
             "hamiltonian": (hamiltonian_field(P), tuple(s0), hamiltonian_guard),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from riccati_lie import suites
 from riccati_lie.errors import BranchError, DomainError, GenericityError
 from riccati_lie.integrator import hamiltonian_guard, integrate, sample_at
 from riccati_lie.model import PhasePoint, PotentialSpec, hamiltonian_field
@@ -244,11 +245,12 @@ class TestSuperposeTrajectory:
 
 
 class TestConservationRandom:
-    def test_random_scenario(self):
+    def test_random_scenario(self, monkeypatch):
+        monkeypatch.setattr(suites, "_LOW_ORDER_AMP", 0.3)
         rng = np.random.default_rng(54)
         from riccati_lie.suites import draw_surviving_solutions
 
-        P = random_potential(rng, scale=0.3)
+        P = random_potential(rng)
         trajs = draw_surviving_solutions(P, 0.0, 2.0, 1e-10, rng, 4)
         grid = np.linspace(0.0, 2.0, 21)
         pts = lambda t: [PhasePoint(*sample_at(tr, t)) for tr in trajs]
