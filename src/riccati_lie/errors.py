@@ -48,11 +48,11 @@ class GuardViolation(DomainError):
 
 
 class GenericityError(RiccatiLieError):
-    """Superposition-rule genericity guard tripped (F0 or a denominator ~ 0)."""
+    """Superposition-rule genericity guard tripped (F0 ~ 0)."""
 
 
 class BranchError(GenericityError):
-    """No branch-compatible reconstruction: the sqrt(-p0) bracket is <= 0."""
+    """No branch-compatible reconstruction: sigma0, the sqrt(-p0) bracket, is <= 0."""
 
 
 class NumericError(RiccatiLieError):

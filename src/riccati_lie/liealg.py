@@ -22,13 +22,12 @@ them from it.  Bracket convention: [X, Y]^i = X^j d_j Y^i - Y^j d_j X^i.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .model import PhasePoint, _LastTime, _momentum_root, hamilton_rhs
+from .model import PhasePoint, _from_affine, _LastTime, _to_affine, hamilton_rhs
 
 __all__ = [
     "FIELD_IDS",
@@ -68,6 +67,15 @@ FUNDAMENTAL_CORRESPONDENCE = {
     "diag": (2.0, 3),
 }
 
+# subgroup direction -> rows (m | tau) of its generator: d(u, sigma)/ds = m (u, sigma) + tau
+_GENERATORS = {
+    "lambda1": ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0)),  # GroupElement(s, 0)
+    "lambda5": ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),  # GroupElement(0, s)
+    "beta": ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0)),  # A = [[1, s], [0, 1]]
+    "gamma": ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),  # A = [[1, 0], [s, 1]]
+    "diag": ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0)),  # A = diag(e^s, e^-s)
+}
+
 
 def fields(points) -> tuple:
     """The five fields at one (x, p) point, or at each row of an (N, 2) array.
@@ -77,10 +85,7 @@ def fields(points) -> tuple:
     i - 1.  A momentum p >= 0 raises DomainError naming the first one.
     """
     x, p = np.asarray(points, dtype=float).T
-    inside = p < 0
-    if not inside.all():
-        _momentum_root(float(np.ravel(p)[np.argmin(np.ravel(inside))]))
-    r = np.sqrt(-p)
+    _, r = _to_affine(x, p)
     # libm pow whatever the shape (np.power may take a SIMD path on arrays),
     # so one point and a batch give the same bits
     r3 = np.float_power(r, 3)
@@ -205,15 +210,13 @@ def act(g: GroupElement, s) -> PhasePoint:
     (u, sigma) -> A (u, sigma) + (-lambda1, lambda5).  Defined where the
     new sigma is positive; returns (u/sigma, -sigma^2).
     """
-    x, p = s
-    sigma = _momentum_root(p)  # DomainError off the half-plane
-    u = x * sigma
+    u, sigma = _to_affine(*s)  # DomainError off the half-plane
     # Python floats: unpacking numpy scalars costs more than the map itself
     (alpha, beta), (gamma, delta) = g.A.tolist()
     u, sigma = alpha * u + beta * sigma - g.lambda1, gamma * u + delta * sigma + g.lambda5
     if not sigma > 0.0:
         raise DomainError(f"action leaves the p<0 orbit: sigma = {sigma} <= 0")
-    return PhasePoint(u / sigma, -sigma * sigma)
+    return PhasePoint(*_from_affine(u, sigma))
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -225,29 +228,15 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     return GroupElement(g1.lambda1 - tau1, g1.lambda5 + tau5, g1.A @ g2.A)
 
 
-def _one_parameter_family(direction: str, s: float) -> GroupElement:
-    if direction == "lambda1":
-        return GroupElement(s, 0.0)
-    if direction == "lambda5":
-        return GroupElement(0.0, s)
-    if direction == "beta":
-        return GroupElement(0.0, 0.0, np.array([[1.0, s], [0.0, 1.0]]))
-    if direction == "gamma":
-        return GroupElement(0.0, 0.0, np.array([[1.0, 0.0], [s, 1.0]]))
-    if direction == "diag":
-        return GroupElement(0.0, 0.0, np.diag([math.exp(s), math.exp(-s)]))
-    raise ValueError(
-        f"direction must be one of lambda1, lambda5, beta, gamma, diag; got {direction!r}"
-    )
-
-
-_FD_STEP = 1e-5  # group-parameter step of fundamental_vf's central difference
-
-
-def fundamental_vf(direction: str, s) -> tuple:
-    """Central finite difference of the action along a one-parameter
-    subgroup; the derived correspondences are in FUNDAMENTAL_CORRESPONDENCE."""
-    h = _FD_STEP
-    plus = act(_one_parameter_family(direction, h), s)
-    minus = act(_one_parameter_family(direction, -h), s)
-    return ((plus.x - minus.x) / (2.0 * h), (plus.p - minus.p) / (2.0 * h))
+def fundamental_vf(direction: str, points) -> np.ndarray:
+    """Fundamental field of a one-parameter subgroup at one (x, p) point, shape
+    (2,), or at each row of an (N, 2) array, shape (N, 2): the generator in
+    _GENERATORS moves (u, sigma) with velocity (du, dsigma), which x = u/sigma
+    and p = -sigma^2 push forward to ((du - x dsigma)/sigma, -2 sigma dsigma).
+    FUNDAMENTAL_CORRESPONDENCE lists the fields of the five directions."""
+    if direction not in _GENERATORS:
+        raise ValueError(f"direction must be one of {', '.join(_GENERATORS)}; got {direction!r}")
+    x, p = np.asarray(points, dtype=float).T
+    u, sigma = _to_affine(x, p)
+    du, dsigma = (a * u + b * sigma + c for a, b, c in _GENERATORS[direction])
+    return np.stack(((du - x * dsigma) / sigma, -2.0 * sigma * dsigma), axis=-1)

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError
 from .timefn import Jet, JetFn, TimeFn
 
@@ -165,6 +167,24 @@ def _momentum_root(p) -> float:
     if not p < 0:
         raise DomainError(f"momentum must be negative (half-plane O), got p={p}")
     return math.sqrt(-p)
+
+
+def _to_affine(x, p):
+    """(u, sigma) = (x sqrt(-p), sqrt(-p)) of floats or of arrays of one shape,
+    the chart of O in which the group R^2 x| SL(2, R) acts affinely and the
+    superposition rule is affine; DomainError names the first p >= 0 (or NaN)."""
+    if isinstance(p, np.ndarray):
+        if not (p < 0).all():
+            _momentum_root(float(p.flat[np.argmin(p < 0)]))
+        sigma = np.sqrt(-p)
+    else:
+        sigma = _momentum_root(p)
+    return x * sigma, sigma
+
+
+def _from_affine(u, sigma):
+    """(x, p) = (u/sigma, -sigma^2): the inverse of `_to_affine` on sigma > 0."""
+    return u / sigma, -sigma * sigma
 
 
 def eval_U(P: JetFn, t: float, x: float):

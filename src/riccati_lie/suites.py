@@ -159,10 +159,10 @@ def suite_action(rng, trials: int) -> list:
     n_dir = max(1, trials // 5)
     for direction, (coeff, fid) in liealg.FUNDAMENTAL_CORRESPONDENCE.items():
         points = random_phase_points(rng, n_dir)
-        got = np.array([liealg.fundamental_vf(direction, s) for s in points])
+        got = liealg.fundamental_vf(direction, points)
         want = coeff * liealg.fields(points)[0][:, fid - 1]
         worst = max(worst, float(np.max(np.abs(got - want))))
-    results.append(CheckResult("action.fundamental_fields", worst <= 1e-6, worst, 1e-6))
+    results.append(CheckResult("action.fundamental_fields", worst <= 1e-12, worst, 1e-12))
     return results
 
 

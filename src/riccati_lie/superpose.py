@@ -1,22 +1,21 @@
 """First integrals on four phase-plane copies and the superposition rule.
 
-With s_i = sqrt(-p_i), the three conserved quantities are the cyclic sums
+Both are affine algebra in the chart xi = (u, sigma) = (x sqrt(-p), sqrt(-p))
+of the half-plane O, where `liealg.act` is affine.  The three conserved
+quantities, in (x, p) the paper's cyclic sums (xa-xb) sa sb + (xb-xc) sb sc
++ (xc-xa) sc sa with s = sqrt(-p), are twice signed triangle areas:
 
-    F0 = (x1-x2) s1 s2 + (x2-x3) s2 s3 + (x3-x1) s3 s1     (copies 1..3)
-    F1 = same shape over copies (0, 1, 2)
-    F2 = same shape over copies (0, 1, 3)
+    F0 = det(xi2 - xi1, xi3 - xi1)     (copies 1..3)
+    F1 = det(xi1 - xi0, xi2 - xi0)     (copies 0, 1, 2)
+    F2 = det(xi1 - xi0, xi3 - xi0)     (copies 0, 1, 3)
 
-Products sqrt(p_i p_j) are always evaluated as s_i s_j, which fixes the
-branch on the half-plane p < 0.  Setting F1 = k1 and F2 = k2 and solving
-for copy 0 yields the closed-form reconstruction implemented on arrays by
-`superpose_states`; with Gamma(i, j) = s_i x_i - s_j x_j,
+Setting F1 = k1 and F2 = k2 and solving for copy 0 yields the rule that
+`superpose_states` applies to arrays, an affine combination of the known copies
 
-    x0 = [k1 G(1,3) + k2 G(2,1) - F0 x1 s1]
-         / [k1 (s1 - s3) + k2 (s2 - s1) - s1 F0]
-    p0 = -[ (k1/F0)(s3 - s1) + (k2/F0)(s1 - s2) + s1 ]^2
+    xi0 = xi1 + (k1/F0)(xi3 - xi1) - (k2/F0)(xi2 - xi1),  (x0, p0) = (u0/sigma0, -sigma0^2),
 
-valid on the open set where F0 and the x0 denominator stay away from zero
-and the bracketed root is positive.
+valid where F0 stays away from zero and sigma0 > 0.  The paper's x0 divides
+by k1 (s1 - s3) + k2 (s2 - s1) - s1 F0 = -F0 sigma0, which needs no guard.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BranchError, GenericityError, RiccatiLieError
+from .errors import BranchError, DomainError, GenericityError
 from .integrator import Trajectory, sample_at
-from .model import PhasePoint, _momentum_root
+from .model import PhasePoint, _from_affine, _momentum_root, _to_affine
 
 __all__ = [
     "PhaseTuple",
@@ -64,15 +63,12 @@ class Constants:
 
 
 def cyclic_integral(a, b, c) -> float:
-    """(xa - xb) sa sb + (xb - xc) sb sc + (xc - xa) sc sa with s = sqrt(-p).
-
-    The three first integrals are this sum over different copies:
-    F0 = cyclic_integral(xi1, xi2, xi3), F1 = cyclic_integral(xi0, xi1, xi2)
-    and F2 = cyclic_integral(xi0, xi1, xi3).
-    """
-    (xa, pa), (xb, pb), (xc, pc) = a, b, c
-    sa, sb, sc = _momentum_root(pa), _momentum_root(pb), _momentum_root(pc)
-    return (xa - xb) * sa * sb + (xb - xc) * sb * sc + (xc - xa) * sc * sa
+    """det(xi_b - xi_a, xi_c - xi_a) over the chart points xi = (u, sigma) of
+    the (x, p) points a, b, c; DomainError for a p >= 0.  The first integrals
+    are F0 = cyclic_integral(xi1, xi2, xi3), F1 = cyclic_integral(xi0, xi1,
+    xi2) and F2 = cyclic_integral(xi0, xi1, xi3)."""
+    (ua, sa), (ub, sb), (uc, sc) = _to_affine(*a), _to_affine(*b), _to_affine(*c)
+    return (ub - ua) * (sc - sa) - (sb - sa) * (uc - ua)
 
 
 def constants_from_four(tup: PhaseTuple) -> Constants:
@@ -89,47 +85,41 @@ def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
     """Reconstruct copy 0 from rows x1, p1, x2, p2, x3, p3 of three solutions.
 
     states is one such row (returns one (x0, p0)) or an (N, 6) array of
-    them (returns an (N, 2) array).  The genericity threshold eps_gen is
-    1e-12 times each row's magnitude scale.  The first
-    offending row raises: DomainError for a momentum p >= 0,
-    GenericityError when F0 or the x0 denominator is within eps_gen of
-    zero, BranchError when the sqrt(-p0) bracket is not positive.  With
-    the row times ts given, the message names the time of that row.
+    them (returns an (N, 2) array).  A momentum p >= 0 raises DomainError;
+    then two guards apply, with eps_gen 1e-12 times each row's magnitude
+    scale: GenericityError when |F0| <= eps_gen and BranchError when sigma0,
+    the sqrt(-p0) bracket, is not positive.  The first offending row raises;
+    with the row times ts given, the message names its time.
     """
     cols = np.asarray(states, dtype=float).T  # a single row unpacks to scalars, which is fast
-    x1, p1, x2, p2, x3, p3 = cols
-    mag = np.abs(cols)
-    mag[1::2] = np.sqrt(mag[1::2])  # sqrt(-p) on every row that passes the momentum check
-    s1, s2, s3 = mag[1::2]
+    x, p = cols[0::2], cols[1::2]
+    on_plane = p < 0
+    # a copy off O gets sigma = 1, not a sqrt of a negative; the momentum check reports it
+    (u1, s1), (u2, s2), (u3, s3) = map(_to_affine, x, np.where(on_plane, p, -1.0))
     # fmax, unlike maximum, passes over NaN magnitudes
-    eps_gen = _GENERICITY_REL * np.fmax.reduce(mag, initial=max(1.0, abs(k.k1), abs(k.k2)))
-    num = k.k1 * (s1 * x1 - s3 * x3) + k.k2 * (s2 * x2 - s1 * x1) - k.F0 * x1 * s1
-    den = k.k1 * (s1 - s3) + k.k2 * (s2 - s1) - s1 * k.F0
-    # F0 == 0 trips the F0 guard on every row, so no bracket is ever used then
+    eps_gen = _GENERICITY_REL * np.fmax.reduce(np.abs((*x, s1, s2, s3)),
+                                               initial=max(1.0, abs(k.k1), abs(k.k2)))
+    # F0 == 0 trips the F0 guard on every row, so the weights are never used then
     k1_F0, k2_F0 = (k.k1 / k.F0, k.k2 / k.F0) if k.F0 else (np.nan, np.nan)
-    bracket = k1_F0 * (s3 - s1) + k2_F0 * (s1 - s2) + s1
-    fault = (~(p1 < 0) | ~(p2 < 0) | ~(p3 < 0) | (abs(k.F0) <= eps_gen) | (abs(den) <= eps_gen)
-             | ~(bracket > 0.0))
+    u0 = u1 + k1_F0 * (u3 - u1) - k2_F0 * (u2 - u1)
+    sigma0 = s1 + k1_F0 * (s3 - s1) - k2_F0 * (s2 - s1)
+    fault = ~(on_plane.all(axis=0) & (abs(k.F0) > eps_gen) & (sigma0 > 0.0))
     if np.count_nonzero(fault):
         row = int(np.argmax(fault))
 
         def at(v):
             return np.broadcast_to(v, np.shape(fault)).flat[row]
 
+        where = "" if ts is None else f"at t={ts[row]}: "
         try:
-            for p in (p1, p2, p3):
-                _momentum_root(at(p))
-            eps = at(eps_gen)
-            if abs(k.F0) <= eps:
-                raise GenericityError(f"degenerate configuration: |F0|={abs(k.F0)} <= {eps}")
-            if abs(at(den)) <= eps:
-                raise GenericityError(f"degenerate configuration: |x0 denominator|={abs(at(den))} <= {eps}")
-            raise BranchError(f"no p<0 reconstruction: sqrt(-p0) bracket = {at(bracket)} <= 0")
-        except RiccatiLieError as exc:
-            if ts is None:
-                raise
-            raise type(exc)(f"at t={ts[row]}: {exc}") from exc
-    return np.array((num / den, -bracket * bracket)).T
+            for p_copy in p:
+                _momentum_root(at(p_copy))
+        except DomainError as exc:
+            raise DomainError(where + str(exc)) from exc
+        if abs(k.F0) <= at(eps_gen):
+            raise GenericityError(f"{where}degenerate configuration: |F0|={abs(k.F0)} <= {at(eps_gen)}")
+        raise BranchError(f"{where}no p<0 reconstruction: sqrt(-p0) bracket = {at(sigma0)} <= 0")
+    return np.array(_from_affine(u0, sigma0)).T
 
 
 def superpose_point(xi1, xi2, xi3, k: Constants) -> PhasePoint:

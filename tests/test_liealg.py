@@ -320,15 +320,15 @@ class TestCompose:
 class TestFundamentalFields:
     def test_translation_direction_examples(self):
         got = fundamental_vf("lambda1", PhasePoint(0.0, -1.0))
-        assert got == pytest.approx((-1.0, 0.0), abs=1e-6)
+        assert got == pytest.approx((-1.0, 0.0), abs=1e-12)
 
     def test_shear_direction_example(self):
         got = fundamental_vf("beta", PhasePoint(1.0, -1.0))
-        assert got == pytest.approx((1.0, 0.0), abs=1e-6)
+        assert got == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_dilation_direction_example(self):
         got = fundamental_vf("diag", PhasePoint(1.0, -1.0))
-        assert got == pytest.approx((2.0, 2.0), abs=1e-6)
+        assert got == pytest.approx((2.0, 2.0), abs=1e-12)
 
     def test_all_correspondences_at_random_points(self):
         rng = np.random.default_rng(39)
@@ -336,7 +336,7 @@ class TestFundamentalFields:
             for s in random_phase_points(rng, 20):
                 got = np.asarray(fundamental_vf(direction, s))
                 want = coeff * fields(s)[0][fid - 1]
-                np.testing.assert_allclose(got, want, atol=1e-6)
+                np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_lie import suites
 from riccati_lie.errors import BranchError, DomainError, GenericityError
@@ -96,6 +98,14 @@ class TestSuperposePoint:
         with pytest.raises(BranchError):
             superpose_point(XI1, XI2, XI3, Constants(2.0, 0.0, F0))
 
+    def test_tiny_sigma0_is_not_a_genericity_fault(self):
+        # as above with k1 = 1 - 2**-43: sigma0 = 2**-43, so |F0| sigma0 = 2**-42
+        # is below eps_gen = 3e-12.  That product is the paper's x0 denominator,
+        # which is no guard of its own: |F0| clears its guard and sigma0 > 0
+        F0 = cyclic_integral(XI1, XI2, XI3)
+        rec = superpose_point(XI1, XI2, XI3, Constants(1.0 - 2.0**-43, 0.0, F0))
+        assert rec == pytest.approx((4.0 - 3.0 * 2.0**43, -(2.0**-86)), rel=1e-15)
+
     def test_default_threshold_trips_on_tiny_F0(self):
         # every magnitude at most 1: the threshold is 1e-12 itself
         a, b, c = PhasePoint(0.0, -1.0), PhasePoint(0.5, -0.25), PhasePoint(1.0, -1.0)
@@ -117,6 +127,27 @@ class TestSuperposePoint:
             assert abs(rec.p - xi0.p) <= 1e-9 * scale
             checked += 1
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-4.0, -0.25)),
+                    min_size=4, max_size=4))
+    def test_inversion_property(self, points):
+        xi0, xi1, xi2, xi3 = (PhasePoint(x, p) for x, p in points)
+        k = constants_from_four(PhaseTuple(xi0, xi1, xi2, xi3))
+        try:
+            rec = superpose_point(xi1, xi2, xi3, k)
+        except GenericityError:
+            return
+        z0, z1, z2, z3 = map(_affine, (xi0, xi1, xi2, xi3))
+        # rec = xi1 + (k1/F0)(xi3 - xi1) - (k2/F0)(xi2 - xi1) in (u, sigma), and
+        # each weight k/F0 carries the rounding of its two determinants, which is
+        # relative to their unsigned terms S: to first order eps (S_k + |k/F0| S0)/|F0|.
+        # The worst error seen is 0.66 eps times this size; the bound is 9 eps
+        S0, S1, S2 = _det_terms(z1, z2, z3), _det_terms(z0, z1, z2), _det_terms(z0, z1, z3)
+        w1 = (S1 + abs(k.k1 / k.F0) * S0) / abs(k.F0)
+        w2 = (S2 + abs(k.k2 / k.F0) * S0) / abs(k.F0)
+        size = np.abs(z1) + w1 * (np.abs(z3) + np.abs(z1)) + w2 * (np.abs(z2) + np.abs(z1))
+        assert np.all(np.abs(_affine(rec) - z0) <= 2e-15 * size)
+
     def test_recovered_constants_match(self):
         rng = np.random.default_rng(53)
         for _ in range(50):
@@ -132,12 +163,26 @@ class TestSuperposePoint:
             assert back.k2 == pytest.approx(k.k2, rel=1e-9, abs=1e-9)
 
 
+def _affine(q):
+    """(u, sigma) = (x sqrt(-p), sqrt(-p)), where the rule is affine."""
+    sigma = math.sqrt(-q.p)
+    return np.array([q.x * sigma, sigma])
+
+
+def _det_terms(a, b, c):
+    """|(b - a)_u (c - a)_sigma| + |(b - a)_sigma (c - a)_u|: the size of the
+    two products whose difference is det(b - a, c - a)."""
+    (bu, bs), (cu, cs) = np.abs(b - a), np.abs(c - a)
+    return bu * cs + bs * cu
+
+
 def _rows(*triples):
     return np.array([[*a, *b, *c] for a, b, c in triples])
 
 
 def _reference_point(xi1, xi2, xi3, k):
-    """The rule in plain float arithmetic, guards left out."""
+    """The rule in the paper's (x, p) closed form, in plain float
+    arithmetic, guards left out."""
     (x1, p1), (x2, p2), (x3, p3) = xi1, xi2, xi3
     s1, s2, s3 = math.sqrt(-p1), math.sqrt(-p2), math.sqrt(-p3)
     num = k.k1 * (s1 * x1 - s3 * x3) + k.k2 * (s2 * x2 - s1 * x1) - k.F0 * x1 * s1
@@ -153,9 +198,13 @@ class TestSuperposeStates:
         k = constants_from_four(PhaseTuple(*(PhasePoint(*tr.states[0]) for tr in trajs)))
         rows = np.hstack([sample_at(tr, grid) for tr in trajs[1:]])
         points = [[PhasePoint(float(x), float(p)) for x, p in row.reshape(3, 2)] for row in rows]
+        got = superpose_states(rows, k)
+        np.testing.assert_array_equal([superpose_point(*pts, k) for pts in points], got)
+        # the library applies the rule in (u, sigma), the reference in (x, p):
+        # they agree to 6.7e-16 relative to max(1, |x0|, |p0|) on these rows
         want = np.array([_reference_point(*pts, k) for pts in points])
-        np.testing.assert_array_equal(superpose_states(rows, k), want)
-        np.testing.assert_array_equal([superpose_point(*pts, k) for pts in points], want)
+        scale = np.maximum(1.0, np.max(np.abs(want), axis=1, keepdims=True))
+        assert np.all(np.abs(got - want) <= 2e-15 * scale)
 
     def test_first_offending_row_sets_the_error(self):
         F0 = cyclic_integral(XI1, XI2, XI3)

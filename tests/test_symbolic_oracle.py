@@ -5,6 +5,10 @@ U = a0(t) + a1(t) x + a2(t) x^2 for undefined functions a_i(t), without
 reading the package's formulas.  Random potentials are then substituted
 and the symbolic coefficients and their time derivatives are evaluated
 at 40 digits, against the package's jet maps in both directions.
+
+The superposition rule is checked the same way: sympy proves, over
+symbols x_i and s_i = sqrt(-p_i) > 0, that the chart (u, s) = (x s, s)
+the package applies the rule in gives the paper's (x, p) formulas.
 """
 
 import numpy as np
@@ -96,3 +100,57 @@ def test_inverse_map_recovers_potential(seed):
         for time in TIMES:
             assert_close(back.eval(time, k), want(k, time), f"potential order {k} at t={time}")
 
+
+
+XS = sympy.symbols("x0:4", real=True)
+SS = sympy.symbols("s0:4", positive=True)
+K1, K2 = sympy.symbols("k1 k2", real=True)
+F0 = sympy.symbols("F0", nonzero=True)
+
+
+def chart(i):
+    """Copy i in the chart (u, sigma) = (x sqrt(-p), sqrt(-p))."""
+    return sympy.Matrix([XS[i] * SS[i], SS[i]])
+
+
+def det(a, b, c):
+    """det(b - a, c - a): twice the signed area of the triangle abc."""
+    return sympy.Matrix.hstack(b - a, c - a).det()
+
+
+def paper_rule():
+    """The paper's (x0, p0) and the denominator of its x0."""
+    (x1, x2, x3), (s1, s2, s3) = XS[1:], SS[1:]
+    num = K1 * (s1 * x1 - s3 * x3) + K2 * (s2 * x2 - s1 * x1) - F0 * x1 * s1
+    den = K1 * (s1 - s3) + K2 * (s2 - s1) - s1 * F0
+    bracket = (K1 / F0) * (s3 - s1) + (K2 / F0) * (s1 - s2) + s1
+    return num / den, -bracket**2, den
+
+
+def affine_rule():
+    """xi0 = xi1 + (k1/F0)(xi3 - xi1) - (k2/F0)(xi2 - xi1), as the package applies it."""
+    xi1, xi2, xi3 = chart(1), chart(2), chart(3)
+    return xi1 + (K1 / F0) * (xi3 - xi1) - (K2 / F0) * (xi2 - xi1)
+
+
+def test_cyclic_sum_is_the_chart_determinant():
+    (x1, x2, x3), (s1, s2, s3) = XS[1:], SS[1:]
+    cyclic = (x1 - x2) * s1 * s2 + (x2 - x3) * s2 * s3 + (x3 - x1) * s3 * s1
+    assert sympy.expand(cyclic - det(chart(1), chart(2), chart(3))) == 0
+
+
+def test_x0_denominator_is_minus_F0_sigma0():
+    _, _, den = paper_rule()
+    sigma0 = affine_rule()[1]
+    assert sympy.simplify(den + F0 * sigma0) == 0
+
+
+def test_affine_rule_is_the_paper_rule():
+    x0, p0, _ = paper_rule()
+    u0, sigma0 = affine_rule()
+    assert sympy.simplify(u0 / sigma0 - x0) == 0
+    assert sympy.simplify(-sigma0**2 - p0) == 0
+    # and it solves F1 = k1, F2 = k2 when F0 is the determinant of copies 1..3
+    xi0 = affine_rule().subs(F0, det(chart(1), chart(2), chart(3)))
+    assert sympy.simplify(det(xi0, chart(1), chart(2)) - K1) == 0
+    assert sympy.simplify(det(xi0, chart(1), chart(3)) - K2) == 0
