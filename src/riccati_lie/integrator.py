@@ -103,10 +103,6 @@ class Trajectory:
     coeffs: np.ndarray | None = None
 
     @property
-    def t0(self) -> float:
-        return float(self.ts[0])
-
-    @property
     def t_end(self) -> float:
         return float(self.ts[-1])
 

@@ -326,9 +326,7 @@ class _LastTime:
     def __init__(self, picture: JetFn):
         self.picture, self._t, self._values = picture, None, None
 
-    def eval(self, t, order=0):
-        if order:
-            return self.picture.eval(t, order)
+    def eval(self, t):
         if t != self._t or not t:
             self._t, self._values = t, self.picture.eval(t)
         return self._values

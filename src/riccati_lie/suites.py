@@ -170,9 +170,8 @@ def suite_integrals(P, t0, t1, tol, rng) -> list:
     """Drift of F0, F1, F2 along four simultaneously integrated solutions."""
     trajs = draw_surviving_solutions(P, t0, t1, tol, rng, 4)
     grid = np.linspace(t0, t1, _CHECK_GRID)
-    states = np.hstack([sample_at(tr, grid) for tr in trajs])
-    consts = [superpose.constants_from_four(superpose.PhaseTuple(*row.reshape(4, 2))) for row in states]
-    values = np.array([(k.F0, k.k1, k.k2) for k in consts])
+    k = superpose.constants_from_four([sample_at(tr, grid).T for tr in trajs])
+    values = np.column_stack((k.F0, k.k1, k.k2))
     start, drift = values[0], np.max(np.abs(values - values[0]), axis=0)
     results = []
     for j, name in enumerate(("F0", "F1", "F2")):

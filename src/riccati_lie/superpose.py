@@ -62,23 +62,25 @@ class Constants:
     F0: float
 
 
+def _area(xa, xb, xc):
+    """det(xb - xa, xc - xa) of three chart points (u, sigma)."""
+    (ua, sa), (ub, sb), (uc, sc) = xa, xb, xc
+    return (ub - ua) * (sc - sa) - (sb - sa) * (uc - ua)
+
+
 def cyclic_integral(a, b, c) -> float:
     """det(xi_b - xi_a, xi_c - xi_a) over the chart points xi = (u, sigma) of
     the (x, p) points a, b, c; DomainError for a p >= 0.  The first integrals
     are F0 = cyclic_integral(xi1, xi2, xi3), F1 = cyclic_integral(xi0, xi1,
     xi2) and F2 = cyclic_integral(xi0, xi1, xi3)."""
-    (ua, sa), (ub, sb), (uc, sc) = _to_affine(*a), _to_affine(*b), _to_affine(*c)
-    return (ub - ua) * (sc - sa) - (sb - sa) * (uc - ua)
+    return _area(_to_affine(*a), _to_affine(*b), _to_affine(*c))
 
 
 def constants_from_four(tup: PhaseTuple) -> Constants:
-    """Extract (k1, k2, F0) from a full four-copy configuration."""
-    xi0, xi1, xi2, xi3 = tup
-    return Constants(
-        k1=cyclic_integral(xi0, xi1, xi2),
-        k2=cyclic_integral(xi0, xi1, xi3),
-        F0=cyclic_integral(xi1, xi2, xi3),
-    )
+    """Extract (k1, k2, F0) from a full four-copy configuration: four (x, p)
+    pairs of floats, or of arrays of one shape, which give arrays of constants."""
+    xi0, xi1, xi2, xi3 = (_to_affine(*copy) for copy in tup)
+    return Constants(k1=_area(xi0, xi1, xi2), k2=_area(xi0, xi1, xi3), F0=_area(xi1, xi2, xi3))
 
 
 def superpose_states(states, k: Constants, ts=None) -> np.ndarray:

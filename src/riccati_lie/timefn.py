@@ -22,16 +22,16 @@ Text grammar for configuration files::
              | "cos"  real real real   A cos(ω t + φ)
              | "exp"  real real        A e^{k t}
 
-Tokens are whitespace-separated; reals may use decimal or scientific
-notation.
+The grammar is read off the term classes: each has a `keyword`, and a
+fixed-arity term takes one number per dataclass field.  Tokens are
+whitespace-separated; reals may use decimal or scientific notation.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import astuple, dataclass, fields
 
 from .errors import DomainError, TimeFnSyntaxError
 
@@ -55,6 +55,8 @@ class Poly:
     """Polynomial term Σ coeffs[k] t^k."""
 
     coeffs: tuple
+
+    keyword = "poly"
 
     def eval(self, t, order=0):
         acc = 0.0
@@ -101,10 +103,13 @@ class _Trig:
 class Sin(_Trig):
     """A sin(ω t + φ)."""
 
+    keyword = "sin"
+
 
 class Cos(_Trig):
     """A cos(ω t + φ): a sine a quarter turn ahead."""
 
+    keyword = "cos"
     quarter_turns = 1
 
 
@@ -115,14 +120,13 @@ class Exp:
     amp: float
     rate: float
 
+    keyword = "exp"
+
     def eval(self, t, order=0):
         return self.amp * self.rate**order * math.exp(self.rate * t)
 
     def slope_bound(self, t0, t1):
         return abs(self.amp * self.rate) * math.exp(max(self.rate * t0, self.rate * t1))
-
-
-Term = Union[Poly, Sin, Cos, Exp]
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ def constant(value) -> TimeFn:
 
 # --- grammar ------------------------------------------------------------
 
-_KEYWORDS = ("poly", "sin", "cos", "exp")
+_TERMS = {cls.keyword: cls for cls in (Poly, Sin, Cos, Exp)}
 
 
 def parse_timefn(text: str) -> TimeFn:
@@ -166,7 +170,8 @@ def parse_timefn(text: str) -> TimeFn:
         if not tokens:
             raise TimeFnSyntaxError("empty term", offset)
         (keyword, kw_pos), arg_tokens = tokens[0], tokens[1:]
-        if keyword not in _KEYWORDS:
+        cls = _TERMS.get(keyword)
+        if cls is None:
             raise TimeFnSyntaxError(f"unknown term keyword {keyword!r}", kw_pos)
         values = []
         for tok, tok_pos in arg_tokens:
@@ -174,18 +179,14 @@ def parse_timefn(text: str) -> TimeFn:
                 values.append(float(tok))
             except ValueError:
                 raise TimeFnSyntaxError(f"expected a number, got {tok!r}", tok_pos) from None
-        if keyword == "poly":
+        if cls is Poly:
             if not values:
                 raise TimeFnSyntaxError("poly needs at least one coefficient", kw_pos)
-            terms.append(Poly(tuple(values)))
-        elif keyword in ("sin", "cos"):
-            if len(values) != 3:
-                raise TimeFnSyntaxError(f"{keyword} takes exactly 3 numbers, got {len(values)}", kw_pos)
-            terms.append((Sin if keyword == "sin" else Cos)(*values))
-        else:
-            if len(values) != 2:
-                raise TimeFnSyntaxError(f"exp takes exactly 2 numbers, got {len(values)}", kw_pos)
-            terms.append(Exp(*values))
+            values = [tuple(values)]
+        elif len(values) != len(fields(cls)):
+            raise TimeFnSyntaxError(f"{keyword} takes exactly {len(fields(cls))} numbers, "
+                                    f"got {len(values)}", kw_pos)
+        terms.append(cls(*values))
         offset += len(piece) + 1
     return TimeFn(tuple(terms))
 
@@ -202,16 +203,8 @@ def render_timefn(f: TimeFn) -> str:
     """Canonical text form; parse_timefn(render_timefn(f)) == f."""
     parts = []
     for term in f.terms:
-        if isinstance(term, Poly):
-            parts.append("poly " + " ".join(_fmt(c) for c in term.coeffs))
-        elif isinstance(term, Sin):
-            parts.append(f"sin {_fmt(term.amp)} {_fmt(term.omega)} {_fmt(term.phase)}")
-        elif isinstance(term, Cos):
-            parts.append(f"cos {_fmt(term.amp)} {_fmt(term.omega)} {_fmt(term.phase)}")
-        elif isinstance(term, Exp):
-            parts.append(f"exp {_fmt(term.amp)} {_fmt(term.rate)}")
-        else:
-            raise TypeError(f"unknown term type {type(term).__name__}")
+        numbers = term.coeffs if isinstance(term, Poly) else astuple(term)
+        parts.append(term.keyword + " " + " ".join(_fmt(x) for x in numbers))
     return "; ".join(parts)
 
 

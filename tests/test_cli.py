@@ -413,12 +413,43 @@ class TestConfigErrors:
         assert rc == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("key, value", [("t1", "inf"), ("t0", "-inf"), ("step", "nan"), ("tol", "inf"),
-                                            ("seed", "1.5"), ("seed", "-1"), ("tol", "1e-10%")])
-    def test_nonfinite_run_values(self, config, key, value):
+                                            ("seed", "1.5"), ("seed", "-1"), ("tol", "1e-10%"),
+                                            ("step", "0"), ("step", "-0.01"), ("tol", "0"),
+                                            ("tol", "-1e-10")])
+    def test_nonfinite_run_values(self, config, capsys, key, value):
         text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
                          for line in CANONICAL.splitlines())
         rc = cli.main(["derive", config(text)])
         assert rc == cli.EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: [run] {key} ")
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing_coefficient", "missing [potential] a1"),
+        ("non_numeric_ic", "expected two finite numbers, got 'zero,-1'"),
+        ("header_only_table", "needs a header and at least one row"),
+        ("ragged_row", ":3: expected 7 cells, got 4"),
+        ("no_constants", "need either --k1/--k2 or --fourth-ic"),
+    ])
+    def test_bad_input_is_one_config_error_line(self, config, tmp_path, capsys, case, message):
+        cfg = config(CANONICAL)
+        out = str(tmp_path / "x.csv")
+        header = "t,x1,p1,x2,p2,x3,p3\n"
+        row = "0.0,0.0,-0.25,0.3,-1.0,-0.2,-0.8\n"
+        table = tmp_path / "three.csv"
+        table.write_text({"header_only_table": header,
+                          "ragged_row": header + row + "0.01,0.0,-0.25,0.3\n"}.get(case, header + row))
+        superpose = ["superpose", cfg, "--sols", str(table), "--out", out]
+        argv = {
+            "missing_coefficient": ["derive", config(CANONICAL.replace("a1 = poly 0\n", ""), "a.ini")],
+            "non_numeric_ic": ["simulate", cfg, "--ic=zero,-1", "--out", out],
+            "header_only_table": superpose + ["--k1", "0", "--k2", "0"],
+            "ragged_row": superpose + ["--k1", "0", "--k2", "0"],
+            "no_constants": superpose,
+        }[case]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and message in line, line
 
     def test_unwritable_output(self, config, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "x.csv"

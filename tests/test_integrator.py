@@ -113,6 +113,33 @@ class TestIntegrate:
             assert type(y) is tuple and len(y) == 2
             assert type(y[0]) is float and type(y[1]) is float
 
+    def test_no_step_growth_right_after_a_rejection(self):
+        # a forcing that jumps at t = 0.5 makes error control reject steps; the
+        # trial step sizes are recovered from the stage times the RHS sees:
+        # each trial makes six calls, the fifth at t + h, and a trial was
+        # accepted when that time is a trajectory node
+        times = []
+
+        def rhs(t, y):
+            times.append(t)
+            return (0.0 if t < 0.5 else 50.0), -y[1]
+
+        traj = integrate(rhs, (0.0, (1.0, 1.0)), 1.0, 1e-8)
+        nodes = set(traj.ts.tolist())
+        trials, start = [], 0.0
+        for stage5 in times[5::6]:
+            accepted = stage5 in nodes
+            trials.append((stage5 - start, accepted))
+            start = stage5 if accepted else start
+        assert traj.stats.n_rejected > 0
+        assert len(trials) == traj.stats.n_accepted + traj.stats.n_rejected
+        after_rejection = [(h, h_next)
+                           for (_, ok_prev), (h, ok), (h_next, _) in zip(trials, trials[1:], trials[2:])
+                           if ok and not ok_prev]
+        assert after_rejection
+        for h, h_next in after_rejection:
+            assert h_next <= h * (1.0 + 1e-9)
+
     def test_state_must_be_two_dimensional(self):
         for y0 in ((1.0, -1.0, 0.5), (1.0,), ((1.0, -1.0),)):
             with pytest.raises(ValueError):

@@ -9,14 +9,24 @@ at 40 digits, against the package's jet maps in both directions.
 The superposition rule is checked the same way: sympy proves, over
 symbols x_i and s_i = sqrt(-p_i) > 0, that the chart (u, s) = (x s, s)
 the package applies the rule in gives the paper's (x, p) formulas.
+
+The Taylor-jet arithmetic under both maps is checked on its own: jet
+products, quotients, square roots and derivatives of random time functions
+against the Taylor coefficients sympy differentiates out of F G, F / G,
+sqrt(G) and F'.
 """
+
+import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_lie.model import coefficients_from_potential, potential_from_coefficients
 from riccati_lie.suites import random_potential
-from riccati_lie.timefn import Cos, Exp, Poly, Sin
+from riccati_lie.timefn import Cos, Exp, Jet, Poly, Sin, TimeFn
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -154,3 +164,67 @@ def test_affine_rule_is_the_paper_rule():
     xi0 = affine_rule().subs(F0, det(chart(1), chart(2), chart(3)))
     assert sympy.simplify(det(xi0, chart(1), chart(2)) - K1) == 0
     assert sympy.simplify(det(xi0, chart(1), chart(3)) - K2) == 0
+
+
+# --- Taylor jets ------------------------------------------------------------
+
+JET_ORDER = 4  # highest jet order drawn
+JET_BOUND = 1e-12  # relative to the largest Taylor coefficient of the result, or 1
+
+# one term of each kind, their numbers as symbols: the time functions drawn below
+NUMBERS = sympy.symbols("c0:4 A_s w_s phi_s A_c w_c phi_c A_e k_e")
+GENERIC = (sum(c * t**k for k, c in enumerate(NUMBERS[:4]))
+           + NUMBERS[4] * sympy.sin(NUMBERS[5] * t + NUMBERS[6])
+           + NUMBERS[7] * sympy.cos(NUMBERS[8] * t + NUMBERS[9])
+           + NUMBERS[10] * sympy.exp(NUMBERS[11] * t))
+# d^j GENERIC / dt^j for j = 0 .. JET_ORDER + 1, as one mpmath function of (t, numbers)
+GENERIC_DERIVATIVES = sympy.lambdify([t, NUMBERS], [GENERIC.diff(t, j) for j in range(JET_ORDER + 2)],
+                                     "mpmath")
+
+F, G = sympy.Function("F")(t), sympy.Function("G")(t)
+JET_OPS = {"mul": F * G, "div": F / G, "sqrt": sympy.sqrt(G), "derivative": F.diff(t)}
+
+
+@functools.lru_cache(maxsize=None)
+def taylor_rule(op, n):
+    """The Taylor coefficients 0..n of JET_OPS[op] at a point, as an mpmath
+    function of the derivative lists (F, F', ...) and (G, G', ...) there."""
+    fs, gs = sympy.symbols(f"f0:{n + 2}"), sympy.symbols(f"g0:{n + 2}")
+    names = {F: fs[0], G: gs[0]}
+    for j in range(1, n + 2):
+        names[F.diff(t, j)], names[G.diff(t, j)] = fs[j], gs[j]
+    coeffs = [(JET_OPS[op].diff(t, k) / sympy.factorial(k)).xreplace(names) for k in range(n + 1)]
+    return sympy.lambdify([fs, gs], coeffs, "mpmath")
+
+
+def generic_timefn(numbers):
+    return TimeFn((Poly(numbers[:4]), Sin(*numbers[4:7]), Cos(*numbers[7:10]), Exp(*numbers[10:])))
+
+
+_amp, _freq, _phase = st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.floats(-math.pi, math.pi)
+_numbers = st.tuples(_amp, _amp, _amp, _amp, _amp, _freq, _phase, _amp, _freq, _phase, _amp,
+                     st.floats(-1.5, 1.5))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_numbers, _numbers, st.floats(-1.5, 1.5), st.integers(0, JET_ORDER))
+def test_jet_arithmetic_matches_sympy_taylor_coefficients(f_numbers, g_numbers, t0, n):
+    # shift g's constant so that g(t0) >= 0.5: it divides, and it has a root
+    g_numbers = (g_numbers[0] + 0.5 + abs(generic_timefn(g_numbers).eval(t0)),) + g_numbers[1:]
+    f_jet, g_jet = Jet.of(generic_timefn(f_numbers), t0, n), Jet.of(generic_timefn(g_numbers), t0, n)
+    results = {"mul": f_jet * g_jet, "div": f_jet / g_jet, "sqrt": g_jet.sqrt(),
+               "derivative": f_jet.derivative()}
+    with mpmath.workdps(40):
+        f_derivs, g_derivs = (GENERIC_DERIVATIVES(mpmath.mpf(t0), [mpmath.mpf(v) for v in numbers])
+                              for numbers in (f_numbers, g_numbers))
+        for op, jet in results.items():
+            m = len(jet.coeffs) - 1
+            if m < 0:
+                continue  # the derivative of an order-0 jet is empty
+            want = [float(w) for w in taylor_rule(op, m)(f_derivs[:m + 2], g_derivs[:m + 2])]
+            err = max(abs(got - w) for got, w in zip(jet.coeffs, want))
+            assert err <= JET_BOUND * max(1.0, *map(abs, want)), (op, jet.coeffs, want)
+    # a divisor that vanishes at the point has no quotient jet
+    for zero in (0.0, -0.0):
+        with pytest.raises(ZeroDivisionError, match="vanishing at the point"):
+            f_jet / Jet((zero, *g_jet.coeffs[1:]))
