@@ -56,4 +56,5 @@ class BranchError(GenericityError):
 
 
 class NumericError(RiccatiLieError):
-    """Numeric failure during integration: step-size underflow or blow-up."""
+    """Numeric failure: step-size underflow or blow-up during integration,
+    or overflow evaluating a time function."""

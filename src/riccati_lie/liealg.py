@@ -169,17 +169,21 @@ def levi_structure_check() -> dict:
     }
 
 
-def decompose_rhs_check(P, t: float, s) -> float:
-    """Residual of the decomposition of the Hamiltonian RHS into fields:
-    max component of |rhs - (X1 - a0 X2 - a1 X3 - a2 X4)| at (t, s).
-    The RHS and the decomposition share one evaluation of the potential."""
-    x, p = s
+def decompose_rhs_check(P, ts, points):
+    """Residual of the decomposition of the Hamiltonian RHS into fields, max
+    component of |rhs - (X1 - a0 X2 - a1 X3 - a2 X4)|, at a time t and (x, p)
+    point, or per row of (N,) times and (N, 2) points.  The RHS and the
+    decomposition share one evaluation of the potential per time; a
+    coefficient that is not finite gives a NaN or inf residual, not a warning."""
     P = _LastTime(P)
-    rhs = np.asarray(hamilton_rhs(P, t, PhasePoint(x, p)))
-    a0, a1, a2 = P.eval(t)
-    V, _ = fields(s)
-    combo = V[0] - a0 * V[1] - a1 * V[2] - a2 * V[3]
-    return float(np.max(np.abs(rhs - combo)))
+    times, rows = np.ravel(ts).tolist(), np.reshape(points, (-1, 2)).tolist()
+    # per time, the RHS and then the coefficients it read: (dx, dp, a0, a1, a2)
+    table = np.array([hamilton_rhs(P, t, s) + P.eval(t) for t, s in zip(times, rows)])
+    rhs, (a0, a1, a2) = table[:, :2], table[:, 2:, None].swapaxes(0, 1)
+    V, _ = fields(rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        combo = V[:, 0] - a0 * V[:, 1] - a1 * V[:, 2] - a2 * V[:, 3]
+        return np.max(np.abs(rhs - combo), axis=-1).reshape(np.shape(ts))[()]
 
 
 _UNIMODULAR_TOL = 1e-12
@@ -203,20 +207,23 @@ class GroupElement:
         object.__setattr__(self, "A", A)
 
 
-def act(g: GroupElement, s) -> PhasePoint:
-    """Action of g on the half-plane O.
+def act(g: GroupElement, points):
+    """Action of g on the half-plane O, at one (x, p) point, returning a
+    PhasePoint, or at each row of an (N, 2) numpy array, returning an (N, 2) array.
 
     In (u, sigma) = (x sqrt(-p), sqrt(-p)) the action is affine:
-    (u, sigma) -> A (u, sigma) + (-lambda1, lambda5).  Defined where the
+    (u, sigma) -> A (u, sigma) + (-lambda1, lambda5).  Defined where every
     new sigma is positive; returns (u/sigma, -sigma^2).
     """
-    u, sigma = _to_affine(*s)  # DomainError off the half-plane
+    batch = isinstance(points, np.ndarray) and points.ndim == 2
+    u, sigma = _to_affine(*(points.T if batch else points))  # DomainError off O
     # Python floats: unpacking numpy scalars costs more than the map itself
     (alpha, beta), (gamma, delta) = g.A.tolist()
     u, sigma = alpha * u + beta * sigma - g.lambda1, gamma * u + delta * sigma + g.lambda5
-    if not sigma > 0.0:
-        raise DomainError(f"action leaves the p<0 orbit: sigma = {sigma} <= 0")
-    return PhasePoint(*_from_affine(u, sigma))
+    if not (np.all(sigma > 0.0) if batch else sigma > 0.0):
+        raise DomainError(f"action leaves the p<0 orbit: sigma = {np.min(sigma)} <= 0")
+    x, p = _from_affine(u, sigma)
+    return np.stack((x, p), axis=-1) if batch else PhasePoint(x, p)
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:

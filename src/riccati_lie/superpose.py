@@ -87,11 +87,12 @@ def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
     """Reconstruct copy 0 from rows x1, p1, x2, p2, x3, p3 of three solutions.
 
     states is one such row (returns one (x0, p0)) or an (N, 6) array of
-    them (returns an (N, 2) array).  A momentum p >= 0 raises DomainError;
-    then two guards apply, with eps_gen 1e-12 times each row's magnitude
-    scale: GenericityError when |F0| <= eps_gen and BranchError when sigma0,
-    the sqrt(-p0) bracket, is not positive.  The first offending row raises;
-    with the row times ts given, the message names its time.
+    them (returns an (N, 2) array); each constant in k is a number or one
+    per row.  A momentum p >= 0 raises DomainError; then two guards apply,
+    with eps_gen 1e-12 times each row's magnitude scale: GenericityError
+    when |F0| <= eps_gen and BranchError when sigma0, the sqrt(-p0)
+    bracket, is not positive.  The first offending row raises; with the
+    row times ts given, the message names its time.
     """
     cols = np.asarray(states, dtype=float).T  # a single row unpacks to scalars, which is fast
     x, p = cols[0::2], cols[1::2]
@@ -99,10 +100,11 @@ def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
     # a copy off O gets sigma = 1, not a sqrt of a negative; the momentum check reports it
     (u1, s1), (u2, s2), (u3, s3) = map(_to_affine, x, np.where(on_plane, p, -1.0))
     # fmax, unlike maximum, passes over NaN magnitudes
-    eps_gen = _GENERICITY_REL * np.fmax.reduce(np.abs((*x, s1, s2, s3)),
-                                               initial=max(1.0, abs(k.k1), abs(k.k2)))
-    # F0 == 0 trips the F0 guard on every row, so the weights are never used then
-    k1_F0, k2_F0 = (k.k1 / k.F0, k.k2 / k.F0) if k.F0 else (np.nan, np.nan)
+    eps_gen = _GENERICITY_REL * np.fmax.reduce(np.abs(np.broadcast_arrays(*x, s1, s2, s3, k.k1, k.k2)),
+                                               initial=1.0)
+    # F0 == 0 trips the F0 guard on its rows, so the NaN weights there are never used
+    F0 = np.where(k.F0, k.F0, np.nan)
+    k1_F0, k2_F0 = k.k1 / F0, k.k2 / F0
     u0 = u1 + k1_F0 * (u3 - u1) - k2_F0 * (u2 - u1)
     sigma0 = s1 + k1_F0 * (s3 - s1) - k2_F0 * (s2 - s1)
     fault = ~(on_plane.all(axis=0) & (abs(k.F0) > eps_gen) & (sigma0 > 0.0))
@@ -118,8 +120,8 @@ def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
                 _momentum_root(at(p_copy))
         except DomainError as exc:
             raise DomainError(where + str(exc)) from exc
-        if abs(k.F0) <= at(eps_gen):
-            raise GenericityError(f"{where}degenerate configuration: |F0|={abs(k.F0)} <= {at(eps_gen)}")
+        if abs(at(k.F0)) <= at(eps_gen):
+            raise GenericityError(f"{where}degenerate configuration: |F0|={abs(at(k.F0))} <= {at(eps_gen)}")
         raise BranchError(f"{where}no p<0 reconstruction: sqrt(-p0) bracket = {at(sigma0)} <= 0")
     return np.array(_from_affine(u0, sigma0)).T
 

@@ -24,7 +24,8 @@ Text grammar for configuration files::
 
 The grammar is read off the term classes: each has a `keyword`, and a
 fixed-arity term takes one number per dataclass field.  Tokens are
-whitespace-separated; reals may use decimal or scientific notation.
+whitespace-separated; reals may use decimal or scientific notation, and
+must be finite.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import re
 from dataclasses import astuple, dataclass, fields
 
-from .errors import DomainError, TimeFnSyntaxError
+from .errors import DomainError, NumericError, TimeFnSyntaxError
 
 __all__ = [
     "Poly",
@@ -136,10 +137,15 @@ class TimeFn:
     terms: tuple
 
     def eval(self, t, order=0):
-        """Value (order=0) or exact order-th derivative at time t."""
+        """Value (order=0) or exact order-th derivative at time t; NumericError
+        where a term or the sum overflows the float range."""
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        return math.fsum([term.eval(t, order) for term in self.terms])
+        try:
+            return math.fsum([term.eval(t, order) for term in self.terms])
+        # ValueError: math.sin of an argument, or math.fsum of terms, that overflowed to inf
+        except (OverflowError, ValueError):
+            raise NumericError(f"overflow evaluating a time function at t={t}") from None
 
     def slope_bound(self, t0, t1):
         """An upper bound of |f'| on [t0, t1], from each term's closed-form derivative."""
@@ -179,6 +185,8 @@ def parse_timefn(text: str) -> TimeFn:
                 values.append(float(tok))
             except ValueError:
                 raise TimeFnSyntaxError(f"expected a number, got {tok!r}", tok_pos) from None
+            if not math.isfinite(values[-1]):
+                raise TimeFnSyntaxError(f"expected a finite number, got {tok!r}", tok_pos)
         if cls is Poly:
             if not values:
                 raise TimeFnSyntaxError("poly needs at least one coefficient", kw_pos)

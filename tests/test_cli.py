@@ -1,5 +1,10 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -365,6 +370,14 @@ class TestVerify:
         assert rc == cli.EXIT_FAIL
         assert "FAIL brackets.commutation_table" in out
 
+    def test_nan_residual_fails(self, config, capsys):
+        # a0 = 1e308 (1 + t) overflows to inf for t > 0.797..., and the RHS with it
+        rc = cli.main(["verify", "brackets", config(CANONICAL.replace("a0 = poly 0", "a0 = poly 1e308 1e308")),
+                       "--trials", "20"])
+        out = capsys.readouterr().out
+        assert rc == cli.EXIT_FAIL
+        assert "FAIL brackets.rhs_decomposition residual=nan threshold=1.000e-14" in out.splitlines()
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_a_config_error(self, config, capsys, trials):
         rc = cli.main(["verify", "brackets", config(CANONICAL), "--trials", trials])
@@ -461,3 +474,38 @@ class TestConfigErrors:
         codes = {cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_CONFIG, cli.EXIT_DOMAIN,
                  cli.EXIT_GENERICITY, cli.EXIT_NUMERIC}
         assert len(codes) == 6
+
+
+class TestEntryPoint:
+    """The installed entry point, `python -m riccati_lie.cli`, in a fresh process."""
+
+    @pytest.mark.parametrize("a0, argv, rc, message", [
+        pytest.param("poly 0", ["derive", "CONFIG"], cli.EXIT_OK, None, id="canonical-derive"),
+        pytest.param("poly nan", ["simulate", "CONFIG", "--ic=0,-1", "--out", "x.csv"], cli.EXIT_CONFIG,
+                     "config error: expected a finite number, got 'nan' (at position 5)", id="nan-simulate"),
+        pytest.param("poly nan", ["derive", "CONFIG"], cli.EXIT_CONFIG,
+                     "config error: expected a finite number", id="nan-derive"),
+        pytest.param("poly nan", ["verify", "brackets", "CONFIG"], cli.EXIT_CONFIG,
+                     "config error: expected a finite number", id="nan-verify"),
+        pytest.param("exp 1 800", ["derive", "CONFIG"], cli.EXIT_NUMERIC,
+                     "numeric failure: overflow evaluating a time function at t=", id="overflow-derive"),
+        pytest.param("exp 1 800", ["verify", "brackets", "CONFIG"], cli.EXIT_NUMERIC,
+                     "numeric failure: overflow evaluating a time function at t=", id="overflow-verify"),
+        # the decomposition draws its times from the window [0, 1], where e^700 is finite
+        pytest.param("exp 1 700", ["verify", "brackets", "CONFIG"], cli.EXIT_OK, None, id="window-verify"),
+        pytest.param("poly 1e308 1e308", ["verify", "brackets", "CONFIG", "--trials", "20"], cli.EXIT_FAIL,
+                     None, id="nan-residual-verify"),
+    ])
+    def test_exit_code_and_one_stderr_line(self, config, tmp_path, a0, argv, rc, message):
+        path = config(CANONICAL.replace("a0 = poly 0", f"a0 = {a0}"))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        argv = [path if arg == "CONFIG" else arg for arg in argv]
+        proc = subprocess.run([sys.executable, "-m", "riccati_lie.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == rc, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if message is None:
+            assert proc.stderr == ""
+        else:
+            (line,) = proc.stderr.splitlines()
+            assert line.startswith(message), line

@@ -175,6 +175,16 @@ class TestDecomposition:
             res = decompose_rhs_check(P, t, s)
             assert res <= 1e-14 * (1.0 + max(abs(s.x), abs(s.p)))
 
+    def test_batch_equals_one_point_calls_bitwise(self):
+        rng = np.random.default_rng(38)
+        P = random_potential(rng)
+        points = np.array(random_phase_points(rng, 40))
+        ts = rng.uniform(0.0, 2.0, 40)
+        got = decompose_rhs_check(P, ts, points)
+        assert got.shape == (40,)
+        want = [decompose_rhs_check(P, t, s) for t, s in zip(ts.tolist(), points)]
+        assert got.tobytes() == np.array(want).tobytes()
+
 
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -237,6 +247,20 @@ class TestAction:
         # (u, sigma) = (0.5, 1) -> (-0.5, -1) + (0, 3) = (-0.5, 2)
         moved = act(GroupElement(0.0, 3.0, -np.eye(2)), PhasePoint(0.5, -1.0))
         assert moved == PhasePoint(-0.25, -4.0)
+
+    def test_batch_equals_one_point_calls_bitwise(self):
+        rng = np.random.default_rng(39)
+        points = np.array(random_phase_points(rng, 30))
+        g = _random_element(rng)
+        got = act(g, points)
+        assert got.shape == (30, 2)
+        assert got.tobytes() == np.array([act(g, s) for s in points.tolist()]).tobytes()
+
+    def test_batch_orbit_exit_names_the_smallest_sigma(self):
+        # sigma' = sigma - 2 over the rows (x, -1), (x, -9), (x, -0.25): -1, 1, -1.5
+        points = np.array([[0.0, -1.0], [0.0, -9.0], [0.0, -0.25]])
+        with pytest.raises(DomainError, match=r"sigma = -1\.5 <= 0"):
+            act(GroupElement(0.0, -2.0), points)
 
     def test_affine_convention_through_the_pole(self):
         # gamma x + delta = 0 at x = 0; (u, sigma) = (0, 1) -> (-1, 0) + (0, 1)

@@ -206,6 +206,22 @@ class TestSuperposeStates:
         scale = np.maximum(1.0, np.max(np.abs(want), axis=1, keepdims=True))
         assert np.all(np.abs(got - want) <= 2e-15 * scale)
 
+    def test_array_constants_match_one_row_calls_bitwise(self):
+        rng = np.random.default_rng(57)
+        copies = [np.array(random_phase_points(rng, 50)).T for _ in range(4)]
+        k = constants_from_four(copies)
+        rows = np.vstack(copies[1:]).T  # x1, p1, x2, p2, x3, p3
+        got = superpose_states(rows, k)
+        want = [superpose_states(row, Constants(k1, k2, F0))
+                for row, k1, k2, F0 in zip(rows, k.k1.tolist(), k.k2.tolist(), k.F0.tolist())]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_array_constants_name_the_first_degenerate_row(self):
+        rows = _rows((XI1, XI2, XI3), (XI1, XI2, XI3), (XI1, XI1, XI3))
+        k = Constants(np.array([1.0, 1.0, 1.0]), np.array([2.0, 2.0, 2.0]), np.array([-2.0, 0.0, 0.0]))
+        with pytest.raises(GenericityError, match=r"^at t=0\.5: degenerate configuration: \|F0\|=0\.0 <="):
+            superpose_states(rows, k, ts=np.array([0.0, 0.5, 1.0]))
+
     def test_first_offending_row_sets_the_error(self):
         F0 = cyclic_integral(XI1, XI2, XI3)
         k = Constants(0.5, 0.0, F0)

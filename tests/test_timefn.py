@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riccati_lie.errors import DomainError, TimeFnSyntaxError
+from riccati_lie.errors import DomainError, NumericError, TimeFnSyntaxError
 from riccati_lie.timefn import (
     Cos,
     Exp,
@@ -98,6 +98,17 @@ class TestEval:
         with pytest.raises(ValueError):
             constant(1.0).eval(0.0, -1)
 
+    @pytest.mark.parametrize("text, order", [
+        ("exp 1 800", 0),           # a term's value
+        ("sin 1 1e200 0", 2),       # a term's derivative factor, omega**2
+        ("poly 1e308; poly 1e308", 0),  # the sum of finite terms
+        ("sin 1 1e308 1e308", 0),   # a sine argument
+        ("poly 1e308 1e308; poly -1e308 -1e308", 0),  # a sum of inf and -inf
+    ])
+    def test_overflow_is_a_numeric_error_naming_t(self, text, order):
+        with pytest.raises(NumericError, match=r"^overflow evaluating a time function at t=1\.0$"):
+            parse_timefn(text).eval(1.0, order)
+
 
 class TestParser:
     def test_single_poly(self):
@@ -131,7 +142,14 @@ class TestParser:
         assert "blah" in str(excinfo.value)
         assert excinfo.value.position == 8
 
-    @pytest.mark.parametrize("text", ["", "poly", "sin 1 2", "cos 1 2 3 4", "exp 1", "poly 1;"])
+    def test_nonfinite_number_reports_token_and_position(self):
+        with pytest.raises(TimeFnSyntaxError, match="finite number, got '-inf'") as excinfo:
+            parse_timefn("poly 1; exp 1 -inf")
+        assert excinfo.value.position == 14
+
+    @pytest.mark.parametrize("text", ["", "poly", "sin 1 2", "cos 1 2 3 4", "exp 1", "poly 1;",
+                                      "poly nan", "poly 1 inf", "sin 1 -inf 0", "exp NaN 1",
+                                      "poly 1; cos 1 2 Infinity"])
     def test_malformed_terms_rejected(self, text):
         with pytest.raises(TimeFnSyntaxError):
             parse_timefn(text)
