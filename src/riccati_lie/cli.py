@@ -41,16 +41,16 @@ import numpy as np
 
 from . import suites
 from .errors import ConfigError, DomainError, GenericityError, NumericError
-from .integrator import hamiltonian_guard, integrate, sample_at
+from .integrator import integrate, sample_at
 from .model import (
     PotentialSpec,
     RiccatiSpec,
     c0_defect,
     coefficients_from_potential,
     drag_defect,
-    hamiltonian_field,
     potential_from_coefficients,
     riccati2_field,
+    solve_hamiltonian,
 )
 from .superpose import Constants, PhaseTuple, constants_from_four, cyclic_integral, superpose_states
 from .timefn import FLOAT_SPEC, JetFn, _fmt, parse_timefn
@@ -247,17 +247,16 @@ def _resolve_ic(raw: str, scenario: Scenario):
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
     ic = _resolve_ic(args.ic, scenario)
-    if args.system == "hamiltonian":
-        rhs = hamiltonian_field(scenario.potential)
-        guard = hamiltonian_guard  # an IC it rejects (p > -1e-9) raises DomainError
-        header = ["t", "x", "p"]
-    else:
-        rhs = riccati2_field(scenario.riccati)
-        guard = None
-        header = ["t", "x", "v"]
-    traj = integrate(rhs, (scenario.t0, ic), scenario.t1, scenario.tol, guard=guard, system=args.system)
     grid = scenario.grid()
-    rows = np.column_stack((grid, sample_at(traj, grid)))
+    if args.system == "hamiltonian":
+        # an IC with p > -1e-9 raises DomainError, a solution leaving it GuardViolation
+        traj = solve_hamiltonian(scenario.potential, ic, grid, scenario.tol)
+        header, states = ["t", "x", "p"], traj.states
+    else:
+        traj = integrate(riccati2_field(scenario.riccati), (scenario.t0, ic), scenario.t1, scenario.tol,
+                         system=args.system)
+        header, states = ["t", "x", "v"], sample_at(traj, grid)
+    rows = np.column_stack((grid, states))
     write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} samples to {args.out} "
           f"({traj.stats.n_accepted} steps, {traj.stats.n_rhs} RHS evaluations)")
@@ -265,22 +264,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    """Print the report once all of it is computed: a failure leaves stdout empty."""
     scenario = load_scenario(args.config)
     grid = scenario.grid()
     t0 = scenario.t0
     R, P = scenario.riccati, scenario.potential
-    print(f"source = {scenario.source}")
+    lines = [f"source = {scenario.source}"]
     if scenario.source == "potential":
         coefficients_from_potential(P, grid)  # a2 > 0 validation
-        for name, value in zip(R.names, R.eval(t0)):
-            print(f"{name}(t0) = {_fmt(value)}")
+        lines += [f"{name}(t0) = {_fmt(value)}" for name, value in zip(R.names, R.eval(t0))]
         res_f1, res_f0 = drag_defect(R, grid)
-        print(f"f1_constraint_residual = {_fmt(res_f1)}")
-        print(f"f0_constraint_residual = {_fmt(res_f0)}")
+        lines += [f"f1_constraint_residual = {_fmt(res_f1)}", f"f0_constraint_residual = {_fmt(res_f0)}"]
     else:
-        for name, value in zip(P.names, P.eval(t0)):
-            print(f"{name}(t0) = {_fmt(value)}")
-        print(f"c0_defect_residual = {_fmt(scenario.c0_residual)}")
+        lines += [f"{name}(t0) = {_fmt(value)}" for name, value in zip(P.names, P.eval(t0))]
+        lines.append(f"c0_defect_residual = {_fmt(scenario.c0_residual)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

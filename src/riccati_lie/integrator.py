@@ -14,10 +14,15 @@ stage states and times, the error norm and the stored samples are floats.
 numpy computes only the stage and error sums, as products over the (7, 2)
 array of stage derivatives; those products fix the rounding of every step.
 
-A state guard (a predicate on the raw (y0, y1) state tuple) is evaluated at
-every trial stage.  When the flow approaches the guarded boundary the step is
-bisected until the exit time is localized to about 1e-10, then the domain
-exit is reported with the last valid time.  Step-size underflow from
+An optional state guard (a predicate on the raw (y0, y1) state tuple) is
+evaluated at every trial stage.  When the flow approaches the guarded
+boundary the step is bisected until the exit time is localized to about
+1e-10, then the domain exit is reported with the last valid time.  No
+command uses it: `model.solve_hamiltonian` integrates the Hamiltonian
+picture unguarded in a chart where its field is affine-linear and checks
+the domain on the dense output afterwards, and the riccati2 picture has no
+domain boundary.  `hamiltonian_guard` remains for library callers that
+integrate `model.hamiltonian_field` in (x, p).  Step-size underflow from
 error control (stiffness or finite-time blow-up) is reported separately.
 """
 
@@ -92,8 +97,9 @@ class Trajectory:
     ts is strictly increasing.  coeffs[i, k] is the coefficient of
     u**(k + 1) in the state polynomial of segment i, u = (t - ts[i]) /
     (ts[i + 1] - ts[i]): the continuous extension of each step for
-    integrator-produced trajectories.  Reconstructed trajectories
-    (system == "superposed") carry no coeffs and cannot be resampled.
+    integrator-produced trajectories.  Samples on a grid, reconstructed
+    ones (system == "superposed") and `model.solve_hamiltonian`'s, carry no
+    coeffs and cannot be resampled.
     """
 
     ts: np.ndarray

@@ -25,6 +25,15 @@ bijection onto the half-plane O = {p < 0}, where the dynamics becomes the
 Hamiltonian system of h = -2 sqrt(-p) - p U:
 
     dx/dt = 1/sqrt(-p) - U(t, x),      dp/dt = p (a1 + 2 a2 x).
+
+`hamilton_rhs` is that system as the package defines it.  In the chart
+(u, sigma) = (x sqrt(-p), sqrt(-p)) of O it is affine-linear,
+
+    du/dt = 1 - a0 sigma - (a1/2) u,      dsigma/dt = a2 u + (a1/2) sigma,
+
+with no square root and no division, so `solve_hamiltonian` integrates it
+there without a domain guard and proves afterwards, on the dense output,
+that the solution stayed inside O.
 """
 
 from __future__ import annotations
@@ -36,7 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GuardViolation
+from .integrator import GUARD_P_MAX, Trajectory, integrate, sample_at
 from .timefn import Jet, JetFn, TimeFn
 
 __all__ = [
@@ -56,6 +66,7 @@ __all__ = [
     "legendre_inverse",
     "hamiltonian_field",
     "riccati2_field",
+    "solve_hamiltonian",
 ]
 
 
@@ -287,6 +298,14 @@ def hamilton_rhs(P: JetFn, t: float, s: PhasePoint):
     return (1.0 / r - U, p * dU_dx)
 
 
+def _affine_rhs(P: JetFn, t: float, s):
+    """d(u, sigma)/dt: `hamilton_rhs` in the chart of `_to_affine`, defined on all of R^2."""
+    u, sigma = s
+    a0, a1, a2 = P.eval(t)
+    half = 0.5 * a1
+    return (1.0 - a0 * sigma - half * u, a2 * u + half * sigma)
+
+
 def hamiltonian(P: JetFn, t: float, s: PhasePoint) -> float:
     """h(t, x, p) = -2 sqrt(-p) - p U(t, x)."""
     x, p = s
@@ -342,3 +361,78 @@ def riccati2_field(R: JetFn):
     """RHS over raw (x, v) pairs, for the integrator; the coefficients are
     evaluated once per distinct time."""
     return partial(riccati2_rhs, _LastTime(R))
+
+
+# The chart solve's error control runs at a quarter of the caller's tol.  At
+# tol itself it is less accurate than the guarded (x, p) solve it replaced:
+# F0 drift over the simulate_hamiltonian bench configs, seeds 21-23, went
+# 9.69 -> 9.19, 9.75 -> 9.62 and 9.43 -> 9.43 correct digits.  At tol/4 it
+# gains (9.69 -> 9.73, 9.75 -> 10.16, 9.43 -> 10.12), while RHS calls per op
+# still fall 424 -> 294 (traced, seed 21) and op_p50 9.80 -> 7.76 ms (median
+# over seeds 21-30; Intel Xeon VM, two vCPUs).
+_CHART_TOL_FACTOR = 0.25
+_SIGMA_FLOOR = math.sqrt(-GUARD_P_MAX)  # sigma >= sqrt(1e-9) is p <= -1e-9
+_EXIT_T_RESOLUTION = 1e-10  # width an exit time is localized to, relative to max(1, |t|)
+# power-basis coefficients of a quartic in s on [0, 1] to its Bernstein ones,
+# which bound it from below by their least and equal it at s = 0 and s = 1
+_BERNSTEIN = np.array([[math.comb(j, k) / math.comb(4, k) for k in range(5)] for j in range(5)])
+
+
+def _halves(coef):
+    """Bernstein coefficients of a polynomial's halves [0, 1/2] and [1/2, 1]
+    of its interval (de Casteljau at 1/2)."""
+    left, right = [coef[0]], [coef[-1]]
+    while len(coef) > 1:
+        coef = [0.5 * (c + d) for c, d in zip(coef, coef[1:])]
+        left.append(coef[0])
+        right.append(coef[-1])
+    return left, right[::-1]
+
+
+def _stays_in_O(chart: Trajectory) -> None:
+    """GuardViolation unless sigma >= sqrt(1e-9) on the whole dense output of
+    a chart trajectory, between its nodes too.
+
+    Each step's sigma is a quartic; the least of its Bernstein coefficients
+    bounds it from below, so one array pass proves almost every step.  A
+    step it does not prove is halved, left half first, until each piece is
+    proved or the first piece that is not has shrunk to _EXIT_T_RESOLUTION;
+    its start is the exit time reported.  A NaN coefficient proves nothing.
+    """
+    ts = chart.ts.tolist()
+    quartics = np.column_stack((chart.states[:-1, 1], chart.coeffs[:, :, 1])) @ _BERNSTEIN.T
+    for i in np.flatnonzero(~(quartics.min(axis=1) >= _SIGMA_FLOOR)).tolist():
+        todo = [(ts[i], ts[i + 1], quartics[i].tolist())]
+        while todo:
+            a, b, coef = todo.pop()
+            if all(c >= _SIGMA_FLOOR for c in coef):
+                continue
+            if b - a <= _EXIT_T_RESOLUTION * max(1.0, abs(a)):
+                raise GuardViolation(f"domain guard p <= {GUARD_P_MAX} violated just past t={a}",
+                                     last_valid_t=a)
+            m = 0.5 * (a + b)
+            left, right = _halves(coef)
+            todo += [(m, b, right), (a, m, left)]
+
+
+def solve_hamiltonian(P: JetFn, s0, grid, tol) -> Trajectory:
+    """The Hamiltonian solution of P from s0 = (x0, p0) at grid[0], as (x, p)
+    rows at the grid times.
+
+    s0 must satisfy p0 <= -1e-9 (DomainError otherwise).  It is converted to
+    (u, sigma) once; DP5 integrates the affine chart field up to grid[-1]
+    with no guard, at _CHART_TOL_FACTOR times tol; `_stays_in_O` proves
+    p <= -1e-9 on the whole solution, between the grid times too, or raises
+    GuardViolation at the first exit; and the chart's dense output at the
+    grid converts back to (x, p).  The result carries no dense output: its
+    ts is the grid, and its stats count the chart integration's steps.
+    """
+    x0, p0 = float(s0[0]), float(s0[1])
+    if not p0 <= GUARD_P_MAX:
+        raise DomainError(f"initial state {[x0, p0]} violates the domain guard p <= {GUARD_P_MAX}")
+    grid = np.asarray(grid, dtype=float)
+    chart = integrate(partial(_affine_rhs, _LastTime(P)), (grid[0], _to_affine(x0, p0)), grid[-1],
+                      _CHART_TOL_FACTOR * tol)
+    _stays_in_O(chart)
+    x, p = _from_affine(*sample_at(chart, grid).T)
+    return Trajectory(ts=grid, states=np.column_stack((x, p)), system="hamiltonian", stats=chart.stats)

@@ -14,8 +14,10 @@ import numpy as np
 
 from . import liealg, superpose
 from .errors import DomainError, GenericityError, GuardViolation, NumericError
-from .integrator import hamiltonian_guard, integrate, sample_at
-from .model import PhasePoint, PotentialSpec, hamiltonian_field
+# nothing here calls `integrate` (solutions come from `solve_hamiltonian`); it stays
+# bound because bench/tests/test_bench.py checks that the tracer rebinds it here too
+from .integrator import integrate  # noqa: F401
+from .model import PhasePoint, PotentialSpec, solve_hamiltonian
 from .timefn import Cos, Poly, Sin, TimeFn
 
 __all__ = [
@@ -88,20 +90,22 @@ def _relative_deviation(got, want) -> float:
     return float(np.max(np.abs(got - want) / scale))
 
 
-def draw_surviving_solutions(P, t0, t1, tol, rng, n: int):
-    """Integrate n Hamiltonian solutions of P over [t0, t1] from random
-    initial points, redrawing any that blow up or leave the half-plane."""
+def draw_surviving_solutions(P, grid, tol, rng, n: int):
+    """n Hamiltonian solutions of P from random initial points at grid[0],
+    each a `solve_hamiltonian` result: (x, p) rows at the grid times.  A
+    draw whose solution blows up, or leaves the half-plane (p <= -1e-9) at
+    any time of [grid[0], grid[-1]], between the grid times too, is redrawn."""
     out = []
     for _ in range(_MAX_DRAWS):
         ic = random_phase_points(rng, 1, x_range=(-0.8, 0.8), p_range=(-2.0, -0.5))[0]
         try:
-            out.append(integrate(hamiltonian_field(P), (t0, ic), t1, tol,
-                                 guard=hamiltonian_guard, system="hamiltonian"))
+            out.append(solve_hamiltonian(P, ic, grid, tol))
         except (NumericError, GuardViolation):
             continue
         if len(out) == n:
             return out
-    raise NumericError(f"could not find {n} solutions surviving [{t0}, {t1}] in {_MAX_DRAWS} draws")
+    raise NumericError(f"could not find {n} solutions surviving [{grid[0]}, {grid[-1]}] "
+                       f"in {_MAX_DRAWS} draws")
 
 
 def suite_brackets(P, t0, t1, rng, trials: int) -> list:
@@ -163,9 +167,8 @@ def suite_action(rng, trials: int) -> list:
 
 def suite_integrals(P, t0, t1, tol, rng) -> list:
     """Drift of F0, F1, F2 along four simultaneously integrated solutions."""
-    trajs = draw_surviving_solutions(P, t0, t1, tol, rng, 4)
-    grid = np.linspace(t0, t1, _CHECK_GRID)
-    k = superpose.constants_from_four([sample_at(tr, grid).T for tr in trajs])
+    trajs = draw_surviving_solutions(P, np.linspace(t0, t1, _CHECK_GRID), tol, rng, 4)
+    k = superpose.constants_from_four([tr.states.T for tr in trajs])
     values = np.column_stack((k.F0, k.k1, k.k2))
     drift = np.max(np.abs(values - values[0]), axis=0)
     thresholds = 1e-7 * np.maximum(1.0, np.abs(values[0]))
@@ -191,18 +194,18 @@ def suite_superposition(P, t0, t1, tol, rng, trials: int) -> list:
 
     grid = np.linspace(t0, t1, _CHECK_GRID)
     for _ in range(20):
-        trajs = draw_surviving_solutions(P, t0, t1, tol, rng, 4)
-        k = superpose.constants_from_four(superpose.PhaseTuple(*(tr.states[0] for tr in trajs)))
+        sols = [tr.states for tr in draw_surviving_solutions(P, grid, tol, rng, 4)]
+        k = superpose.constants_from_four([s[0] for s in sols])
         try:
-            rec = superpose.superpose_trajectory(trajs[1], trajs[2], trajs[3], k, grid)
+            rec = superpose.superpose_states(np.hstack(sols[1:]), k, ts=grid)
         except GenericityError:
             continue
         break
     else:
         raise GenericityError("no generic four-solution configuration found in 20 draws")
-    direct = sample_at(trajs[0], grid)
+    direct = sols[0]
     scale = max(1.0, float(np.max(np.abs(direct))))
-    err = float(np.max(np.abs(rec.states - direct))) / scale
+    err = float(np.max(np.abs(rec - direct))) / scale
     results.append(CheckResult("superposition.reconstruction", err, 1e-5))
     return results
 

@@ -24,7 +24,7 @@ from riccati_lie.superpose import (
     constants_from_four,
     cyclic_integral,
     superpose_point,
-    superpose_trajectory,
+    superpose_states,
 )
 from riccati_lie.suites import (
     draw_surviving_solutions,
@@ -120,11 +120,11 @@ def test_criterion_03_first_integral_conservation(monkeypatch):
     grid = np.linspace(0.0, 2.0, 41)
     worst_ratio = 0.0
     for _ in range(20):
-        trajs = draw_surviving_solutions(random_potential(rng), 0.0, 2.0, 1e-10, rng, 4)
-        start = _integral_triplet([PhasePoint(*sample_at(tr, 0.0)) for tr in trajs])
+        trajs = draw_surviving_solutions(random_potential(rng), grid, 1e-10, rng, 4)
+        start = _integral_triplet([PhasePoint(*tr.states[0]) for tr in trajs])
         allowed = 1e-7 * np.maximum(1.0, np.abs(start))
-        for t in grid:
-            vals = _integral_triplet([PhasePoint(*sample_at(tr, t)) for tr in trajs])
+        for i in range(len(grid)):
+            vals = _integral_triplet([PhasePoint(*tr.states[i]) for tr in trajs])
             worst_ratio = max(worst_ratio, float(np.max(np.abs(vals - start) / allowed)))
     report(3, "first-integral conservation", worst_ratio <= 1.0,
            f"max drift/threshold {worst_ratio:.3e} <= 1 over 20 scenarios")
@@ -137,15 +137,14 @@ def test_criterion_04_superposition_reconstruction(monkeypatch):
     worst = 0.0
     done = 0
     while done < 20:
-        trajs = draw_surviving_solutions(random_potential(rng), 0.0, 1.0, 1e-10, rng, 4)
-        points0 = [PhasePoint(*sample_at(tr, 0.0)) for tr in trajs]
-        k = constants_from_four(PhaseTuple(*points0))
+        sols = [tr.states for tr in draw_surviving_solutions(random_potential(rng), grid, 1e-10, rng, 4)]
+        k = constants_from_four(PhaseTuple(*(PhasePoint(*s[0]) for s in sols)))
         try:
-            rec = superpose_trajectory(trajs[1], trajs[2], trajs[3], k, grid)
+            rec = superpose_states(np.hstack(sols[1:]), k, ts=grid)
         except GenericityError:
             continue
-        direct = np.vstack([sample_at(trajs[0], t) for t in grid])
-        rel = np.max(np.abs(rec.states - direct)) / max(1.0, float(np.max(np.abs(direct))))
+        direct = sols[0]
+        rel = np.max(np.abs(rec - direct)) / max(1.0, float(np.max(np.abs(direct))))
         worst = max(worst, float(rel))
         done += 1
     report(4, "superposition reconstruction", worst <= 1e-5,

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +118,46 @@ class TestSimulate:
             (line,) = capsys.readouterr().err.splitlines()
             assert "p <= -1e-09" in line, line
 
+    @pytest.mark.parametrize("ic, t1, between_nodes", [
+        # sigma = 0.4 - t + t^2/2 falls through the floor and stays below it
+        ("-2.5,-0.16", 1.0, False),
+        # sigma = (t - 1)^2 / 2 dips below the floor near t = 1 and comes back,
+        # inside one step: only the step's polynomial sees the dip
+        ("-2.0,-0.25", 2.0, True),
+    ])
+    def test_orbit_exit_names_the_first_floor_crossing(self, config, tmp_path, capsys, monkeypatch,
+                                                       ic, t1, between_nodes):
+        from riccati_lie import model
+
+        charts = []  # the chart trajectory solve_hamiltonian checks
+        real = model.integrate
+        monkeypatch.setattr(model, "integrate", lambda *args, **kw: charts.append(real(*args, **kw)) or charts[-1])
+        cfg = config(CANONICAL.replace("t1 = 1.0", f"t1 = {t1}"))
+        rc = cli.main(["simulate", cfg, f"--ic={ic}", "--out", str(tmp_path / "x.csv")])
+        assert rc == cli.EXIT_DOMAIN
+        (line,) = capsys.readouterr().err.splitlines()
+        match = re.fullmatch(r"domain error: domain guard p <= -1e-09 violated just past t=(\S+)", line)
+        assert match, line
+        # the potential (0, 0, 1) gives u' = 1, sigma' = u in the chart, so from
+        # (u0, sigma0) sigma is sigma0 + u0 t + t^2/2, which first meets the floor
+        # sqrt(1e-9) (p = -1e-9) at
+        x0, p0 = map(float, ic.split(","))
+        sigma0 = math.sqrt(-p0)
+        u0, floor = x0 * sigma0, math.sqrt(1e-9)
+        t_exit = -u0 - math.sqrt(u0 * u0 - 2.0 * (sigma0 - floor))
+        assert abs(float(match.group(1)) - t_exit) <= 1e-6
+        (chart,) = charts
+        assert bool(np.all(chart.states[:, 1] >= floor)) is between_nodes
+
+    def test_step_line_counts_the_chart_integration(self, config, tmp_path, capsys):
+        from riccati_lie.model import PotentialSpec, solve_hamiltonian
+        from riccati_lie.timefn import constant
+
+        P = PotentialSpec(constant(0.0), constant(0.0), constant(1.0))
+        stats = solve_hamiltonian(P, (0.3, -1.0), np.linspace(0.0, 1.0, 101), 1e-10).stats
+        assert cli.main(["simulate", config(CANONICAL), "--ic", "1", "--out", str(tmp_path / "x.csv")]) == 0
+        assert capsys.readouterr().out.endswith(f"({stats.n_accepted} steps, {stats.n_rhs} RHS evaluations)\n")
+
     def test_blowup_is_numeric_failure(self, config, tmp_path):
         # --ic=... keeps argparse from reading the leading minus as a flag
         rc = cli.main(["simulate", config(CANONICAL), "--system", "riccati2",
@@ -175,18 +217,16 @@ class TestCsvRoundtrip:
         assert path.read_bytes() == expected.encode()
 
     def test_simulate_output_reproduces_in_process_values(self, config, tmp_path):
-        from riccati_lie.integrator import hamiltonian_guard, integrate, sample_at
-        from riccati_lie.model import PotentialSpec, hamiltonian_field
+        from riccati_lie.model import PotentialSpec, solve_hamiltonian
         from riccati_lie.timefn import constant
 
         out = tmp_path / "sol.csv"
         cli.main(["simulate", config(CANONICAL), "--ic", "0", "--out", str(out)])
         _, data = cli.read_csv(str(out))
         P = PotentialSpec(constant(0.0), constant(0.0), constant(1.0))
-        traj = integrate(hamiltonian_field(P), (0.0, (0.0, -0.25)), 1.0, 1e-10,
-                         guard=hamiltonian_guard, system="hamiltonian")
-        for row in data[:: len(data) // 10]:
-            np.testing.assert_array_equal(row[1:], sample_at(traj, row[0]))
+        traj = solve_hamiltonian(P, (0.0, -0.25), np.linspace(0.0, 1.0, 101), 1e-10)
+        np.testing.assert_array_equal(data[:, 0], traj.ts)
+        np.testing.assert_array_equal(data[:, 1:], traj.states)
 
     def test_malformed_tables_rejected(self, tmp_path):
         bad_cell = tmp_path / "bad.csv"
@@ -230,6 +270,20 @@ class TestDerive:
         assert lines["source"] == "riccati"
         assert [float(lines[f"a{i}(t0)"]) for i in range(3)] == [0.0, 0.0, 1.0]
         assert float(lines["c0_defect_residual"]) <= 1e-12
+
+    @pytest.mark.parametrize("edit, rc, message", [
+        # a0 overflows past t = 0.89 once the residual sweep reaches it
+        (("a0 = poly 0", "a0 = exp 1 800"), cli.EXIT_NUMERIC,
+         "numeric failure: overflow evaluating a time function at t="),
+        # a2 = 1 - 2 t^2 turns negative at t = 0.71
+        (("a2 = poly 1", "a2 = poly 1 0 -2"), cli.EXIT_DOMAIN, "domain error: a2(t) must be positive"),
+    ])
+    def test_failure_prints_no_partial_report(self, config, capsys, edit, rc, message):
+        assert cli.main(["derive", config(CANONICAL.replace(*edit))]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(message), line
 
     def test_nonpositive_c3_rejected(self, config):
         rc = cli.main(["derive", config(RICCATI.replace("c3 = poly 1", "c3 = poly -1"))])
@@ -309,9 +363,8 @@ class TestSuperposeCommand:
             assert rc == cli.EXIT_CONFIG
 
     def test_table_path_matches_library_path_bitwise(self, config, tmp_path):
-        from riccati_lie.integrator import hamiltonian_guard, integrate
-        from riccati_lie.model import PhasePoint, hamiltonian_field
-        from riccati_lie.superpose import PhaseTuple, constants_from_four, superpose_trajectory
+        from riccati_lie.model import PhasePoint, solve_hamiltonian
+        from riccati_lie.superpose import PhaseTuple, constants_from_four, superpose_states
 
         cfg = config(CANONICAL)
         table = _write_three_solution_table(cfg, tmp_path)
@@ -320,12 +373,12 @@ class TestSuperposeCommand:
                          "--out", str(out)]) == 0
         _, rec = cli.read_csv(str(out))
         sc = cli.load_scenario(cfg)
-        trajs = [integrate(hamiltonian_field(sc.potential), (sc.t0, sc.ics[i]), sc.t1, sc.tol,
-                           guard=hamiltonian_guard) for i in (1, 2, 3)]
+        grid = sc.grid()
+        trajs = [solve_hamiltonian(sc.potential, sc.ics[i], grid, sc.tol) for i in (1, 2, 3)]
         k = constants_from_four(PhaseTuple(PhasePoint(0.0, -0.25), *(tr.states[0] for tr in trajs)))
-        lib = superpose_trajectory(*trajs, k, sc.grid())
-        np.testing.assert_array_equal(rec[:, 0], lib.ts)
-        np.testing.assert_array_equal(rec[:, 1:], lib.states)
+        lib = superpose_states(np.hstack([tr.states for tr in trajs]), k, ts=grid)
+        np.testing.assert_array_equal(rec[:, 0], grid)
+        np.testing.assert_array_equal(rec[:, 1:], lib)
 
     def test_wrong_column_count_rejected(self, config, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,5 +1,7 @@
 """Tests for the adaptive integrator, guards, and the dense output."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from riccati_lie.integrator import (
 from riccati_lie.model import (
     PhasePoint,
     PotentialSpec,
+    _affine_rhs,
+    _to_affine,
     coefficients_from_potential,
     hamiltonian,
     hamiltonian_field,
@@ -251,10 +255,13 @@ class TestSampleAt:
         rng = np.random.default_rng(3)
         for _ in range(10):
             P = random_potential(rng)
-            trajs = draw_surviving_solutions(P, 0.0, 2.0, 1e-10, rng, 2)
-            s0 = PhasePoint(*trajs[0].states[0])
-            trajs.append(integrate(riccati2_field(coefficients_from_potential(P)),
-                                   (0.0, legendre_inverse(P, 0.0, s0)), 2.0, 1e-10))
+            (solution,) = draw_surviving_solutions(P, np.linspace(0.0, 2.0, 2), 1e-10, rng, 1)
+            s0 = PhasePoint(*solution.states[0])
+            # the (x, p) field, the chart field solve_hamiltonian integrates, and riccati2
+            trajs = [integrate(hamiltonian_field(P), (0.0, s0), 2.0, 1e-10, guard=hamiltonian_guard),
+                     integrate(partial(_affine_rhs, P), (0.0, _to_affine(*s0)), 2.0, 1e-10),
+                     integrate(riccati2_field(coefficients_from_potential(P)),
+                               (0.0, legendre_inverse(P, 0.0, s0)), 2.0, 1e-10)]
             for traj in trajs:
                 assert traj.coeffs.shape == (len(traj) - 1, 4, 2)
                 end = traj.states[:-1] + traj.coeffs.sum(axis=1)

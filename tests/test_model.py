@@ -7,7 +7,7 @@ import pytest
 
 from riccati_lie import suites
 from riccati_lie.errors import DomainError, GuardViolation, NumericError
-from riccati_lie.integrator import hamiltonian_guard, integrate, sample_at
+from riccati_lie.integrator import Trajectory, hamiltonian_guard, integrate, sample_at
 from riccati_lie.model import (
     LagrangianPoint,
     PhasePoint,
@@ -25,7 +25,9 @@ from riccati_lie.model import (
     potential_from_coefficients,
     riccati2_field,
     riccati2_rhs,
+    solve_hamiltonian,
 )
+from riccati_lie.model import _stays_in_O
 from riccati_lie.suites import random_potential
 from riccati_lie.timefn import Exp, Poly, Sin, TimeFn, constant, parse_timefn
 
@@ -369,3 +371,35 @@ class TestDynamicalEquivalence:
                 xr = sample_at(traj_r, t)[0]
                 assert abs(xh - xr) < 1e-6
             done += 1
+
+
+class TestSolveHamiltonian:
+    def test_initial_state_error_is_the_guarded_integrators(self):
+        for s0 in ((0.0, 1.0), (0.0, 0.0), (-0.0, -1e-10), (2.5, -9.99e-10)):
+            with pytest.raises(DomainError) as chart:
+                solve_hamiltonian(canonical(), s0, GRID, 1e-10)
+            with pytest.raises(DomainError) as guarded:
+                integrate(hamiltonian_field(canonical()), (0.0, s0), 2.0, 1e-10, guard=hamiltonian_guard)
+            assert str(chart.value) == str(guarded.value)
+            assert not isinstance(chart.value, GuardViolation)
+        # p0 = -1e-9 is on the guard's side of its boundary
+        assert solve_hamiltonian(canonical(), (0.0, -1e-9), np.linspace(0.0, 1e-3, 3), 1e-10).states[0, 1] < 0
+
+    def test_agrees_with_the_guarded_xp_solve(self):
+        rng = np.random.default_rng(49)
+        for _ in range(5):
+            P = random_potential(rng)
+            (chart,) = suites.draw_surviving_solutions(P, GRID, 1e-10, rng, 1)
+            xp = integrate(hamiltonian_field(P), (0.0, tuple(chart.states[0])), 2.0, 1e-10,
+                           guard=hamiltonian_guard)
+            assert chart.system == "hamiltonian" and chart.coeffs is None
+            np.testing.assert_array_equal(chart.ts, GRID)
+            np.testing.assert_allclose(chart.states, sample_at(xp, GRID), rtol=1e-8, atol=1e-8)
+
+    def test_nan_dense_output_is_no_proof(self):
+        coeffs = np.zeros((1, 4, 2))
+        chart = Trajectory(np.array([0.0, 1.0]), np.array([[0.0, 1.0], [0.0, 1.0]]), coeffs=coeffs)
+        _stays_in_O(chart)
+        coeffs[0, 2, 1] = np.nan
+        with pytest.raises(GuardViolation, match=r"violated just past t=0\.0$"):
+            _stays_in_O(chart)

@@ -29,13 +29,14 @@ class TestCheckResult:
 
 
 def _failing_first(monkeypatch, module, name, errors):
-    """Replace module.name by a wrapper raising errors[i] on call i, then
-    calling through; returns the list of the arguments of every call."""
+    """Replace module.name by a wrapper raising errors[i] on call i, unless
+    it is None, then calling through; returns the list of the arguments of
+    every call."""
     real, calls = getattr(module, name), []
 
     def wrapper(*args, **kwargs):
         calls.append(args)
-        if len(calls) <= len(errors):
+        if len(calls) <= len(errors) and errors[len(calls) - 1] is not None:
             raise errors[len(calls) - 1]
         return real(*args, **kwargs)
 
@@ -45,16 +46,19 @@ def _failing_first(monkeypatch, module, name, errors):
 
 class TestDrawSurvivingSolutions:
     def test_failed_integrations_are_redrawn(self, monkeypatch):
-        calls = _failing_first(monkeypatch, suites, "integrate",
+        calls = _failing_first(monkeypatch, suites, "solve_hamiltonian",
                                [NumericError("blow-up"), GuardViolation("guard", 0.5)])
-        trajs = draw_surviving_solutions(CANONICAL, 0.0, 0.5, 1e-8, np.random.default_rng(1), 2)
+        grid = np.linspace(0.0, 0.5, 11)
+        trajs = draw_surviving_solutions(CANONICAL, grid, 1e-8, np.random.default_rng(1), 2)
         assert len(trajs) == 2 and len(calls) == 4
-        assert len({tuple(args[1][1]) for args in calls}) == 4  # a fresh point per draw
+        assert len({tuple(args[1]) for args in calls}) == 4  # a fresh point per draw
+        assert all(args[2] is grid for args in calls)
 
     def test_gives_up_after_max_draws(self, monkeypatch):
-        calls = _failing_first(monkeypatch, suites, "integrate", [NumericError("blow-up")] * suites._MAX_DRAWS)
+        calls = _failing_first(monkeypatch, suites, "solve_hamiltonian",
+                               [NumericError("blow-up")] * suites._MAX_DRAWS)
         with pytest.raises(NumericError, match=rf"^could not find 3 solutions .* in {suites._MAX_DRAWS} draws"):
-            draw_surviving_solutions(CANONICAL, 0.0, 1.0, 1e-8, np.random.default_rng(2), 3)
+            draw_surviving_solutions(CANONICAL, np.linspace(0.0, 1.0, 11), 1e-8, np.random.default_rng(2), 3)
         assert len(calls) == suites._MAX_DRAWS
 
 
@@ -69,16 +73,18 @@ class TestSuiteSuperposition:
         assert [(r.name, r.passed) for r in results] == [
             ("superposition.algebraic_inversion", True), ("superposition.reconstruction", True)]
 
+    # superpose_states call 0 is the algebraic inversion; the reconstructions follow it
+
     def test_degenerate_reconstruction_is_redrawn(self, monkeypatch):
-        calls = _failing_first(monkeypatch, superpose, "superpose_trajectory",
-                               [GenericityError("degenerate")])
+        calls = _failing_first(monkeypatch, superpose, "superpose_states",
+                               [None, GenericityError("degenerate")])
         results = suite_superposition(CANONICAL, 0.0, 0.5, 1e-8, np.random.default_rng(4), 5)
-        assert len(calls) == 2 and calls[0][0] is not calls[1][0]
+        assert len(calls) == 3 and not np.any(calls[1][0] == calls[2][0])  # three new solutions
         assert results[1].name == "superposition.reconstruction" and results[1].passed
 
     def test_reconstruction_gives_up_after_20_draws(self, monkeypatch):
-        calls = _failing_first(monkeypatch, superpose, "superpose_trajectory",
-                               [GenericityError("degenerate")] * 21)
+        calls = _failing_first(monkeypatch, superpose, "superpose_states",
+                               [None] + [GenericityError("degenerate")] * 21)
         with pytest.raises(GenericityError, match="^no generic four-solution configuration found in 20 draws$"):
             suite_superposition(CANONICAL, 0.0, 0.5, 1e-8, np.random.default_rng(5), 5)
-        assert len(calls) == 20
+        assert len(calls) == 1 + 20

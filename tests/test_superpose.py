@@ -316,17 +316,17 @@ class TestConservationRandom:
         from riccati_lie.suites import draw_surviving_solutions
 
         P = random_potential(rng)
-        trajs = draw_surviving_solutions(P, 0.0, 2.0, 1e-10, rng, 4)
         grid = np.linspace(0.0, 2.0, 21)
-        pts = lambda t: [PhasePoint(*sample_at(tr, t)) for tr in trajs]
-        p0 = pts(0.0)
+        trajs = draw_surviving_solutions(P, grid, 1e-10, rng, 4)
+        pts = lambda i: [PhasePoint(*tr.states[i]) for tr in trajs]
+        p0 = pts(0)
         start = np.array([
             cyclic_integral(p0[1], p0[2], p0[3]),
             cyclic_integral(p0[0], p0[1], p0[2]),
             cyclic_integral(p0[0], p0[1], p0[3]),
         ])
-        for t in grid:
-            pt = pts(t)
+        for i in range(len(grid)):
+            pt = pts(i)
             vals = np.array([
                 cyclic_integral(pt[1], pt[2], pt[3]),
                 cyclic_integral(pt[0], pt[1], pt[2]),

@@ -8,7 +8,9 @@ at 40 digits, against the package's jet maps in both directions.
 
 The superposition rule is checked the same way: sympy proves, over
 symbols x_i and s_i = sqrt(-p_i) > 0, that the chart (u, s) = (x s, s)
-the package applies the rule in gives the paper's (x, p) formulas.
+the package applies the rule in gives the paper's (x, p) formulas.  It
+also proves that the same chart carries the package's Hamiltonian field
+to the affine-linear field `solve_hamiltonian` integrates.
 
 The Taylor-jet arithmetic under both maps is checked on its own: jet
 products, quotients, square roots and derivatives of random time functions
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riccati_lie import model
 from riccati_lie.model import coefficients_from_potential, potential_from_coefficients
 from riccati_lie.suites import random_potential
 from riccati_lie.timefn import Cos, Exp, Jet, Poly, Sin, TimeFn
@@ -164,6 +167,34 @@ def test_affine_rule_is_the_paper_rule():
     xi0 = affine_rule().subs(F0, det(chart(1), chart(2), chart(3)))
     assert sympy.simplify(det(xi0, chart(1), chart(2)) - K1) == 0
     assert sympy.simplify(det(xi0, chart(1), chart(3)) - K2) == 0
+
+
+class SymbolicPotential:
+    """A potential whose coefficients at any time are the symbols a0, a1, a2."""
+
+    a = sympy.symbols("a0:3", real=True)
+
+    def eval(self, time, order=0):
+        return self.a
+
+
+def test_hamiltonian_field_is_affine_in_the_chart(monkeypatch):
+    # the push-forward of hamilton_rhs through (x, p) -> (x sqrt(-p), sqrt(-p)),
+    # at the point with chart coordinates (u, sigma)
+    u, time = sympy.symbols("u t", real=True)
+    sigma = sympy.symbols("sigma", positive=True)
+    X, P = sympy.symbols("X P", real=True)
+    # the package's sqrt(-p) is a float root behind a sign check; sympy's takes symbols
+    monkeypatch.setattr(model, "_momentum_root", lambda p: sympy.sqrt(-p))
+    dx, dp = model.hamilton_rhs(SymbolicPotential(), time, (u / sigma, -sigma**2))
+    to_chart = sympy.Matrix([X * sympy.sqrt(-P), sympy.sqrt(-P)])
+    pushed = to_chart.jacobian([X, P]).subs({X: u / sigma, P: -sigma**2}) * sympy.Matrix([dx, dp])
+    affine = sympy.Matrix(model._affine_rhs(SymbolicPotential(), time, (u, sigma)))
+    assert sympy.simplify(pushed - affine) == sympy.zeros(2, 1)
+    # u' = 1 - a0 sigma - (a1/2) u and sigma' = a2 u + (a1/2) sigma, as the model docstring states
+    a0, a1, a2 = SymbolicPotential.a
+    assert sympy.simplify(affine - sympy.Matrix([1 - a0 * sigma - a1 * u / 2, a2 * u + a1 * sigma / 2])) \
+        == sympy.zeros(2, 1)
 
 
 # --- Taylor jets ------------------------------------------------------------
