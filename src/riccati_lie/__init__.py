@@ -47,6 +47,7 @@ from .model import (
     potential_from_coefficients,
     riccati2_field,
     riccati2_rhs,
+    solve_hamiltonian,
 )
 from .superpose import (
     Constants,

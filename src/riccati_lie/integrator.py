@@ -108,13 +108,6 @@ class Trajectory:
     stats: IntegratorStats | None = None
     coeffs: np.ndarray | None = None
 
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
 
 def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> Trajectory:
     """Integrate dy/dt = rhs(t, y) from ic = (t0, state0) up to t1.
@@ -228,7 +221,7 @@ def sample_at(traj: Trajectory, t) -> np.ndarray:
 
     Returns one state for a scalar t and a row per time for an array.
     Evaluates the polynomial of the segment holding t; a node time
-    returns the stored state itself.  Every t must lie in [t0, t_end].
+    returns the stored state itself.  Every t must lie in [ts[0], ts[-1]].
     """
     ts = traj.ts
     t = np.asarray(t, dtype=float)
@@ -240,6 +233,6 @@ def sample_at(traj: Trajectory, t) -> np.ndarray:
     i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
     u = ((t - ts[i]) / (ts[i + 1] - ts[i]))[..., None]
     c = traj.coeffs[i]
-    # u = 0 at a node returns its state exactly; only t_end needs the stored state
+    # u = 0 at a node returns its state exactly; only ts[-1] needs the stored state
     out = traj.states[i] + u * (c[..., 0, :] + u * (c[..., 1, :] + u * (c[..., 2, :] + u * c[..., 3, :])))
     return np.where((t == ts[i + 1])[..., None], traj.states[i + 1], out)

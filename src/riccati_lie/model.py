@@ -204,6 +204,10 @@ def eval_U(P: JetFn, t: float, x: float):
     return a0 + x * (a1 + x * a2), a1 + 2.0 * a2 * x
 
 
+def _c0(a0, da0, a1):  # the coefficient map's c0 = a0' + a0 a1 / 2, of jets or of their values
+    return da0 + 0.5 * (a0 * a1)
+
+
 @dataclass(frozen=True)
 class _CubicOfPotential(JetFn):
     P: JetFn
@@ -213,7 +217,7 @@ class _CubicOfPotential(JetFn):
     def jets(self, t, n):
         a0, a1, a2 = self.P.jets(t, n + 1)
         return (
-            a0.derivative() + 0.5 * (a0 * a1),
+            _c0(a0, a0.derivative(), a1),
             a1.derivative() + 0.5 * (a1 * a1) + a0 * a2,
             a2.derivative() + 1.5 * (a1 * a2),
             a2 * a2,
@@ -253,23 +257,18 @@ def potential_from_coefficients(R: JetFn, grid) -> JetFn:
     """Invert the coefficient map: the potential (a0, a1, a2) of a cubic
     picture, after checking c3 > 0 on the whole window of the working grid.
 
-    The map is overdetermined -- four cubic coefficients against three
-    potential ones -- so c0 is not used; `c0_defect` measures how far it
-    is from the value the potential implies.  c1, c2 and c3 are read as
-    time functions: the fields of a `RiccatiSpec`, views of a derived one.
+    The three potential coefficients need only c1, c2 and c3 of the four;
+    `c0_defect` compares c0 with the c0 the map gives the result.  They are
+    read as time functions: the fields of a `RiccatiSpec`, views of a derived one.
     """
     _positive_on_window("c3", R.c3, grid)
     return _PotentialOfCubic(R)
 
 
 def c0_defect(R: JetFn, P: JetFn, grid) -> float:
-    """Consistency defect of a cubic picture and a potential:
-    sup over the grid of |c0 - a0' - a0 a1 / 2|."""
-    worst = 0.0
-    for t in map(float, grid):
-        a0, a1, _ = P.jets(t, 1)
-        worst = max(worst, abs(R.c0.eval(t) - a0.deriv(1) - 0.5 * a0.value * a1.value))
-    return worst
+    """Sup over the grid of |R's c0 - the c0 that the coefficient map gives P|."""
+    pairs = ((R.c0.eval(t), P.jets(t, 1)) for t in map(float, grid))
+    return max(abs(c0 - _c0(a0.value, a0.deriv(1), a1.value)) for c0, (a0, a1, _) in pairs)
 
 
 def drag_defect(R: JetFn, grid):

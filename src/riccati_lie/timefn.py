@@ -151,11 +151,6 @@ class TimeFn:
         """An upper bound of |f'| on [t0, t1], from each term's closed-form derivative."""
         return math.fsum(term.slope_bound(t0, t1) for term in self.terms)
 
-    def __add__(self, other):
-        if not isinstance(other, TimeFn):
-            return NotImplemented
-        return TimeFn(self.terms + other.terms)
-
 
 def constant(value) -> TimeFn:
     return TimeFn((Poly((float(value),)),))

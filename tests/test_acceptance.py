@@ -17,6 +17,7 @@ from riccati_lie.model import (
     legendre_inverse,
     potential_from_coefficients,
     riccati2_field,
+    solve_hamiltonian,
 )
 from riccati_lie.superpose import (
     Constants,
@@ -74,23 +75,27 @@ def test_criterion_01_canonical_analytic_oracle():
             abs(sample_at(traj, t)[1] - analytic_p(t)))
         for t in grid
     )
+    # the path `simulate` runs: the chart solve, sampled on the same grid
+    chart = solve_hamiltonian(canonical_potential(), (0.0, -0.25), grid, 1e-10).states
+    exact = np.column_stack((analytic_x(grid), analytic_p(grid)))
+    err = max(err, float(np.max(np.abs(chart - exact))))
     report(1, "canonical analytic oracle", err <= 1e-6, f"sup err {err:.3e} <= 1e-6")
 
 
-def _draw_equivalence_scenario(rng):
+def _draw_equivalence_scenario(rng, grid):
+    """x on the grid from both pictures: the Hamiltonian one as `simulate` solves it."""
     while True:
         P = random_potential(rng)
         R = coefficients_from_potential(P)
         ic = random_phase_points(rng, 1, x_range=(-0.8, 0.8), p_range=(-2.0, -0.5))[0]
         lag0 = legendre_inverse(P, 0.0, ic)
         try:
-            traj_h = integrate(hamiltonian_field(P), (0.0, tuple(ic)), 1.0, 1e-10,
-                               guard=hamiltonian_guard, system="hamiltonian")
+            traj_h = solve_hamiltonian(P, ic, grid, 1e-10)
             traj_r = integrate(riccati2_field(R), (0.0, tuple(lag0)), 1.0, 1e-10,
                                system="riccati2")
         except (NumericError, GuardViolation):
             continue
-        return traj_h, traj_r
+        return traj_h.states[:, 0], sample_at(traj_r, grid)[:, 0]
 
 
 def test_criterion_02_lagrangian_hamiltonian_equivalence(monkeypatch):
@@ -99,9 +104,8 @@ def test_criterion_02_lagrangian_hamiltonian_equivalence(monkeypatch):
     grid = np.linspace(0.0, 1.0, 51)
     worst = 0.0
     for _ in range(20):
-        traj_h, traj_r = _draw_equivalence_scenario(rng)
-        for t in grid:
-            worst = max(worst, abs(sample_at(traj_h, t)[0] - sample_at(traj_r, t)[0]))
+        x_h, x_r = _draw_equivalence_scenario(rng, grid)
+        worst = max(worst, float(np.max(np.abs(x_h - x_r))))
     report(2, "velocity/momentum picture equivalence", worst <= 1e-6,
            f"x sup err {worst:.3e} <= 1e-6 over 20 scenarios")
 

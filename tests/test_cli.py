@@ -158,6 +158,40 @@ class TestSimulate:
         assert cli.main(["simulate", config(CANONICAL), "--ic", "1", "--out", str(tmp_path / "x.csv")]) == 0
         assert capsys.readouterr().out.endswith(f"({stats.n_accepted} steps, {stats.n_rhs} RHS evaluations)\n")
 
+    def test_hamiltonian_picture_of_a_riccati_config_matches_its_potential(self, config, tmp_path):
+        # a polynomial potential and its exact cubic picture, from polynomial
+        # products; the [riccati] config's Hamiltonian solve recovers the
+        # potential through the inverse map, which no bench workload runs
+        poly = np.polynomial.polynomial
+        rng = np.random.default_rng(15)
+        t = np.linspace(0.0, 1.0, 101)
+        run = "\n[run]\nt0 = 0.0\nt1 = 1.0\nstep = 0.01\ntol = 1e-10\n\n[ics]\n"
+        for _ in range(6):
+            a0, a1 = rng.uniform(-0.4, 0.4, 3), rng.uniform(-0.4, 0.4, 3)
+            a2 = np.concatenate(([rng.uniform(0.8, 1.6)], rng.uniform(-0.1, 0.1, 2)))
+            assert poly.polyval(t, a2).min() >= 0.4
+            cubic = [poly.polyadd(poly.polyder(a0), 0.5 * poly.polymul(a0, a1)),
+                     poly.polyadd(poly.polyadd(poly.polyder(a1), 0.5 * poly.polymul(a1, a1)),
+                                  poly.polymul(a0, a2)),
+                     poly.polyadd(poly.polyder(a2), 1.5 * poly.polymul(a1, a2)),
+                     poly.polymul(a2, a2)]
+            xs, ps = rng.uniform(-0.5, 0.5, 2).tolist(), rng.uniform(-2.0, -0.5, 2).tolist()
+            ics = "".join(f"ic{i} = {x!r} {p!r}\n" for i, (x, p) in enumerate(zip(xs, ps)))
+            tables = []
+            for section, names, coeffs in (("potential", ("a0", "a1", "a2"), (a0, a1, a2)),
+                                           ("riccati", ("c0", "c1", "c2", "c3"), cubic)):
+                fields = "".join(f"{name} = poly {' '.join(map(repr, c.tolist()))}\n"
+                                 for name, c in zip(names, coeffs))
+                cfg = config(f"[{section}]\n{fields}{run}{ics}", name=f"{section}.ini")
+                for i in range(2):
+                    out = tmp_path / f"{section}{i}.csv"
+                    assert cli.main(["simulate", cfg, "--system", "hamiltonian", "--ic", str(i),
+                                     "--out", str(out)]) == cli.EXIT_OK
+                    tables.append(read_table(out))
+            for direct, recovered in zip(tables[:2], tables[2:]):
+                assert direct.shape == recovered.shape == (101, 3)
+                assert np.all(np.abs(recovered - direct) <= 1e-9 * np.maximum(1.0, np.abs(direct)))
+
     def test_blowup_is_numeric_failure(self, config, tmp_path):
         # --ic=... keeps argparse from reading the leading minus as a flag
         rc = cli.main(["simulate", config(CANONICAL), "--system", "riccati2",

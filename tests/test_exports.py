@@ -1,4 +1,4 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and every import in the package is used.
 
 Tools that walk the package by `__all__` (the benchmark's tracer among
 them) look names up with a default, so a stale entry would vanish from
@@ -9,6 +9,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +44,50 @@ def test_every_package_reexport_resolves():
         assert getattr(riccati_lie, bound) is getattr(source, name), f"riccati_lie.{bound}"
         # a re-exported name belongs to its module's public surface
         assert name in getattr(source, "__all__", (name,)), f"{module}.{name} not in __all__"
+
+
+def test_the_hamiltonian_solve_is_exported_from_the_package_root():
+    from riccati_lie import model
+
+    assert riccati_lie.solve_hamiltonian is model.solve_hamiltonian
+
+
+# (module, name) bound by an import that the module itself does not read
+UNUSED_IMPORTS_KEPT = {
+    # bench/tests/test_bench.py checks that the tracer rebinds `integrate` here too
+    ("suites", "integrate"),
+}
+
+
+def _unused_imports(path):
+    """Names a module binds by import and never reads.  A name counts as read
+    when it is loaded anywhere in the module, annotations included, or listed
+    in its `__all__`."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return {name: line for name, line in bound.items() if name not in read}
+
+
+# __init__.py is left out: re-exporting what it imports is all it does, and
+# test_every_package_reexport_resolves covers those names
+@pytest.mark.parametrize("path", sorted(p for p in Path(riccati_lie.__file__).parent.glob("*.py")
+                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = {name: line for name, line in _unused_imports(path).items()
+              if (path.stem, name) not in UNUSED_IMPORTS_KEPT}
+    assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def test_the_unused_import_check_sees_an_unused_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\nimport math, os.path\nfrom x import (a, b as c)\n"
+                      "__all__ = ['a']\n\ndef f(v: c) -> None:\n    return os.sep\n")
+    assert _unused_imports(module) == {"math": 2}

@@ -199,7 +199,7 @@ class TestSampleAt:
     def test_nodes_are_exact(self):
         traj = integrate(hamiltonian_field(canonical_potential()), (0.0, (0.0, -0.25)),
                          2.0, 1e-8, guard=hamiltonian_guard)
-        for i in (0, len(traj) // 2, len(traj) - 1):
+        for i in (0, len(traj.ts) // 2, len(traj.ts) - 1):
             np.testing.assert_array_equal(sample_at(traj, traj.ts[i]), traj.states[i])
 
     def test_constant_trajectory_resamples_to_constant(self):
@@ -248,7 +248,7 @@ class TestSampleAt:
         assert batch.shape == (len(times), 2)
         np.testing.assert_array_equal(batch, np.vstack([sample_at(traj, t) for t in times]))
         np.testing.assert_array_equal(sample_at(traj, traj.ts), traj.states)
-        np.testing.assert_array_equal(sample_at(traj, traj.t_end), traj.states[-1])
+        np.testing.assert_array_equal(sample_at(traj, traj.ts[-1]), traj.states[-1])
 
     def test_step_polynomials_end_at_the_next_state(self):
         # each step's continuous extension at u = 1 is that step's end state
@@ -263,7 +263,7 @@ class TestSampleAt:
                      integrate(riccati2_field(coefficients_from_potential(P)),
                                (0.0, legendre_inverse(P, 0.0, s0)), 2.0, 1e-10)]
             for traj in trajs:
-                assert traj.coeffs.shape == (len(traj) - 1, 4, 2)
+                assert traj.coeffs.shape == (len(traj.ts) - 1, 4, 2)
                 end = traj.states[:-1] + traj.coeffs.sum(axis=1)
                 scale = np.maximum(1.0, np.maximum(np.abs(traj.states[:-1]), np.abs(traj.states[1:])))
                 assert np.all(np.abs(end - traj.states[1:]) <= 4 * np.finfo(float).eps * scale)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_lie import suites
 from riccati_lie.errors import DomainError, GuardViolation, NumericError
@@ -27,9 +29,9 @@ from riccati_lie.model import (
     riccati2_rhs,
     solve_hamiltonian,
 )
-from riccati_lie.model import _stays_in_O
+from riccati_lie.model import _positive_on_window, _stays_in_O
 from riccati_lie.suites import random_potential
-from riccati_lie.timefn import Exp, Poly, Sin, TimeFn, constant, parse_timefn
+from riccati_lie.timefn import Cos, Exp, Poly, Sin, TimeFn, constant, parse_timefn
 
 GRID = np.linspace(0.0, 2.0, 21)
 
@@ -144,6 +146,18 @@ class TestPotentialFromCoefficients:
         R = RiccatiSpec(constant(1.0), constant(0.0), constant(0.0), constant(1.0))
         residual = c0_defect(R, potential_from_coefficients(R, GRID), GRID)
         assert residual == pytest.approx(1.0, rel=1e-12)
+
+    def test_c0_defect_compares_with_the_maps_c0(self):
+        # the defect reads c0 off the coefficient map itself, to the last bit
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            R = coefficients_from_potential(random_potential(rng))
+            c0 = TimeFn((Poly(tuple(rng.uniform(-1.0, 1.0, 2))), Sin(0.3, 1.7, float(rng.uniform(0, 6)))))
+            R = RiccatiSpec(c0, R.c1, R.c2, R.c3)
+            P = potential_from_coefficients(R, GRID)
+            implied = coefficients_from_potential(P)
+            want = max(abs(R.c0.eval(t) - implied.eval(t)[0]) for t in map(float, GRID))
+            assert c0_defect(R, P, GRID) == want > 0.0
 
     def test_rejects_vanishing_c3(self):
         R = RiccatiSpec(constant(0.0), constant(0.0), constant(0.0), constant(0.0))
@@ -403,3 +417,89 @@ class TestSolveHamiltonian:
         coeffs[0, 2, 1] = np.nan
         with pytest.raises(GuardViolation, match=r"violated just past t=0\.0$"):
             _stays_in_O(chart)
+
+
+def _uniform(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# sigma on quartic steps at one of several scales around the floor sqrt(1e-9),
+# each step's polynomial ending at the next node's state
+@st.composite
+def _charts(draw):
+    floor = math.sqrt(1e-9)
+    scale = draw(st.sampled_from([3e-6, 3e-5, 3e-4, 1e-2, 1.0]))
+    n = draw(st.integers(1, 4))
+    t0 = draw(_uniform(-2.0, 2.0))
+    widths = draw(st.lists(_uniform(1e-3, 1.0), min_size=n, max_size=n))
+    coeffs = np.zeros((n, 4, 2))
+    coeffs[:, :, 1] = scale * np.reshape(draw(st.lists(_uniform(-3.0, 3.0), min_size=4 * n, max_size=4 * n)),
+                                         (n, 4))
+    sigma = [floor + scale * draw(_uniform(-0.2, 3.0))]
+    for c in coeffs[:, :, 1]:
+        sigma.append(sigma[-1] + float(c.sum()))
+    ts = t0 + np.concatenate(([0.0], np.cumsum(widths)))
+    states = np.column_stack((np.zeros(n + 1), sigma))
+    return Trajectory(ts=ts, states=states, coeffs=coeffs)
+
+
+# a bounded time function drawn like test_timefn's random_timefn (by numpy,
+# from a drawn seed, so that most have an interior minimum), on a grid of a
+# few nodes that puts its least local minimum on [-2, 6] inside a segment,
+# shifted so that its least value on 2,001 samples of the window is
+# +-[1e-4, 1e-2]: half dip below zero, mostly between the nodes, and the rest
+# come close to it.  A least value nearer zero is left out: near a tangent
+# zero the proof can refine for seconds, since a sine's slope bound does not
+# shrink with its segment
+@st.composite
+def _windows(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = [Poly(tuple(rng.uniform(-0.8, 0.8, rng.integers(1, 4))))]
+    for kind, chance in ((Sin, 0.7), (Cos, 0.5)):
+        if rng.uniform() < chance:
+            terms.append(kind(rng.uniform(-0.8, 0.8), rng.uniform(0.3, 2.0), rng.uniform(0, 2 * math.pi)))
+    if rng.uniform() < 0.5:
+        terms.append(Exp(rng.uniform(-0.8, 0.8), rng.uniform(-1.0, 1.0)))
+    f = TimeFn(tuple(terms))
+    wide = np.linspace(-2.0, 6.0, 401)
+    values = np.array([f.eval(t) for t in wide.tolist()])
+    inner = np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] <= values[2:])) + 1
+    t_min = wide[min(inner, key=values.__getitem__) if inner.size else int(np.argmin(values))]
+    nodes = draw(st.integers(2, 6))
+    position = draw(st.integers(0, nodes - 2)) + draw(_uniform(0.05, 0.95))
+    grid = t_min + draw(_uniform(0.02, 1.0)) * (np.arange(nodes) - position)
+    samples = np.linspace(grid[0], grid[-1], 2001).tolist()
+    least = draw(st.sampled_from((-1.0, 1.0))) * draw(_uniform(1e-4, 1e-2))
+    shift = least - min(f.eval(t) for t in samples)
+    return TimeFn((*terms, Poly((shift,)))), grid, samples
+
+
+class TestPositivityProofsAreSound:
+    """The two proofs behind exit 3 never pass a function that is not positive."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_charts())
+    def test_stays_in_O(self, chart):
+        floor = math.sqrt(1e-9)
+        ts = chart.ts.tolist()
+        times = np.concatenate([np.linspace(a, b, 257) for a, b in zip(ts, ts[1:])])
+        sigma = sample_at(chart, times)[:, 1]
+        try:
+            _stays_in_O(chart)
+        except GuardViolation as exc:
+            below = np.flatnonzero(sigma < floor - 1e-9)
+            if below.size:
+                assert exc.last_valid_t <= times[below[0]]
+            return
+        assert sigma.min() >= floor - 1e-12
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_windows())
+    def test_positive_on_window(self, window):
+        f, grid, samples = window
+        dips = min(f.eval(t) for t in samples) <= 0.0
+        try:
+            _positive_on_window("f", f, grid)
+        except DomainError:
+            return
+        assert not dips
