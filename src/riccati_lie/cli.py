@@ -63,6 +63,7 @@ EXIT_GENERICITY = 4
 EXIT_NUMERIC = 5
 
 SEED_ENV_VAR = "RICCATI_LIE_SEED"
+MAX_GRID_STEPS = 10**6  # output grid steps a [run] may ask for: ~150 MB of grid and sample arrays
 
 
 # --- scenario loading -----------------------------------------------------
@@ -148,6 +149,8 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(f"[run] needs t1 > t0, got t0={t0}, t1={t1}")
     if not step > 0.0:
         raise ConfigError(f"[run] step must be positive, got {step}")
+    if not (t1 - t0) / step <= MAX_GRID_STEPS:
+        raise ConfigError(f"[run] step {step} splits [t0, t1] into more than {MAX_GRID_STEPS} steps")
     if not tol > 0.0:
         raise ConfigError(f"[run] tol must be positive, got {tol}")
 

@@ -331,35 +331,16 @@ def legendre_inverse(P: JetFn, t: float, s: PhasePoint) -> LagrangianPoint:
     return LagrangianPoint(x, 1.0 / r - U)
 
 
-class _LastTime:
-    """A picture that keeps its last order-0 evaluation, for one repeated t.
-
-    The DP5 stages 5 and 6 both sit at t + h, so a field evaluates its
-    picture once per distinct stage time.  A zero t is always evaluated:
-    0.0 and -0.0 compare equal, but their coefficients may differ in sign.
-    """
-
-    __slots__ = ("picture", "_t", "_values")
-
-    def __init__(self, picture: JetFn):
-        self.picture, self._t, self._values = picture, None, None
-
-    def eval(self, t):
-        if t != self._t or not t:
-            self._t, self._values = t, self.picture.eval(t)
-        return self._values
-
-
 def hamiltonian_field(P: JetFn):
-    """RHS over raw (x, p) pairs, for the integrator; the potential is
-    evaluated once per distinct time."""
-    return partial(hamilton_rhs, _LastTime(P))
+    """RHS over raw (x, p) pairs, for the integrator; `JetFn.eval`'s memo
+    evaluates the potential once per distinct stage time."""
+    return partial(hamilton_rhs, P)
 
 
 def riccati2_field(R: JetFn):
-    """RHS over raw (x, v) pairs, for the integrator; the coefficients are
-    evaluated once per distinct time."""
-    return partial(riccati2_rhs, _LastTime(R))
+    """RHS over raw (x, v) pairs, for the integrator; `JetFn.eval`'s memo
+    evaluates the coefficients once per distinct stage time."""
+    return partial(riccati2_rhs, R)
 
 
 # The chart solve's error control runs at a quarter of the caller's tol.  At
@@ -430,7 +411,7 @@ def solve_hamiltonian(P: JetFn, s0, grid, tol) -> Trajectory:
     if not p0 <= GUARD_P_MAX:
         raise DomainError(f"initial state {[x0, p0]} violates the domain guard p <= {GUARD_P_MAX}")
     grid = np.asarray(grid, dtype=float)
-    chart = integrate(partial(_affine_rhs, _LastTime(P)), (grid[0], _to_affine(x0, p0)), grid[-1],
+    chart = integrate(partial(_affine_rhs, P), (grid[0], _to_affine(x0, p0)), grid[-1],
                       _CHART_TOL_FACTOR * tol)
     _stays_in_O(chart)
     x, p = _from_affine(*sample_at(chart, grid).T)

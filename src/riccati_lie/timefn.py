@@ -98,7 +98,10 @@ class _Trig:
         return self.amp * self.omega**order * value
 
     def slope_bound(self, t0, t1):
-        return abs(self.amp * self.omega)
+        """min(|A ω|, |f'(m)| + |A| ω² h), m the midpoint and h the half-width."""
+        m, h = 0.5 * (t0 + t1), 0.5 * abs(t1 - t0)
+        slope = abs(self.amp * self.omega)
+        return min(slope, abs(self.eval(m, 1)) + slope * abs(self.omega) * h)
 
 
 class Sin(_Trig):
@@ -302,15 +305,26 @@ class JetFn:
     in the order of `names`, each carrying at least n+1 Taylor coefficients.
     `eval` reads the order-th derivative of every coefficient off those
     jets, as a tuple.  A name that is not a field reads as a `Coefficient`.
+
+    `eval` keeps its last order-0 result (in the instance `__dict__`, out of
+    `==`, `hash` and `repr`), since the DP5 stages 5 and 6 share t + h.  A zero
+    t is always evaluated: 0.0 == -0.0, but their coefficients may differ in sign.
     """
 
     names = ()
+    _last = (None, None)  # (t, values) of the last order-0 eval
 
     def eval(self, t, order=0):
-        if order < 0:
-            raise ValueError(f"derivative order must be >= 0, got {order}")
-        scale = _factorial(order)
-        return tuple([jet.coeffs[order] * scale for jet in self.jets(t, order)])
+        if order:
+            if order < 0:
+                raise ValueError(f"derivative order must be >= 0, got {order}")
+            scale = _factorial(order)
+            return tuple([jet.coeffs[order] * scale for jet in self.jets(t, order)])
+        last_t, values = self._last
+        if t != last_t or not t:  # 0! is 1, and c * 1.0 is c
+            values = tuple([jet.coeffs[0] for jet in self.jets(t, 0)])
+            self.__dict__["_last"] = t, values
+        return values
 
     def __getattr__(self, name):
         if name not in type(self).names:
@@ -319,8 +333,9 @@ class JetFn:
 
 
 class Coefficient:
-    """One coefficient of a picture read as a time function.  Each `eval`
-    builds the whole picture, so it suits single reads, not a hot path."""
+    """One coefficient of a picture read as a time function.  An `eval`
+    builds the whole picture, but repeated order-0 reads at one t, through
+    any of its coefficients, share one build."""
 
     def __init__(self, picture: JetFn, index: int):
         self.picture, self.index = picture, index

@@ -524,6 +524,17 @@ class TestConfigErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"config error: [run] {key} ")
 
+    # both fail before any grid is built: an infinite width, and 10**15 steps
+    @pytest.mark.parametrize("command, run", [(["verify", "brackets"], {"t0": "-1e308", "t1": "1e308"}),
+                                              (["derive"], {"step": "1e-15"})])
+    def test_grid_over_the_step_limit(self, config, capsys, command, run):
+        text = CANONICAL
+        for key, value in run.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert cli.main([*command, config(text)]) == cli.EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: [run] step ") and f"more than {cli.MAX_GRID_STEPS} steps" in line
+
     @pytest.mark.parametrize("case, message", [
         ("missing_coefficient", "missing [potential] a1"),
         ("non_numeric_ic", "expected two finite numbers, got 'zero,-1'"),

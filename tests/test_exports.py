@@ -91,3 +91,40 @@ def test_the_unused_import_check_sees_an_unused_import(tmp_path):
     module.write_text("from __future__ import annotations\nimport math, os.path\nfrom x import (a, b as c)\n"
                       "__all__ = ['a']\n\ndef f(v: c) -> None:\n    return os.sep\n")
     assert _unused_imports(module) == {"math": 2}
+
+
+# (importing module, defining module, name): a private name one module reads
+# from another, each a seam kept on purpose
+PRIVATE_IMPORTS_KEPT = {
+    # the chart conversion (x, p) <-> (u, sigma) of the half-plane O, which the
+    # group action and the superposition rule share with the Hamiltonian solve
+    ("liealg", "model", "_to_affine"), ("liealg", "model", "_from_affine"),
+    ("superpose", "model", "_to_affine"), ("superpose", "model", "_from_affine"),
+    ("superpose", "model", "_momentum_root"),
+    # the one 17-digit number formatter, for the CLI's reports
+    ("cli", "timefn", "_fmt"),
+}
+
+
+def _private_imports(path):
+    """(defining module, name) for every private (leading underscore, not
+    dunder) name a module imports from a sibling module, `from .module import _name`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield node.module, alias.name
+
+
+@pytest.mark.parametrize("path", sorted(Path(riccati_lie.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    crossing = [(module, name) for module, name in _private_imports(path)
+                if (path.stem, module, name) not in PRIVATE_IMPORTS_KEPT]
+    assert not crossing, f"{path.name} imports private names (module, name) {crossing}"
+
+
+def test_the_private_import_check_sees_a_private_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from . import _a\nfrom .x import _b, c, __version__\nfrom .y import (d as _e, _f as g)\n"
+                      "from z import _h\n")
+    assert list(_private_imports(module)) == [("x", "_b"), ("y", "_f")]

@@ -1,5 +1,6 @@
 """Tests for the coefficient maps, Legendre transforms and both RHS."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from riccati_lie.model import (
 )
 from riccati_lie.model import _positive_on_window, _stays_in_O
 from riccati_lie.suites import random_potential
-from riccati_lie.timefn import Cos, Exp, Poly, Sin, TimeFn, constant, parse_timefn
+from riccati_lie.timefn import Cos, Exp, JetFn, Poly, Sin, TimeFn, constant, parse_timefn
 
 GRID = np.linspace(0.0, 2.0, 21)
 
@@ -277,21 +278,26 @@ class TestHamiltonSide:
             assert abs(dp + dh_dx) < 1e-6
 
 
-class CountingPicture:
-    """A picture that counts its evaluations."""
+class CountingJets(JetFn):
+    """A picture that counts its jet builds: `JetFn.eval` calls `jets` only
+    when its memo misses."""
 
     def __init__(self, picture):
         self.picture, self.calls = picture, 0
 
-    def eval(self, t, order=0):
+    def jets(self, t, n):
         self.calls += 1
-        return self.picture.eval(t, order)
+        return self.picture.jets(t, n)
+
+
+# query times: both zeros, a NaN, and repeats
+_MEMO_TIMES = (0.0, -0.0, math.nan, 0.3, 0.3, 0.7, 1.25)
 
 
 class TestFieldMemo:
     def test_one_evaluation_per_distinct_stage_time(self):
         # DP5 stages 5 and 6 share t + h: every trial step reaching stage 6
-        # evaluates the picture five times, not six
+        # builds the picture's jets five times, not six
         P = random_potential(np.random.default_rng(44))
         hits = []
 
@@ -302,7 +308,7 @@ class TestFieldMemo:
             (hamiltonian_field, P, (0.1, -1.0), guard),
             (riccati2_field, coefficients_from_potential(P), (0.1, 0.5), None),
         ):
-            counting = CountingPicture(picture)
+            counting = CountingJets(picture)
             stats = integrate(field(counting), (0.0, ic), 2.0, 1e-10, guard=guard_fn).stats
             assert not hits
             assert stats.n_rejected > 0
@@ -323,7 +329,25 @@ class TestFieldMemo:
             f = field(picture)
             for k, t in enumerate(times):
                 for s in states[k % len(states):] + states[:k % len(states)]:
-                    assert repr(f(t, s)) == repr(rhs(picture, t, s))
+                    # a fresh copy carries no memo
+                    assert repr(f(t, s)) == repr(rhs(dataclasses.replace(picture), t, s))
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 3),
+           st.lists(st.tuples(st.sampled_from(_MEMO_TIMES), st.sampled_from((0, 1, 2))), max_size=12))
+    def test_eval_equals_a_fresh_copys_for_any_call_sequence(self, which, calls):
+        P = random_potential(np.random.default_rng(48))
+        signed = PotentialSpec(Sin(1.0, 1.0, -0.0), Sin(1.0, 1.0, -0.0), constant(1.0))
+        picture = (P, signed, coefficients_from_potential(P), coefficients_from_potential(signed))[which]
+        for t, order in calls:
+            assert repr(picture.eval(t, order)) == repr(dataclasses.replace(picture).eval(t, order))
+
+    def test_coefficient_views_share_one_build_per_time(self):
+        counting = CountingJets(random_potential(np.random.default_rng(45)))
+        R = coefficients_from_potential(counting)
+        values = tuple(getattr(R, name).eval(0.37) for name in R.names)
+        assert counting.calls == 1
+        assert values == dataclasses.replace(R).eval(0.37)
 
 
 class TestLegendre:
@@ -448,9 +472,8 @@ def _charts(draw):
 # few nodes that puts its least local minimum on [-2, 6] inside a segment,
 # shifted so that its least value on 2,001 samples of the window is
 # +-[1e-4, 1e-2]: half dip below zero, mostly between the nodes, and the rest
-# come close to it.  A least value nearer zero is left out: near a tangent
-# zero the proof can refine for seconds, since a sine's slope bound does not
-# shrink with its segment
+# come close to it.  A least value nearer zero is left to
+# TestWindowProofNearATangent
 @st.composite
 def _windows(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -503,3 +526,37 @@ class TestPositivityProofsAreSound:
         except DomainError:
             return
         assert not dips
+
+
+class TestWindowProofNearATangent:
+    """A coefficient whose least value on the window is a tangent near zero
+    is decided in few evaluations, and on the right side of zero."""
+
+    def test_tangent_zero_is_decided_in_few_evaluations(self, monkeypatch):
+        # 1 + sin(0.3 t) touches 0 at t = -5 pi/3; a trig slope bound of |A w| on
+        # every segment needs over 30,000 evaluations for each case
+        calls = []
+        eval_ = TimeFn.eval
+        monkeypatch.setattr(TimeFn, "eval", lambda f, t, order=0: calls.append(t) or eval_(f, t, order))
+        grid = np.linspace(-8.0, -3.0, 501)
+        with pytest.raises(DomainError):
+            _positive_on_window("c3", parse_timefn("poly 1; sin 1 0.3 0"), grid)
+        assert len(calls) <= 1000
+        calls.clear()
+        _positive_on_window("c3", parse_timefn("poly 1.00000001; sin 1 0.3 0"), grid)
+        assert len(calls) <= 1000
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_uniform(0.1, 10.0), _uniform(8.0, 40.0), _uniform(0.0, 2 * math.pi),
+           st.sampled_from((-1.0, 1.0)), _uniform(-6.0, -1.0))
+    def test_passes_exactly_when_the_least_value_is_positive(self, amp, omega, phase, sign, digits):
+        # A (1 + eps) + A cos(w t + phi) has least value A eps on [0, 1]: w >= 8
+        # covers a full period
+        eps = sign * 10.0**digits
+        f = TimeFn((Poly((amp * (1.0 + eps),)), Cos(amp, omega, phase)))
+        try:
+            _positive_on_window("f", f, np.linspace(0.0, 1.0, 5))
+        except DomainError:
+            assert eps < 0.0
+            return
+        assert eps > 0.0

@@ -223,6 +223,8 @@ class TestProperties:
         assert Cos(1.5, 4.0, 0.0).slope_bound(0.0, 1.0) == 6.0
         # local for a polynomial: (t - 10)**2 has |p'| <= 2 on [9, 11]
         assert parse_timefn("poly 100 -20 1").slope_bound(9.0, 11.0) == 2.0
+        # and for a trig term: cos t has |f'| <= 0.1 on [-0.1, 0.1], around its maximum
+        assert Cos(1.0, 1.0, 0.0).slope_bound(-0.1, 0.1) == 0.1
 
 
 class TestJets:
