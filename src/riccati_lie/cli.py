@@ -154,10 +154,7 @@ def load_scenario(path: str) -> Scenario:
     if not tol > 0.0:
         raise ConfigError(f"[run] tol must be positive, got {tol}")
 
-    ics = []
-    if cfg.has_section("ics"):
-        for key in cfg["ics"]:
-            ics.append(_parse_pair(cfg.get("ics", key)))
+    ics = [_parse_pair(cfg.get("ics", key)) for key in cfg["ics"]] if cfg.has_section("ics") else []
 
     grid = _grid(t0, t1, step)
     if has_pot:

@@ -155,56 +155,57 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
     n_rejected = 0
     rejected_streak = 0
 
-    while t < t1:
-        last = t + h >= t1
-        if last:
-            h = t1 - t
-        elif h < _UNDERFLOW_T_SCALE * max(1.0, abs(t)):
-            raise NumericError(f"step size underflow at t={t} (stiffness or finite-time blow-up)")
+    with np.errstate(invalid="ignore", over="ignore"):  # a stage that is not finite rejects the step
+        while t < t1:
+            last = t + h >= t1
+            if last:
+                h = t1 - t
+            elif h < _UNDERFLOW_T_SCALE * max(1.0, abs(t)):
+                raise NumericError(f"step size underflow at t={t} (stiffness or finite-time blow-up)")
 
-        guard_hit = False
-        for i in range(1, 7):
-            d0, d1 = (_A[i] @ K[:i]).tolist()
-            y_stage = (y[0] + h * d0, y[1] + h * d1)
-            if guard is not None and not guard(y_stage):
-                guard_hit = True
-                break
-            K[i] = rhs(t + _C[i] * h, y_stage)
-            n_rhs += 1
-        if guard_hit:
-            # bisect toward the boundary; report the exit once localized
-            if h <= _GUARD_T_RESOLUTION * max(1.0, abs(t)):
-                raise GuardViolation(f"{condition} violated just past t={t}", last_valid_t=t)
-            h *= 0.5
-            continue
+            guard_hit = False
+            for i in range(1, 7):
+                d0, d1 = (_A[i] @ K[:i]).tolist()
+                y_stage = (y[0] + h * d0, y[1] + h * d1)
+                if guard is not None and not guard(y_stage):
+                    guard_hit = True
+                    break
+                K[i] = rhs(t + _C[i] * h, y_stage)
+                n_rhs += 1
+            if guard_hit:
+                # bisect toward the boundary; report the exit once localized
+                if h <= _GUARD_T_RESOLUTION * max(1.0, abs(t)):
+                    raise GuardViolation(f"{condition} violated just past t={t}", last_valid_t=t)
+                h *= 0.5
+                continue
 
-        # stage 6 sits at (t + h, y_new): first-same-as-last
-        y_new = y_stage
-        e0, e1 = (_E @ K).tolist()
-        # y_new first, so a NaN state gives a NaN scale
-        e0 = h * e0 / (tol + tol * max(abs(y_new[0]), abs(y[0])))
-        e1 = h * e1 / (tol + tol * max(abs(y_new[1]), abs(y[1])))
-        err_norm = math.sqrt((e0 * e0 + e1 * e1) / 2)
+            # stage 6 sits at (t + h, y_new): first-same-as-last
+            y_new = y_stage
+            e0, e1 = (_E @ K).tolist()
+            # y_new first, so a NaN state gives a NaN scale
+            e0 = h * e0 / (tol + tol * max(abs(y_new[0]), abs(y[0])))
+            e1 = h * e1 / (tol + tol * max(abs(y_new[1]), abs(y[1])))
+            err_norm = math.sqrt((e0 * e0 + e1 * e1) / 2)
 
-        if err_norm <= 1.0:
-            t, y = (t1 if last else t + h), y_new
-            ts.append(t)
-            ys.append(y)
-            hs.append(h)
-            Ks.append(K.copy())
-            K[0] = K[6]
-            n_accepted += 1
-            factor = _SAFETY * err_norm**-_EXPO * err_prev**_BETA if err_norm > 0 else _MAX_GROWTH
-            if rejected_streak and factor > 1.0:
-                factor = 1.0  # no growth right after a rejection
-            rejected_streak = 0
-            err_prev = max(err_norm, 1e-4)
-            h = min(h * min(_MAX_GROWTH, max(_MIN_SHRINK, factor)), h_max)
-        else:
-            n_rejected += 1
-            rejected_streak += 1
-            factor = _SAFETY * err_norm**-_EXPO if math.isfinite(err_norm) else _MIN_SHRINK
-            h *= min(1.0, max(_MIN_SHRINK, factor))
+            if err_norm <= 1.0:
+                t, y = (t1 if last else t + h), y_new
+                ts.append(t)
+                ys.append(y)
+                hs.append(h)
+                Ks.append(K.copy())
+                K[0] = K[6]
+                n_accepted += 1
+                factor = _SAFETY * err_norm**-_EXPO * err_prev**_BETA if err_norm > 0 else _MAX_GROWTH
+                if rejected_streak and factor > 1.0:
+                    factor = 1.0  # no growth right after a rejection
+                rejected_streak = 0
+                err_prev = max(err_norm, 1e-4)
+                h = min(h * min(_MAX_GROWTH, max(_MIN_SHRINK, factor)), h_max)
+            else:
+                n_rejected += 1
+                rejected_streak += 1
+                factor = _SAFETY * err_norm**-_EXPO if math.isfinite(err_norm) else _MIN_SHRINK
+                h *= min(1.0, max(_MIN_SHRINK, factor))
 
     stats = IntegratorStats(n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs)
     return Trajectory(

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, GuardViolation
+from .errors import DomainError, GuardViolation, NumericError
 from .integrator import GUARD_P_MAX, Trajectory, integrate, sample_at
 from .timefn import Jet, JetFn, TimeFn
 
@@ -61,6 +61,7 @@ __all__ = [
     "drag_defect",
     "riccati2_rhs",
     "hamilton_rhs",
+    "affine_rhs",
     "hamiltonian",
     "legendre_forward",
     "legendre_inverse",
@@ -297,7 +298,7 @@ def hamilton_rhs(P: JetFn, t: float, s: PhasePoint):
     return (1.0 / r - U, p * dU_dx)
 
 
-def _affine_rhs(P: JetFn, t: float, s):
+def affine_rhs(P: JetFn, t: float, s):
     """d(u, sigma)/dt: `hamilton_rhs` in the chart of `_to_affine`, defined on all of R^2."""
     u, sigma = s
     a0, a1, a2 = P.eval(t)
@@ -404,15 +405,20 @@ def solve_hamiltonian(P: JetFn, s0, grid, tol) -> Trajectory:
     with no guard, at _CHART_TOL_FACTOR times tol; `_stays_in_O` proves
     p <= -1e-9 on the whole solution, between the grid times too, or raises
     GuardViolation at the first exit; and the chart's dense output at the
-    grid converts back to (x, p).  The result carries no dense output: its
-    ts is the grid, and its stats count the chart integration's steps.
+    grid converts back to (x, p), or NumericError names the first grid time
+    where it overflows.  The result carries no dense output: its ts is the
+    grid, and its stats count the chart integration's steps.
     """
     x0, p0 = float(s0[0]), float(s0[1])
     if not p0 <= GUARD_P_MAX:
         raise DomainError(f"initial state {[x0, p0]} violates the domain guard p <= {GUARD_P_MAX}")
     grid = np.asarray(grid, dtype=float)
-    chart = integrate(partial(_affine_rhs, P), (grid[0], _to_affine(x0, p0)), grid[-1],
+    chart = integrate(partial(affine_rhs, P), (grid[0], _to_affine(x0, p0)), grid[-1],
                       _CHART_TOL_FACTOR * tol)
     _stays_in_O(chart)
-    x, p = _from_affine(*sample_at(chart, grid).T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        x, p = _from_affine(*sample_at(chart, grid).T)
+    finite = np.isfinite(x) & np.isfinite(p)
+    if not finite.all():
+        raise NumericError(f"the solution overflows as (x, p) at t={grid[np.argmin(finite)]}")
     return Trajectory(ts=grid, states=np.column_stack((x, p)), system="hamiltonian", stats=chart.stats)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BranchError, DomainError, GenericityError
+from .errors import BranchError, DomainError, GenericityError, NumericError
 from .integrator import Trajectory, sample_at
 from .model import PhasePoint, _from_affine, _momentum_root, _to_affine
 
@@ -88,11 +88,11 @@ def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
 
     states is one such row (returns one (x0, p0)) or an (N, 6) array of
     them (returns an (N, 2) array); each constant in k is a number or one
-    per row.  A momentum p >= 0 raises DomainError; then two guards apply,
-    with eps_gen 1e-12 times each row's magnitude scale: GenericityError
-    when |F0| <= eps_gen and BranchError when sigma0, the sqrt(-p0)
-    bracket, is not positive.  The first offending row raises; with the
-    row times ts given, the message names its time.
+    per row.  A momentum p >= 0 raises DomainError; then, with eps_gen 1e-12
+    times each row's magnitude scale, GenericityError when |F0| <= eps_gen,
+    BranchError when sigma0, the sqrt(-p0) bracket, is not positive, and
+    NumericError when (x0, p0) overflows.  The first offending row raises;
+    with the row times ts given, the message names its time.
     """
     cols = np.asarray(states, dtype=float).T  # a single row unpacks to scalars, which is fast
     x, p = cols[0::2], cols[1::2]
@@ -105,9 +105,11 @@ def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
     # F0 == 0 trips the F0 guard on its rows, so the NaN weights there are never used
     F0 = np.where(k.F0, k.F0, np.nan)
     k1_F0, k2_F0 = k.k1 / F0, k.k2 / F0
-    u0 = u1 + k1_F0 * (u3 - u1) - k2_F0 * (u2 - u1)
-    sigma0 = s1 + k1_F0 * (s3 - s1) - k2_F0 * (s2 - s1)
-    fault = ~(on_plane.all(axis=0) & (abs(k.F0) > eps_gen) & (sigma0 > 0.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rows left NaN or inf are faults
+        u0 = u1 + k1_F0 * (u3 - u1) - k2_F0 * (u2 - u1)
+        sigma0 = s1 + k1_F0 * (s3 - s1) - k2_F0 * (s2 - s1)
+        x0, p0 = _from_affine(u0, sigma0)
+    fault = ~(on_plane.all(axis=0) & (abs(k.F0) > eps_gen) & (sigma0 > 0.0) & np.isfinite(x0) & np.isfinite(p0))
     if np.count_nonzero(fault):
         row = int(np.argmax(fault))
 
@@ -122,8 +124,10 @@ def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
             raise DomainError(where + str(exc)) from exc
         if abs(at(k.F0)) <= at(eps_gen):
             raise GenericityError(f"{where}degenerate configuration: |F0|={abs(at(k.F0))} <= {at(eps_gen)}")
-        raise BranchError(f"{where}no p<0 reconstruction: sqrt(-p0) bracket = {at(sigma0)} <= 0")
-    return np.array(_from_affine(u0, sigma0)).T
+        if not at(sigma0) > 0.0:
+            raise BranchError(f"{where}no p<0 reconstruction: sqrt(-p0) bracket = {at(sigma0)} <= 0")
+        raise NumericError(f"{where}the reconstruction overflows as (x0, p0)")
+    return np.array((x0, p0)).T
 
 
 def superpose_point(xi1, xi2, xi3, k: Constants) -> PhasePoint:

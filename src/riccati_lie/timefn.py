@@ -30,6 +30,8 @@ must be finite.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import re
 from dataclasses import astuple, dataclass, fields
@@ -301,10 +303,11 @@ class Jet:
 class JetFn:
     """A coefficient picture: every coefficient evaluated from one jet build.
 
-    Subclasses implement `jets(t, n)`, returning one Jet per coefficient,
-    in the order of `names`, each carrying at least n+1 Taylor coefficients.
-    `eval` reads the order-th derivative of every coefficient off those
-    jets, as a tuple.  A name that is not a field reads as a `Coefficient`.
+    Subclasses implement `jets(t, n)`, returning one Jet per coefficient, in
+    the order of `names`, each carrying at least n+1 Taylor coefficients (an
+    overflow there raises NumericError).  `eval` reads the order-th derivative
+    of every coefficient off those jets, as a tuple.  Each name that is not a
+    field is declared as a `Coefficient` view.
 
     `eval` keeps its last order-0 result (in the instance `__dict__`, out of
     `==`, `hash` and `repr`), since the DP5 stages 5 and 6 share t + h.  A zero
@@ -313,6 +316,20 @@ class JetFn:
 
     names = ()
     _last = (None, None)  # (t, values) of the last order-0 eval
+
+    def __init_subclass__(cls):
+        annotated = {name for klass in cls.__mro__ for name in inspect.get_annotations(klass)}
+        for index, name in enumerate(cls.names):
+            if name not in annotated:
+                setattr(cls, name, property(functools.partial(Coefficient, index=index)))
+        jets = vars(cls).get("jets")
+        if jets is not None:  # math.fsum's intermediate overflow, in a jet product, quotient or sqrt
+            def numeric_jets(self, t, n):
+                try:
+                    return jets(self, t, n)
+                except OverflowError:
+                    raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None
+            cls.jets = numeric_jets
 
     def eval(self, t, order=0):
         if order:
@@ -325,11 +342,6 @@ class JetFn:
             values = tuple([jet.coeffs[0] for jet in self.jets(t, 0)])
             self.__dict__["_last"] = t, values
         return values
-
-    def __getattr__(self, name):
-        if name not in type(self).names:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return Coefficient(self, type(self).names.index(name))
 
 
 class Coefficient:

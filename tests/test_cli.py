@@ -574,6 +574,53 @@ class TestConfigErrors:
         assert len(codes) == 6
 
 
+class TestOverflow:
+    """Inputs whose numbers leave the float range: exit 5 (4 where a draw
+    finds no generic configuration), one stderr line, no numpy warning (the
+    suite turns a RuntimeWarning into an error) and no output file."""
+
+    BIG_A2 = CANONICAL.replace("a2 = poly 1", "a2 = poly 1e154 1e154")
+    COARSE = CANONICAL.replace("step = 0.01", "step = 0.5")
+
+    @pytest.mark.parametrize("text, argv, rc, message", [
+        pytest.param(BIG_A2, ["simulate", "CONFIG", "--system", "riccati2", "--ic=0,0", "--out", "OUT"],
+                     cli.EXIT_NUMERIC, "numeric failure: overflow evaluating the coefficient jets at t=0.0",
+                     id="jets-simulate"),
+        pytest.param(BIG_A2, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
+                     "numeric failure: overflow evaluating the coefficient jets at t=0.0", id="jets-derive"),
+        # sigma stays finite in the chart, but p = -sigma^2 does not at t = 0.5
+        pytest.param(COARSE, ["simulate", "CONFIG", "--ic=1e300,-1", "--out", "OUT"], cli.EXIT_NUMERIC,
+                     "numeric failure: the solution overflows as (x, p) at t=0.5", id="xp-simulate"),
+        pytest.param(COARSE, ["simulate", "CONFIG", "--system", "riccati2", "--ic=1e200,0", "--out", "OUT"],
+                     cli.EXIT_NUMERIC, "numeric failure: step size underflow at t=0.0", id="stages-riccati2"),
+        pytest.param(CANONICAL.replace("a1 = poly 0", "a1 = poly 1e200 1e200"),
+                     ["simulate", "CONFIG", "--ic=0,-1", "--out", "OUT"], cli.EXIT_NUMERIC,
+                     "numeric failure: step size underflow at t=0.0", id="stages-hamiltonian"),
+        pytest.param(BIG_A2, ["verify", "all", "CONFIG", "--trials", "3"], cli.EXIT_GENERICITY,
+                     "genericity error: no generic four-solution configuration found", id="verify"),
+        # the weights k/F0 = 1e305 times sigma differences of 1e100 overflow in the rule's sums
+        pytest.param(CANONICAL, ["superpose", "CONFIG", "--sols", "TINY_F0", "--k1", "1e305", "--k2", "1e305",
+                                 "--out", "OUT"], cli.EXIT_GENERICITY,
+                     "genericity error: at t=0.0: degenerate configuration", id="superpose-sigma0"),
+        # u0 = 1.7e308 + 1.7e308 overflows while sigma0 = 2
+        pytest.param(CANONICAL, ["superpose", "CONFIG", "--sols", "WIDE_U", "--k1=-1.7e308", "--k2=-1.7e308",
+                                 "--out", "OUT"], cli.EXIT_NUMERIC,
+                     "numeric failure: at t=0.0: the reconstruction overflows as (x0, p0)", id="superpose-u0"),
+    ])
+    def test_exit_code_and_one_stderr_line(self, config, tmp_path, capsys, text, argv, rc, message):
+        out = tmp_path / "out.csv"
+        paths = {"CONFIG": config(text), "OUT": str(out)}
+        for name, row in (("TINY_F0", "0.0,0.0,-1.0,1e-200,-1e200,0.0,-1e200"),
+                          ("WIDE_U", "0.0,0.0,-1.0,-1.7e308,-1.0,0.85e308,-4.0")):
+            paths[name] = config(f"t,x1,p1,x2,p2,x3,p3\n{row}\n", f"{name}.csv")
+        assert cli.main([paths.get(arg, arg) for arg in argv]) == rc
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(message), line
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestEntryPoint:
     """The installed entry point, `python -m riccati_lie.cli`, in a fresh process."""
 

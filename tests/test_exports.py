@@ -27,23 +27,31 @@ def test_every_name_in_all_resolves(module):
     assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
 
 
-def _package_reexports():
-    """(module, name) for every `from .module import name` in __init__.py."""
-    tree = ast.parse(inspect.getsource(riccati_lie))
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:
-                yield node.module, alias.name, alias.asname or alias.name
+# the modules whose public names the package root re-exports: all but cli and suites
+REEXPORTED = ("errors", "integrator", "liealg", "model", "superpose", "timefn")
+
+
+def _public_names(module):
+    """A module's `__all__`, or, without one, what `import *` takes from it."""
+    return getattr(module, "__all__", None) or [name for name in vars(module) if not name.startswith("_")]
 
 
 def test_every_package_reexport_resolves():
-    reexports = list(_package_reexports())
-    assert reexports
-    for module, name, bound in reexports:
-        source = importlib.import_module(f"riccati_lie.{module}")
-        assert getattr(riccati_lie, bound) is getattr(source, name), f"riccati_lie.{bound}"
-        # a re-exported name belongs to its module's public surface
-        assert name in getattr(source, "__all__", (name,)), f"{module}.{name} not in __all__"
+    # the root binds each re-exported module's public names, as the same objects, and no other
+    expected = set()
+    for name in REEXPORTED:
+        source = importlib.import_module(f"riccati_lie.{name}")
+        for attr in _public_names(source):
+            assert getattr(riccati_lie, attr, None) is getattr(source, attr), f"riccati_lie.{attr}"
+        expected |= set(_public_names(source))
+    submodules = {name for name, value in vars(riccati_lie).items() if inspect.ismodule(value)}
+    assert {name for name in vars(riccati_lie) if not name.startswith("_")} - submodules == expected
+    assert isinstance(riccati_lie.__version__, str)
+    # and names none itself: one `from .module import *` per re-exported module
+    imports = [node for node in ast.parse(inspect.getsource(riccati_lie)).body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [(node.level, node.module, [a.name for a in node.names]) for node in imports] \
+        == [(1, name, ["*"]) for name in REEXPORTED]
 
 
 def test_the_hamiltonian_solve_is_exported_from_the_package_root():

@@ -15,8 +15,8 @@ from riccati_lie.integrator import (
 from riccati_lie.model import (
     PhasePoint,
     PotentialSpec,
-    _affine_rhs,
     _to_affine,
+    affine_rhs,
     coefficients_from_potential,
     hamiltonian,
     hamiltonian_field,
@@ -259,7 +259,7 @@ class TestSampleAt:
             s0 = PhasePoint(*solution.states[0])
             # the (x, p) field, the chart field solve_hamiltonian integrates, and riccati2
             trajs = [integrate(hamiltonian_field(P), (0.0, s0), 2.0, 1e-10, guard=hamiltonian_guard),
-                     integrate(partial(_affine_rhs, P), (0.0, _to_affine(*s0)), 2.0, 1e-10),
+                     integrate(partial(affine_rhs, P), (0.0, _to_affine(*s0)), 2.0, 1e-10),
                      integrate(riccati2_field(coefficients_from_potential(P)),
                                (0.0, legendre_inverse(P, 0.0, s0)), 2.0, 1e-10)]
             for traj in trajs:

@@ -203,10 +203,13 @@ class TestPotentialFromCoefficients:
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_coefficients_read_by_name(self):
+        # the views are class properties declared from `names`, not looked up by a
+        # `__getattr__` hook, which would keep CPython from specializing attribute reads
+        assert not hasattr(JetFn, "__getattr__")
         P = random_potential(np.random.default_rng(45))
         R = coefficients_from_potential(P)
         P2 = potential_from_coefficients(R, GRID)
-        for picture in (R, P2, RiccatiSpec(R.c0, R.c1, R.c2, R.c3)):
+        for picture in (P, R, P2, RiccatiSpec(R.c0, R.c1, R.c2, R.c3)):
             for t in (0.0, 0.9):
                 for k in (0, 1):
                     got = tuple(getattr(picture, name).eval(t, k) for name in picture.names)
@@ -220,6 +223,17 @@ class TestPotentialFromCoefficients:
         assert max(drag_defect(R, GRID)) <= 1e-12
         # a RiccatiSpec derives its drag pair by the very formula measured
         assert drag_defect(RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID) == (0.0, 0.0)
+
+    def test_jet_overflow_is_a_numeric_error(self):
+        # c3 = a2^2 and the inverse map's a1^2 overflow in the fsum of their first-order
+        # jet terms; drag_defect and c0_defect build jets without going through eval
+        R = coefficients_from_potential(PotentialSpec(constant(0.0), constant(0.0),
+                                                      parse_timefn("poly 1e154 1e154")))
+        R2 = RiccatiSpec(constant(0.0), constant(0.0), parse_timefn("poly 1.5e154 1.5e154"), constant(1.0))
+        P2 = potential_from_coefficients(R2, GRID)
+        for call in (lambda: R.eval(0.0), lambda: drag_defect(R, GRID), lambda: c0_defect(R2, P2, GRID)):
+            with pytest.raises(NumericError, match=r"^overflow evaluating the coefficient jets at t=0\.0$"):
+                call()
 
 
 class TestRiccati2Rhs:

@@ -189,7 +189,7 @@ def test_hamiltonian_field_is_affine_in_the_chart(monkeypatch):
     dx, dp = model.hamilton_rhs(SymbolicPotential(), time, (u / sigma, -sigma**2))
     to_chart = sympy.Matrix([X * sympy.sqrt(-P), sympy.sqrt(-P)])
     pushed = to_chart.jacobian([X, P]).subs({X: u / sigma, P: -sigma**2}) * sympy.Matrix([dx, dp])
-    affine = sympy.Matrix(model._affine_rhs(SymbolicPotential(), time, (u, sigma)))
+    affine = sympy.Matrix(model.affine_rhs(SymbolicPotential(), time, (u, sigma)))
     assert sympy.simplify(pushed - affine) == sympy.zeros(2, 1)
     # u' = 1 - a0 sigma - (a1/2) u and sigma' = a2 u + (a1/2) sigma, as the model docstring states
     a0, a1, a2 = SymbolicPotential.a
