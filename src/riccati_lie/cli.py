@@ -71,8 +71,8 @@ MAX_GRID_STEPS = 10**6  # output grid steps a [run] may ask for: ~150 MB of grid
 
 @dataclass
 class Scenario:
-    potential: JetFn      # (a0, a1, a2)
-    riccati: JetFn        # (c0, c1, c2, c3, f0, f1)
+    potential: PotentialSpec | JetFn  # (a0, a1, a2)
+    riccati: JetFn                    # (c0, c1, c2, c3, f0, f1)
     t0: float
     t1: float
     step: float

@@ -15,10 +15,10 @@ correspondence implemented here:
     c3 = a2**2              c1 = a1' + a1**2/2 + a0 a2      f1 = 3 a2
     c2 = a2' + 3 a1 a2 / 2  c0 = a0' + a0 a1 / 2            f0 = 3 a1 / 2
 
-Each coefficient picture is a `JetFn`: `eval(t, k)` of a potential
-picture returns the k-th derivatives (a0, a1, a2), of a cubic picture
-(c0, c1, c2, c3, f0, f1).  A cubic picture's `jets(t, n)` carries c3 one
-order further, to n+1, because the drag pair needs c3'.
+`eval(t, k)` returns a picture's k-th derivatives: (a0, a1, a2) of a potential,
+(c0, c1, c2, c3, f0, f1) of a cubic picture.  A `PotentialSpec` is its three
+time functions, the Lie system's coefficients.  A derived picture is a `JetFn`
+built from Taylor jets; the cubic jets carry c3 one order further, for c3'.
 
 On the branch v + U > 0 the Legendre transform p = -1/(v + U)**2 is a
 bijection onto the half-plane O = {p < 0}, where the dynamics becomes the
@@ -86,11 +86,11 @@ class LagrangianPoint(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PotentialSpec(JetFn):
+class PotentialSpec:
     """Quadratic potential U = a0 + a1 x + a2 x^2 with time-function coefficients.
 
     Each field is any object with an exact `.eval(t, order)`; `eval(t, k)`
-    returns the k-th derivatives (a0, a1, a2).
+    returns their k-th derivatives (a0, a1, a2).
     """
 
     a0: object
@@ -99,8 +99,8 @@ class PotentialSpec(JetFn):
 
     names = ("a0", "a1", "a2")
 
-    def jets(self, t, n):
-        return Jet.of(self.a0, t, n), Jet.of(self.a1, t, n), Jet.of(self.a2, t, n)
+    def eval(self, t, order=0):
+        return self.a0.eval(t, order), self.a1.eval(t, order), self.a2.eval(t, order)
 
 
 _WINDOW_T_RESOLUTION = 1e-9  # narrowest interval the window check refines to, relative to the window
@@ -199,7 +199,7 @@ def _from_affine(u, sigma):
     return u / sigma, -sigma * sigma
 
 
-def eval_U(P: JetFn, t: float, x: float):
+def eval_U(P: PotentialSpec | JetFn, t: float, x: float):
     """Return (U, dU/dx) at (t, x)."""
     a0, a1, a2 = P.eval(t)
     return a0 + x * (a1 + x * a2), a1 + 2.0 * a2 * x
@@ -211,12 +211,12 @@ def _c0(a0, da0, a1):  # the coefficient map's c0 = a0' + a0 a1 / 2, of jets or 
 
 @dataclass(frozen=True)
 class _CubicOfPotential(JetFn):
-    P: JetFn
+    P: PotentialSpec | JetFn
 
     names = RiccatiSpec.names
 
     def jets(self, t, n):
-        a0, a1, a2 = self.P.jets(t, n + 1)
+        a0, a1, a2 = [Jet.of(a, t, n + 1) for a in (self.P.a0, self.P.a1, self.P.a2)]
         return (
             _c0(a0, a0.derivative(), a1),
             a1.derivative() + 0.5 * (a1 * a1) + a0 * a2,
@@ -227,7 +227,7 @@ class _CubicOfPotential(JetFn):
         )
 
 
-def coefficients_from_potential(P: JetFn, grid=None) -> JetFn:
+def coefficients_from_potential(P: PotentialSpec | JetFn, grid=None) -> JetFn:
     """Map a potential to the cubic picture (c0, c1, c2, c3, f0, f1).
 
     Every output is exact, backed by the inputs' closed-form derivatives.
@@ -266,10 +266,10 @@ def potential_from_coefficients(R: JetFn, grid) -> JetFn:
     return _PotentialOfCubic(R)
 
 
-def c0_defect(R: JetFn, P: JetFn, grid) -> float:
+def c0_defect(R: JetFn, P: PotentialSpec | JetFn, grid) -> float:
     """Sup over the grid of |R's c0 - the c0 that the coefficient map gives P|."""
-    pairs = ((R.c0.eval(t), P.jets(t, 1)) for t in map(float, grid))
-    return max(abs(c0 - _c0(a0.value, a0.deriv(1), a1.value)) for c0, (a0, a1, _) in pairs)
+    rows = ((R.c0.eval(t), P.eval(t), P.a0.eval(t, 1)) for t in map(float, grid))
+    return max(abs(c0 - _c0(a0, da0, a1)) for c0, (a0, a1, _), da0 in rows)
 
 
 def drag_defect(R: JetFn, grid):
@@ -277,9 +277,9 @@ def drag_defect(R: JetFn, grid):
     (|f1 - 3 sqrt(c3)|, |f0 - c2/sqrt(c3) + c3'/(2 c3)|)."""
     rows = []
     for t in map(float, grid):
-        _, _, c2, c3, f0, f1 = R.jets(t, 0)
-        root, drag = _drag(c2, c3)
-        rows.append((abs(f1.value - 3.0 * root.value), abs(f0.value - drag.value)))
+        *_, f0, f1 = R.eval(t)
+        root, drag = _drag(Jet.of(R.c2, t, 0), Jet.of(R.c3, t, 1))
+        rows.append((abs(f1 - 3.0 * root.value), abs(f0 - drag.value)))
     return tuple(map(max, zip(*rows)))
 
 
@@ -290,7 +290,7 @@ def riccati2_rhs(R: JetFn, t: float, s: LagrangianPoint):
     return (v, -(f0 + f1 * x) * v - (c0 + x * (c1 + x * (c2 + x * c3))))
 
 
-def hamilton_rhs(P: JetFn, t: float, s: PhasePoint):
+def hamilton_rhs(P: PotentialSpec | JetFn, t: float, s: PhasePoint):
     """d(x, p)/dt on the half-plane O."""
     x, p = s
     r = _momentum_root(p)
@@ -298,7 +298,7 @@ def hamilton_rhs(P: JetFn, t: float, s: PhasePoint):
     return (1.0 / r - U, p * dU_dx)
 
 
-def affine_rhs(P: JetFn, t: float, s):
+def affine_rhs(P: PotentialSpec | JetFn, t: float, s):
     """d(u, sigma)/dt: `hamilton_rhs` in the chart of `_to_affine`, defined on all of R^2."""
     u, sigma = s
     a0, a1, a2 = P.eval(t)
@@ -306,7 +306,7 @@ def affine_rhs(P: JetFn, t: float, s):
     return (1.0 - a0 * sigma - half * u, a2 * u + half * sigma)
 
 
-def hamiltonian(P: JetFn, t: float, s: PhasePoint) -> float:
+def hamiltonian(P: PotentialSpec | JetFn, t: float, s: PhasePoint) -> float:
     """h(t, x, p) = -2 sqrt(-p) - p U(t, x)."""
     x, p = s
     r = _momentum_root(p)
@@ -314,7 +314,7 @@ def hamiltonian(P: JetFn, t: float, s: PhasePoint) -> float:
     return -2.0 * r - p * U
 
 
-def legendre_forward(P: JetFn, t: float, s: LagrangianPoint) -> PhasePoint:
+def legendre_forward(P: PotentialSpec | JetFn, t: float, s: LagrangianPoint) -> PhasePoint:
     """(x, v) -> (x, -1/(v+U)^2); defined on the branch v + U > 0."""
     x, v = s
     U, _ = eval_U(P, t, x)
@@ -324,7 +324,7 @@ def legendre_forward(P: JetFn, t: float, s: LagrangianPoint) -> PhasePoint:
     return PhasePoint(x, -1.0 / (w * w))
 
 
-def legendre_inverse(P: JetFn, t: float, s: PhasePoint) -> LagrangianPoint:
+def legendre_inverse(P: PotentialSpec | JetFn, t: float, s: PhasePoint) -> LagrangianPoint:
     """(x, p) -> (x, 1/sqrt(-p) - U); inverse of legendre_forward on O."""
     x, p = s
     r = _momentum_root(p)
@@ -332,9 +332,9 @@ def legendre_inverse(P: JetFn, t: float, s: PhasePoint) -> LagrangianPoint:
     return LagrangianPoint(x, 1.0 / r - U)
 
 
-def hamiltonian_field(P: JetFn):
-    """RHS over raw (x, p) pairs, for the integrator; `JetFn.eval`'s memo
-    evaluates the potential once per distinct stage time."""
+def hamiltonian_field(P: PotentialSpec | JetFn):
+    """RHS over raw (x, p) pairs, for the integrator; a derived potential's
+    `JetFn.eval` memo builds its jets once per distinct stage time."""
     return partial(hamilton_rhs, P)
 
 
@@ -396,7 +396,7 @@ def _stays_in_O(chart: Trajectory) -> None:
             todo += [(m, b, right), (a, m, left)]
 
 
-def solve_hamiltonian(P: JetFn, s0, grid, tol) -> Trajectory:
+def solve_hamiltonian(P: PotentialSpec | JetFn, s0, grid, tol) -> Trajectory:
     """The Hamiltonian solution of P from s0 = (x0, p0) at grid[0], as (x, p)
     rows at the grid times.
 

@@ -63,9 +63,10 @@ class Constants:
 
 
 def _area(xa, xb, xc):
-    """det(xb - xa, xc - xa) of three chart points (u, sigma)."""
+    """det(xb - xa, xc - xa) of three chart points (u, sigma); inf or NaN where it overflows."""
     (ua, sa), (ub, sb), (uc, sc) = xa, xb, xc
-    return (ub - ua) * (sc - sa) - (sb - sa) * (uc - ua)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (ub - ua) * (sc - sa) - (sb - sa) * (uc - ua)
 
 
 def cyclic_integral(a, b, c) -> float:
@@ -88,11 +89,12 @@ def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
 
     states is one such row (returns one (x0, p0)) or an (N, 6) array of
     them (returns an (N, 2) array); each constant in k is a number or one
-    per row.  A momentum p >= 0 raises DomainError; then, with eps_gen 1e-12
-    times each row's magnitude scale, GenericityError when |F0| <= eps_gen,
-    BranchError when sigma0, the sqrt(-p0) bracket, is not positive, and
-    NumericError when (x0, p0) overflows.  The first offending row raises;
-    with the row times ts given, the message names its time.
+    per row.  A momentum p >= 0 raises DomainError, a constant that is not
+    finite NumericError; then, with eps_gen 1e-12 times each row's magnitude
+    scale, GenericityError when |F0| <= eps_gen, BranchError when sigma0, the
+    sqrt(-p0) bracket, is not positive, and NumericError when (x0, p0)
+    overflows.  The first offending row raises; with the row times ts given,
+    the message names its time.
     """
     cols = np.asarray(states, dtype=float).T  # a single row unpacks to scalars, which is fast
     x, p = cols[0::2], cols[1::2]
@@ -109,7 +111,8 @@ def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
         u0 = u1 + k1_F0 * (u3 - u1) - k2_F0 * (u2 - u1)
         sigma0 = s1 + k1_F0 * (s3 - s1) - k2_F0 * (s2 - s1)
         x0, p0 = _from_affine(u0, sigma0)
-    fault = ~(on_plane.all(axis=0) & (abs(k.F0) > eps_gen) & (sigma0 > 0.0) & np.isfinite(x0) & np.isfinite(p0))
+    finite = np.isfinite(np.broadcast_arrays(k.k1, k.k2, k.F0, x0, p0)).all(axis=0)
+    fault = ~(on_plane.all(axis=0) & finite & (abs(k.F0) > eps_gen) & (sigma0 > 0.0))
     if np.count_nonzero(fault):
         row = int(np.argmax(fault))
 
@@ -122,6 +125,8 @@ def superpose_states(states, k: Constants, ts=None) -> np.ndarray:
                 _momentum_root(at(p_copy))
         except DomainError as exc:
             raise DomainError(where + str(exc)) from exc
+        if not np.isfinite([at(k.k1), at(k.k2), at(k.F0)]).all():
+            raise NumericError(f"{where}the constants overflow: k1={at(k.k1)}, k2={at(k.k2)}, F0={at(k.F0)}")
         if abs(at(k.F0)) <= at(eps_gen):
             raise GenericityError(f"{where}degenerate configuration: |F0|={abs(at(k.F0))} <= {at(eps_gen)}")
         if not at(sigma0) > 0.0:

@@ -10,9 +10,9 @@ square roots (the maps between the potential and the cubic-equation
 parametrizations need all three) are handled by a small truncated
 Taylor-jet layer: a `Jet` holds the Taylor coefficients of a function at
 one point, and jet arithmetic propagates them exactly.  A `JetFn` is a
-coefficient picture: it builds the jets of all its coefficients at once
-and reads any derivative order off them.  Derivatives of derived
-coefficients therefore stay closed-form as well.
+derived coefficient picture: it builds the jets of all its coefficients
+at once and reads any derivative order off them, so its derivatives stay
+closed-form as well.
 
 Text grammar for configuration files::
 
@@ -301,13 +301,12 @@ class Jet:
 
 
 class JetFn:
-    """A coefficient picture: every coefficient evaluated from one jet build.
+    """A derived coefficient picture: every coefficient evaluated from one jet build.
 
-    Subclasses implement `jets(t, n)`, returning one Jet per coefficient, in
-    the order of `names`, each carrying at least n+1 Taylor coefficients (an
-    overflow there raises NumericError).  `eval` reads the order-th derivative
-    of every coefficient off those jets, as a tuple.  Each name that is not a
-    field is declared as a `Coefficient` view.
+    Subclasses implement `jets(t, n)`, one Jet per coefficient of `names` to
+    order n or more, which only `eval` calls: it reads the order-th derivative
+    of every coefficient off them, as a tuple (NumericError on an overflow in
+    the jet arithmetic).  Each name that is not a field is a `Coefficient` view.
 
     `eval` keeps its last order-0 result (in the instance `__dict__`, out of
     `==`, `hash` and `repr`), since the DP5 stages 5 and 6 share t + h.  A zero
@@ -322,26 +321,20 @@ class JetFn:
         for index, name in enumerate(cls.names):
             if name not in annotated:
                 setattr(cls, name, property(functools.partial(Coefficient, index=index)))
-        jets = vars(cls).get("jets")
-        if jets is not None:  # math.fsum's intermediate overflow, in a jet product, quotient or sqrt
-            def numeric_jets(self, t, n):
-                try:
-                    return jets(self, t, n)
-                except OverflowError:
-                    raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None
-            cls.jets = numeric_jets
 
     def eval(self, t, order=0):
-        if order:
-            if order < 0:
-                raise ValueError(f"derivative order must be >= 0, got {order}")
-            scale = _factorial(order)
-            return tuple([jet.coeffs[order] * scale for jet in self.jets(t, order)])
-        last_t, values = self._last
-        if t != last_t or not t:  # 0! is 1, and c * 1.0 is c
-            values = tuple([jet.coeffs[0] for jet in self.jets(t, 0)])
-            self.__dict__["_last"] = t, values
-        return values
+        try:
+            if order:
+                if order < 0:
+                    raise ValueError(f"derivative order must be >= 0, got {order}")
+                return tuple([jet.deriv(order) for jet in self.jets(t, order)])
+            last_t, values = self._last
+            if t != last_t or not t:  # 0! is 1, and c * 1.0 is c
+                values = tuple([jet.coeffs[0] for jet in self.jets(t, 0)])
+                self.__dict__["_last"] = t, values
+            return values
+        except OverflowError:  # math.fsum's intermediate overflow, in a jet product, quotient or sqrt
+            raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None
 
 
 class Coefficient:

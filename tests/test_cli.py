@@ -606,12 +606,25 @@ class TestOverflow:
         pytest.param(CANONICAL, ["superpose", "CONFIG", "--sols", "WIDE_U", "--k1=-1.7e308", "--k2=-1.7e308",
                                  "--out", "OUT"], cli.EXIT_NUMERIC,
                      "numeric failure: at t=0.0: the reconstruction overflows as (x0, p0)", id="superpose-u0"),
+        # F0 = 1e250 * 2e150 overflows; k/F0 = 0 would pass copy 1 off as the answer
+        pytest.param(CANONICAL, ["superpose", "CONFIG", "--sols", "HUGE_F0", "--k1", "1", "--k2", "1",
+                                 "--out", "OUT"], cli.EXIT_NUMERIC,
+                     "numeric failure: at t=0.0: the constants overflow", id="superpose-F0-k"),
+        pytest.param(CANONICAL, ["superpose", "CONFIG", "--sols", "HUGE_F0", "--fourth-ic=0,-2",
+                                 "--out", "OUT"], cli.EXIT_NUMERIC,
+                     "numeric failure: at t=0.0: the constants overflow", id="superpose-F0-fourth"),
+        # the fourth copy (u, sigma) = (1e308, 1e8) makes k1 = inf - inf = NaN, while F0 = 4
+        pytest.param(CANONICAL, ["superpose", "CONFIG", "--sols", "UNIT_F0", "--fourth-ic=1e300,-1e16",
+                                 "--out", "OUT"], cli.EXIT_NUMERIC,
+                     "numeric failure: at t=0.0: the constants overflow: k1=nan", id="superpose-k1-fourth"),
     ])
     def test_exit_code_and_one_stderr_line(self, config, tmp_path, capsys, text, argv, rc, message):
         out = tmp_path / "out.csv"
         paths = {"CONFIG": config(text), "OUT": str(out)}
         for name, row in (("TINY_F0", "0.0,0.0,-1.0,1e-200,-1e200,0.0,-1e200"),
-                          ("WIDE_U", "0.0,0.0,-1.0,-1.7e308,-1.0,0.85e308,-4.0")):
+                          ("WIDE_U", "0.0,0.0,-1.0,-1.7e308,-1.0,0.85e308,-4.0"),
+                          ("HUGE_F0", "0.0,0.0,-1.0,1e100,-1e300,0.0,-4e300"),
+                          ("UNIT_F0", "0.0,0.0,-1.0,1.0,-4.0,0.0,-9.0")):
             paths[name] = config(f"t,x1,p1,x2,p2,x3,p3\n{row}\n", f"{name}.csv")
         assert cli.main([paths.get(arg, arg) for arg in argv]) == rc
         captured = capsys.readouterr()

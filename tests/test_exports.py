@@ -1,4 +1,5 @@
-"""Every exported name resolves, and every import in the package is used.
+"""Every exported name resolves, every import in the package is used, and
+only `JetFn.eval` builds jets.
 
 Tools that walk the package by `__all__` (the benchmark's tracer among
 them) look names up with a default, so a stale entry would vanish from
@@ -136,3 +137,36 @@ def test_the_private_import_check_sees_a_private_import(tmp_path):
     module.write_text("from . import _a\nfrom .x import _b, c, __version__\nfrom .y import (d as _e, _f as g)\n"
                       "from z import _h\n")
     assert list(_private_imports(module)) == [("x", "_b"), ("y", "_f")]
+
+
+def _jets_calls(path):
+    """The function around each `.jets(...)` call in a module, as "Class.method"
+    or "function" ("" at module level), in source order."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "jets":
+                calls.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return calls
+
+
+def test_only_jetfn_eval_builds_jets():
+    # every other reader of a picture goes through eval, which keeps the memo and
+    # maps a jet overflow to NumericError in one place
+    callers = {(path.stem, scope) for path in Path(riccati_lie.__file__).parent.glob("*.py")
+               for scope in _jets_calls(path)}
+    assert callers == {("timefn", "JetFn.eval")}
+
+
+def test_the_jets_call_check_sees_a_planted_call(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("x = P.jets(0.0, 0)\n\nclass A:\n    def f(self, P):\n        return P.jets(0.0, 1)\n\n"
+                      "def g(R):\n    def h():\n        return R.jets(0.0, 0)\n    return jets(1), R.jets, h\n")
+    assert _jets_calls(module) == ["", "A.f", "g.h"]

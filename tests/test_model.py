@@ -57,6 +57,21 @@ class TestEvalU:
         assert P.eval(3.0, 1) == (1.0, 0.0, 0.0)
 
 
+class TestPotentialSpec:
+    def test_is_not_a_jet_picture(self):
+        assert not isinstance(canonical(), JetFn)
+        assert not hasattr(PotentialSpec, "jets")
+
+    def test_eval_is_its_fields_eval_to_the_bit(self):
+        # no jets between the fields and eval: (f^(k)/k!) k! would differ from f^(k) in the last bit
+        rng = np.random.default_rng(49)
+        for _ in range(40):
+            P = random_potential(rng)
+            for t in (0.0, -0.0, 0.37, 0.9, 1.25, 2.0, -1.7):
+                for k in range(6):
+                    assert repr(P.eval(t, k)) == repr(tuple(f.eval(t, k) for f in (P.a0, P.a1, P.a2)))
+
+
 class TestCoefficientsFromPotential:
     def test_canonical_cubic(self):
         R = coefficients_from_potential(canonical(), GRID)
@@ -226,7 +241,7 @@ class TestPotentialFromCoefficients:
 
     def test_jet_overflow_is_a_numeric_error(self):
         # c3 = a2^2 and the inverse map's a1^2 overflow in the fsum of their first-order
-        # jet terms; drag_defect and c0_defect build jets without going through eval
+        # jet terms; drag_defect and c0_defect reach the jets through eval, as every caller does
         R = coefficients_from_potential(PotentialSpec(constant(0.0), constant(0.0),
                                                       parse_timefn("poly 1e154 1e154")))
         R2 = RiccatiSpec(constant(0.0), constant(0.0), parse_timefn("poly 1.5e154 1.5e154"), constant(1.0))
@@ -294,7 +309,10 @@ class TestHamiltonSide:
 
 class CountingJets(JetFn):
     """A picture that counts its jet builds: `JetFn.eval` calls `jets` only
-    when its memo misses."""
+    when its memo misses.  It takes a cubic picture's names, so that the
+    views of a wrapped cubic picture exist."""
+
+    names = RiccatiSpec.names
 
     def __init__(self, picture):
         self.picture, self.calls = picture, 0
@@ -312,15 +330,17 @@ class TestFieldMemo:
     def test_one_evaluation_per_distinct_stage_time(self):
         # DP5 stages 5 and 6 share t + h: every trial step reaching stage 6
         # builds the picture's jets five times, not six
-        P = random_potential(np.random.default_rng(44))
+        R = coefficients_from_potential(random_potential(np.random.default_rng(44)))
         hits = []
 
         def guard(y):
             return hamiltonian_guard(y) or hits.append(y)
 
         for field, picture, ic, guard_fn in (
-            (hamiltonian_field, P, (0.1, -1.0), guard),
-            (riccati2_field, coefficients_from_potential(P), (0.1, 0.5), None),
+            # a derived potential: a PotentialSpec is its time functions, with no jets to count
+            (hamiltonian_field, potential_from_coefficients(RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID),
+             (0.1, -1.0), guard),
+            (riccati2_field, R, (0.1, 0.5), None),
         ):
             counting = CountingJets(picture)
             stats = integrate(field(counting), (0.0, ic), 2.0, 1e-10, guard=guard_fn).stats
@@ -357,9 +377,9 @@ class TestFieldMemo:
             assert repr(picture.eval(t, order)) == repr(dataclasses.replace(picture).eval(t, order))
 
     def test_coefficient_views_share_one_build_per_time(self):
-        counting = CountingJets(random_potential(np.random.default_rng(45)))
-        R = coefficients_from_potential(counting)
-        values = tuple(getattr(R, name).eval(0.37) for name in R.names)
+        R = coefficients_from_potential(random_potential(np.random.default_rng(45)))
+        counting = CountingJets(R)
+        values = tuple(getattr(counting, name).eval(0.37) for name in counting.names)
         assert counting.calls == 1
         assert values == dataclasses.replace(R).eval(0.37)
 
