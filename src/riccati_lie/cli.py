@@ -36,6 +36,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,11 +46,10 @@ from .integrator import integrate, sample_at
 from .model import (
     PotentialSpec,
     RiccatiSpec,
-    c0_defect,
     coefficients_from_potential,
-    drag_defect,
+    map_defect,
     potential_from_coefficients,
-    riccati2_field,
+    riccati2_rhs,
     solve_hamiltonian,
 )
 from .superpose import Constants, PhaseTuple, constants_from_four, cyclic_integral, superpose_states
@@ -86,8 +86,8 @@ class Scenario:
 
     @property
     def c0_residual(self) -> float:
-        """`c0_defect` of the two pictures on the grid, computed on read."""
-        return c0_defect(self.riccati, self.potential, self.grid())
+        """`map_defect` of c0 on the grid, computed on read."""
+        return map_defect(self.riccati, coefficients_from_potential(self.potential), self.grid(), ["c0"])[0]
 
 
 def _grid(t0: float, t1: float, step: float) -> np.ndarray:
@@ -253,8 +253,8 @@ def cmd_simulate(args) -> int:
         traj = solve_hamiltonian(scenario.potential, ic, grid, scenario.tol)
         header, states = ["t", "x", "p"], traj.states
     else:
-        traj = integrate(riccati2_field(scenario.riccati), (scenario.t0, ic), scenario.t1, scenario.tol,
-                         system=args.system)
+        traj = integrate(partial(riccati2_rhs, scenario.riccati), (scenario.t0, ic), scenario.t1,
+                         scenario.tol, system=args.system)
         header, states = ["t", "x", "v"], sample_at(traj, grid)
     rows = np.column_stack((grid, states))
     write_csv(args.out, header, rows)
@@ -273,7 +273,7 @@ def cmd_derive(args) -> int:
     if scenario.source == "potential":
         coefficients_from_potential(P, grid)  # a2 > 0 validation
         lines += [f"{name}(t0) = {_fmt(value)}" for name, value in zip(R.names, R.eval(t0))]
-        res_f1, res_f0 = drag_defect(R, grid)
+        res_f1, res_f0 = map_defect(R, RiccatiSpec(R.c0, R.c1, R.c2, R.c3), grid, ["f1", "f0"])
         lines += [f"f1_constraint_residual = {_fmt(res_f1)}", f"f0_constraint_residual = {_fmt(res_f0)}"]
     else:
         lines += [f"{name}(t0) = {_fmt(value)}" for name, value in zip(P.names, P.eval(t0))]

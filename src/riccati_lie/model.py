@@ -18,7 +18,7 @@ correspondence implemented here:
 `eval(t, k)` returns a picture's k-th derivatives: (a0, a1, a2) of a potential,
 (c0, c1, c2, c3, f0, f1) of a cubic picture.  A `PotentialSpec` is its three
 time functions, the Lie system's coefficients.  A derived picture is a `JetFn`
-built from Taylor jets; the cubic jets carry c3 one order further, for c3'.
+built from Taylor jets.
 
 On the branch v + U > 0 the Legendre transform p = -1/(v + U)**2 is a
 bijection onto the half-plane O = {p < 0}, where the dynamics becomes the
@@ -57,8 +57,7 @@ __all__ = [
     "eval_U",
     "coefficients_from_potential",
     "potential_from_coefficients",
-    "c0_defect",
-    "drag_defect",
+    "map_defect",
     "riccati2_rhs",
     "hamilton_rhs",
     "affine_rhs",
@@ -66,7 +65,6 @@ __all__ = [
     "legendre_forward",
     "legendre_inverse",
     "hamiltonian_field",
-    "riccati2_field",
     "solve_hamiltonian",
 ]
 
@@ -167,8 +165,8 @@ class RiccatiSpec(JetFn):
     names = ("c0", "c1", "c2", "c3", "f0", "f1")
 
     def jets(self, t, n):
+        c3 = Jet.of(self.c3, t, n + 1)  # the highest order first: views of one picture share its build
         c0, c1, c2 = Jet.of(self.c0, t, n), Jet.of(self.c1, t, n), Jet.of(self.c2, t, n)
-        c3 = Jet.of(self.c3, t, n + 1)
         _positive("c3", t, c3.value)
         root, f0 = _drag(c2, c3)
         return c0, c1, c2, c3, f0, 3.0 * root
@@ -205,10 +203,6 @@ def eval_U(P: PotentialSpec | JetFn, t: float, x: float):
     return a0 + x * (a1 + x * a2), a1 + 2.0 * a2 * x
 
 
-def _c0(a0, da0, a1):  # the coefficient map's c0 = a0' + a0 a1 / 2, of jets or of their values
-    return da0 + 0.5 * (a0 * a1)
-
-
 @dataclass(frozen=True)
 class _CubicOfPotential(JetFn):
     P: PotentialSpec | JetFn
@@ -218,7 +212,7 @@ class _CubicOfPotential(JetFn):
     def jets(self, t, n):
         a0, a1, a2 = [Jet.of(a, t, n + 1) for a in (self.P.a0, self.P.a1, self.P.a2)]
         return (
-            _c0(a0, a0.derivative(), a1),
+            a0.derivative() + 0.5 * (a0 * a1),
             a1.derivative() + 0.5 * (a1 * a1) + a0 * a2,
             a2.derivative() + 1.5 * (a1 * a2),
             a2 * a2,
@@ -248,7 +242,7 @@ class _PotentialOfCubic(JetFn):
 
     def jets(self, t, n):
         R = self.R
-        c1, c2, c3 = Jet.of(R.c1, t, n), Jet.of(R.c2, t, n + 1), Jet.of(R.c3, t, n + 2)
+        c3, c2, c1 = Jet.of(R.c3, t, n + 2), Jet.of(R.c2, t, n + 1), Jet.of(R.c1, t, n)
         a2, f0 = _drag(c2, c3)
         a1 = (2.0 / 3.0) * f0
         return (c1 - a1.derivative() - 0.5 * (a1 * a1)) / a2, a1, a2
@@ -259,27 +253,20 @@ def potential_from_coefficients(R: JetFn, grid) -> JetFn:
     picture, after checking c3 > 0 on the whole window of the working grid.
 
     The three potential coefficients need only c1, c2 and c3 of the four;
-    `c0_defect` compares c0 with the c0 the map gives the result.  They are
+    `map_defect` compares c0 with the c0 the map gives the result.  They are
     read as time functions: the fields of a `RiccatiSpec`, views of a derived one.
     """
     _positive_on_window("c3", R.c3, grid)
     return _PotentialOfCubic(R)
 
 
-def c0_defect(R: JetFn, P: PotentialSpec | JetFn, grid) -> float:
-    """Sup over the grid of |R's c0 - the c0 that the coefficient map gives P|."""
-    rows = ((R.c0.eval(t), P.eval(t), P.a0.eval(t, 1)) for t in map(float, grid))
-    return max(abs(c0 - _c0(a0, da0, a1)) for c0, (a0, a1, _), da0 in rows)
-
-
-def drag_defect(R: JetFn, grid):
-    """Drag-pair defect of a cubic picture: sup over the grid of
-    (|f1 - 3 sqrt(c3)|, |f0 - c2/sqrt(c3) + c3'/(2 c3)|)."""
-    rows = []
-    for t in map(float, grid):
-        *_, f0, f1 = R.eval(t)
-        root, drag = _drag(Jet.of(R.c2, t, 0), Jet.of(R.c3, t, 1))
-        rows.append((abs(f1 - 3.0 * root.value), abs(f0 - drag.value)))
+def map_defect(R: JetFn, R2: JetFn, grid, names):
+    """Sup over the grid of |R2 - R| for each named coefficient of two cubic
+    pictures, R2 being R carried through the maps: the cubic picture of R's
+    potential for c0, or `RiccatiSpec(R.c0, R.c1, R.c2, R.c3)` for the drag
+    pair (f1, f0).  R2 is read first, since it may be built over R's views."""
+    rows = [[abs(getattr(R2, name).eval(t) - getattr(R, name).eval(t)) for name in names]
+            for t in map(float, grid)]
     return tuple(map(max, zip(*rows)))
 
 
@@ -333,15 +320,9 @@ def legendre_inverse(P: PotentialSpec | JetFn, t: float, s: PhasePoint) -> Lagra
 
 
 def hamiltonian_field(P: PotentialSpec | JetFn):
-    """RHS over raw (x, p) pairs, for the integrator; a derived potential's
-    `JetFn.eval` memo builds its jets once per distinct stage time."""
+    """RHS over raw (x, p) pairs, for a guarded `integrate` in (x, p), which
+    `bench/run.py`'s superposition workload runs and no command does."""
     return partial(hamilton_rhs, P)
-
-
-def riccati2_field(R: JetFn):
-    """RHS over raw (x, v) pairs, for the integrator; `JetFn.eval`'s memo
-    evaluates the coefficients once per distinct stage time."""
-    return partial(riccati2_rhs, R)
 
 
 # The chart solve's error control runs at a quarter of the caller's tol.  At

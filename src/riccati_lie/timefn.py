@@ -242,9 +242,9 @@ class Jet:
 
     @classmethod
     def of(cls, f, t, n: int) -> "Jet":
-        """Jet of a time function (anything with .eval(t, order)) to order n."""
+        """Jet of a time function (anything with .eval(t, order)) to order n, read from n down."""
         fact = _FACTORIAL if n < len(_FACTORIAL) else [_factorial(k) for k in range(n + 1)]
-        return cls([float(f.eval(t, k)) / fact[k] for k in range(n + 1)])
+        return cls([float(f.eval(t, k)) / fact[k] for k in range(n, -1, -1)][::-1])
 
     def deriv(self, order: int) -> float:
         """The order-th derivative encoded by this jet."""
@@ -308,13 +308,15 @@ class JetFn:
     of every coefficient off them, as a tuple (NumericError on an overflow in
     the jet arithmetic).  Each name that is not a field is a `Coefficient` view.
 
-    `eval` keeps its last order-0 result (in the instance `__dict__`, out of
-    `==`, `hash` and `repr`), since the DP5 stages 5 and 6 share t + h.  A zero
-    t is always evaluated: 0.0 == -0.0, but their coefficients may differ in sign.
+    `eval` keeps its last build (t, order, jets and values, out of `==`, `hash`
+    and `repr`) and serves any read at that t of an order no higher from it, to
+    the bit: a jet's k-th coefficient does not depend on the order built.  DP5
+    stages 5 and 6 share t + h, and a reader asks for its highest order first.
+    A zero t is always evaluated: 0.0 == -0.0, but their coefficients may differ in sign.
     """
 
     names = ()
-    _last = (None, None)  # (t, values) of the last order-0 eval
+    _last = (None, -1, (), ())  # (t, order, jets, values) of the last build
 
     def __init_subclass__(cls):
         annotated = {name for klass in cls.__mro__ for name in inspect.get_annotations(klass)}
@@ -323,24 +325,24 @@ class JetFn:
                 setattr(cls, name, property(functools.partial(Coefficient, index=index)))
 
     def eval(self, t, order=0):
-        try:
-            if order:
-                if order < 0:
-                    raise ValueError(f"derivative order must be >= 0, got {order}")
-                return tuple([jet.deriv(order) for jet in self.jets(t, order)])
-            last_t, values = self._last
-            if t != last_t or not t:  # 0! is 1, and c * 1.0 is c
-                values = tuple([jet.coeffs[0] for jet in self.jets(t, 0)])
-                self.__dict__["_last"] = t, values
-            return values
-        except OverflowError:  # math.fsum's intermediate overflow, in a jet product, quotient or sqrt
-            raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None
+        if order < 0:
+            raise ValueError(f"derivative order must be >= 0, got {order}")
+        last_t, built, jets, values = self._last
+        if t != last_t or not t or order > built:
+            try:
+                jets = self.jets(t, order)
+            except OverflowError:  # math.fsum's intermediate overflow, in a jet product, quotient or sqrt
+                raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None
+            values = tuple([jet.coeffs[0] for jet in jets])
+            self.__dict__["_last"] = t, order, jets, values
+        return tuple([jet.deriv(order) for jet in jets]) if order else values  # 0! is 1, and c * 1.0 is c
 
 
 class Coefficient:
     """One coefficient of a picture read as a time function.  An `eval`
-    builds the whole picture, but repeated order-0 reads at one t, through
-    any of its coefficients, share one build."""
+    builds the whole picture, but reads at one t, through any of its
+    coefficients, share one build as long as none asks for a higher order
+    than the first: a reader asks for its highest order first."""
 
     def __init__(self, picture: JetFn, index: int):
         self.picture, self.index = picture, index

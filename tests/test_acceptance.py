@@ -3,6 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL lines.
 """
 
+from functools import partial
+
 import numpy as np
 
 from riccati_lie import cli, liealg, suites
@@ -11,12 +13,12 @@ from riccati_lie.integrator import hamiltonian_guard, integrate, sample_at
 from riccati_lie.model import (
     PhasePoint,
     PotentialSpec,
-    c0_defect,
     coefficients_from_potential,
     hamiltonian_field,
     legendre_inverse,
+    map_defect,
     potential_from_coefficients,
-    riccati2_field,
+    riccati2_rhs,
     solve_hamiltonian,
 )
 from riccati_lie.superpose import (
@@ -91,7 +93,7 @@ def _draw_equivalence_scenario(rng, grid):
         lag0 = legendre_inverse(P, 0.0, ic)
         try:
             traj_h = solve_hamiltonian(P, ic, grid, 1e-10)
-            traj_r = integrate(riccati2_field(R), (0.0, tuple(lag0)), 1.0, 1e-10,
+            traj_r = integrate(partial(riccati2_rhs, R), (0.0, tuple(lag0)), 1.0, 1e-10,
                                system="riccati2")
         except (NumericError, GuardViolation):
             continue
@@ -255,7 +257,7 @@ def test_criterion_09_coefficient_maps(monkeypatch):
         assert min(P.eval(t)[2] for t in grid) >= 0.5
         R = coefficients_from_potential(P, grid)
         P2 = potential_from_coefficients(R, grid)
-        defect_worst = max(defect_worst, c0_defect(R, P2, grid))
+        defect_worst = max(defect_worst, *map_defect(R, coefficients_from_potential(P2), grid, ["c0"]))
         for t in grid[::5]:
             for want, got in zip(P.eval(t), P2.eval(t)):
                 round_worst = max(round_worst, abs(got - want) / max(1.0, abs(want)))

@@ -1,5 +1,5 @@
-"""Every exported name resolves, every import in the package is used, and
-only `JetFn.eval` builds jets.
+"""Every exported name resolves, every import in the package is used, only
+`JetFn.eval` builds jets, and only the two coefficient maps derive the drag pair.
 
 Tools that walk the package by `__all__` (the benchmark's tracer among
 them) look names up with a default, so a stale entry would vanish from
@@ -139,9 +139,10 @@ def test_the_private_import_check_sees_a_private_import(tmp_path):
     assert list(_private_imports(module)) == [("x", "_b"), ("y", "_f")]
 
 
-def _jets_calls(path):
-    """The function around each `.jets(...)` call in a module, as "Class.method"
-    or "function" ("" at module level), in source order."""
+def _calls(path, name):
+    """The function around each call of `name` in a module, as a method
+    (`x.name(...)`) or a plain function (`name(...)`): "Class.method" or
+    "function" ("" at module level), in source order."""
     calls = []
 
     def visit(node, scope):
@@ -149,7 +150,8 @@ def _jets_calls(path):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "jets":
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "attr", None),
+                                                        getattr(child.func, "id", None)):
                 calls.append(".".join(scope))
             visit(child, scope)
 
@@ -157,16 +159,25 @@ def _jets_calls(path):
     return calls
 
 
+def _callers(name):
+    return {(path.stem, scope) for path in Path(riccati_lie.__file__).parent.glob("*.py")
+            for scope in _calls(path, name)}
+
+
 def test_only_jetfn_eval_builds_jets():
     # every other reader of a picture goes through eval, which keeps the memo and
     # maps a jet overflow to NumericError in one place
-    callers = {(path.stem, scope) for path in Path(riccati_lie.__file__).parent.glob("*.py")
-               for scope in _jets_calls(path)}
-    assert callers == {("timefn", "JetFn.eval")}
+    assert _callers("jets") == {("timefn", "JetFn.eval")}
+
+
+def test_only_the_maps_derive_the_drag_pair():
+    # (f0, f1) from (c2, c3) is stated once, in the two maps that need it;
+    # `map_defect` measures a drag pair by building a `RiccatiSpec`
+    assert _callers("_drag") == {("model", "RiccatiSpec.jets"), ("model", "_PotentialOfCubic.jets")}
 
 
 def test_the_jets_call_check_sees_a_planted_call(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("x = P.jets(0.0, 0)\n\nclass A:\n    def f(self, P):\n        return P.jets(0.0, 1)\n\n"
                       "def g(R):\n    def h():\n        return R.jets(0.0, 0)\n    return jets(1), R.jets, h\n")
-    assert _jets_calls(module) == ["", "A.f", "g.h"]
+    assert _calls(module, "jets") == ["", "A.f", "g.h", "g"]

@@ -21,7 +21,7 @@ from riccati_lie.model import (
     hamiltonian,
     hamiltonian_field,
     legendre_inverse,
-    riccati2_field,
+    riccati2_rhs,
 )
 from riccati_lie.suites import draw_surviving_solutions, random_potential, suite_integrals
 from riccati_lie.timefn import constant
@@ -260,7 +260,7 @@ class TestSampleAt:
             # the (x, p) field, the chart field solve_hamiltonian integrates, and riccati2
             trajs = [integrate(hamiltonian_field(P), (0.0, s0), 2.0, 1e-10, guard=hamiltonian_guard),
                      integrate(partial(affine_rhs, P), (0.0, _to_affine(*s0)), 2.0, 1e-10),
-                     integrate(riccati2_field(coefficients_from_potential(P)),
+                     integrate(partial(riccati2_rhs, coefficients_from_potential(P)),
                                (0.0, legendre_inverse(P, 0.0, s0)), 2.0, 1e-10)]
             for traj in trajs:
                 assert traj.coeffs.shape == (len(traj.ts) - 1, 4, 2)

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riccati_lie import suites
+from riccati_lie import cli, suites
 from riccati_lie.errors import DomainError, GuardViolation, NumericError
 from riccati_lie.integrator import Trajectory, hamiltonian_guard, integrate, sample_at
 from riccati_lie.model import (
@@ -16,23 +17,21 @@ from riccati_lie.model import (
     PhasePoint,
     PotentialSpec,
     RiccatiSpec,
-    c0_defect,
     coefficients_from_potential,
-    drag_defect,
     eval_U,
     hamilton_rhs,
     hamiltonian,
     hamiltonian_field,
     legendre_forward,
     legendre_inverse,
+    map_defect,
     potential_from_coefficients,
-    riccati2_field,
     riccati2_rhs,
     solve_hamiltonian,
 )
 from riccati_lie.model import _positive_on_window, _stays_in_O
 from riccati_lie.suites import random_potential
-from riccati_lie.timefn import Cos, Exp, JetFn, Poly, Sin, TimeFn, constant, parse_timefn
+from riccati_lie.timefn import Cos, Exp, Jet, JetFn, Poly, Sin, TimeFn, constant, parse_timefn
 
 GRID = np.linspace(0.0, 2.0, 21)
 
@@ -151,7 +150,7 @@ class TestPotentialFromCoefficients:
     def test_roundtrip_canonical(self):
         R = coefficients_from_potential(canonical())
         P2 = potential_from_coefficients(R, GRID)
-        assert c0_defect(R, P2, GRID) <= 1e-12
+        assert map_defect(R, coefficients_from_potential(P2), GRID, ["c0"])[0] <= 1e-12
         for t in GRID:
             a0, a1, a2 = P2.eval(t)
             assert a0 == pytest.approx(0.0, abs=1e-13)
@@ -160,7 +159,7 @@ class TestPotentialFromCoefficients:
 
     def test_inconsistent_c0_surfaces_as_residual(self):
         R = RiccatiSpec(constant(1.0), constant(0.0), constant(0.0), constant(1.0))
-        residual = c0_defect(R, potential_from_coefficients(R, GRID), GRID)
+        (residual,) = map_defect(R, coefficients_from_potential(potential_from_coefficients(R, GRID)), GRID, ["c0"])
         assert residual == pytest.approx(1.0, rel=1e-12)
 
     def test_c0_defect_compares_with_the_maps_c0(self):
@@ -171,9 +170,13 @@ class TestPotentialFromCoefficients:
             c0 = TimeFn((Poly(tuple(rng.uniform(-1.0, 1.0, 2))), Sin(0.3, 1.7, float(rng.uniform(0, 6)))))
             R = RiccatiSpec(c0, R.c1, R.c2, R.c3)
             P = potential_from_coefficients(R, GRID)
-            implied = coefficients_from_potential(P)
-            want = max(abs(R.c0.eval(t) - implied.eval(t)[0]) for t in map(float, GRID))
-            assert c0_defect(R, P, GRID) == want > 0.0
+
+            def maps_c0(t):  # the map's c0 = a0' + a0 a1 / 2, written out
+                a0, a1, _ = P.eval(t)
+                return P.a0.eval(t, 1) + 0.5 * (a0 * a1)
+
+            want = max(abs(R.c0.eval(t) - maps_c0(t)) for t in map(float, GRID))
+            assert map_defect(R, coefficients_from_potential(P), GRID, ["c0"]) == (want,) and want > 0.0
 
     def test_rejects_vanishing_c3(self):
         R = RiccatiSpec(constant(0.0), constant(0.0), constant(0.0), constant(0.0))
@@ -212,7 +215,7 @@ class TestPotentialFromCoefficients:
             P = random_potential(rng)
             R = coefficients_from_potential(P)
             P2 = potential_from_coefficients(R, GRID)
-            assert c0_defect(R, P2, GRID) <= 1e-10
+            assert map_defect(R, coefficients_from_potential(P2), GRID, ["c0"])[0] <= 1e-10
             for t in GRID[::4]:
                 for want, got in zip(P.eval(t), P2.eval(t)):
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
@@ -235,18 +238,21 @@ class TestPotentialFromCoefficients:
     def test_drag_defect(self):
         P = random_potential(np.random.default_rng(46))
         R = coefficients_from_potential(P)
-        assert max(drag_defect(R, GRID)) <= 1e-12
+        R2 = RiccatiSpec(R.c0, R.c1, R.c2, R.c3)
+        assert max(map_defect(R, R2, GRID, ["f1", "f0"])) <= 1e-12
         # a RiccatiSpec derives its drag pair by the very formula measured
-        assert drag_defect(RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID) == (0.0, 0.0)
+        assert map_defect(R2, RiccatiSpec(R2.c0, R2.c1, R2.c2, R2.c3), GRID, ["f1", "f0"]) == (0.0, 0.0)
 
     def test_jet_overflow_is_a_numeric_error(self):
         # c3 = a2^2 and the inverse map's a1^2 overflow in the fsum of their first-order
-        # jet terms; drag_defect and c0_defect reach the jets through eval, as every caller does
+        # jet terms; both map_defect sweeps reach the jets through eval, as every caller does
         R = coefficients_from_potential(PotentialSpec(constant(0.0), constant(0.0),
                                                       parse_timefn("poly 1e154 1e154")))
         R2 = RiccatiSpec(constant(0.0), constant(0.0), parse_timefn("poly 1.5e154 1.5e154"), constant(1.0))
         P2 = potential_from_coefficients(R2, GRID)
-        for call in (lambda: R.eval(0.0), lambda: drag_defect(R, GRID), lambda: c0_defect(R2, P2, GRID)):
+        for call in (lambda: R.eval(0.0),
+                     lambda: map_defect(R, RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID, ["f1", "f0"]),
+                     lambda: map_defect(R2, coefficients_from_potential(P2), GRID, ["c0"])):
             with pytest.raises(NumericError, match=r"^overflow evaluating the coefficient jets at t=0\.0$"):
                 call()
 
@@ -322,6 +328,12 @@ class CountingJets(JetFn):
         return self.picture.jets(t, n)
 
 
+class CountingPotentialJets(CountingJets):
+    """`CountingJets` with a potential's names, for a derived potential."""
+
+    names = PotentialSpec.names
+
+
 # query times: both zeros, a NaN, and repeats
 _MEMO_TIMES = (0.0, -0.0, math.nan, 0.3, 0.3, 0.7, 1.25)
 
@@ -336,14 +348,14 @@ class TestFieldMemo:
         def guard(y):
             return hamiltonian_guard(y) or hits.append(y)
 
-        for field, picture, ic, guard_fn in (
+        for rhs, picture, ic, guard_fn in (
             # a derived potential: a PotentialSpec is its time functions, with no jets to count
-            (hamiltonian_field, potential_from_coefficients(RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID),
+            (hamilton_rhs, potential_from_coefficients(RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID),
              (0.1, -1.0), guard),
-            (riccati2_field, R, (0.1, 0.5), None),
+            (riccati2_rhs, R, (0.1, 0.5), None),
         ):
             counting = CountingJets(picture)
-            stats = integrate(field(counting), (0.0, ic), 2.0, 1e-10, guard=guard_fn).stats
+            stats = integrate(partial(rhs, counting), (0.0, ic), 2.0, 1e-10, guard=guard_fn).stats
             assert not hits
             assert stats.n_rejected > 0
             assert counting.calls == stats.n_rhs - stats.n_accepted - stats.n_rejected
@@ -355,26 +367,42 @@ class TestFieldMemo:
         # raw terms as fields: their value at t = -0.0 keeps the sign of zero
         signed = PotentialSpec(Sin(1.0, 1.0, -0.0), Sin(1.0, 1.0, -0.0), constant(1.0))
         times = [0.3, 0.3, 0.3, 0.7, 0.7, 0.3, 0.0, -0.0, -0.0, 0.0]
-        for field, rhs, picture, states in (
-            (hamiltonian_field, hamilton_rhs, P, [(0.2, -1.0), (-1.5, -0.3), (0.9, -2.5)]),
-            (hamiltonian_field, hamilton_rhs, signed, [(0.0, -1.0), (-0.0, -1.0)]),
-            (riccati2_field, riccati2_rhs, R, [(0.2, 1.0), (-1.5, -0.3), (0.9, 2.5)]),
+        for rhs, picture, states in (
+            (hamilton_rhs, P, [(0.2, -1.0), (-1.5, -0.3), (0.9, -2.5)]),
+            (hamilton_rhs, signed, [(0.0, -1.0), (-0.0, -1.0)]),
+            (riccati2_rhs, R, [(0.2, 1.0), (-1.5, -0.3), (0.9, 2.5)]),
         ):
-            f = field(picture)
+            f = partial(rhs, picture)
             for k, t in enumerate(times):
                 for s in states[k % len(states):] + states[:k % len(states)]:
                     # a fresh copy carries no memo
                     assert repr(f(t, s)) == repr(rhs(dataclasses.replace(picture), t, s))
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(st.integers(0, 3),
-           st.lists(st.tuples(st.sampled_from(_MEMO_TIMES), st.sampled_from((0, 1, 2))), max_size=12))
+    @given(st.integers(0, 6),
+           st.lists(st.tuples(st.sampled_from(_MEMO_TIMES), st.sampled_from((0, 1, 2, 3))), max_size=12))
+    @example(3, [(0.0, 1), (-0.0, 0)])  # the signed cubic's f0 = 1.5 a1 is 0.0 at t = 0.0, -0.0 at t = -0.0
     def test_eval_equals_a_fresh_copys_for_any_call_sequence(self, which, calls):
+        # a read of a lower order than the last build at its t is served from that build
         P = random_potential(np.random.default_rng(48))
         signed = PotentialSpec(Sin(1.0, 1.0, -0.0), Sin(1.0, 1.0, -0.0), constant(1.0))
-        picture = (P, signed, coefficients_from_potential(P), coefficients_from_potential(signed))[which]
+
+        def fresh():  # the picture drawn, over bases of its own, so that no memo is shared
+            R = coefficients_from_potential(P)
+            return (lambda: P, lambda: signed, lambda: R, lambda: coefficients_from_potential(signed),
+                    lambda: RiccatiSpec(R.c0, R.c1, R.c2, R.c3),
+                    lambda: potential_from_coefficients(R, GRID),
+                    lambda: coefficients_from_potential(potential_from_coefficients(R, GRID)))[which]()
+
+        def read(picture, t, order):  # c3 and a2 are not positive at t = NaN
+            try:
+                return repr(picture.eval(t, order))
+            except DomainError as exc:
+                return repr(exc)
+
+        picture = fresh()
         for t, order in calls:
-            assert repr(picture.eval(t, order)) == repr(dataclasses.replace(picture).eval(t, order))
+            assert read(picture, t, order) == read(fresh(), t, order)
 
     def test_coefficient_views_share_one_build_per_time(self):
         R = coefficients_from_potential(random_potential(np.random.default_rng(45)))
@@ -382,6 +410,63 @@ class TestFieldMemo:
         values = tuple(getattr(counting, name).eval(0.37) for name in counting.names)
         assert counting.calls == 1
         assert values == dataclasses.replace(R).eval(0.37)
+
+
+class TestOneBuildPerRead:
+    """A reader asks for its highest order first, so a picture read through
+    its views at one t is built once, whatever the orders read."""
+
+    TIMES = (0.3, 0.7, 1.25, 1.6)
+
+    def test_jet_of_a_view_is_one_build(self):
+        R = coefficients_from_potential(random_potential(np.random.default_rng(45)))
+        counting = CountingJets(R)
+        for n, t in enumerate(self.TIMES):
+            counting.calls = 0
+            jet = Jet.of(counting.c3, t, n)
+            assert counting.calls == 1
+            assert jet.coeffs == Jet.of(dataclasses.replace(R).c3, t, n).coeffs
+
+    def test_round_trips_build_their_base_once_per_read(self):
+        R = coefficients_from_potential(random_potential(np.random.default_rng(45)))
+        derived_potential = CountingPotentialJets(potential_from_coefficients(R, GRID))
+        derived_cubic = CountingJets(R)
+        for base, round_trip in (
+            (derived_potential, coefficients_from_potential(derived_potential)),
+            (derived_cubic, potential_from_coefficients(derived_cubic, GRID)),
+        ):
+            for order, t in enumerate(self.TIMES):
+                base.calls = 0
+                round_trip.eval(t, order)
+                assert base.calls == 1
+
+    @pytest.mark.parametrize("source", [
+        "[potential]\na0 = poly 0.2 -0.1\na1 = sin 0.4 1.3 0.2\na2 = poly 1 0.3\n",
+        "[riccati]\nc0 = cos 0.3 2 0\nc1 = poly 0.1 0.2\nc2 = exp 0.5 -0.4\nc3 = poly 1 0 0.5\n",
+    ], ids=["potential", "riccati"])
+    def test_derive_builds_each_derived_picture_once_per_grid_time(self, source, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(source + "[run]\nt0 = 0.25\nt1 = 1.25\nstep = 0.1\n")
+        assert cli.main(["derive", str(cfg)]) == cli.EXIT_OK
+        report = capsys.readouterr().out
+        scenarios, load = [], cli.load_scenario
+
+        def counted(path):  # the scenario with its derived picture counting its builds
+            sc = load(path)
+            if sc.source == "potential":
+                sc.riccati = CountingJets(sc.riccati)
+            else:
+                sc.potential = CountingPotentialJets(sc.potential)
+            scenarios.append(sc)
+            return sc
+
+        monkeypatch.setattr(cli, "load_scenario", counted)
+        assert cli.main(["derive", str(cfg)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == report
+        (sc,) = scenarios
+        derived = sc.riccati if sc.source == "potential" else sc.potential
+        # the report's build at t0, then one per grid time for the defect sweep
+        assert derived.calls == len(sc.grid()) + 1 == 12
 
 
 class TestLegendre:
@@ -435,7 +520,7 @@ class TestDynamicalEquivalence:
                     hamiltonian_field(P), (0.0, (x0, p0)), 1.0, 1e-10,
                     guard=hamiltonian_guard, system="hamiltonian",
                 )
-                traj_r = integrate(riccati2_field(R), (0.0, tuple(lag0)), 1.0, 1e-10, system="riccati2")
+                traj_r = integrate(partial(riccati2_rhs, R), (0.0, tuple(lag0)), 1.0, 1e-10, system="riccati2")
             except (NumericError, GuardViolation):
                 continue
             for t in np.linspace(0.0, 1.0, 21):

@@ -8,6 +8,8 @@ grid over [0, 1], for seeded random potentials, to 1e-7 relative to
 max(1, |reference|).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from riccati_lie.model import (
     coefficients_from_potential,
     hamiltonian_field,
     legendre_inverse,
-    riccati2_field,
+    riccati2_rhs,
     solve_hamiltonian,
 )
 from riccati_lie.suites import random_potential
@@ -41,7 +43,7 @@ def solved():
             mp.setattr(suites, "_LOW_ORDER_AMP", 0.3)
             P = random_potential(rng)
         s0 = PhasePoint(float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-2.0, -0.5)))
-        ham_rhs, lag_rhs = hamiltonian_field(P), riccati2_field(coefficients_from_potential(P))
+        ham_rhs, lag_rhs = hamiltonian_field(P), partial(riccati2_rhs, coefficients_from_potential(P))
         lag0 = tuple(legendre_inverse(P, 0.0, s0))
         try:
             got = {
