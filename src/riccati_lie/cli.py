@@ -1,9 +1,9 @@
 """Command-line front end: simulate, derive, superpose, verify.
 
 Configuration files are flat INI with a [potential] or [riccati] section
-holding time-function expressions in the term grammar, a [run] section
-with the time window and integrator settings, and an optional [ics]
-section listing initial conditions one per key::
+holding time-function expressions in the term grammar, an optional [run]
+section whose keys default to the values shown (`RUN_DEFAULTS`), and an
+optional [ics] section listing initial conditions one per key::
 
     [potential]
     a0 = poly 0
@@ -15,7 +15,7 @@ section listing initial conditions one per key::
     t1 = 1.0
     step = 0.01
     tol = 1e-10
-    seed = 1234
+    seed = 0
 
     [ics]
     ic1 = 0.0 -0.25
@@ -24,8 +24,8 @@ section listing initial conditions one per key::
 All numeric output is CSV with a header row and 17-significant-digit
 decimals, which reproduces IEEE doubles bit-for-bit on re-read.
 
-Exit codes: 0 success, 1 verification failure, 2 config/parse error,
-3 domain error, 4 genericity error, 5 numeric failure.
+Exit codes (`EXITS`): 0 success, 1 verification failure, 2 config/parse error
+or `verify --trials` outside 1..MAX_TRIALS, 3 domain, 4 genericity, 5 numeric.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from . import suites
-from .errors import ConfigError, DomainError, GenericityError, NumericError
+from .errors import ConfigError, DomainError, GenericityError, NumericError, RiccatiLieError
 from .integrator import integrate, sample_at
 from .model import (
     PotentialSpec,
@@ -61,9 +61,18 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_GENERICITY = 4
 EXIT_NUMERIC = 5
+EXITS = (  # (error class, stderr label, exit code); no class here subclasses another
+    (ConfigError, "config error", EXIT_CONFIG),
+    (DomainError, "domain error", EXIT_DOMAIN),
+    (GenericityError, "genericity error", EXIT_GENERICITY),
+    (NumericError, "numeric failure", EXIT_NUMERIC),
+)
 
+# each [run] key with its default, in the order `load_scenario` unpacks them
+RUN_DEFAULTS = {"t0": "0.0", "t1": "1.0", "step": "0.01", "tol": "1e-10", "seed": "0"}
 SEED_ENV_VAR = "RICCATI_LIE_SEED"
 MAX_GRID_STEPS = 10**6  # output grid steps a [run] may ask for: ~150 MB of grid and sample arrays
+MAX_TRIALS = 10**5  # `verify --trials` cap: `verify all` peaks near 150 MB RSS at this count
 
 
 # --- scenario loading -----------------------------------------------------
@@ -75,42 +84,32 @@ class Scenario:
     riccati: JetFn                    # (c0, c1, c2, c3, f0, f1)
     t0: float
     t1: float
-    step: float
+    grid: np.ndarray      # output grid: [t0, t1] in round((t1 - t0)/step) >= 1 equal steps
     tol: float
     seed: int
     ics: list
     source: str           # "potential" | "riccati"
 
-    def grid(self) -> np.ndarray:
-        return _grid(self.t0, self.t1, self.step)
-
     @property
     def c0_residual(self) -> float:
         """`map_defect` of c0 on the grid, computed on read."""
-        return map_defect(self.riccati, coefficients_from_potential(self.potential), self.grid(), ["c0"])[0]
+        return map_defect(self.riccati, coefficients_from_potential(self.potential), self.grid, ["c0"])[0]
 
 
-def _grid(t0: float, t1: float, step: float) -> np.ndarray:
-    """Output grid: [t0, t1] split into round((t1 - t0)/step) >= 1 equal steps."""
-    return np.linspace(t0, t1, max(1, round((t1 - t0) / step)) + 1)
-
-
-def _get(cfg, section, key, default=None):
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    if default is None:
+def _get(cfg, section, key):
+    if not cfg.has_option(section, key):
         raise ConfigError(f"missing [{section}] {key}")
-    return default
+    return cfg.get(section, key)
 
 
-def _get_float(cfg, section, key, default=None):
-    raw = _get(cfg, section, key, default)
+def _get_float(cfg, key):
+    raw = cfg.get("run", key, fallback=RUN_DEFAULTS[key])  # [DEFAULT] counts only if [run] exists
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
+        raise ConfigError(f"[run] {key} must be a number, got {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+        raise ConfigError(f"[run] {key} must be finite, got {raw!r}")
     return value
 
 
@@ -138,11 +137,7 @@ def load_scenario(path: str) -> Scenario:
     if has_pot == has_ric:
         raise ConfigError("config needs exactly one of [potential] or [riccati]")
 
-    t0 = _get_float(cfg, "run", "t0", "0.0")
-    t1 = _get_float(cfg, "run", "t1", "1.0")
-    step = _get_float(cfg, "run", "step", "0.01")
-    tol = _get_float(cfg, "run", "tol", "1e-10")
-    seed = _get_float(cfg, "run", "seed", "0")
+    t0, t1, step, tol, seed = (_get_float(cfg, key) for key in RUN_DEFAULTS)
     if not (seed.is_integer() and seed >= 0):
         raise ConfigError(f"[run] seed must be a non-negative integer, got {seed}")
     if not t1 > t0:
@@ -156,7 +151,7 @@ def load_scenario(path: str) -> Scenario:
 
     ics = [_parse_pair(cfg.get("ics", key)) for key in cfg["ics"]] if cfg.has_section("ics") else []
 
-    grid = _grid(t0, t1, step)
+    grid = np.linspace(t0, t1, max(1, round((t1 - t0) / step)) + 1)
     if has_pot:
         P = PotentialSpec(*(parse_timefn(_get(cfg, "potential", a)) for a in PotentialSpec.names))
         # no grid validation here: a2 > 0 is needed by the coefficient
@@ -167,7 +162,7 @@ def load_scenario(path: str) -> Scenario:
         R = RiccatiSpec(*(parse_timefn(_get(cfg, "riccati", c)) for c in RiccatiSpec.names[:4]))
         P = potential_from_coefficients(R, grid)  # checks c3 > 0 on the whole window
         source = "riccati"
-    return Scenario(P, R, t0, t1, step, tol, int(seed), ics, source)
+    return Scenario(P, R, t0, t1, grid, tol, int(seed), ics, source)
 
 
 def scenario_seed(scenario: Scenario) -> int:
@@ -247,7 +242,7 @@ def _resolve_ic(raw: str, scenario: Scenario):
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
     ic = _resolve_ic(args.ic, scenario)
-    grid = scenario.grid()
+    grid = scenario.grid
     if args.system == "hamiltonian":
         # an IC with p > -1e-9 raises DomainError, a solution leaving it GuardViolation
         traj = solve_hamiltonian(scenario.potential, ic, grid, scenario.tol)
@@ -266,7 +261,7 @@ def cmd_simulate(args) -> int:
 def cmd_derive(args) -> int:
     """Print the report once all of it is computed: a failure leaves stdout empty."""
     scenario = load_scenario(args.config)
-    grid = scenario.grid()
+    grid = scenario.grid
     t0 = scenario.t0
     R, P = scenario.riccati, scenario.potential
     lines = [f"source = {scenario.source}"]
@@ -316,8 +311,8 @@ def cmd_superpose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ConfigError(f"--trials must be in 1..{MAX_TRIALS}, got {args.trials}")
     scenario = load_scenario(args.config)
     rng = np.random.default_rng(scenario_seed(scenario))
     results = suites.run_suites(
@@ -375,18 +370,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GenericityError as exc:
-        print(f"genericity error: {exc}", file=sys.stderr)
-        return EXIT_GENERICITY
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except RiccatiLieError as exc:
+        for cls, label, code in EXITS:
+            if isinstance(exc, cls):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def console_main() -> None:

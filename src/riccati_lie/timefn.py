@@ -312,7 +312,7 @@ class JetFn:
     and `repr`) and serves any read at that t of an order no higher from it, to
     the bit: a jet's k-th coefficient does not depend on the order built.  DP5
     stages 5 and 6 share t + h, and a reader asks for its highest order first.
-    A zero t is always evaluated: 0.0 == -0.0, but their coefficients may differ in sign.
+    A zero t hits only with the last build's sign: 0.0 == -0.0, but their coefficients may differ.
     """
 
     names = ()
@@ -328,7 +328,7 @@ class JetFn:
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
         last_t, built, jets, values = self._last
-        if t != last_t or not t or order > built:
+        if t != last_t or order > built or (not t and math.copysign(1.0, t) != math.copysign(1.0, last_t)):
             try:
                 jets = self.jets(t, order)
             except OverflowError:  # math.fsum's intermediate overflow, in a jet product, quotient or sqrt

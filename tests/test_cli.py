@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riccati_lie import cli, liealg
+from riccati_lie import cli, errors, liealg
 
 CANONICAL = """\
 [potential]
@@ -407,7 +407,7 @@ class TestSuperposeCommand:
                          "--out", str(out)]) == 0
         _, rec = cli.read_csv(str(out))
         sc = cli.load_scenario(cfg)
-        grid = sc.grid()
+        grid = sc.grid
         trajs = [solve_hamiltonian(sc.potential, sc.ics[i], grid, sc.tol) for i in (1, 2, 3)]
         k = constants_from_four(PhaseTuple(PhasePoint(0.0, -0.25), *(tr.states[0] for tr in trajs)))
         lib = superpose_states(np.hstack([tr.states for tr in trajs]), k, ts=grid)
@@ -465,11 +465,15 @@ class TestVerify:
         assert rc == cli.EXIT_FAIL
         assert "FAIL brackets.rhs_decomposition residual=nan threshold=1.000e-14" in out.splitlines()
 
-    @pytest.mark.parametrize("trials", ["0", "-3"])
+    # checked before anything is allocated: 10**12 trials exhaust memory, 10**23 numpy's dimension limit
+    @pytest.mark.parametrize("trials", ["0", "-3", str(cli.MAX_TRIALS + 1), str(10**12), str(10**23)])
     def test_no_trials_is_a_config_error(self, config, capsys, trials):
         rc = cli.main(["verify", "brackets", config(CANONICAL), "--trials", trials])
         assert rc == cli.EXIT_CONFIG
-        assert "PASS" not in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        (line,) = captured.err.splitlines()
+        assert line == f"config error: --trials must be in 1..{cli.MAX_TRIALS}, got {trials}"
 
     def test_env_seed_override(self, config, monkeypatch):
         scenario = cli.load_scenario(config(CANONICAL))
@@ -572,6 +576,52 @@ class TestConfigErrors:
         codes = {cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_CONFIG, cli.EXIT_DOMAIN,
                  cli.EXIT_GENERICITY, cli.EXIT_NUMERIC}
         assert len(codes) == 6
+
+    # each error class's documented exit code and stderr label, and its constructor arguments
+    DOCUMENTED = {
+        "ConfigError": (2, "config error", ("bad",)),
+        "TimeFnSyntaxError": (2, "config error", ("bad", 3)),
+        "DomainError": (3, "domain error", ("bad",)),
+        "GuardViolation": (3, "domain error", ("bad", 0.5)),
+        "GenericityError": (4, "genericity error", ("bad",)),
+        "BranchError": (4, "genericity error", ("bad",)),
+        "NumericError": (5, "numeric failure", ("bad",)),
+    }
+
+    @pytest.mark.parametrize("cls", [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.RiccatiLieError) and cls is not errors.RiccatiLieError
+    ], ids=lambda cls: cls.__name__)
+    def test_exit_table_covers_every_error_class(self, capsys, monkeypatch, cls):
+        rc, label, args = self.DOCUMENTED[cls.__name__]
+
+        def command(_):
+            raise cls(*args)
+
+        monkeypatch.setattr(cli, "cmd_derive", command)
+        assert cli.main(["derive", "unread.ini"]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"{label}: {cls(*args)}"
+
+
+class TestRunDefaults:
+    """A [run] key is the file's [run] value, else its [DEFAULT] value when a
+    [run] section exists, else the built-in default."""
+
+    POTENTIAL = "[potential]\na0 = poly 0\na1 = poly 0\na2 = poly 1\n"
+
+    @pytest.mark.parametrize("run, t0, t1, n, tol, seed", [
+        pytest.param("", 0.0, 1.0, 101, 1e-10, 0, id="no-run"),
+        pytest.param("[run]\nt1 = 2.0\ntol = 1e-8\nseed = 7\n", 0.0, 2.0, 201, 1e-8, 7, id="partial-run"),
+        pytest.param("[DEFAULT]\nt1 = 5\n[run]\nt0 = 0\n", 0.0, 5.0, 501, 1e-10, 0, id="DEFAULT-with-run"),
+        pytest.param("[DEFAULT]\nt1 = 5\n", 0.0, 1.0, 101, 1e-10, 0, id="DEFAULT-without-run"),
+    ])
+    def test_key_lookup(self, config, run, t0, t1, n, tol, seed):
+        sc = cli.load_scenario(config(self.POTENTIAL + run))
+        assert (sc.t0, sc.t1, sc.tol, sc.seed) == (t0, t1, tol, seed)
+        np.testing.assert_array_equal(sc.grid, np.linspace(t0, t1, n))
 
 
 class TestOverflow:

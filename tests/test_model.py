@@ -440,13 +440,18 @@ class TestOneBuildPerRead:
                 round_trip.eval(t, order)
                 assert base.calls == 1
 
-    @pytest.mark.parametrize("source", [
-        "[potential]\na0 = poly 0.2 -0.1\na1 = sin 0.4 1.3 0.2\na2 = poly 1 0.3\n",
-        "[riccati]\nc0 = cos 0.3 2 0\nc1 = poly 0.1 0.2\nc2 = exp 0.5 -0.4\nc3 = poly 1 0 0.5\n",
-    ], ids=["potential", "riccati"])
-    def test_derive_builds_each_derived_picture_once_per_grid_time(self, source, tmp_path, monkeypatch, capsys):
+    # t0 = 0.0 and -0.0 are served from the memo like any other time: one build for the t0 report
+    @pytest.mark.parametrize("source, t0", [
+        pytest.param(text, t0, id=name if t0 == "0.25" else f"{name}-t0={t0}")
+        for t0 in ("0.25", "0.0", "-0.0")
+        for name, text in (
+            ("potential", "[potential]\na0 = poly 0.2 -0.1\na1 = sin 0.4 1.3 0.2\na2 = poly 1 0.3\n"),
+            ("riccati", "[riccati]\nc0 = cos 0.3 2 0\nc1 = poly 0.1 0.2\nc2 = exp 0.5 -0.4\nc3 = poly 1 0 0.5\n"),
+        )
+    ])
+    def test_derive_builds_each_derived_picture_once_per_grid_time(self, source, t0, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "c.ini"
-        cfg.write_text(source + "[run]\nt0 = 0.25\nt1 = 1.25\nstep = 0.1\n")
+        cfg.write_text(source + f"[run]\nt0 = {t0}\nt1 = {float(t0) + 1}\nstep = 0.1\n")
         assert cli.main(["derive", str(cfg)]) == cli.EXIT_OK
         report = capsys.readouterr().out
         scenarios, load = [], cli.load_scenario
@@ -466,7 +471,7 @@ class TestOneBuildPerRead:
         (sc,) = scenarios
         derived = sc.riccati if sc.source == "potential" else sc.potential
         # the report's build at t0, then one per grid time for the defect sweep
-        assert derived.calls == len(sc.grid()) + 1 == 12
+        assert derived.calls == len(sc.grid) + 1 == 12
 
 
 class TestLegendre:
