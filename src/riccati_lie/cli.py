@@ -149,7 +149,9 @@ def load_scenario(path: str) -> Scenario:
     if not tol > 0.0:
         raise ConfigError(f"[run] tol must be positive, got {tol}")
 
-    ics = [_parse_pair(cfg.get("ics", key)) for key in cfg["ics"]] if cfg.has_section("ics") else []
+    # configparser lists the [DEFAULT] keys in every section; they are [run] fallbacks, not ICs
+    ics = ([_parse_pair(cfg.get("ics", key)) for key in cfg["ics"] if key not in cfg.defaults()]
+           if cfg.has_section("ics") else [])
 
     grid = np.linspace(t0, t1, max(1, round((t1 - t0) / step)) + 1)
     if has_pot:

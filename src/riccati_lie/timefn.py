@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import operator
 import re
 from dataclasses import astuple, dataclass, fields
 
@@ -243,6 +244,11 @@ class Jet:
     @classmethod
     def of(cls, f, t, n: int) -> "Jet":
         """Jet of a time function (anything with .eval(t, order)) to order n, read from n down."""
+        if n == 0:  # x / 0! and x / 1! are x
+            return cls((float(f.eval(t, 0)),))
+        if n == 1:
+            d1 = float(f.eval(t, 1))
+            return cls((float(f.eval(t, 0)), d1))
         fact = _FACTORIAL if n < len(_FACTORIAL) else [_factorial(k) for k in range(n + 1)]
         return cls([float(f.eval(t, k)) / fact[k] for k in range(n, -1, -1)][::-1])
 
@@ -256,35 +262,47 @@ class Jet:
 
     def derivative(self) -> "Jet":
         """Jet of f', one order shorter."""
-        return Jet([(k + 1) * c for k, c in enumerate(self.coeffs[1:])])
+        a = self.coeffs
+        if len(a) <= 2:  # 1 * c is c
+            return Jet(a[1:])
+        return Jet([(k + 1) * c for k, c in enumerate(a[1:])])
 
-    def _pair(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        return self.coeffs[:n], other.coeffs[:n]
-
-    # zip truncates to the shorter operand by itself
+    # map truncates to the shorter operand by itself
     def __add__(self, other):
-        return Jet([x + y for x, y in zip(self.coeffs, other.coeffs)])
+        return Jet(map(operator.add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return Jet([x - y for x, y in zip(self.coeffs, other.coeffs)])
+        return Jet(map(operator.sub, self.coeffs, other.coeffs))
 
+    # The Cauchy sums of one and two terms are spelled out, through the same
+    # math.fsum as longer ones: it turns -0.0 into 0.0 and raises OverflowError
+    # on an intermediate overflow, where a plain + would do neither.
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            a, b = self._pair(other)
-            return Jet([
-                math.fsum([a[j] * b[k - j] for j in range(k + 1)]) for k in range(len(a))
-            ])
-        return Jet([c * other for c in self.coeffs])
+        a = self.coeffs
+        if other.__class__ is not Jet:
+            return Jet([c * other for c in a])
+        b = other.coeffs
+        n = len(a) if len(a) < len(b) else len(b)
+        if n == 1:
+            return Jet((math.fsum((a[0] * b[0],)),))
+        if n == 2:
+            return Jet((math.fsum((a[0] * b[0],)), math.fsum((a[0] * b[1], a[1] * b[0]))))
+        return Jet([math.fsum([a[j] * b[k - j] for j in range(k + 1)]) for k in range(n)])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
+        a, b = self.coeffs, other.coeffs
+        n = len(a) if len(a) < len(b) else len(b)
         if b[0] == 0.0:
             raise ZeroDivisionError("jet division by a function vanishing at the point")
-        out = []
-        for k in range(len(a)):
+        q0 = a[0] / b[0]  # a[0] - math.fsum([]) is a[0]
+        if n == 1:
+            return Jet((q0,))
+        if n == 2:
+            return Jet((q0, (a[1] - math.fsum((b[1] * q0,))) / b[0]))
+        out = [q0]
+        for k in range(1, n):
             s = a[k] - math.fsum([b[j] * out[k - j] for j in range(1, k + 1)])
             out.append(s / b[0])
         return Jet(out)
@@ -293,10 +311,13 @@ class Jet:
         a = self.coeffs
         if not a[0] > 0.0:
             raise DomainError(f"jet sqrt needs a positive value at the point, got {a[0]}")
-        out = [math.sqrt(a[0])]
+        root = math.sqrt(a[0])
+        if len(a) == 2:  # a[1] - math.fsum([]) is a[1]
+            return Jet((root, a[1] / (2.0 * root)))
+        out = [root]
         for k in range(1, len(a)):
             s = a[k] - math.fsum([out[j] * out[k - j] for j in range(1, k)])
-            out.append(s / (2.0 * out[0]))
+            out.append(s / (2.0 * root))
         return Jet(out)
 
 
@@ -331,7 +352,8 @@ class JetFn:
         if t != last_t or order > built or (not t and math.copysign(1.0, t) != math.copysign(1.0, last_t)):
             try:
                 jets = self.jets(t, order)
-            except OverflowError:  # math.fsum's intermediate overflow, in a jet product, quotient or sqrt
+            # math.fsum's intermediate overflow, or its inf - inf, in a jet product, quotient or sqrt
+            except (OverflowError, ValueError):
                 raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None
             values = tuple([jet.coeffs[0] for jet in jets])
             self.__dict__["_last"] = t, order, jets, values

@@ -623,6 +623,20 @@ class TestRunDefaults:
         assert (sc.t0, sc.t1, sc.tol, sc.seed) == (t0, t1, tol, seed)
         np.testing.assert_array_equal(sc.grid, np.linspace(t0, t1, n))
 
+    # configparser lists [DEFAULT] keys in every section, [ics] included
+    @pytest.mark.parametrize("default, t1", [
+        pytest.param("t1 = 2", 2.0, id="run-key"),  # read as an IC, it would be a config error
+        pytest.param("extra = 0.5 -2", 1.0, id="pair"),  # read as an IC, it would be IC 1
+    ])
+    def test_DEFAULT_keys_are_not_ics(self, config, tmp_path, capsys, default, t1):
+        path = config(f"[DEFAULT]\n{default}\n" + self.POTENTIAL + "[run]\nstep = 0.5\n[ics]\nic0 = 0.0 -1.0\n")
+        sc = cli.load_scenario(path)
+        assert (sc.t1, sc.ics) == (t1, [(0.0, -1.0)])
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["simulate", path, "--ic", "0", "--out", out]) == cli.EXIT_OK
+        assert cli.main(["simulate", path, "--ic", "1", "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: IC index 1 out of range; config has 1 ICs\n"
+
 
 class TestOverflow:
     """Inputs whose numbers leave the float range: exit 5 (4 where a draw
@@ -631,6 +645,7 @@ class TestOverflow:
 
     BIG_A2 = CANONICAL.replace("a2 = poly 1", "a2 = poly 1e154 1e154")
     COARSE = CANONICAL.replace("step = 0.01", "step = 0.5")
+    INF_MINUS_INF = BIG_A2.replace("a0 = poly 0", "a0 = poly 1e200 -1e200").replace("1e154 1e154", "1e200 1e200")
 
     @pytest.mark.parametrize("text, argv, rc, message", [
         pytest.param(BIG_A2, ["simulate", "CONFIG", "--system", "riccati2", "--ic=0,0", "--out", "OUT"],
@@ -638,6 +653,9 @@ class TestOverflow:
                      id="jets-simulate"),
         pytest.param(BIG_A2, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
                      "numeric failure: overflow evaluating the coefficient jets at t=0.0", id="jets-derive"),
+        # c1's a0 a2 product sums 1e200 * 1e200 and -1e200 * 1e200: fsum's inf - inf
+        pytest.param(INF_MINUS_INF, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
+                     "numeric failure: overflow evaluating the coefficient jets at t=0.0", id="jets-inf-minus-inf"),
         # sigma stays finite in the chart, but p = -sigma^2 does not at t = 0.5
         pytest.param(COARSE, ["simulate", "CONFIG", "--ic=1e300,-1", "--out", "OUT"], cli.EXIT_NUMERIC,
                      "numeric failure: the solution overflows as (x, p) at t=0.5", id="xp-simulate"),

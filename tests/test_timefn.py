@@ -1,13 +1,14 @@
 """Tests for the time-function layer: exact derivatives, grammar, jets."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riccati_lie.errors import DomainError, NumericError, TimeFnSyntaxError
+from riccati_lie.errors import DomainError, NumericError, RiccatiLieError, TimeFnSyntaxError
 from riccati_lie.timefn import (
     Cos,
     Exp,
@@ -44,6 +45,61 @@ _terms = st.one_of(
     st.builds(Exp, _reals, _reals),
 )
 _timefns = st.builds(lambda ts: TimeFn(tuple(ts)), st.lists(_terms, min_size=1, max_size=6))
+
+# jet coefficients: also subnormals and magnitudes whose squares or sums overflow
+_jet_reals = st.one_of(_reals, st.sampled_from((1e-310, -1e-310, 1.0, -1.0, 1e154, -1e154, 1.4e154)))
+_jets = st.lists(_jet_reals, min_size=1, max_size=4)
+
+
+# The jet operations written as the plain math.fsum Cauchy sums, for every length
+def _ref_mul(a, b):
+    return [math.fsum([a[j] * b[k - j] for j in range(k + 1)]) for k in range(min(len(a), len(b)))]
+
+
+def _ref_div(a, b):
+    if b[0] == 0.0:
+        raise ZeroDivisionError
+    out = []
+    for k in range(min(len(a), len(b))):
+        out.append((a[k] - math.fsum([b[j] * out[k - j] for j in range(1, k + 1)])) / b[0])
+    return out
+
+
+def _ref_sqrt(a):
+    if not a[0] > 0.0:
+        raise DomainError(a[0])
+    out = [math.sqrt(a[0])]
+    for k in range(1, len(a)):
+        out.append((a[k] - math.fsum([out[j] * out[k - j] for j in range(1, k)])) / (2.0 * out[0]))
+    return out
+
+
+def _ref_of(f, t, n):
+    derivs = [float(f.eval(t, k)) for k in range(n, -1, -1)][::-1]  # read from n down, as documented
+    return [d / math.factorial(k) for k, d in enumerate(derivs)]
+
+
+def _bits(compute):
+    """float.hex of each coefficient compute() returns (a Jet or a list), or
+    the class of the error it raised."""
+    try:
+        result = compute()
+    except (ArithmeticError, ValueError, RiccatiLieError) as exc:
+        return type(exc)
+    return [c.hex() for c in getattr(result, "coeffs", result)]
+
+
+@dataclass(frozen=True)
+class _Square(JetFn):
+    """f and f^2 as a derived picture, so `square` is a `Coefficient` view."""
+
+    f: object
+
+    names = ("f", "square")
+
+    def jets(self, t, n):
+        j = Jet.of(self.f, t, n)
+        return j, j * j
 
 
 class TestEval:
@@ -284,3 +340,40 @@ class TestJets:
     def test_sqrt_requires_positive_value(self):
         with pytest.raises(DomainError):
             Jet.of(constant(-1.0), 0.0, 2).sqrt()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_jets, _jets, _jet_reals)
+    @example([-0.0], [1.0], 1.0)  # fsum((-0.0,)) is 0.0, where -0.0 * 1.0 is -0.0
+    @example([-0.0, -0.0], [1.0, 1.0], 1.0)  # and fsum((-0.0, -0.0)) is 0.0
+    @example([1.0, 1e308], [1.0, 1.0], 1.0)  # fsum((1e308, 1e308)) raises OverflowError; a + gives inf
+    @example([1.0, -0.0], [1.0, -0.0], 1.0)  # a quotient's -0.0 - fsum((-0.0,)) is -0.0, -0.0 - -0.0 is 0.0
+    def test_arithmetic_matches_the_fsum_reference_bitwise(self, a, b, s):
+        ja, jb = Jet(a), Jet(b)
+        pairs = [
+            (lambda: ja * jb, lambda: _ref_mul(a, b)),
+            (lambda: ja / jb, lambda: _ref_div(a, b)),
+            (ja.sqrt, lambda: _ref_sqrt(a)),
+            (ja.derivative, lambda: [(k + 1) * c for k, c in enumerate(a[1:])]),
+            (lambda: ja * s, lambda: [c * s for c in a]),
+            (lambda: s * ja, lambda: [c * s for c in a]),
+            (lambda: ja + jb, lambda: [x + y for x, y in zip(a, b)]),
+            (lambda: ja - jb, lambda: [x - y for x, y in zip(a, b)]),
+        ]
+        for got, want in pairs:
+            assert _bits(got) == _bits(want)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_timefns, st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)), st.integers(0, 3))
+    @example(TimeFn((Poly((-0.0, -0.0)),)), 0.0, 1)
+    # the time function overflows at order 3; the view's square is inf - inf at order 2
+    @example(TimeFn((Sin(3.95504667344647e154, 1.0, 0.0), Exp(0.0, -5.643803094122362e102))), 0.5, 3)
+    def test_of_matches_the_reference_bitwise(self, f, t, n):
+        for g in (f, _Square(f).square):  # a time function, and a Coefficient view
+            assert _bits(lambda: Jet.of(g, t, n)) == _bits(lambda: _ref_of(g, t, n))
+
+    def test_two_term_product_overflow_is_a_numeric_error(self):
+        j = Jet((1.0, 1e308))
+        with pytest.raises(OverflowError):
+            j * j  # its order-1 coefficient is fsum((1e308, 1e308))
+        with pytest.raises(NumericError, match=r"^overflow evaluating the coefficient jets at t=0\.0$"):
+            _Square(parse_timefn("poly 1 1e308")).eval(0.0, 1)
