@@ -149,9 +149,14 @@ def load_scenario(path: str) -> Scenario:
     if not tol > 0.0:
         raise ConfigError(f"[run] tol must be positive, got {tol}")
 
-    # configparser lists the [DEFAULT] keys in every section; they are [run] fallbacks, not ICs
-    ics = ([_parse_pair(cfg.get("ics", key)) for key in cfg["ics"] if key not in cfg.defaults()]
-           if cfg.has_section("ics") else [])
+    # configparser lists the [DEFAULT] keys in every section; they are [run] fallbacks, not ICs.
+    # An [ics] key of a [DEFAULT] name shows only by a value of its own, and would shift the ICs.
+    ics = []
+    for key in cfg["ics"] if cfg.has_section("ics") else ():
+        if key not in cfg.defaults():
+            ics.append(_parse_pair(cfg.get("ics", key)))
+        elif cfg.get("ics", key, raw=True) != cfg.defaults()[key]:
+            raise ConfigError(f"[ics] {key} is also a [DEFAULT] key")
 
     grid = np.linspace(t0, t1, max(1, round((t1 - t0) / step)) + 1)
     if has_pot:

@@ -274,17 +274,15 @@ class Jet:
     def __sub__(self, other):
         return Jet(map(operator.sub, self.coeffs, other.coeffs))
 
-    # The Cauchy sums of one and two terms are spelled out, through the same
-    # math.fsum as longer ones: it turns -0.0 into 0.0 and raises OverflowError
-    # on an intermediate overflow, where a plain + would do neither.
+    # The two-term Cauchy sums are spelled out, through the same math.fsum as
+    # longer ones: it turns -0.0 into 0.0 and raises OverflowError on an
+    # intermediate overflow, where a plain + would do neither.
     def __mul__(self, other):
         a = self.coeffs
         if other.__class__ is not Jet:
             return Jet([c * other for c in a])
         b = other.coeffs
         n = len(a) if len(a) < len(b) else len(b)
-        if n == 1:
-            return Jet((math.fsum((a[0] * b[0],)),))
         if n == 2:
             return Jet((math.fsum((a[0] * b[0],)), math.fsum((a[0] * b[1], a[1] * b[0]))))
         return Jet([math.fsum([a[j] * b[k - j] for j in range(k + 1)]) for k in range(n)])
@@ -299,8 +297,6 @@ class Jet:
         q0 = a[0] / b[0]  # a[0] - math.fsum([]) is a[0]
         if n == 1:
             return Jet((q0,))
-        if n == 2:
-            return Jet((q0, (a[1] - math.fsum((b[1] * q0,))) / b[0]))
         out = [q0]
         for k in range(1, n):
             s = a[k] - math.fsum([b[j] * out[k - j] for j in range(1, k + 1)])

@@ -637,6 +637,14 @@ class TestRunDefaults:
         assert cli.main(["simulate", path, "--ic", "1", "--out", out]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "config error: IC index 1 out of range; config has 1 ICs\n"
 
+    def test_an_ics_key_named_as_a_DEFAULT_key_is_a_config_error(self, config, tmp_path, capsys):
+        # skipped as a [DEFAULT] key, it would make ic1 IC 0
+        path = config("[DEFAULT]\nt1 = 2\n" + self.POTENTIAL + "[run]\n[ics]\nt1 = 0.5 -2\nic1 = 0.0 -1.0\n")
+        with pytest.raises(cli.ConfigError, match=r"^\[ics\] t1 is also a \[DEFAULT\] key$"):
+            cli.load_scenario(path)
+        assert cli.main(["simulate", path, "--ic", "0", "--out", str(tmp_path / "out.csv")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: [ics] t1 is also a [DEFAULT] key\n"
+
 
 class TestOverflow:
     """Inputs whose numbers leave the float range: exit 5 (4 where a draw

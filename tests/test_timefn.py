@@ -370,10 +370,3 @@ class TestJets:
     def test_of_matches_the_reference_bitwise(self, f, t, n):
         for g in (f, _Square(f).square):  # a time function, and a Coefficient view
             assert _bits(lambda: Jet.of(g, t, n)) == _bits(lambda: _ref_of(g, t, n))
-
-    def test_two_term_product_overflow_is_a_numeric_error(self):
-        j = Jet((1.0, 1e308))
-        with pytest.raises(OverflowError):
-            j * j  # its order-1 coefficient is fsum((1e308, 1e308))
-        with pytest.raises(NumericError, match=r"^overflow evaluating the coefficient jets at t=0\.0$"):
-            _Square(parse_timefn("poly 1 1e308")).eval(0.0, 1)
