@@ -68,7 +68,7 @@ def random_potential(rng) -> PotentialSpec:
 
     def low_order(r):
         amp = _LOW_ORDER_AMP
-        terms = [Poly(tuple(r.uniform(-amp, amp, 2)))]
+        terms = [Poly(tuple(r.uniform(-amp, amp, 2).tolist()))]
         terms.append(Sin(r.uniform(-amp, amp), r.uniform(0.5, 2.0), r.uniform(0.0, 2.0 * math.pi)))
         return TimeFn(tuple(terms))
 

@@ -63,13 +63,20 @@ class Poly:
     keyword = "poly"
 
     def eval(self, t, order=0):
+        coeffs = self.coeffs
+        # the loops below spelled out for one or two coefficients at orders 0 and 1,
+        # where t ** 0 is 1.0, t ** 1 is t and perm(1, 1) is 1
+        if len(coeffs) <= 2 and order <= 1:
+            if len(coeffs) == 1:
+                return 0.0 if order else coeffs[0] + 0.0
+            return coeffs[1] + 0.0 if order else coeffs[0] + 0.0 + coeffs[1] * t
         acc = 0.0
         if not order:  # perm(k, 0) is 1, and c * 1 is exact
-            for k, c in enumerate(self.coeffs):
+            for k, c in enumerate(coeffs):
                 acc += c * t ** k
             return acc
-        for k in range(order, len(self.coeffs)):
-            acc += self.coeffs[k] * math.perm(k, order) * t ** (k - order)
+        for k in range(order, len(coeffs)):
+            acc += coeffs[k] * math.perm(k, order) * t ** (k - order)
         return acc
 
     def slope_bound(self, t0, t1):
@@ -85,7 +92,8 @@ class Poly:
 class _Trig:
     """A sin(ω t + φ + quarter_turns π/2); the n-th derivative is
     A ω^n sin(ω t + φ + (quarter_turns + n) π/2), read off the four-cycle
-    sin, cos, -sin, -cos."""
+    sin, cos, -sin, -cos.  Sin and Cos spell it out at orders 0 and 1, where
+    ω ** 0 is 1.0 and ω ** 1 is ω."""
 
     amp: float
     omega: float
@@ -112,12 +120,26 @@ class Sin(_Trig):
 
     keyword = "sin"
 
+    def eval(self, t, order=0):
+        if not order:
+            return self.amp * math.sin(self.omega * t + self.phase)
+        if order == 1:
+            return self.amp * self.omega * math.cos(self.omega * t + self.phase)
+        return super().eval(t, order)
+
 
 class Cos(_Trig):
     """A cos(ω t + φ): a sine a quarter turn ahead."""
 
     keyword = "cos"
     quarter_turns = 1
+
+    def eval(self, t, order=0):
+        if not order:
+            return self.amp * math.cos(self.omega * t + self.phase)
+        if order == 1:
+            return self.amp * self.omega * -math.sin(self.omega * t + self.phase)
+        return super().eval(t, order)
 
 
 @dataclass(frozen=True)
@@ -143,15 +165,27 @@ class TimeFn:
     terms: tuple
 
     def eval(self, t, order=0):
-        """Value (order=0) or exact order-th derivative at time t; NumericError
-        where a term or the sum overflows the float range."""
+        """Value (order=0) or exact order-th derivative at time t: the
+        correctly rounded sum of the terms, which math.fsum gives, and for one
+        or two terms a + b + 0.0 gives too (IEEE a + b is the correctly rounded
+        sum of two finite doubles, and + 0.0 turns -0.0 into fsum's 0.0).
+        NumericError where a term or the sum is not finite."""
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
+        terms = self.terms
         try:
-            return math.fsum([term.eval(t, order) for term in self.terms])
+            if len(terms) == 2:
+                value = terms[0].eval(t, order) + terms[1].eval(t, order) + 0.0
+            elif len(terms) == 1:
+                value = terms[0].eval(t, order) + 0.0
+            else:
+                value = math.fsum([term.eval(t, order) for term in terms])
+            if math.isfinite(value):
+                return value
         # ValueError: math.sin of an argument, or math.fsum of terms, that overflowed to inf
         except (OverflowError, ValueError):
-            raise NumericError(f"overflow evaluating a time function at t={t}") from None
+            pass
+        raise NumericError(f"overflow evaluating a time function at t={t}")
 
     def slope_bound(self, t0, t1):
         """An upper bound of |f'| on [t0, t1], from each term's closed-form derivative."""

@@ -77,6 +77,11 @@ def read_table(path):
     return np.loadtxt(path, delimiter=",", skiprows=1)
 
 
+# a1 = 1.7e308 is finite, but a1 x overflows for |x| > 1.06, in the RHS and in
+# its decomposition alike, so the residual is inf - inf
+NAN_RESIDUAL = CANONICAL.replace("a1 = poly 0", "a1 = poly 1.7e308")
+
+
 class TestSimulate:
     def test_canonical_scenario(self, config, tmp_path):
         out = tmp_path / "sol.csv"
@@ -458,9 +463,7 @@ class TestVerify:
         assert "FAIL brackets.commutation_table" in out
 
     def test_nan_residual_fails(self, config, capsys):
-        # a0 = 1e308 (1 + t) overflows to inf for t > 0.797..., and the RHS with it
-        rc = cli.main(["verify", "brackets", config(CANONICAL.replace("a0 = poly 0", "a0 = poly 1e308 1e308")),
-                       "--trials", "20"])
+        rc = cli.main(["verify", "brackets", config(NAN_RESIDUAL), "--trials", "20"])
         out = capsys.readouterr().out
         assert rc == cli.EXIT_FAIL
         assert "FAIL brackets.rhs_decomposition residual=nan threshold=1.000e-14" in out.splitlines()
@@ -654,6 +657,13 @@ class TestOverflow:
     BIG_A2 = CANONICAL.replace("a2 = poly 1", "a2 = poly 1e154 1e154")
     COARSE = CANONICAL.replace("step = 0.01", "step = 0.5")
     INF_MINUS_INF = BIG_A2.replace("a0 = poly 0", "a0 = poly 1e200 -1e200").replace("1e154 1e154", "1e200 1e200")
+    # 1e308 (1 + t) is finite at t = 0 and inf from t = 0.797..., in one term's own sum
+    POLY_OVERFLOW = CANONICAL.replace("a0 = poly 0", "a0 = poly 1e308 1e308")
+    A0_OVERFLOW = "[potential]\na0 = poly 1e308 1e308\na1 = poly 0\na2 = poly 1\n\n" \
+                  "[run]\nt0 = 1\nt1 = 3\nstep = 0.5\n"
+    # c3 = 1e308 (1 + t) is inf at t = 1, a node of the window check
+    C3_OVERFLOW = "[riccati]\nc0 = poly 0\nc1 = poly 0\nc2 = poly 0\nc3 = poly 1e308 1e308\n\n" \
+                  "[run]\nt0 = 0\nt1 = 2\nstep = 0.5\n"
 
     @pytest.mark.parametrize("text, argv, rc, message", [
         pytest.param(BIG_A2, ["simulate", "CONFIG", "--system", "riccati2", "--ic=0,0", "--out", "OUT"],
@@ -672,6 +682,13 @@ class TestOverflow:
         pytest.param(CANONICAL.replace("a1 = poly 0", "a1 = poly 1e200 1e200"),
                      ["simulate", "CONFIG", "--ic=0,-1", "--out", "OUT"], cli.EXIT_NUMERIC,
                      "numeric failure: step size underflow at t=0.0", id="stages-hamiltonian"),
+        # a time function read where it is not finite: c0 = a0' + ... at t0 = 1, and c3 on the window
+        pytest.param(A0_OVERFLOW, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
+                     "numeric failure: overflow evaluating a time function at t=1.0", id="timefn-derive-potential"),
+        pytest.param(C3_OVERFLOW, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
+                     "numeric failure: overflow evaluating a time function at t=1.0", id="timefn-derive-riccati"),
+        pytest.param(POLY_OVERFLOW, ["verify", "brackets", "CONFIG", "--trials", "20"], cli.EXIT_NUMERIC,
+                     "numeric failure: overflow evaluating a time function at t=0.8", id="timefn-verify"),
         pytest.param(BIG_A2, ["verify", "all", "CONFIG", "--trials", "3"], cli.EXIT_GENERICITY,
                      "genericity error: no generic four-solution configuration found", id="verify"),
         # the weights k/F0 = 1e305 times sigma differences of 1e100 overflow in the rule's sums
@@ -713,25 +730,29 @@ class TestOverflow:
 class TestEntryPoint:
     """The installed entry point, `python -m riccati_lie.cli`, in a fresh process."""
 
-    @pytest.mark.parametrize("a0, argv, rc, message", [
-        pytest.param("poly 0", ["derive", "CONFIG"], cli.EXIT_OK, None, id="canonical-derive"),
-        pytest.param("poly nan", ["simulate", "CONFIG", "--ic=0,-1", "--out", "x.csv"], cli.EXIT_CONFIG,
+    @staticmethod
+    def a0(text):
+        return CANONICAL.replace("a0 = poly 0", f"a0 = {text}")
+
+    @pytest.mark.parametrize("text, argv, rc, message", [
+        pytest.param(CANONICAL, ["derive", "CONFIG"], cli.EXIT_OK, None, id="canonical-derive"),
+        pytest.param(a0("poly nan"), ["simulate", "CONFIG", "--ic=0,-1", "--out", "x.csv"], cli.EXIT_CONFIG,
                      "config error: expected a finite number, got 'nan' (at position 5)", id="nan-simulate"),
-        pytest.param("poly nan", ["derive", "CONFIG"], cli.EXIT_CONFIG,
+        pytest.param(a0("poly nan"), ["derive", "CONFIG"], cli.EXIT_CONFIG,
                      "config error: expected a finite number", id="nan-derive"),
-        pytest.param("poly nan", ["verify", "brackets", "CONFIG"], cli.EXIT_CONFIG,
+        pytest.param(a0("poly nan"), ["verify", "brackets", "CONFIG"], cli.EXIT_CONFIG,
                      "config error: expected a finite number", id="nan-verify"),
-        pytest.param("exp 1 800", ["derive", "CONFIG"], cli.EXIT_NUMERIC,
+        pytest.param(a0("exp 1 800"), ["derive", "CONFIG"], cli.EXIT_NUMERIC,
                      "numeric failure: overflow evaluating a time function at t=", id="overflow-derive"),
-        pytest.param("exp 1 800", ["verify", "brackets", "CONFIG"], cli.EXIT_NUMERIC,
+        pytest.param(a0("exp 1 800"), ["verify", "brackets", "CONFIG"], cli.EXIT_NUMERIC,
                      "numeric failure: overflow evaluating a time function at t=", id="overflow-verify"),
         # the decomposition draws its times from the window [0, 1], where e^700 is finite
-        pytest.param("exp 1 700", ["verify", "brackets", "CONFIG"], cli.EXIT_OK, None, id="window-verify"),
-        pytest.param("poly 1e308 1e308", ["verify", "brackets", "CONFIG", "--trials", "20"], cli.EXIT_FAIL,
+        pytest.param(a0("exp 1 700"), ["verify", "brackets", "CONFIG"], cli.EXIT_OK, None, id="window-verify"),
+        pytest.param(NAN_RESIDUAL, ["verify", "brackets", "CONFIG", "--trials", "20"], cli.EXIT_FAIL,
                      None, id="nan-residual-verify"),
     ])
-    def test_exit_code_and_one_stderr_line(self, config, tmp_path, a0, argv, rc, message):
-        path = config(CANONICAL.replace("a0 = poly 0", f"a0 = {a0}"))
+    def test_exit_code_and_one_stderr_line(self, config, tmp_path, text, argv, rc, message):
+        path = config(text)
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         argv = [path if arg == "CONFIG" else arg for arg in argv]
         proc = subprocess.run([sys.executable, "-m", "riccati_lie.cli", *argv],

@@ -394,10 +394,10 @@ class TestFieldMemo:
                     lambda: potential_from_coefficients(R, GRID),
                     lambda: coefficients_from_potential(potential_from_coefficients(R, GRID)))[which]()
 
-        def read(picture, t, order):  # c3 and a2 are not positive at t = NaN
+        def read(picture, t, order):  # a time function is not finite at t = NaN
             try:
                 return repr(picture.eval(t, order))
-            except DomainError as exc:
+            except NumericError as exc:
                 return repr(exc)
 
         picture = fresh()

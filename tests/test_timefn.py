@@ -46,6 +46,37 @@ _terms = st.one_of(
 )
 _timefns = st.builds(lambda ts: TimeFn(tuple(ts)), st.lists(_terms, min_size=1, max_size=6))
 
+# one and two terms, the sums that skip math.fsum, are drawn about half the time
+_short_timefns = st.builds(lambda ts: TimeFn(tuple(ts)), st.lists(_terms, min_size=1, max_size=2))
+
+
+# TimeFn.eval written as the plain math.fsum of the per-term formulas
+_CYCLE = (math.sin, math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x))
+
+
+def _ref_term(term, t, n):
+    if isinstance(term, Poly):
+        acc = 0.0
+        for k in range(n, len(term.coeffs)):
+            acc += term.coeffs[k] * math.perm(k, n) * t ** (k - n)
+        return acc
+    if isinstance(term, Exp):
+        return term.amp * term.rate**n * math.exp(term.rate * t)
+    value = _CYCLE[(n + isinstance(term, Cos)) % 4](term.omega * t + term.phase)  # before omega**n can overflow
+    return term.amp * term.omega**n * value
+
+
+def _ref_eval(f, t, n):
+    """A value that is not finite, on the way or in the sum, is a NumericError."""
+    try:
+        value = math.fsum([_ref_term(term, t, n) for term in f.terms])
+    except (OverflowError, ValueError):
+        raise NumericError from None
+    if not math.isfinite(value):
+        raise NumericError
+    return value
+
+
 # jet coefficients: also subnormals and magnitudes whose squares or sums overflow
 _jet_reals = st.one_of(_reals, st.sampled_from((1e-310, -1e-310, 1.0, -1.0, 1e154, -1e154, 1.4e154)))
 _jets = st.lists(_jet_reals, min_size=1, max_size=4)
@@ -160,10 +191,29 @@ class TestEval:
         ("poly 1e308; poly 1e308", 0),  # the sum of finite terms
         ("sin 1 1e308 1e308", 0),   # a sine argument
         ("poly 1e308 1e308; poly -1e308 -1e308", 0),  # a sum of inf and -inf
+        ("poly 1e308 1e308", 0),    # one term's own sum
+        ("sin 1e308 10 0", 1),      # one term's amp * omega
+        ("cos 1e308 10 -10", 1),    # one term's amp * omega * -sin(0.0), inf * -0.0: NaN
     ])
     def test_overflow_is_a_numeric_error_naming_t(self, text, order):
         with pytest.raises(NumericError, match=r"^overflow evaluating a time function at t=1\.0$"):
             parse_timefn(text).eval(1.0, order)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(_short_timefns, _timefns), st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)), st.integers(0, 3))
+    @example(TimeFn((Poly((-0.0,)), Poly((-0.0,)))), 0.0, 0)  # each poly's own loop gives 0.0
+    @example(TimeFn((Sin(-0.0, 1.0, 0.0),)), 0.0, 0)  # a term's -0.0, where fsum gives 0.0
+    @example(TimeFn((Sin(-0.0, 1.0, 0.0), Sin(-0.0, 1.0, 0.0))), 0.0, 0)  # -0.0 + -0.0 is -0.0, fsum's is 0.0
+    @example(TimeFn((Poly((1.0, -0.0)),)), 0.5, 1)  # the term's own loop starts at 0.0: 0.0 + -0.0 is 0.0
+    @example(TimeFn((Poly((1e308,)), Poly((1e308,)))), 0.5, 0)  # finite terms, a sum that overflows
+    @example(TimeFn((Poly((1e308, 1e308)), Poly((-1e308, -1e308)))), 3.0, 0)  # inf + -inf
+    def test_eval_matches_the_fsum_reference_bitwise(self, f, t, n):
+        for term in f.terms:  # each term keeps its bits too, -0.0 included
+            assert _bits(lambda: [term.eval(t, n)]) == _bits(lambda: [_ref_term(term, t, n)])
+        got = _bits(lambda: [f.eval(t, n)])
+        assert got == _bits(lambda: [_ref_eval(f, t, n)])
+        if got is not NumericError:
+            assert type(parse_timefn(render_timefn(f)).eval(t, n)) is float
 
 
 class TestParser:
