@@ -103,7 +103,9 @@ def _get(cfg, section, key):
 
 
 def _get_float(cfg, key):
-    raw = cfg.get("run", key, fallback=RUN_DEFAULTS[key])  # [DEFAULT] counts only if [run] exists
+    # [run], then [DEFAULT] if [run] exists, then the built-in default
+    sections = ("run", "DEFAULT") if cfg.has_section("run") else ()
+    raw = next((cfg.get(s, key) for s in sections if cfg.has_option(s, key)), RUN_DEFAULTS[key])
     try:
         value = float(raw)
     except ValueError:
@@ -124,7 +126,8 @@ def _parse_pair(raw: str):
 
 
 def load_scenario(path: str) -> Scenario:
-    cfg = configparser.ConfigParser(interpolation=None)
+    # no section inherits [DEFAULT]: it is an ordinary section, read only as the [run] fallback
+    cfg = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = cfg.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -149,14 +152,7 @@ def load_scenario(path: str) -> Scenario:
     if not tol > 0.0:
         raise ConfigError(f"[run] tol must be positive, got {tol}")
 
-    # configparser lists the [DEFAULT] keys in every section; they are [run] fallbacks, not ICs.
-    # An [ics] key of a [DEFAULT] name shows only by a value of its own, and would shift the ICs.
-    ics = []
-    for key in cfg["ics"] if cfg.has_section("ics") else ():
-        if key not in cfg.defaults():
-            ics.append(_parse_pair(cfg.get("ics", key)))
-        elif cfg.get("ics", key, raw=True) != cfg.defaults()[key]:
-            raise ConfigError(f"[ics] {key} is also a [DEFAULT] key")
+    ics = [_parse_pair(raw) for raw in cfg["ics"].values()] if cfg.has_section("ics") else []
 
     grid = np.linspace(t0, t1, max(1, round((t1 - t0) / step)) + 1)
     if has_pot:
@@ -205,29 +201,34 @@ def read_csv(path: str):
     """Read a solution table; returns (header, data array).
 
     Validates finite numeric cells and a strictly increasing first (time)
-    column.
+    column.  Blank lines are skipped; an error names the file's own line.
     """
     try:
         with open(path) as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+            raw = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read table {path}: {exc}") from exc
+    lines = [line.strip() for line in raw if line.strip()]
     if len(lines) < 2:
         raise ConfigError(f"table {path} needs a header and at least one row")
+
+    def where(row):  # the file's line number of data row `row`, counted from 0
+        return f"{path}:{[n for n, line in enumerate(raw, start=1) if line.strip()][row + 1]}"
+
     header = lines[0].split(",")
     rows = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for row, line in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ConfigError(f"{path}:{ln}: expected {len(header)} cells, got {len(cells)}")
+            raise ConfigError(f"{where(row)}: expected {len(header)} cells, got {len(cells)}")
         try:
             rows.append([float(c) for c in cells])
         except ValueError:
-            raise ConfigError(f"{path}:{ln}: non-numeric cell") from None
+            raise ConfigError(f"{where(row)}: non-numeric cell") from None
     data = np.array(rows)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
-        raise ConfigError(f"{path}:{int(finite.argmin()) + 2}: non-finite cell")
+        raise ConfigError(f"{where(int(finite.argmin()))}: non-finite cell")
     if np.any(np.diff(data[:, 0]) <= 0):
         raise ConfigError(f"table {path}: time column must be strictly increasing")
     return header, data

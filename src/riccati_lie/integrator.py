@@ -149,7 +149,7 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
     Ks = []  # stage derivatives of each accepted step
 
     t = t0
-    h = min(h_max, span * 1e-3)
+    h = min(h_max, max(span * 1e-3, _UNDERFLOW_T_SCALE * max(1.0, abs(t0))))  # no underflow at the start
     err_prev = 1e-4
     n_accepted = 0
     n_rejected = 0

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, GuardViolation, NumericError
 from .integrator import GUARD_P_MAX, Trajectory, integrate, sample_at
-from .timefn import Jet, JetFn, TimeFn
+from .timefn import Jet, JetFn
 
 __all__ = [
     "PhasePoint",
@@ -118,15 +118,15 @@ def _positive_on_window(name, f, grid) -> None:
     [a, b] whenever f(a) + f(b) > L (b - a); a segment where that fails is
     bisected, so only the intervals near a dip are refined, and a steep part
     of the window does not tighten the test elsewhere.  The bound for the
-    whole window is tried first, since it is computed once.  An f that is
-    not a `TimeFn` (a view of a derived picture) has no such bound, and is
-    checked at the nodes only.
+    whole window is tried first, since it is computed once.  An f without
+    a `slope_bound` (a `Coefficient` view of a derived picture) is checked
+    at the nodes only.
     """
     ts = [float(t) for t in grid]
     values = [f.eval(t) for t in ts]
     for t, value in zip(ts, values):
         _positive(name, t, value)
-    if not isinstance(f, TimeFn):
+    if not hasattr(f, "slope_bound"):
         return
     slope = f.slope_bound(ts[0], ts[-1])
     finest = _WINDOW_T_RESOLUTION * (ts[-1] - ts[0])

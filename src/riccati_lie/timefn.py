@@ -64,12 +64,9 @@ class Poly:
 
     def eval(self, t, order=0):
         coeffs = self.coeffs
-        # the loops below spelled out for one or two coefficients at orders 0 and 1,
-        # where t ** 0 is 1.0, t ** 1 is t and perm(1, 1) is 1
-        if len(coeffs) <= 2 and order <= 1:
-            if len(coeffs) == 1:
-                return 0.0 if order else coeffs[0] + 0.0
-            return coeffs[1] + 0.0 if order else coeffs[0] + 0.0 + coeffs[1] * t
+        # the order-0 loop below spelled out for one or two coefficients: t ** 0 is 1.0, t ** 1 is t
+        if len(coeffs) <= 2 and not order:
+            return coeffs[0] + 0.0 if len(coeffs) == 1 else coeffs[0] + 0.0 + coeffs[1] * t
         acc = 0.0
         if not order:  # perm(k, 0) is 1, and c * 1 is exact
             for k, c in enumerate(coeffs):
@@ -92,8 +89,8 @@ class Poly:
 class _Trig:
     """A sin(ω t + φ + quarter_turns π/2); the n-th derivative is
     A ω^n sin(ω t + φ + (quarter_turns + n) π/2), read off the four-cycle
-    sin, cos, -sin, -cos.  Sin and Cos spell it out at orders 0 and 1, where
-    ω ** 0 is 1.0 and ω ** 1 is ω."""
+    sin, cos, -sin, -cos.  Sin and Cos spell it out at order 0, where
+    ω ** 0 is 1.0."""
 
     amp: float
     omega: float
@@ -123,8 +120,6 @@ class Sin(_Trig):
     def eval(self, t, order=0):
         if not order:
             return self.amp * math.sin(self.omega * t + self.phase)
-        if order == 1:
-            return self.amp * self.omega * math.cos(self.omega * t + self.phase)
         return super().eval(t, order)
 
 
@@ -137,8 +132,6 @@ class Cos(_Trig):
     def eval(self, t, order=0):
         if not order:
             return self.amp * math.cos(self.omega * t + self.phase)
-        if order == 1:
-            return self.amp * self.omega * -math.sin(self.omega * t + self.phase)
         return super().eval(t, order)
 
 

@@ -114,6 +114,21 @@ class TestSimulate:
         # Legendre-matched start of the canonical analytic solution
         np.testing.assert_allclose(data[-1][1], 1.0, atol=1e-6)
 
+    # the first step is span * 1e-3, floored at the underflow threshold: 1e-15
+    # would stop integrate before any step
+    @pytest.mark.parametrize("system, ic, exact_y", [
+        ("hamiltonian", "0.0,-0.25", lambda t: -((1.0 + t * t) ** 2) / 4.0),
+        ("riccati2", "0.0,2.0", lambda t: (2.0 - 2.0 * t * t) / (1.0 + t * t) ** 2),
+    ], ids=["hamiltonian", "riccati2"])
+    def test_a_window_of_1e_12_matches_the_closed_form(self, config, tmp_path, system, ic, exact_y):
+        out = tmp_path / "tiny.csv"
+        cfg = config(CANONICAL.replace("t1 = 1.0", "t1 = 1e-12").replace("step = 0.01", "step = 1e-13"))
+        assert cli.main(["simulate", cfg, "--system", system, f"--ic={ic}", "--out", str(out)]) == cli.EXIT_OK
+        t, x, y = read_table(out).T
+        assert len(t) == 11 and t[-1] == 1e-12
+        np.testing.assert_allclose(x, 2.0 * t / (1.0 + t * t), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(y, exact_y(t), rtol=1e-14)
+
     def test_bad_momentum_ic_is_domain_error(self, config, tmp_path, capsys):
         # p = -1e-10 is negative but inside the integrator's guard band
         for ic in ("0.0,1.0", "0,0", "0,-1e-10"):
@@ -284,6 +299,24 @@ class TestCsvRoundtrip:
         not_utf8.write_bytes(b"t,x,p\n0.0,0,-1\xff\n")
         with pytest.raises(cli.ConfigError, match="cannot read table"):
             cli.read_csv(str(not_utf8))
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,x\n\n0,1\n1,x\n", ":4: non-numeric cell"),
+        ("t,x\n0,1\n\n\n2,nan\n", ":5: non-finite cell"),
+        ("\nt,x\n  \n0,1\n\n1,2,3\n", ":6: expected 2 cells, got 3"),
+    ], ids=["non-numeric", "non-finite", "ragged"])
+    def test_an_error_names_the_files_own_line_past_blank_lines(self, tmp_path, text, message):
+        table = tmp_path / "blank.csv"
+        table.write_text(text)
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(str(table) + message)}$"):
+            cli.read_csv(str(table))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        table = tmp_path / "blank.csv"
+        table.write_text("\nt,x\n\n0,1\n \n1,2\n\n")
+        header, data = cli.read_csv(str(table))
+        assert header == ["t", "x"]
+        np.testing.assert_array_equal(data, [[0.0, 1.0], [1.0, 2.0]])
 
 
 class TestDerive:
@@ -640,13 +673,23 @@ class TestRunDefaults:
         assert cli.main(["simulate", path, "--ic", "1", "--out", out]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "config error: IC index 1 out of range; config has 1 ICs\n"
 
-    def test_an_ics_key_named_as_a_DEFAULT_key_is_a_config_error(self, config, tmp_path, capsys):
-        # skipped as a [DEFAULT] key, it would make ic1 IC 0
+    def test_an_ics_key_named_as_a_DEFAULT_key_is_an_ic(self, config, tmp_path):
         path = config("[DEFAULT]\nt1 = 2\n" + self.POTENTIAL + "[run]\n[ics]\nt1 = 0.5 -2\nic1 = 0.0 -1.0\n")
-        with pytest.raises(cli.ConfigError, match=r"^\[ics\] t1 is also a \[DEFAULT\] key$"):
-            cli.load_scenario(path)
-        assert cli.main(["simulate", path, "--ic", "0", "--out", str(tmp_path / "out.csv")]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: [ics] t1 is also a [DEFAULT] key\n"
+        sc = cli.load_scenario(path)
+        assert (sc.t1, sc.ics) == (2.0, [(0.5, -2.0), (0.0, -1.0)])
+        assert cli.main(["simulate", path, "--ic", "1", "--out", str(tmp_path / "out.csv")]) == cli.EXIT_OK
+
+    # [DEFAULT] fills no coefficient, with or without a [run] section
+    @pytest.mark.parametrize("run", ["", "[run]\n"], ids=["no-run", "run"])
+    @pytest.mark.parametrize("coefficients, missing", [
+        ("[potential]\na1 = poly 0\na2 = poly 1\n", "[potential] a0"),
+        ("[riccati]\nc1 = poly 0\nc2 = poly 0\nc3 = poly 1\n", "[riccati] c0"),
+    ], ids=["potential", "riccati"])
+    def test_a_DEFAULT_key_is_no_coefficient(self, config, capsys, run, coefficients, missing):
+        key = missing.split()[-1]
+        assert cli.main(["derive", config(f"[DEFAULT]\n{key} = poly 5\n" + coefficients + run)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: missing {missing}\n")
 
 
 class TestOverflow:

@@ -651,6 +651,14 @@ class TestPositivityProofsAreSound:
             return
         assert not dips
 
+    # (1 - 2t)^2 is positive at the nodes 0, 1/3, 2/3, 1 and zero at t = 0.5
+    @pytest.mark.parametrize("a2", [Poly((1.0, -4.0, 4.0)), TimeFn((Poly((1.0, -4.0, 4.0)),))],
+                             ids=["raw-term", "TimeFn"])
+    def test_a_dip_between_nodes_is_found_in_a_raw_term_too(self, a2):
+        grid = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(DomainError, match=r"^a2\(t\) must be positive"):
+            coefficients_from_potential(PotentialSpec(constant(0.0), constant(0.0), a2), grid)
+
 
 class TestWindowProofNearATangent:
     """A coefficient whose least value on the window is a tangent near zero
