@@ -73,6 +73,7 @@ RUN_DEFAULTS = {"t0": "0.0", "t1": "1.0", "step": "0.01", "tol": "1e-10", "seed"
 SEED_ENV_VAR = "RICCATI_LIE_SEED"
 MAX_GRID_STEPS = 10**6  # output grid steps a [run] may ask for: ~150 MB of grid and sample arrays
 MAX_TRIALS = 10**5  # `verify --trials` cap: `verify all` peaks near 150 MB RSS at this count
+CSV_BLOCK_ROWS = 4096  # table rows `read_csv` converts per pass: bounds the cell strings alive at once
 
 
 # --- scenario loading -----------------------------------------------------
@@ -182,19 +183,23 @@ def scenario_seed(scenario: Scenario) -> int:
 # --- CSV ------------------------------------------------------------------
 
 
-def write_csv(path: str, header, rows) -> None:
+def _write_table(path: str, *parts: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        raise ConfigError(f"cannot write table {path}: {exc}") from exc
+
+
+def write_csv(path: str, header, rows) -> str:
     """One line per row, every cell formatted as `_fmt` does, by one `%`
-    template for the whole table."""
+    template for the whole table; returns the text of the rows."""
     table = np.asarray(rows, dtype=float)
     n_rows, n_cols = table.shape
     row = ",".join(["%" + FLOAT_SPEC] * n_cols) + "\n"
-    cells = tuple(table.ravel().tolist())  # floats format faster than numpy scalars
-    try:
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.write((row * n_rows) % cells)
-    except OSError as exc:
-        raise ConfigError(f"cannot write table {path}: {exc}") from exc
+    text = (row * n_rows) % tuple(table.ravel().tolist())  # floats format faster than numpy scalars
+    _write_table(path, ",".join(header) + "\n", text)
+    return text
 
 
 def read_csv(path: str):
@@ -205,32 +210,40 @@ def read_csv(path: str):
     """
     try:
         with open(path) as fh:
-            raw = fh.readlines()
+            stripped = [line.strip() for line in fh]
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read table {path}: {exc}") from exc
-    lines = [line.strip() for line in raw if line.strip()]
+    lines = [line for line in stripped if line]
     if len(lines) < 2:
         raise ConfigError(f"table {path} needs a header and at least one row")
 
     def where(row):  # the file's line number of data row `row`, counted from 0
-        return f"{path}:{[n for n, line in enumerate(raw, start=1) if line.strip()][row + 1]}"
+        return f"{path}:{[n for n, line in enumerate(stripped, start=1) if line][row + 1]}"
 
-    header = lines[0].split(",")
-    rows = []
-    for row, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(f"{where(row)}: expected {len(header)} cells, got {len(cells)}")
+    header, rows = lines[0].split(","), lines[1:]
+    n_cols = len(header)
+    # the rows before the first one of another width convert in blocks, one run of cells each
+    n_uniform = next((row for row, line in enumerate(rows) if line.count(",") != n_cols - 1), len(rows))
+    data = np.empty((n_uniform, n_cols))
+    for start in range(0, n_uniform, CSV_BLOCK_ROWS):
+        block = rows[start:min(start + CSV_BLOCK_ROWS, n_uniform)]
         try:
-            rows.append([float(c) for c in cells])
+            data[start:start + len(block)] = np.fromiter(
+                map(float, ",".join(block).split(",")), float, len(block) * n_cols).reshape(-1, n_cols)
         except ValueError:
-            raise ConfigError(f"{where(row)}: non-numeric cell") from None
-    data = np.array(rows)
+            for row, line in enumerate(block, start):
+                try:
+                    [float(c) for c in line.split(",")]
+                except ValueError:
+                    raise ConfigError(f"{where(row)}: non-numeric cell") from None
+    if n_uniform < len(rows):
+        raise ConfigError(f"{where(n_uniform)}: expected {n_cols} cells, got {rows[n_uniform].count(',') + 1}")
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise ConfigError(f"{where(int(finite.argmin()))}: non-finite cell")
-    if np.any(np.diff(data[:, 0]) <= 0):
-        raise ConfigError(f"table {path}: time column must be strictly increasing")
+    late = np.diff(data[:, 0]) <= 0
+    if late.any():
+        raise ConfigError(f"{where(int(late.argmax()) + 1)}: time column must be strictly increasing")
     return header, data
 
 
@@ -309,10 +322,11 @@ def cmd_superpose(args) -> int:
         )
     ts, sols = data[:, 0], data[:, 1:]
     states = superpose_states(sols, _constants_from_row(args, sols[0]), ts=ts)
-    write_csv(args.out, ["t", "x0", "p0"], np.column_stack((ts, states)))
+    text = write_csv(args.out, ["t", "x0", "p0"], np.column_stack((ts, states)))
     root, ext = os.path.splitext(args.out)
     upsilon_path = f"{root}_upsilon{ext or '.csv'}"
-    write_csv(upsilon_path, ["t", "x0"], np.column_stack((ts, states[:, 0])))
+    # the x-only view is the written table's lines without their last (p0) cell
+    _write_table(upsilon_path, "t,x0\n", "\n".join([line.rpartition(",")[0] for line in text.split("\n")]))
     print(f"wrote {len(ts)} reconstructed samples to {args.out} "
           f"(x-only view: {upsilon_path})")
     return EXIT_OK

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_lie import cli, errors, liealg
 
@@ -249,7 +251,41 @@ class TestSimulate:
             assert len(err.splitlines()) == 1
 
 
+# finite doubles, with signed zeros, subnormals and the largest magnitudes always in reach
+_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1.5e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _tables(draw):
+    """(table with strictly increasing times, [(line index, blank line)] to insert)."""
+    n_rows, n_cols = draw(st.integers(1, 50)), draw(st.integers(1, 9))
+    times = sorted(draw(st.lists(_cells, min_size=n_rows, max_size=n_rows, unique=True)))
+    rest = draw(st.lists(st.lists(_cells, min_size=n_cols - 1, max_size=n_cols - 1),
+                         min_size=n_rows, max_size=n_rows))
+    blanks = draw(st.lists(st.tuples(st.integers(0, n_rows + 1), st.sampled_from(["", " ", "\t", "  \t "]))))
+    return np.array([[t, *r] for t, r in zip(times, rest)]), blanks
+
+
 class TestCsvRoundtrip:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_tables())
+    def test_write_then_read_returns_the_same_bits(self, tmp_path_factory, drawn):
+        table, blanks = drawn
+        header = ["t"] + [f"c{i}" for i in range(1, table.shape[1])]
+        path = tmp_path_factory.mktemp("roundtrip") / "table.csv"
+        cli.write_csv(str(path), header, table)
+        lines = path.read_text().split("\n")
+        for at, blank in blanks:
+            lines.insert(at, blank)
+        path.write_text("\n".join(lines))
+        got_header, data = cli.read_csv(str(path))
+        assert got_header == header
+        np.testing.assert_array_equal(data.view(np.int64), table.view(np.int64))
+
     def test_seventeen_digit_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
         rows = [(t, x, p) for t, x, p in zip(np.sort(rng.uniform(0, 1, 40)),
@@ -304,9 +340,23 @@ class TestCsvRoundtrip:
         ("t,x\n\n0,1\n1,x\n", ":4: non-numeric cell"),
         ("t,x\n0,1\n\n\n2,nan\n", ":5: non-finite cell"),
         ("\nt,x\n  \n0,1\n\n1,2,3\n", ":6: expected 2 cells, got 3"),
-    ], ids=["non-numeric", "non-finite", "ragged"])
+        ("t,x\n1,1\n\n0,2\n", ":4: time column must be strictly increasing"),
+    ], ids=["non-numeric", "non-finite", "ragged", "time-order"])
     def test_an_error_names_the_files_own_line_past_blank_lines(self, tmp_path, text, message):
         table = tmp_path / "blank.csv"
+        table.write_text(text)
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(str(table) + message)}$"):
+            cli.read_csv(str(table))
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,x\n0,x\n1,2,3\n", ":2: non-numeric cell"),
+        ("t,x\n0,1,2\n1,x\n", ":2: expected 2 cells, got 3"),
+        ("t,x\n0,nan\n1,x\n", ":3: non-numeric cell"),
+        ("t,x\n1,nan\n0,2\n", ":2: non-finite cell"),
+    ], ids=["non-numeric-before-ragged", "ragged-before-non-numeric", "parse-before-finiteness",
+            "finiteness-before-time-order"])
+    def test_cell_errors_in_file_order_then_non_finite_then_time_order(self, tmp_path, text, message):
+        table = tmp_path / "order.csv"
         table.write_text(text)
         with pytest.raises(cli.ConfigError, match=f"^{re.escape(str(table) + message)}$"):
             cli.read_csv(str(table))
@@ -403,6 +453,9 @@ class TestSuperposeCommand:
         assert np.max(np.abs(rec[:, 1:] - ref[:, 1:])) <= 1e-5
         upsilon = read_table(tmp_path / "rec_upsilon.csv")
         np.testing.assert_array_equal(upsilon[:, 1], rec[:, 1])
+        # byte for byte, each x-only line is the table's line without its last cell
+        expected = "".join(line.rpartition(",")[0] + "\n" for line in out.read_text().splitlines())
+        assert (tmp_path / "rec_upsilon.csv").read_bytes() == expected.encode()
 
     def test_zero_constants_return_first_solution(self, config, tmp_path):
         cfg = config(CANONICAL)
