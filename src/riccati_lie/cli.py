@@ -3,7 +3,8 @@
 Configuration files are flat INI with a [potential] or [riccati] section
 holding time-function expressions in the term grammar, an optional [run]
 section whose keys default to the values shown (`RUN_DEFAULTS`), and an
-optional [ics] section listing initial conditions one per key::
+optional [ics] section listing initial conditions one per key, of any name;
+any other section or key (`CONFIG_KEYS`) is a config error::
 
     [potential]
     a0 = poly 0
@@ -70,6 +71,9 @@ EXITS = (  # (error class, stderr label, exit code); no class here subclasses an
 
 # each [run] key with its default, in the order `load_scenario` unpacks them
 RUN_DEFAULTS = {"t0": "0.0", "t1": "1.0", "step": "0.01", "tol": "1e-10", "seed": "0"}
+# each section a config may hold, with the keys it may hold (None: any key)
+CONFIG_KEYS = {"potential": PotentialSpec.names, "riccati": RiccatiSpec.names[:4], "run": tuple(RUN_DEFAULTS),
+               "ics": None}
 SEED_ENV_VAR = "RICCATI_LIE_SEED"
 MAX_GRID_STEPS = 10**6  # output grid steps a [run] may ask for: ~150 MB of grid and sample arrays
 MAX_TRIALS = 10**5  # `verify --trials` cap: `verify all` peaks near 150 MB RSS at this count
@@ -97,16 +101,8 @@ class Scenario:
         return map_defect(self.riccati, coefficients_from_potential(self.potential), self.grid, ["c0"])[0]
 
 
-def _get(cfg, section, key):
-    if not cfg.has_option(section, key):
-        raise ConfigError(f"missing [{section}] {key}")
-    return cfg.get(section, key)
-
-
 def _get_float(cfg, key):
-    # [run], then [DEFAULT] if [run] exists, then the built-in default
-    sections = ("run", "DEFAULT") if cfg.has_section("run") else ()
-    raw = next((cfg.get(s, key) for s in sections if cfg.has_option(s, key)), RUN_DEFAULTS[key])
+    raw = cfg.get("run", key, fallback=RUN_DEFAULTS[key])
     try:
         value = float(raw)
     except ValueError:
@@ -127,7 +123,7 @@ def _parse_pair(raw: str):
 
 
 def load_scenario(path: str) -> Scenario:
-    # no section inherits [DEFAULT]: it is an ordinary section, read only as the [run] fallback
+    # no section inherits [DEFAULT]: it is an ordinary section, and not one of CONFIG_KEYS
     cfg = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = cfg.read(path)
@@ -135,6 +131,12 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    for section in cfg.sections():  # file order; configparser lower-cases the keys
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cfg.options(section):
+            if CONFIG_KEYS[section] is not None and key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown key [{section}] {key}")
 
     has_pot = cfg.has_section("potential")
     has_ric = cfg.has_section("riccati")
@@ -156,16 +158,20 @@ def load_scenario(path: str) -> Scenario:
     ics = [_parse_pair(raw) for raw in cfg["ics"].values()] if cfg.has_section("ics") else []
 
     grid = np.linspace(t0, t1, max(1, round((t1 - t0) / step)) + 1)
+    source = "potential" if has_pot else "riccati"
+    fns = []
+    for key in CONFIG_KEYS[source]:  # in turn: a bad coefficient is named before a later missing one
+        if not cfg.has_option(source, key):
+            raise ConfigError(f"missing [{source}] {key}")
+        fns.append(parse_timefn(cfg.get(source, key)))
     if has_pot:
-        P = PotentialSpec(*(parse_timefn(_get(cfg, "potential", a)) for a in PotentialSpec.names))
+        P = PotentialSpec(*fns)
         # no grid validation here: a2 > 0 is needed by the coefficient
         # correspondence (checked in `derive`), not by simulation itself
         R = coefficients_from_potential(P)
-        source = "potential"
     else:
-        R = RiccatiSpec(*(parse_timefn(_get(cfg, "riccati", c)) for c in RiccatiSpec.names[:4]))
+        R = RiccatiSpec(*fns)
         P = potential_from_coefficients(R, grid)  # checks c3 > 0 on the whole window
-        source = "riccati"
     return Scenario(P, R, t0, t1, grid, tol, int(seed), ics, source)
 
 

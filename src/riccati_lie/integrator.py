@@ -67,12 +67,13 @@ _BETA = 0.04           # PI stabilization exponent
 _EXPO = 0.2 - 0.75 * _BETA
 _MIN_SHRINK = 0.2
 _MAX_GROWTH = 10.0
-_GUARD_T_RESOLUTION = 1e-10
 _UNDERFLOW_T_SCALE = 4e-15
 
 # p-threshold for the momentum half-plane guard: 1/sqrt(-p) blows up at the
 # boundary, so trajectories are stopped strictly inside it.
 GUARD_P_MAX = -1e-9
+# width an exit from the half-plane is localized to, relative to max(1, |t|)
+GUARD_T_RESOLUTION = 1e-10
 
 
 def hamiltonian_guard(state) -> bool:
@@ -174,7 +175,7 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
                 n_rhs += 1
             if guard_hit:
                 # bisect toward the boundary; report the exit once localized
-                if h <= _GUARD_T_RESOLUTION * max(1.0, abs(t)):
+                if h <= GUARD_T_RESOLUTION * max(1.0, abs(t)):
                     raise GuardViolation(f"{condition} violated just past t={t}", last_valid_t=t)
                 h *= 0.5
                 continue

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, GuardViolation, NumericError
-from .integrator import GUARD_P_MAX, Trajectory, integrate, sample_at
+from .integrator import GUARD_P_MAX, GUARD_T_RESOLUTION, Trajectory, integrate, sample_at
 from .timefn import Jet, JetFn
 
 __all__ = [
@@ -334,7 +334,6 @@ def hamiltonian_field(P: PotentialSpec | JetFn):
 # over seeds 21-30; Intel Xeon VM, two vCPUs).
 _CHART_TOL_FACTOR = 0.25
 _SIGMA_FLOOR = math.sqrt(-GUARD_P_MAX)  # sigma >= sqrt(1e-9) is p <= -1e-9
-_EXIT_T_RESOLUTION = 1e-10  # width an exit time is localized to, relative to max(1, |t|)
 # power-basis coefficients of a quartic in s on [0, 1] to its Bernstein ones,
 # which bound it from below by their least and equal it at s = 0 and s = 1
 _BERNSTEIN = np.array([[math.comb(j, k) / math.comb(4, k) for k in range(5)] for j in range(5)])
@@ -358,7 +357,7 @@ def _stays_in_O(chart: Trajectory) -> None:
     Each step's sigma is a quartic; the least of its Bernstein coefficients
     bounds it from below, so one array pass proves almost every step.  A
     step it does not prove is halved, left half first, until each piece is
-    proved or the first piece that is not has shrunk to _EXIT_T_RESOLUTION;
+    proved or the first piece that is not has shrunk to GUARD_T_RESOLUTION;
     its start is the exit time reported.  A NaN coefficient proves nothing.
     """
     ts = chart.ts.tolist()
@@ -369,7 +368,7 @@ def _stays_in_O(chart: Trajectory) -> None:
             a, b, coef = todo.pop()
             if all(c >= _SIGMA_FLOOR for c in coef):
                 continue
-            if b - a <= _EXIT_T_RESOLUTION * max(1.0, abs(a)):
+            if b - a <= GUARD_T_RESOLUTION * max(1.0, abs(a)):
                 raise GuardViolation(f"domain guard p <= {GUARD_P_MAX} violated just past t={a}",
                                      last_valid_t=a)
             m = 0.5 * (a + b)

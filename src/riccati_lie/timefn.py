@@ -246,15 +246,6 @@ def render_timefn(f: TimeFn) -> str:
 
 # --- Taylor jets ---------------------------------------------------------
 
-# k! as a float: arithmetic with math.factorial's int converts it to this
-# same double, so the table changes no result; past it, math.factorial
-_FACTORIAL = tuple(float(math.factorial(k)) for k in range(19))
-
-
-def _factorial(k: int):
-    return _FACTORIAL[k] if k < len(_FACTORIAL) else math.factorial(k)
-
-
 class Jet:
     """Truncated Taylor expansion at a point: coeffs[k] = f^(k)(t) / k!.
 
@@ -276,12 +267,11 @@ class Jet:
         if n == 1:
             d1 = float(f.eval(t, 1))
             return cls((float(f.eval(t, 0)), d1))
-        fact = _FACTORIAL if n < len(_FACTORIAL) else [_factorial(k) for k in range(n + 1)]
-        return cls([float(f.eval(t, k)) / fact[k] for k in range(n, -1, -1)][::-1])
+        return cls([float(f.eval(t, k)) / math.factorial(k) for k in range(n, -1, -1)][::-1])
 
     def deriv(self, order: int) -> float:
         """The order-th derivative encoded by this jet."""
-        return self.coeffs[order] * _factorial(order)
+        return self.coeffs[order] * math.factorial(order)
 
     @property
     def value(self) -> float:

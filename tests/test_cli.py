@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import configparser
 import math
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -655,6 +657,12 @@ class TestConfigErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: ") and message in line, line
 
+    def test_a_bad_coefficient_is_named_before_a_later_missing_one(self, config, capsys):
+        text = CANONICAL.replace("a0 = poly 0", "a0 = poli 0").replace("a1 = poly 0\n", "")
+        assert cli.main(["derive", config(text)]) == cli.EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and "poli" in line and "missing" not in line, line
+
     def test_unwritable_output(self, config, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "x.csv"
         rc = cli.main(["simulate", config(CANONICAL), "--ic", "0", "--out", str(out)])
@@ -696,53 +704,98 @@ class TestConfigErrors:
 
 
 class TestRunDefaults:
-    """A [run] key is the file's [run] value, else its [DEFAULT] value when a
-    [run] section exists, else the built-in default."""
+    """A [run] key is the file's [run] value, else the built-in default."""
 
     POTENTIAL = "[potential]\na0 = poly 0\na1 = poly 0\na2 = poly 1\n"
 
     @pytest.mark.parametrize("run, t0, t1, n, tol, seed", [
         pytest.param("", 0.0, 1.0, 101, 1e-10, 0, id="no-run"),
         pytest.param("[run]\nt1 = 2.0\ntol = 1e-8\nseed = 7\n", 0.0, 2.0, 201, 1e-8, 7, id="partial-run"),
-        pytest.param("[DEFAULT]\nt1 = 5\n[run]\nt0 = 0\n", 0.0, 5.0, 501, 1e-10, 0, id="DEFAULT-with-run"),
-        pytest.param("[DEFAULT]\nt1 = 5\n", 0.0, 1.0, 101, 1e-10, 0, id="DEFAULT-without-run"),
     ])
     def test_key_lookup(self, config, run, t0, t1, n, tol, seed):
         sc = cli.load_scenario(config(self.POTENTIAL + run))
         assert (sc.t0, sc.t1, sc.tol, sc.seed) == (t0, t1, tol, seed)
         np.testing.assert_array_equal(sc.grid, np.linspace(t0, t1, n))
 
-    # configparser lists [DEFAULT] keys in every section, [ics] included
-    @pytest.mark.parametrize("default, t1", [
-        pytest.param("t1 = 2", 2.0, id="run-key"),  # read as an IC, it would be a config error
-        pytest.param("extra = 0.5 -2", 1.0, id="pair"),  # read as an IC, it would be IC 1
-    ])
-    def test_DEFAULT_keys_are_not_ics(self, config, tmp_path, capsys, default, t1):
-        path = config(f"[DEFAULT]\n{default}\n" + self.POTENTIAL + "[run]\nstep = 0.5\n[ics]\nic0 = 0.0 -1.0\n")
-        sc = cli.load_scenario(path)
-        assert (sc.t1, sc.ics) == (t1, [(0.0, -1.0)])
-        out = str(tmp_path / "out.csv")
-        assert cli.main(["simulate", path, "--ic", "0", "--out", out]) == cli.EXIT_OK
-        assert cli.main(["simulate", path, "--ic", "1", "--out", out]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: IC index 1 out of range; config has 1 ICs\n"
+    def test_key_case_is_folded(self, config):
+        sc = cli.load_scenario(config(self.POTENTIAL + "[run]\nT1 = 2\n"))
+        assert (sc.t1, len(sc.grid)) == (2.0, 201)
 
-    def test_an_ics_key_named_as_a_DEFAULT_key_is_an_ic(self, config, tmp_path):
-        path = config("[DEFAULT]\nt1 = 2\n" + self.POTENTIAL + "[run]\n[ics]\nt1 = 0.5 -2\nic1 = 0.0 -1.0\n")
+    def test_an_ics_key_named_as_a_run_key_is_an_ic(self, config, tmp_path):
+        path = config(self.POTENTIAL + "[run]\nt1 = 2\n[ics]\nt1 = 0.5 -2\nic1 = 0.0 -1.0\n")
         sc = cli.load_scenario(path)
         assert (sc.t1, sc.ics) == (2.0, [(0.5, -2.0), (0.0, -1.0)])
         assert cli.main(["simulate", path, "--ic", "1", "--out", str(tmp_path / "out.csv")]) == cli.EXIT_OK
 
-    # [DEFAULT] fills no coefficient, with or without a [run] section
-    @pytest.mark.parametrize("run", ["", "[run]\n"], ids=["no-run", "run"])
-    @pytest.mark.parametrize("coefficients, missing", [
-        ("[potential]\na1 = poly 0\na2 = poly 1\n", "[potential] a0"),
-        ("[riccati]\nc1 = poly 0\nc2 = poly 0\nc3 = poly 1\n", "[riccati] c0"),
-    ], ids=["potential", "riccati"])
-    def test_a_DEFAULT_key_is_no_coefficient(self, config, capsys, run, coefficients, missing):
-        key = missing.split()[-1]
-        assert cli.main(["derive", config(f"[DEFAULT]\n{key} = poly 5\n" + coefficients + run)]) == cli.EXIT_CONFIG
+
+class TestConfigKeys:
+    """`CONFIG_KEYS` is the rule: a section or key outside it is a config
+    error, named before any other, the first one in file order."""
+
+    POTENTIAL = TestRunDefaults.POTENTIAL
+    RICCATI = "[riccati]\nc0 = poly 0\nc1 = poly 0\nc2 = poly 0\nc3 = poly 1\n"
+    RUN = "[run]\nt1 = 0.5\nstep = 0.1\n"
+
+    @pytest.mark.parametrize("text, unknown", [
+        pytest.param(POTENTIAL + "[Run]\nt1 = 5\n", "section [Run]", id="Run"),
+        pytest.param("[DEFAULT]\nt1 = 5\n" + POTENTIAL + RUN, "section [DEFAULT]", id="DEFAULT"),
+        pytest.param(POTENTIAL + RUN + "[ic]\nic1 = 0.0 -1.0\n", "section [ic]", id="ic"),
+        pytest.param(POTENTIAL + RUN + "tl = 5\n", "key [run] tl", id="run-tl"),
+        pytest.param(POTENTIAL + "a3 = poly 1\n" + RUN, "key [potential] a3", id="potential-a3"),
+        pytest.param(RICCATI + "f0 = poly 0\n" + RUN, "key [riccati] f0", id="riccati-f0"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "CONFIG", "--ic=0,-1", "--out", "OUT"],
+        ["derive", "CONFIG"],
+        ["superpose", "CONFIG", "--sols", "SOLS", "--k1", "1", "--k2", "1", "--out", "OUT"],
+        ["verify", "all", "CONFIG", "--trials", "1"],
+    ], ids=lambda command: command[0])
+    def test_an_unknown_section_or_key_is_one_config_error(self, config, tmp_path, capsys, text, unknown, command):
+        sols = tmp_path / "three.csv"
+        sols.write_text("t,x1,p1,x2,p2,x3,p3\n0.0,0.0,-0.25,0.3,-1.0,-0.2,-0.8\n")
+        files = {"CONFIG": config(text), "SOLS": str(sols), "OUT": str(tmp_path / "out.csv")}
+        before = sorted(tmp_path.iterdir())
+        assert cli.main([files.get(arg, arg) for arg in command]) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"config error: missing {missing}\n")
+        assert (captured.out, captured.err) == ("", f"config error: unknown {unknown}\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("text, unknown", [
+        # before "exactly one of [potential] or [riccati]", either way round
+        pytest.param("[Run]\nt1 = 5\n", "section [Run]", id="neither"),
+        pytest.param(POTENTIAL + RICCATI + "[ic]\n", "section [ic]", id="both"),
+        # before a bad [run] value, and before a missing coefficient
+        pytest.param(POTENTIAL + "[run]\nt1 = nan\n[ic]\n", "section [ic]", id="bad-run-value"),
+        pytest.param("[potential]\na0 = poly 0\n[ic]\n", "section [ic]", id="missing-coefficient"),
+        # the first in file order
+        pytest.param(POTENTIAL + "a3 = poly 1\n[Run]\n", "key [potential] a3", id="key-then-section"),
+        pytest.param("[Run]\n" + POTENTIAL + "a3 = poly 1\n", "section [Run]", id="section-then-key"),
+        pytest.param(POTENTIAL + "[run]\ntl = 5\nstep = 0.1\ntoll = 1\n", "key [run] tl", id="two-keys"),
+    ])
+    def test_the_first_unknown_is_named_before_any_other_error(self, config, capsys, text, unknown):
+        assert cli.main(["derive", config(text)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: unknown {unknown}\n"
+
+    @staticmethod
+    def examples():
+        """The README's `ini` block and the module docstring's example config."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+        (example,) = re.findall(r"::\n\n((?:    .*\n|\n)+)", cli.__doc__)
+        return {"README": block, "docstring": textwrap.dedent(example)}
+
+    @pytest.mark.parametrize("name", ["README", "docstring"])
+    def test_the_documented_config_loads_and_is_in_the_table(self, config, name):
+        text = self.examples()[name]
+        cfg = configparser.ConfigParser(interpolation=None, default_section="")
+        cfg.read_string(text)
+        assert set(cfg.sections()) == {"potential", "run", "ics"}
+        for section in ("potential", "run"):
+            assert cfg.options(section) == list(cli.CONFIG_KEYS[section])
+        # every [run] value shown is its default
+        assert dict(cfg["run"]) == cli.RUN_DEFAULTS
+        sc = cli.load_scenario(config(text))
+        assert (sc.source, len(sc.ics)) == ("potential", 2)
 
 
 class TestOverflow:
