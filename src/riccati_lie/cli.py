@@ -25,8 +25,8 @@ any other section or key (`CONFIG_KEYS`) is a config error::
 All numeric output is CSV with a header row and 17-significant-digit
 decimals, which reproduces IEEE doubles bit-for-bit on re-read.
 
-Exit codes (`EXITS`): 0 success, 1 verification failure, 2 config/parse error
-or `verify --trials` outside 1..MAX_TRIALS, 3 domain, 4 genericity, 5 numeric.
+Exit codes (`EXITS`): 0 success, 1 verification failure, 2 usage/config/parse
+error or `verify --trials` outside 1..MAX_TRIALS, 3 domain, 4 genericity, 5 numeric.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -357,8 +357,14 @@ def cmd_verify(args) -> int:
 # --- entry point ------------------------------------------------------------
 
 
+class _UsageParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one stderr line, without the usage block
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+@cache  # built on first use, once per process; it holds no command function
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _UsageParser(
         prog="riccati-lie",
         description="Simulate, transform and verify cubic second-order equations "
                     "through their Hamiltonian picture and superposition rule.",
@@ -370,11 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=("hamiltonian", "riccati2"), default="hamiltonian")
     p.add_argument("--ic", default="0", help="index into config ICs, or a literal 'x,p' / 'x,v' pair")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("derive", help="print the coefficient map and its residuals")
     p.add_argument("config")
-    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("superpose", help="reconstruct a fourth solution from a table of three")
     p.add_argument("config")
@@ -383,13 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=float)
     p.add_argument("--fourth-ic", help="'x,p' at t0; constants are extracted from it")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_superpose)
 
     p = sub.add_parser("verify", help="run randomized verification suites")
     p.add_argument("suite", choices=("integrals", "brackets", "action", "superposition", "all"))
     p.add_argument("config")
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call: a rebound cmd_* takes effect
     except RiccatiLieError as exc:
         for cls, label, code in EXITS:
             if isinstance(exc, cls):

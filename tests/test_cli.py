@@ -899,6 +899,20 @@ class TestEntryPoint:
         pytest.param(a0("exp 1 700"), ["verify", "brackets", "CONFIG"], cli.EXIT_OK, None, id="window-verify"),
         pytest.param(NAN_RESIDUAL, ["verify", "brackets", "CONFIG", "--trials", "20"], cli.EXIT_FAIL,
                      None, id="nan-residual-verify"),
+        # argparse usage errors: one line, without the usage block
+        pytest.param(CANONICAL, [], cli.EXIT_CONFIG,
+                     "riccati-lie: error: the following arguments are required: command", id="no-arguments"),
+        pytest.param(CANONICAL, ["solve", "CONFIG"], cli.EXIT_CONFIG,
+                     "riccati-lie: error: argument command: invalid choice: 'solve'", id="unknown-command"),
+        pytest.param(CANONICAL, ["simulate", "CONFIG"], cli.EXIT_CONFIG,
+                     "riccati-lie simulate: error: the following arguments are required: --out",
+                     id="simulate-without-out"),
+        pytest.param(CANONICAL, ["simulate", "CONFIG", "--system", "foo", "--out", "x.csv"], cli.EXIT_CONFIG,
+                     "riccati-lie simulate: error: argument --system: invalid choice: 'foo'", id="unknown-system"),
+        pytest.param(CANONICAL, ["verify", "all", "CONFIG", "--trials", "abc"], cli.EXIT_CONFIG,
+                     "riccati-lie verify: error: argument --trials: invalid int value: 'abc'", id="trials-not-int"),
+        pytest.param(CANONICAL, ["derive", "CONFIG", "--bogus"], cli.EXIT_CONFIG,
+                     "riccati-lie: error: unrecognized arguments: --bogus", id="unknown-flag"),
     ])
     def test_exit_code_and_one_stderr_line(self, config, tmp_path, text, argv, rc, message):
         path = config(text)
@@ -911,5 +925,73 @@ class TestEntryPoint:
         if message is None:
             assert proc.stderr == ""
         else:
+            assert proc.stdout == ""
             (line,) = proc.stderr.splitlines()
             assert line.startswith(message), line
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; its reuse shows in no namespace, message or help text."""
+
+    ARGVS = [
+        ["simulate", "a.ini", "--out", "o.csv"],
+        ["simulate", "a.ini", "--system", "riccati2", "--ic", "0.5,-1.0", "--out", "o.csv"],
+        ["simulate", "a.ini", "--ic=-0.5,-1", "--out", "o.csv"],
+        ["simulate", "a.ini", "--ic", "-0.5,-1", "--out", "o.csv"],  # an option-like value: a usage error
+        ["simulate", "a.ini"],
+        ["superpose", "a.ini", "--sols", "s.csv", "--k1", "1.5", "--k2", "-2", "--out", "o.csv"],
+        ["superpose", "a.ini", "--sols", "s.csv", "--fourth-ic=0.1,-0.2", "--out", "o.csv"],
+        ["superpose", "a.ini", "--sols", "s.csv", "--k1", "abc", "--out", "o.csv"],
+        ["simulate", "a.ini", "--out", "o.csv"],  # no --k1, --sols or --fourth-ic left over
+        ["derive", "a.ini"],
+        ["derive", "a.ini", "--bogus"],
+        ["verify", "brackets", "a.ini", "--trials", "7"],
+        ["verify", "all", "a.ini"],  # --trials back at its default
+        ["verify", "all", "a.ini", "--trials", "abc"],
+        ["verify", "nosuch", "a.ini"],
+        ["solve", "a.ini"],
+        [],
+        ["simulate", "a.ini", "--system", "foo", "--out", "o.csv"],
+        ["superpose", "a.ini", "--k1", "1", "--out", "o.csv"],
+    ]
+    COMMANDS = ([], ["simulate"], ["derive"], ["superpose"], ["verify"])
+
+    @staticmethod
+    def parse(parser, argv, capsys):
+        """(namespace dict or exit code, stdout, stderr) of one parse."""
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    def helps(self, parser, capsys):
+        return [self.parse(parser, [*command, "--help"], capsys) for command in self.COMMANDS]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_reused_parser_parses_as_a_fresh_one(self, capsys):
+        fresh = cli.build_parser.__wrapped__
+        shared = cli.build_parser()
+        helps = self.helps(fresh(), capsys)
+        assert all(rc == 0 and out.startswith("usage: riccati-lie") and err == "" for rc, out, err in helps)
+        assert self.helps(shared, capsys) == helps
+        for argv in self.ARGVS:
+            got = self.parse(shared, argv, capsys)
+            assert got == self.parse(fresh(), argv, capsys), argv
+            if isinstance(got[0], int):  # a usage error: exit 2 and one stderr line
+                assert got[0] == cli.EXIT_CONFIG and got[1] == "" and len(got[2].splitlines()) == 1, argv
+        assert self.helps(shared, capsys) == helps
+        assert cli.build_parser() is shared
+
+    def test_a_command_rebound_after_a_first_call_takes_effect(self, config, tmp_path, capsys, monkeypatch):
+        path = config(CANONICAL)
+        assert cli.main(["simulate", path, "--out", str(tmp_path / "first.csv")]) == cli.EXIT_OK
+        calls = []
+        monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(args.out) or cli.EXIT_FAIL)
+        second = str(tmp_path / "second.csv")
+        assert cli.main(["simulate", path, "--out", second]) == cli.EXIT_FAIL
+        assert calls == [second]
+        assert not os.path.exists(second)
