@@ -11,8 +11,12 @@ an optional max_step caps it.
 
 The step runs on Python floats for two-dimensional states: the state, the
 stage states and times, the error norm and the stored samples are floats.
-numpy computes only the stage and error sums, as products over the (7, 2)
-array of stage derivatives; those products fix the rounding of every step.
+numpy computes only the stage and error sums, as `ndarray.dot` products
+over views of the (7, 2) array of stage derivatives made once per call; the
+array is filled in place, two scalar stores per stage.  `.dot` runs the
+same BLAS gemv as `@`, to the same bits, without the matmul ufunc dispatch.
+Those products fix the rounding of every step: Python sums round otherwise
+and shift the step sequences, so they are not used.
 
 An optional state guard (a predicate on the raw (y0, y1) state tuple) is
 evaluated at every trial stage.  When the flow approaches the guarded
@@ -141,8 +145,9 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
     span = t1 - t0
     h_max = span if max_step is None else min(float(max_step), span)
 
-    K = np.empty((7, 2))  # stage derivatives
-    K[0] = rhs(t0, y)
+    K = np.empty((7, 2))  # stage derivatives, filled in place under the views
+    K_stages = [K[:i] for i in range(7)]
+    K[0, 0], K[0, 1] = rhs(t0, y)
     n_rhs = 1
     ts = [t0]
     ys = [y]
@@ -166,12 +171,12 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
 
             guard_hit = False
             for i in range(1, 7):
-                d0, d1 = (_A[i] @ K[:i]).tolist()
+                d0, d1 = _A[i].dot(K_stages[i]).tolist()
                 y_stage = (y[0] + h * d0, y[1] + h * d1)
                 if guard is not None and not guard(y_stage):
                     guard_hit = True
                     break
-                K[i] = rhs(t + _C[i] * h, y_stage)
+                K[i, 0], K[i, 1] = rhs(t + _C[i] * h, y_stage)
                 n_rhs += 1
             if guard_hit:
                 # bisect toward the boundary; report the exit once localized
@@ -182,7 +187,7 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
 
             # stage 6 sits at (t + h, y_new): first-same-as-last
             y_new = y_stage
-            e0, e1 = (_E @ K).tolist()
+            e0, e1 = _E.dot(K).tolist()
             # y_new first, so a NaN state gives a NaN scale
             e0 = h * e0 / (tol + tol * max(abs(y_new[0]), abs(y[0])))
             e1 = h * e1 / (tol + tol * max(abs(y_new[1]), abs(y[1])))

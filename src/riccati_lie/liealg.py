@@ -231,8 +231,8 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
 
     With tau = (-lambda1, lambda5), returns (A1 A2, A1 tau2 + tau1).
     """
-    tau1, tau5 = (g1.A @ (-g2.lambda1, g2.lambda5)).tolist()
-    return GroupElement(g1.lambda1 - tau1, g1.lambda5 + tau5, g1.A @ g2.A)
+    tau1, tau5 = g1.A.dot((-g2.lambda1, g2.lambda5)).tolist()
+    return GroupElement(g1.lambda1 - tau1, g1.lambda5 + tau5, g1.A.dot(g2.A))
 
 
 def fundamental_vf(direction: str, points) -> np.ndarray:

@@ -128,7 +128,7 @@ def _random_unimodular(rng) -> np.ndarray:
     shear_u = np.array([[1.0, rng.uniform(-spread, spread)], [0.0, 1.0]])
     shear_l = np.array([[1.0, 0.0], [rng.uniform(-spread, spread), 1.0]])
     d = rng.uniform(-spread, spread)
-    return shear_u @ shear_l @ np.diag([math.exp(d), math.exp(-d)])
+    return shear_u.dot(shear_l).dot(np.diag([math.exp(d), math.exp(-d)]))
 
 
 def _random_element(rng) -> liealg.GroupElement:

@@ -1,12 +1,18 @@
 """Tests for the adaptive integrator, guards, and the dense output."""
 
+import math
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riccati_lie.errors import DomainError, GuardViolation, NumericError
 from riccati_lie.integrator import (
+    _A,
+    _E,
     Trajectory,
     hamiltonian_guard,
     integrate,
@@ -150,6 +156,50 @@ class TestIntegrate:
                 integrate(lambda t, y: y, (0.0, y0), 1.0, 1e-8)
 
 
+class TestFieldContract:
+    """integrate stores each stage derivative as two scalars, so rhs must
+    return exactly two numbers: a tuple or a shape-(2,) array."""
+
+    @pytest.mark.parametrize("bad, error", [((1.0,), ValueError), (np.array([1.0]), ValueError),
+                                            ((1.0, 2.0, 3.0), ValueError), (1.0, TypeError)],
+                             ids=["one", "one-array", "three", "scalar"])
+    @pytest.mark.parametrize("at_call", [1, 4], ids=["initial", "later-stage"])
+    def test_a_field_of_other_than_two_values_is_rejected(self, bad, error, at_call):
+        # a single value must not broadcast into both components
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return bad if len(calls) == at_call else (y[1], -y[0])
+
+        with pytest.raises(error):
+            integrate(rhs, (0.0, (1.0, 0.0)), 1.0, 1e-8)
+        assert len(calls) == at_call
+
+    def test_an_array_field_gives_the_tuple_field_bits(self):
+        rhs = hamiltonian_field(canonical_potential())
+        as_tuple = integrate(rhs, (0.0, (0.3, -0.4)), 2.0, 1e-10, guard=hamiltonian_guard)
+        as_array = integrate(lambda t, y: np.array(rhs(t, y)), (0.0, (0.3, -0.4)), 2.0, 1e-10,
+                             guard=hamiltonian_guard)
+        assert as_array.stats == as_tuple.stats
+        for name in ("ts", "states", "coeffs"):
+            assert getattr(as_array, name).tobytes() == getattr(as_tuple, name).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_stage_that_is_not_finite_ends_in_step_underflow(self, bad):
+        # every trial step that reaches past t = 0.5 sees the bad derivative
+        def rhs(t, y):
+            return (bad if t > 0.5 else 1.0), -y[1]
+
+        with pytest.raises(NumericError) as excinfo:
+            integrate(rhs, (0.0, (0.0, 1.0)), 1.0, 1e-8)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert message.startswith("step size underflow at t=")
+        t_stop = float(message.split("t=")[1].split()[0])
+        assert 0.5 - 1e-12 <= t_stop <= 0.5
+
+
 class TestGuards:
     def test_initial_violation_rejected(self):
         with pytest.raises(DomainError, match=r"violates the domain guard p <= -1e-09$"):
@@ -281,3 +331,41 @@ class TestSampleAt:
         traj = Trajectory(ts=np.array([0.0, 1.0]), states=np.zeros((2, 2)), system="superposed")
         with pytest.raises(ValueError):
             sample_at(traj, 0.5)
+
+
+# floats of either sign over the whole exponent range, the moderate range the
+# solves see, and the values a blow-up or an underflow produces
+_STAGE_VALUES = st.one_of(
+    st.floats(width=64),
+    st.floats(-1e5, 1e5),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestDotRounding:
+    """integrate, liealg.compose and suites._random_unimodular compute their
+    small products with ndarray.dot, which skips the matmul ufunc dispatch.
+    Both reach the same BLAS kernels; these pin that the two round alike, to
+    the bit pattern, so that a BLAS build where they differ fails here
+    instead of shifting step sequences."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(arrays(np.float64, (7, 2), elements=_STAGE_VALUES))
+    def test_stage_and_error_sums_are_the_matmul_bits(self, K):
+        with np.errstate(all="ignore"):
+            for i in range(1, 7):
+                assert np.array_equal(_bits(_A[i].dot(K[:i])), _bits(_A[i] @ K[:i]))
+            assert np.array_equal(_bits(_E.dot(K)), _bits(_E @ K))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(arrays(np.float64, (3, 2, 2), elements=_STAGE_VALUES), _STAGE_VALUES, _STAGE_VALUES)
+    def test_two_by_two_products_are_the_matmul_bits(self, M, v0, v1):
+        A, B, C = M
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_bits(A.dot(B)), _bits(A @ B))
+            assert np.array_equal(_bits(A.dot(B).dot(C)), _bits(A @ B @ C))
+            assert np.array_equal(_bits(A.dot((v0, v1))), _bits(A @ (v0, v1)))
