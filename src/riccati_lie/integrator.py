@@ -78,6 +78,7 @@ _UNDERFLOW_T_SCALE = 4e-15
 GUARD_P_MAX = -1e-9
 # width an exit from the half-plane is localized to, relative to max(1, |t|)
 GUARD_T_RESOLUTION = 1e-10
+_NOT_TWO_NUMBERS = "rhs must return two numbers; at t={} it returned {!r}"
 
 
 def hamiltonian_guard(state) -> bool:
@@ -147,7 +148,11 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
 
     K = np.empty((7, 2))  # stage derivatives, filled in place under the views
     K_stages = [K[:i] for i in range(7)]
-    K[0, 0], K[0, 1] = rhs(t0, y)
+    k = rhs(t0, y)
+    try:
+        K[0, 0], K[0, 1] = k
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_TWO_NUMBERS.format(t0, k)) from None
     n_rhs = 1
     ts = [t0]
     ys = [y]
@@ -176,7 +181,11 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
                 if guard is not None and not guard(y_stage):
                     guard_hit = True
                     break
-                K[i, 0], K[i, 1] = rhs(t + _C[i] * h, y_stage)
+                k = rhs(t + _C[i] * h, y_stage)
+                try:
+                    K[i, 0], K[i, 1] = k
+                except (TypeError, ValueError):
+                    raise ValueError(_NOT_TWO_NUMBERS.format(t + _C[i] * h, k)) from None
                 n_rhs += 1
             if guard_hit:
                 # bisect toward the boundary; report the exit once localized

@@ -12,8 +12,8 @@ which close on a five-dimensional algebra; the Hamiltonian dynamics of the
 package decomposes as X1 - a0(t) X2 - a1(t) X3 - a2(t) X4 at every time.
 The span of {X2, X3, X4} is a subalgebra of sl(2)-type and {X1, X5} an
 abelian ideal, matching the semidirect group R^2 x| SL(2, R) whose action
-on O, affine in (x sqrt(-p), sqrt(-p)), is `act` and whose group law is
-`compose`.
+on O, affine in (x sqrt(-p), sqrt(-p)), is `act` and whose law is `compose`,
+each on one element or a stack; `group_law` checks that law over a batch.
 
 `fields` writes the five closed forms and their hand-derived Jacobians
 once, as arrays over any number of points; everything else here reads
@@ -41,6 +41,7 @@ __all__ = [
     "decompose_rhs_check",
     "act",
     "compose",
+    "group_law",
     "fundamental_vf",
 ]
 
@@ -191,7 +192,7 @@ _UNIMODULAR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element ((lambda1, lambda5), A) of R^2 x| SL(2, R); det A = 1."""
+    """Element ((lambda1, lambda5), A) of R^2 x| SL(2, R), det A = 1, or a stack of N: shapes (N,), (N,), (N, 2, 2)."""
 
     lambda1: float
     lambda5: float
@@ -199,27 +200,26 @@ class GroupElement:
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
-        if A.shape != (2, 2):
-            raise ValueError(f"A must be a 2x2 matrix, got shape {A.shape}")
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        if abs(det - 1.0) > _UNIMODULAR_TOL:
-            raise ValueError(f"A must be unimodular, det A = {det}")
+        if A.shape[-2:] != (2, 2) or A.ndim > 3:
+            raise ValueError(f"A must be a 2x2 matrix or an (N, 2, 2) stack, got shape {A.shape}")
+        for det in np.ravel(A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]).tolist():
+            if abs(det - 1.0) > _UNIMODULAR_TOL:
+                raise ValueError(f"A must be unimodular, det A = {det}")
         object.__setattr__(self, "A", A)
 
 
-def act(g: GroupElement, points):
-    """Action of g on the half-plane O, at one (x, p) point, returning a
-    PhasePoint, or at each row of an (N, 2) numpy array, returning an (N, 2) array.
+def _affine_map(g: GroupElement, u, sigma) -> tuple:
+    """(u, sigma) -> A (u, sigma) + (-lambda1, lambda5), slice by slice on a stack."""
+    (alpha, beta), (gamma, delta) = np.moveaxis(g.A, (-2, -1), (0, 1))
+    return alpha * u + beta * sigma - g.lambda1, gamma * u + delta * sigma + g.lambda5
 
-    In (u, sigma) = (x sqrt(-p), sqrt(-p)) the action is affine:
-    (u, sigma) -> A (u, sigma) + (-lambda1, lambda5).  Defined where every
-    new sigma is positive; returns (u/sigma, -sigma^2).
-    """
+
+def act(g: GroupElement, points):
+    """Action of g on O at one (x, p) point, returning a PhasePoint, or at each row of an
+    (N, 2) numpy array, by row i's element if g is a stack, returning an (N, 2) array:
+    `_affine_map` in the chart (x sqrt(-p), sqrt(-p)), where every new sigma is positive."""
     batch = isinstance(points, np.ndarray) and points.ndim == 2
-    u, sigma = _to_affine(*(points.T if batch else points))  # DomainError off O
-    # Python floats: unpacking numpy scalars costs more than the map itself
-    (alpha, beta), (gamma, delta) = g.A.tolist()
-    u, sigma = alpha * u + beta * sigma - g.lambda1, gamma * u + delta * sigma + g.lambda5
+    u, sigma = _affine_map(g, *_to_affine(*(points.T if batch else points)))  # DomainError off O
     if not (np.all(sigma > 0.0) if batch else sigma > 0.0):
         raise DomainError(f"action leaves the p<0 orbit: sigma = {np.min(sigma)} <= 0")
     x, p = _from_affine(u, sigma)
@@ -229,10 +229,24 @@ def act(g: GroupElement, points):
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """The group law: act(compose(g1, g2), s) = act(g1, act(g2, s)).
 
-    With tau = (-lambda1, lambda5), returns (A1 A2, A1 tau2 + tau1).
+    With tau = (-lambda1, lambda5), returns (A1 A2, A1 tau2 + tau1), per slice on stacks.
     """
-    tau1, tau5 = g1.A.dot((-g2.lambda1, g2.lambda5)).tolist()
-    return GroupElement(g1.lambda1 - tau1, g1.lambda5 + tau5, g1.A.dot(g2.A))
+    tau = g1.A @ np.stack((-g2.lambda1, g2.lambda5), axis=-1)[..., None]
+    return GroupElement(g1.lambda1 - tau[..., 0, 0], g1.lambda5 + tau[..., 1, 0], g1.A @ g2.A)
+
+
+def group_law(g1: GroupElement, g2: GroupElement, points) -> tuple:
+    """act(compose(g1, g2), s) and act(g1, act(g2, s)) at each row s of an (N, 2)
+    array, to those calls' bits, for one element or N-stacks, and the mask of the
+    rows where none of the three actions would raise DomainError; other rows hold no value."""
+    u, sigma = _to_affine(*np.asarray(points, dtype=float).T)
+    with np.errstate(all="ignore"):
+        once = _affine_map(compose(g1, g2), u, sigma)
+        inner = _affine_map(g2, u, sigma)
+        x, p = _from_affine(*inner)
+        twice = _affine_map(g1, x * np.sqrt(-p), np.sqrt(-p))
+        on_O = (once[1] > 0.0) & (inner[1] > 0.0) & (p < 0.0) & (twice[1] > 0.0)
+        return np.stack(_from_affine(*once), axis=-1), np.stack(_from_affine(*twice), axis=-1), on_O
 
 
 def fundamental_vf(direction: str, points) -> np.ndarray:

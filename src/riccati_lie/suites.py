@@ -1,8 +1,10 @@
 """Randomized verification suites behind the `verify` CLI command.
 
-Each suite returns a list of CheckResult records; a suite passes when
-every record does.  All randomness flows through a caller-supplied
-numpy Generator so runs are reproducible from the scenario seed.
+Each suite returns CheckResult records and passes when every one does.  All
+randomness flows through a caller-supplied numpy Generator, so a run repeats
+from the scenario seed.  A check that draws its cases as one batch (the group
+law's in rounds, redrawing the cases that leave O) draws what drawing one case
+at a time would: the same cases, residuals and final generator state.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg, superpose
-from .errors import DomainError, GenericityError, GuardViolation, NumericError
+from .errors import GenericityError, GuardViolation, NumericError
 # nothing here calls `integrate` (solutions come from `solve_hamiltonian`); it stays
 # bound because bench/tests/test_bench.py checks that the tracer rebinds it here too
 from .integrator import integrate  # noqa: F401
@@ -37,7 +39,7 @@ _A2_BASE = (0.8, 1.6)  # range of the constant part of a random a2
 _A2_WOBBLE = 0.4  # largest cosine amplitude of a random a2, relative to its constant
 _MAX_DRAWS = 80  # initial points tried per draw_surviving_solutions call
 _CHECK_GRID = 41  # grid points of the drift and reconstruction checks
-_UNIMODULAR_SPREAD = 0.4  # range of the shear and log-dilation parameters of a random A
+_ELEMENT_RANGES = ((-0.3, 0.3), (-0.2, 0.4)) + ((-0.4, 0.4),) * 3  # (lambda1, lambda5, b, c, d): see _elements
 _X_RANGE, _P_RANGE = (-3.0, 3.0), (-4.0, -0.25)  # default ranges of random phase points
 
 
@@ -123,17 +125,14 @@ def suite_brackets(P, t0, t1, rng, trials: int) -> list:
     return results
 
 
-def _random_unimodular(rng) -> np.ndarray:
-    spread = _UNIMODULAR_SPREAD
-    shear_u = np.array([[1.0, rng.uniform(-spread, spread)], [0.0, 1.0]])
-    shear_l = np.array([[1.0, 0.0], [rng.uniform(-spread, spread), 1.0]])
-    d = rng.uniform(-spread, spread)
-    return shear_u.dot(shear_l).dot(np.diag([math.exp(d), math.exp(-d)]))
-
-
-def _random_element(rng) -> liealg.GroupElement:
-    """A translation pair and a _random_unimodular matrix."""
-    return liealg.GroupElement(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.4), _random_unimodular(rng))
+def _elements(draws) -> liealg.GroupElement:
+    """The stack of elements of the rows (lambda1, lambda5, b, c, d) of draws: A = [[1, b], [0, 1]]
+    [[1, 0], [c, 1]] diag(e^d, e^-d), left to right, with math.exp (np.exp rounds some d otherwise)."""
+    lambda1, lambda5, b, c, d = draws.T
+    one, zero = np.ones_like(b), np.zeros_like(b)
+    shears = np.stack((one, b, zero, one, one, zero, c, one), axis=-1).reshape(-1, 2, 2, 2)
+    dilation = np.array([(math.exp(v), 0.0, 0.0, math.exp(-v)) for v in d.tolist()]).reshape(-1, 2, 2)
+    return liealg.GroupElement(lambda1, lambda5, shears[:, 0] @ shears[:, 1] @ dilation)
 
 
 def suite_action(rng, trials: int) -> list:
@@ -142,16 +141,14 @@ def suite_action(rng, trials: int) -> list:
     moved = liealg.act(liealg.GroupElement(0.0, 0.0), points)
     results = [CheckResult("action.identity", _relative_deviation(moved, points), 1e-15)]
 
-    # each trial acts with its own pair of group elements; the pairs reduce once
-    pairs = []
-    while len(pairs) < trials:
-        s = random_phase_points(rng, 1)[0]
-        g1, g2 = _random_element(rng), _random_element(rng)
-        try:
-            pairs.append((liealg.act(liealg.compose(g1, g2), s), liealg.act(g1, liealg.act(g2, s))))
-        except DomainError:
-            pass  # the orbit is left: draw again
-    once, twice = np.swapaxes(pairs, 0, 1)
+    # a trial is x, p, then g1's and g2's _ELEMENT_RANGES; a round draws the trials still missing
+    low, high = np.transpose((_X_RANGE, _P_RANGE) + _ELEMENT_RANGES * 2)
+    pairs = np.empty((2, 0, 2))  # (once, twice) rows of the trials kept
+    while pairs.shape[1] < trials:
+        draws = rng.uniform(low, high, (trials - pairs.shape[1], 12))
+        *got, on_O = liealg.group_law(_elements(draws[:, 2:7]), _elements(draws[:, 7:]), draws[:, :2])
+        pairs = np.concatenate((pairs, np.stack(got)[:, on_O]), axis=1)
+    once, twice = pairs
     results.append(CheckResult("action.composition", _relative_deviation(twice, once), 1e-12))
 
     deviations = []

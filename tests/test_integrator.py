@@ -160,11 +160,10 @@ class TestFieldContract:
     """integrate stores each stage derivative as two scalars, so rhs must
     return exactly two numbers: a tuple or a shape-(2,) array."""
 
-    @pytest.mark.parametrize("bad, error", [((1.0,), ValueError), (np.array([1.0]), ValueError),
-                                            ((1.0, 2.0, 3.0), ValueError), (1.0, TypeError)],
-                             ids=["one", "one-array", "three", "scalar"])
+    @pytest.mark.parametrize("bad", [(1.0,), np.array([1.0]), (1.0, 2.0, 3.0), 1.0, None],
+                             ids=["one", "one-array", "three", "scalar", "none"])
     @pytest.mark.parametrize("at_call", [1, 4], ids=["initial", "later-stage"])
-    def test_a_field_of_other_than_two_values_is_rejected(self, bad, error, at_call):
+    def test_a_field_of_other_than_two_values_is_rejected(self, bad, at_call):
         # a single value must not broadcast into both components
         calls = []
 
@@ -172,9 +171,26 @@ class TestFieldContract:
             calls.append(t)
             return bad if len(calls) == at_call else (y[1], -y[0])
 
-        with pytest.raises(error):
+        with pytest.raises(ValueError) as excinfo:
             integrate(rhs, (0.0, (1.0, 0.0)), 1.0, 1e-8)
         assert len(calls) == at_call
+        assert str(excinfo.value) == f"rhs must return two numbers; at t={calls[-1]} it returned {bad!r}"
+        assert excinfo.value.__cause__ is None and excinfo.value.__suppress_context__
+
+    @pytest.mark.parametrize("error", [ValueError("inside"), TypeError("inside"), ZeroDivisionError("inside")])
+    @pytest.mark.parametrize("at_call", [1, 4], ids=["initial", "later-stage"])
+    def test_an_error_raised_by_the_field_passes_through(self, error, at_call):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if len(calls) == at_call:
+                raise error
+            return y[1], -y[0]
+
+        with pytest.raises(type(error)) as excinfo:
+            integrate(rhs, (0.0, (1.0, 0.0)), 1.0, 1e-8)
+        assert excinfo.value is error
 
     def test_an_array_field_gives_the_tuple_field_bits(self):
         rhs = hamiltonian_field(canonical_potential())
@@ -347,11 +363,12 @@ def _bits(a):
 
 
 class TestDotRounding:
-    """integrate, liealg.compose and suites._random_unimodular compute their
-    small products with ndarray.dot, which skips the matmul ufunc dispatch.
-    Both reach the same BLAS kernels; these pin that the two round alike, to
-    the bit pattern, so that a BLAS build where they differ fails here
-    instead of shifting step sequences."""
+    """integrate computes its small products with ndarray.dot, which skips the
+    matmul ufunc dispatch, and liealg.compose and the `verify` action check
+    theirs with `@` over stacks of 2x2 matrices, where one trial at a time
+    would call `.dot` per matrix.  All reach the same BLAS kernels; these pin
+    that they round alike, to the bit pattern, so that a BLAS build where they
+    differ fails here instead of shifting step sequences or check residuals."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(arrays(np.float64, (7, 2), elements=_STAGE_VALUES))
@@ -369,3 +386,14 @@ class TestDotRounding:
             assert np.array_equal(_bits(A.dot(B)), _bits(A @ B))
             assert np.array_equal(_bits(A.dot(B).dot(C)), _bits(A @ B @ C))
             assert np.array_equal(_bits(A.dot((v0, v1))), _bits(A @ (v0, v1)))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        arrays(np.float64, (n, 2, 2), elements=_STAGE_VALUES), arrays(np.float64, (n, 2, 2), elements=_STAGE_VALUES),
+        arrays(np.float64, (n, 2, 2), elements=_STAGE_VALUES), arrays(np.float64, (n, 2), elements=_STAGE_VALUES))))
+    def test_stacked_products_are_the_per_slice_bits(self, stacks):
+        A, B, C, v = stacks
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_bits(A @ B), _bits([a.dot(b) for a, b in zip(A, B)]))
+            assert np.array_equal(_bits(A @ B @ C), _bits([a.dot(b).dot(c) for a, b, c in zip(A, B, C)]))
+            assert np.array_equal(_bits(A @ v[..., None]), _bits([a.dot(w)[:, None] for a, w in zip(A, v)]))

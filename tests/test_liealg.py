@@ -19,11 +19,12 @@ from riccati_lie.liealg import (
     decompose_rhs_check,
     fields,
     fundamental_vf,
+    group_law,
     levi_structure_check,
     lie_bracket,
 )
 from riccati_lie.model import PhasePoint, PotentialSpec
-from riccati_lie.suites import _random_element, random_phase_points, random_potential
+from riccati_lie.suites import _ELEMENT_RANGES, random_phase_points, random_potential
 from riccati_lie.timefn import constant
 
 
@@ -198,6 +199,17 @@ class TestGroupElement:
         with pytest.raises(ValueError):
             GroupElement(0.0, 0.0, np.eye(3))
 
+    def test_a_stack_names_the_det_of_its_first_bad_slice(self):
+        A = np.array([np.eye(2), np.diag([2.0, 0.5]), np.diag([3.0, 1.0]), np.diag([1.0, 5.0])])
+        with pytest.raises(ValueError, match=r"^A must be unimodular, det A = 3\.0$"):
+            GroupElement(np.zeros(4), np.zeros(4), A)
+        GroupElement(np.zeros(2), np.zeros(2), A[:2])  # the unimodular slices pass
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (4, 2, 3), (2,), (3, 4, 2, 2)])
+    def test_a_stack_of_other_than_2x2_matrices_is_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^A must be a 2x2 matrix or an \(N, 2, 2\) stack"):
+            GroupElement(0.0, 0.0, np.ones(shape))
+
     def test_matrix_defaults_to_identity(self):
         g = GroupElement(1.0, 2.0)
         assert (g.lambda1, g.lambda5) == (1.0, 2.0)
@@ -286,6 +298,32 @@ _elements = st.builds(
 )
 
 
+def _random_element(rng):
+    """One group element drawn from the ranges of the `verify` action check."""
+    l1, l5, b, c, d = (rng.uniform(low, high) for low, high in _ELEMENT_RANGES)
+    return GroupElement(l1, l5, _unimodular(b, c, d))
+
+
+def _random_stack(rng, n):
+    """n elements drawn as by _random_element, one at a time, and stacked."""
+    elements = [_random_element(rng) for _ in range(n)]
+    return elements, GroupElement(*(np.array([getattr(g, name) for g in elements])
+                                    for name in ("lambda1", "lambda5", "A")))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _acts_on(g, s):
+    """Whether act(g, s) stays on O."""
+    try:
+        act(g, s)
+    except DomainError:
+        return False
+    return True
+
+
 class TestCompose:
     def test_translations_add(self):
         g = compose(GroupElement(1.0, 0.0), GroupElement(2.0, 3.0))
@@ -339,6 +377,64 @@ class TestCompose:
         tau1, tau2 = (np.abs([g.lambda1, g.lambda5]) for g in (g1, g2))
         size = np.abs(g1.A) @ (np.abs(g2.A) @ np.abs(_affine(s)) + tau2) + tau1
         assert np.all(np.abs(_affine(once) - _affine(twice)) <= 1e-14 * size)
+
+    def test_stacks_compose_slice_by_slice_bitwise(self):
+        rng = np.random.default_rng(40)
+        (ones1, stack1), (ones2, stack2) = _random_stack(rng, 300), _random_stack(rng, 300)
+        got = compose(stack1, stack2)
+        want = [compose(g1, g2) for g1, g2 in zip(ones1, ones2)]
+        for name in ("lambda1", "lambda5", "A"):
+            assert np.array_equal(_bits(getattr(got, name)), _bits([getattr(g, name) for g in want]))
+
+    def test_a_stack_acts_slice_by_slice_bitwise(self):
+        rng = np.random.default_rng(41)
+        ones, stack = _random_stack(rng, 300)
+        points = np.array(random_phase_points(rng, 300))
+        stays = np.array([_acts_on(g, s) for g, s in zip(ones, points.tolist())])
+        assert 200 < stays.sum() < 300  # rows on both sides
+        kept = [g for g, ok in zip(ones, stays) if ok]
+        moved = act(GroupElement(stack.lambda1[stays], stack.lambda5[stays], stack.A[stays]), points[stays])
+        assert np.array_equal(_bits(moved), _bits([act(g, s) for g, s in zip(kept, points[stays].tolist())]))
+        with pytest.raises(DomainError, match="orbit"):
+            act(stack, points)
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacks", "one-element-each"])
+    def test_the_batch_law_is_the_bits_of_the_three_calls(self, stacked):
+        rng = np.random.default_rng(43 if stacked else 40)  # seeds with rows on both sides
+        if stacked:
+            (ones1, g1), (ones2, g2) = _random_stack(rng, 300), _random_stack(rng, 300)
+        else:
+            g1, g2 = _random_element(rng), _random_element(rng)
+            ones1, ones2 = [g1] * 300, [g2] * 300
+        points = np.array(random_phase_points(rng, 300))
+        once, twice, on_O = group_law(g1, g2, points)
+        for i, (one1, one2, s) in enumerate(zip(ones1, ones2, points.tolist())):
+            try:
+                want = act(compose(one1, one2), s), act(one1, act(one2, s))
+            except DomainError:
+                assert not on_O[i]
+                continue
+            assert on_O[i]
+            assert np.array_equal(_bits((once[i], twice[i])), _bits(want))
+        assert 0 < on_O.sum() < 300  # both branches are taken
+
+    def test_a_middle_sigma_whose_square_underflows_is_masked(self):
+        # sigma = sqrt(1e-320) ~ 1e-160; g2 scales it by 1e-3 to ~1e-163 > 0, whose
+        # square underflows, so the middle point has p = -0.0 and g1 cannot act on it,
+        # though g1's own sigma would be 0.5 > 0
+        g1, g2 = GroupElement(0.0, 0.5), GroupElement(0.0, 0.0, np.diag([1e3, 1e-3]))
+        s = PhasePoint(0.5, -1e-320)
+        middle = act(g2, s)
+        assert middle.p == 0.0 and math.copysign(1.0, middle.p) == -1.0
+        with pytest.raises(DomainError):
+            act(g1, middle)
+        once, twice, on_O = group_law(g1, g2, np.array([s, [0.5, -1.0]]))
+        assert on_O.tolist() == [False, True]
+        assert np.array_equal(_bits(once[1]), _bits(act(compose(g1, g2), PhasePoint(0.5, -1.0))))
+
+    def test_the_batch_law_rejects_a_point_off_O(self):
+        with pytest.raises(DomainError, match="p=0.5"):
+            group_law(GroupElement(0.0, 0.0), GroupElement(0.0, 0.0), np.array([[0.0, -1.0], [0.0, 0.5]]))
 
 
 class TestFundamentalFields:
