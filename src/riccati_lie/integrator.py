@@ -14,9 +14,11 @@ stage states and times, the error norm and the stored samples are floats.
 numpy computes only the stage and error sums, as `ndarray.dot` products
 over views of the (7, 2) array of stage derivatives made once per call; the
 array is filled in place, two scalar stores per stage.  `.dot` runs the
-same BLAS gemv as `@`, to the same bits, without the matmul ufunc dispatch.
-Those products fix the rounding of every step: Python sums round otherwise
-and shift the step sequences, so they are not used.
+same BLAS gemv as `@` without the matmul ufunc dispatch, to the same bits
+but one: stage 1's one-term 0.2 k is a fused multiply-add there, so where it
+rounds to zero it keeps k's sign, where `@` gives +0.0.  Those products fix
+the rounding of every step: Python sums round otherwise and shift the step
+sequences, so they are not used.
 
 An optional state guard (a predicate on the raw (y0, y1) state tuple) is
 evaluated at every trial stage.  When the flow approaches the guarded

@@ -190,7 +190,7 @@ def decompose_rhs_check(P, ts, points):
 _UNIMODULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # A is an array: `==` and hash go by identity
 class GroupElement:
     """Element ((lambda1, lambda5), A) of R^2 x| SL(2, R), det A = 1, or a stack of N: shapes (N,), (N,), (N, 2, 2)."""
 

@@ -145,17 +145,17 @@ def _positive_on_window(name, f, grid) -> None:
         todo += [(m, fm, b, fb), (a, fa, m, fm)]
 
 
-def _drag(c2: Jet, c3: Jet):
-    """(sqrt(c3), f0) from a c2 jet and a c3 jet one order longer, with
-    f0 = c2/sqrt(c3) - c3'/(2 c3); the drag pair is (f0, 3 sqrt(c3))."""
-    root = c3.sqrt()
-    return root, c2 / root - c3.derivative() / (2.0 * c3)
+def _drag(c2, c3, dc3, root):
+    """f0 = c2/sqrt(c3) - c3'/(2 c3) from c2, c3, c3' and root = sqrt(c3), as
+    floats or as jets (c3 one order longer than c2); the drag pair is (f0, 3 root)."""
+    return c2 / root - dc3 / (2.0 * c3)
 
 
 @dataclass(frozen=True)
 class RiccatiSpec(JetFn):
     """The four cubic coefficients; `eval(t, k)` returns the k-th derivatives
-    (c0, c1, c2, c3, f0, f1), the drag pair derived from c2 and c3."""
+    (c0, c1, c2, c3, f0, f1), the drag pair derived from c2 and c3: at order 0
+    in plain floats (`floats`), at any higher order from jets."""
 
     c0: object
     c1: object
@@ -168,8 +168,15 @@ class RiccatiSpec(JetFn):
         c3 = Jet.of(self.c3, t, n + 1)  # the highest order first: views of one picture share its build
         c0, c1, c2 = Jet.of(self.c0, t, n), Jet.of(self.c1, t, n), Jet.of(self.c2, t, n)
         _positive("c3", t, c3.value)
-        root, f0 = _drag(c2, c3)
-        return c0, c1, c2, c3, f0, 3.0 * root
+        root = c3.sqrt()
+        return c0, c1, c2, c3, _drag(c2, c3, c3.derivative(), root), 3.0 * root
+
+    def floats(self, t):  # `jets` at n = 0, read in the same order
+        dc3, c3 = float(self.c3.eval(t, 1)), float(self.c3.eval(t))
+        c0, c1, c2 = float(self.c0.eval(t)), float(self.c1.eval(t)), float(self.c2.eval(t))
+        _positive("c3", t, c3)
+        root = math.sqrt(c3)
+        return c0, c1, c2, c3, _drag(c2, c3, dc3, root), 3.0 * root
 
 
 def _momentum_root(p) -> float:
@@ -220,6 +227,14 @@ class _CubicOfPotential(JetFn):
             3.0 * a2,
         )
 
+    def floats(self, t):  # `jets` at n = 0; a jet product's order 0 is fsum((x * y,)), which is x * y + 0.0
+        P = self.P
+        da0, a0 = float(P.a0.eval(t, 1)), float(P.a0.eval(t))
+        da1, a1 = float(P.a1.eval(t, 1)), float(P.a1.eval(t))
+        da2, a2 = float(P.a2.eval(t, 1)), float(P.a2.eval(t))
+        return (da0 + 0.5 * (a0 * a1 + 0.0), da1 + 0.5 * (a1 * a1 + 0.0) + (a0 * a2 + 0.0),
+                da2 + 1.5 * (a1 * a2 + 0.0), a2 * a2 + 0.0, 1.5 * a1, 3.0 * a2)
+
 
 def coefficients_from_potential(P: PotentialSpec | JetFn, grid=None) -> JetFn:
     """Map a potential to the cubic picture (c0, c1, c2, c3, f0, f1).
@@ -243,8 +258,8 @@ class _PotentialOfCubic(JetFn):
     def jets(self, t, n):
         R = self.R
         c3, c2, c1 = Jet.of(R.c3, t, n + 2), Jet.of(R.c2, t, n + 1), Jet.of(R.c1, t, n)
-        a2, f0 = _drag(c2, c3)
-        a1 = (2.0 / 3.0) * f0
+        a2 = c3.sqrt()
+        a1 = (2.0 / 3.0) * _drag(c2, c3, c3.derivative(), a2)
         return (c1 - a1.derivative() - 0.5 * (a1 * a1)) / a2, a1, a2
 
 

@@ -262,11 +262,6 @@ class Jet:
     @classmethod
     def of(cls, f, t, n: int) -> "Jet":
         """Jet of a time function (anything with .eval(t, order)) to order n, read from n down."""
-        if n == 0:  # x / 0! and x / 1! are x
-            return cls((float(f.eval(t, 0)),))
-        if n == 1:
-            d1 = float(f.eval(t, 1))
-            return cls((float(f.eval(t, 0)), d1))
         return cls([float(f.eval(t, k)) / math.factorial(k) for k in range(n, -1, -1)][::-1])
 
     def deriv(self, order: int) -> float:
@@ -279,10 +274,7 @@ class Jet:
 
     def derivative(self) -> "Jet":
         """Jet of f', one order shorter."""
-        a = self.coeffs
-        if len(a) <= 2:  # 1 * c is c
-            return Jet(a[1:])
-        return Jet([(k + 1) * c for k, c in enumerate(a[1:])])
+        return Jet([(k + 1) * c for k, c in enumerate(self.coeffs[1:])])
 
     # map truncates to the shorter operand by itself
     def __add__(self, other):
@@ -291,17 +283,15 @@ class Jet:
     def __sub__(self, other):
         return Jet(map(operator.sub, self.coeffs, other.coeffs))
 
-    # The two-term Cauchy sums are spelled out, through the same math.fsum as
-    # longer ones: it turns -0.0 into 0.0 and raises OverflowError on an
-    # intermediate overflow, where a plain + would do neither.
+    # Every Cauchy sum goes through math.fsum, one term too: it turns -0.0 into
+    # 0.0 and raises OverflowError on an intermediate overflow, where a plain +
+    # would do neither.
     def __mul__(self, other):
         a = self.coeffs
         if other.__class__ is not Jet:
             return Jet([c * other for c in a])
         b = other.coeffs
         n = len(a) if len(a) < len(b) else len(b)
-        if n == 2:
-            return Jet((math.fsum((a[0] * b[0],)), math.fsum((a[0] * b[1], a[1] * b[0]))))
         return Jet([math.fsum([a[j] * b[k - j] for j in range(k + 1)]) for k in range(n)])
 
     __rmul__ = __mul__
@@ -311,10 +301,7 @@ class Jet:
         n = len(a) if len(a) < len(b) else len(b)
         if b[0] == 0.0:
             raise ZeroDivisionError("jet division by a function vanishing at the point")
-        q0 = a[0] / b[0]  # a[0] - math.fsum([]) is a[0]
-        if n == 1:
-            return Jet((q0,))
-        out = [q0]
+        out = [a[0] / b[0]]  # a[0] - math.fsum([]) is a[0]
         for k in range(1, n):
             s = a[k] - math.fsum([b[j] * out[k - j] for j in range(1, k + 1)])
             out.append(s / b[0])
@@ -325,8 +312,6 @@ class Jet:
         if not a[0] > 0.0:
             raise DomainError(f"jet sqrt needs a positive value at the point, got {a[0]}")
         root = math.sqrt(a[0])
-        if len(a) == 2:  # a[1] - math.fsum([]) is a[1]
-            return Jet((root, a[1] / (2.0 * root)))
         out = [root]
         for k in range(1, len(a)):
             s = a[k] - math.fsum([out[j] * out[k - j] for j in range(1, k)])
@@ -341,15 +326,21 @@ class JetFn:
     order n or more, which only `eval` calls: it reads the order-th derivative
     of every coefficient off them, as a tuple (NumericError on an overflow in
     the jet arithmetic).  Each name that is not a field is a `Coefficient` view.
+    A subclass may also implement `floats(t)`, the same values at order 0 in
+    plain floats, with the bits of the jets' order-0 coefficients wherever the
+    jets return; `eval` then builds order 0 from it, with no jets.
 
     `eval` keeps its last build (t, order, jets and values, out of `==`, `hash`
     and `repr`) and serves any read at that t of an order no higher from it, to
     the bit: a jet's k-th coefficient does not depend on the order built.  DP5
     stages 5 and 6 share t + h, and a reader asks for its highest order first.
+    An order-0 build through `floats` keeps no jets, so a higher order at its t
+    builds again.
     A zero t hits only with the last build's sign: 0.0 == -0.0, but their coefficients may differ.
     """
 
     names = ()
+    floats = None
     _last = (None, -1, (), ())  # (t, order, jets, values) of the last build
 
     def __init_subclass__(cls):
@@ -364,11 +355,14 @@ class JetFn:
         last_t, built, jets, values = self._last
         if t != last_t or order > built or (not t and math.copysign(1.0, t) != math.copysign(1.0, last_t)):
             try:
-                jets = self.jets(t, order)
+                if order or self.floats is None:
+                    jets = self.jets(t, order)
+                    values = tuple([jet.coeffs[0] for jet in jets])
+                else:
+                    jets, values = (), self.floats(t)
             # math.fsum's intermediate overflow, or its inf - inf, in a jet product, quotient or sqrt
             except (OverflowError, ValueError):
                 raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None
-            values = tuple([jet.coeffs[0] for jet in jets])
             self.__dict__["_last"] = t, order, jets, values
         return tuple([jet.deriv(order) for jet in jets]) if order else values  # 0! is 1, and c * 1.0 is c
 

@@ -815,9 +815,11 @@ class TestOverflow:
                   "[run]\nt0 = 0\nt1 = 2\nstep = 0.5\n"
 
     @pytest.mark.parametrize("text, argv, rc, message", [
+        # the RHS reads order 0 only, in floats: c3 = a2^2 overflows once a2 passes ~1.34e154, and
+        # the step size underflows there (the jets overflow at t0 in fsum((1e308, 1e308)) of c3's order 1)
         pytest.param(BIG_A2, ["simulate", "CONFIG", "--system", "riccati2", "--ic=0,0", "--out", "OUT"],
-                     cli.EXIT_NUMERIC, "numeric failure: overflow evaluating the coefficient jets at t=0.0",
-                     id="jets-simulate"),
+                     cli.EXIT_NUMERIC, "numeric failure: step size underflow at t=0.3407807929942516 "
+                     "(stiffness or finite-time blow-up)", id="jets-simulate"),
         pytest.param(BIG_A2, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
                      "numeric failure: overflow evaluating the coefficient jets at t=0.0", id="jets-derive"),
         # c1's a0 a2 product sums 1e200 * 1e200 and -1e200 * 1e200: fsum's inf - inf

@@ -171,9 +171,11 @@ def test_only_jetfn_eval_builds_jets():
 
 
 def test_only_the_maps_derive_the_drag_pair():
-    # (f0, f1) from (c2, c3) is stated once, in the two maps that need it;
-    # `map_defect` measures a drag pair by building a `RiccatiSpec`
-    assert _callers("_drag") == {("model", "RiccatiSpec.jets"), ("model", "_PotentialOfCubic.jets")}
+    # (f0, f1) from (c2, c3) is stated once, in the two maps that need it, for jets
+    # and for RiccatiSpec's order-0 floats; `map_defect` measures a drag pair by
+    # building a `RiccatiSpec`
+    assert _callers("_drag") == {("model", "RiccatiSpec.jets"), ("model", "RiccatiSpec.floats"),
+                                 ("model", "_PotentialOfCubic.jets")}
 
 
 def test_the_jets_call_check_sees_a_planted_call(tmp_path):

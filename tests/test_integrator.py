@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -367,14 +367,20 @@ class TestDotRounding:
     matmul ufunc dispatch, and liealg.compose and the `verify` action check
     theirs with `@` over stacks of 2x2 matrices, where one trial at a time
     would call `.dot` per matrix.  All reach the same BLAS kernels; these pin
-    that they round alike, to the bit pattern, so that a BLAS build where they
+    how they round, to the bit pattern, so that a BLAS build where they
     differ fails here instead of shifting step sequences or check residuals."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(arrays(np.float64, (7, 2), elements=_STAGE_VALUES))
+    @example(np.full((7, 2), -5e-324))  # 0.2 k rounds to -0.0: .dot gives -0.0, @ gives 0.0
     def test_stage_and_error_sums_are_the_matmul_bits(self, K):
         with np.errstate(all="ignore"):
-            for i in range(1, 7):
+            # the one-term stage 1 is fma(0.2, k, +0.0) through .dot, which keeps the sign of a
+            # product that rounds to zero, where @ adds that product to +0.0; elsewhere they agree
+            k = K[0]
+            want = np.where((k != 0.0) & (0.2 * k == 0.0), np.copysign(0.0, k), _A[1] @ K[:1])
+            assert np.array_equal(_bits(_A[1].dot(K[:1])), _bits(want))
+            for i in range(2, 7):
                 assert np.array_equal(_bits(_A[i].dot(K[:i])), _bits(_A[i] @ K[:i]))
             assert np.array_equal(_bits(_E.dot(K)), _bits(_E @ K))
 

@@ -215,6 +215,16 @@ class TestGroupElement:
         assert (g.lambda1, g.lambda5) == (1.0, 2.0)
         np.testing.assert_array_equal(g.A, np.eye(2))
 
+    def test_equality_and_hash_go_by_identity(self):
+        # an array field has no truth value and no hash, so neither enters == or hash
+        single, twin = GroupElement(0.0, 0.0), GroupElement(0.0, 0.0)
+        stack = GroupElement(np.zeros(3), np.zeros(3), np.array([np.eye(2)] * 3))
+        for g in (single, stack):
+            assert g == g and not g != g
+            assert hash(g) == object.__hash__(g)
+        assert single != twin and single != stack
+        assert len({single, twin, stack, single}) == 3
+
 
 class TestAction:
     def test_identity_axiom(self):

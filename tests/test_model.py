@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riccati_lie import cli, suites
-from riccati_lie.errors import DomainError, GuardViolation, NumericError
+from riccati_lie.errors import DomainError, GuardViolation, NumericError, RiccatiLieError
 from riccati_lie.integrator import Trajectory, hamiltonian_guard, integrate, sample_at
 from riccati_lie.model import (
     LagrangianPoint,
@@ -32,6 +32,7 @@ from riccati_lie.model import (
 from riccati_lie.model import _positive_on_window, _stays_in_O
 from riccati_lie.suites import random_potential
 from riccati_lie.timefn import Cos, Exp, Jet, JetFn, Poly, Sin, TimeFn, constant, parse_timefn
+from test_timefn import _terms, _timefns, random_timefn
 
 GRID = np.linspace(0.0, 2.0, 21)
 
@@ -245,12 +246,14 @@ class TestPotentialFromCoefficients:
 
     def test_jet_overflow_is_a_numeric_error(self):
         # c3 = a2^2 and the inverse map's a1^2 overflow in the fsum of their first-order
-        # jet terms; both map_defect sweeps reach the jets through eval, as every caller does
+        # jet terms; both map_defect sweeps reach the jets through eval, as every caller does.
+        # An order-0 read of R builds no jets (its float form gives c3 = 1e308), an order-1 read does
         R = coefficients_from_potential(PotentialSpec(constant(0.0), constant(0.0),
                                                       parse_timefn("poly 1e154 1e154")))
         R2 = RiccatiSpec(constant(0.0), constant(0.0), parse_timefn("poly 1.5e154 1.5e154"), constant(1.0))
         P2 = potential_from_coefficients(R2, GRID)
-        for call in (lambda: R.eval(0.0),
+        assert R.eval(0.0) == (0.0, 0.0, 1e154, 1e154 * 1e154, 0.0, 3.0 * 1e154)  # finite where the jets overflow
+        for call in (lambda: R.eval(0.0, 1),
                      lambda: map_defect(R, RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID, ["f1", "f0"]),
                      lambda: map_defect(R2, coefficients_from_potential(P2), GRID, ["c0"])):
             with pytest.raises(NumericError, match=r"^overflow evaluating the coefficient jets at t=0\.0$"):
@@ -314,18 +317,25 @@ class TestHamiltonSide:
 
 
 class CountingJets(JetFn):
-    """A picture that counts its jet builds: `JetFn.eval` calls `jets` only
-    when its memo misses.  It takes a cubic picture's names, so that the
-    views of a wrapped cubic picture exist."""
+    """A picture that counts its builds: `JetFn.eval` calls `jets`, or the
+    order-0 `floats` where the wrapped picture has them, only when its memo
+    misses.  It takes a cubic picture's names, so that the views of a wrapped
+    cubic picture exist."""
 
     names = RiccatiSpec.names
 
     def __init__(self, picture):
         self.picture, self.calls = picture, 0
+        if picture.floats is None:  # every read builds jets
+            self.floats = None
 
     def jets(self, t, n):
         self.calls += 1
         return self.picture.jets(t, n)
+
+    def floats(self, t):
+        self.calls += 1
+        return self.picture.floats(t)
 
 
 class CountingPotentialJets(CountingJets):
@@ -404,12 +414,82 @@ class TestFieldMemo:
         for t, order in calls:
             assert read(picture, t, order) == read(fresh(), t, order)
 
+    def test_an_order_0_build_keeps_no_jets(self):
+        # order 0 builds through the float form; a higher order at that t builds jets,
+        # and serves order 0 from them, to the float form's bits
+        R = coefficients_from_potential(random_potential(np.random.default_rng(45)))
+        counting = CountingJets(R)
+        values = counting.eval(0.37)
+        assert (counting.calls, counting._last[2]) == (1, ())
+        assert counting.eval(0.37, 1) == dataclasses.replace(R).eval(0.37, 1)
+        assert (counting.calls, len(counting._last[2])) == (2, 6)
+        assert repr(counting.eval(0.37)) == repr(values) and counting.calls == 2
+
     def test_coefficient_views_share_one_build_per_time(self):
         R = coefficients_from_potential(random_potential(np.random.default_rng(45)))
         counting = CountingJets(R)
         values = tuple(getattr(counting, name).eval(0.37) for name in counting.names)
         assert counting.calls == 1
         assert values == dataclasses.replace(R).eval(0.37)
+
+
+# the grammar over every finite double, where most functions overflow, moderate functions, and
+# raw terms as fields, whose values keep the sign of zero and may overflow
+_fns = st.one_of(_timefns, st.integers(0, 2**32 - 1).map(lambda seed: random_timefn(np.random.default_rng(seed))),
+                 _terms)
+_SIGNED = Sin(1.0, 1.0, -0.0)  # TestFieldMemo's signed field: -0.0 at t = -0.0
+
+
+def _riccati_of_views(R):
+    return RiccatiSpec(R.c0, R.c1, R.c2, R.c3)
+
+
+# each a fresh picture from four fields: no memo is shared between reads
+_PICTURES = {
+    "potential": lambda fs: coefficients_from_potential(PotentialSpec(*fs[:3])),
+    "riccati": lambda fs: RiccatiSpec(*fs),
+    "riccati-of-views": lambda fs: _riccati_of_views(coefficients_from_potential(PotentialSpec(*fs[:3]))),
+    "signed-potential": lambda fs: coefficients_from_potential(PotentialSpec(_SIGNED, _SIGNED, fs[2])),
+    "signed-riccati": lambda fs: RiccatiSpec(_SIGNED, _SIGNED, _SIGNED, fs[3]),
+}
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestFloatForms:
+    """`RiccatiSpec` and the cubic picture of a potential build order 0 in
+    plain floats; their jets, through the same `eval` with the float form
+    switched off, are the reference."""
+
+    @staticmethod
+    def read(picture, t, floats=True):
+        if not floats:
+            picture.__dict__["floats"] = None
+        try:
+            return picture.eval(t)
+        except RiccatiLieError as exc:
+            return exc
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(tuple(_PICTURES)), st.lists(_fns, min_size=4, max_size=4),
+           st.lists(st.floats(-1e3, 1e3), max_size=3))
+    # c3 = a2^2 is 1e308 at t = 0, and its order-1 coefficient fsum((1e308, 1e308)) overflows
+    @example("potential", [constant(0.0), constant(0.0), parse_timefn("poly 1e154 1e154"), constant(1.0)], [])
+    # c1's a0 a2 is inf at order 0, and its order-1 coefficient fsum((inf, -inf)) raises
+    @example("potential", [parse_timefn("poly 1e200 -1e200"), constant(0.0), parse_timefn("poly 1e200 1e200"),
+                           constant(1.0)], [])
+    def test_order_0_is_the_jets_bits(self, kind, fs, times):
+        for t in [0.0, -0.0] + times:
+            want = self.read(_PICTURES[kind](fs), t, floats=False)
+            got = self.read(_PICTURES[kind](fs), t)
+            if isinstance(want, tuple):
+                assert isinstance(got, tuple) and _bits(got) == _bits(want) and set(map(type, got)) == {float}
+            elif not isinstance(got, tuple) or "coefficient jets" not in str(want):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:  # order 0 reads none of the extra order the jets overflowed in; its values may be inf
+                assert [type(v) for v in got] == [float] * 6
 
 
 class TestOneBuildPerRead:
