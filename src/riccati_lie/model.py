@@ -40,14 +40,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, GuardViolation, NumericError
 from .integrator import GUARD_P_MAX, GUARD_T_RESOLUTION, Trajectory, integrate, sample_at
-from .timefn import Jet, JetFn
+from .timefn import Jet, JetFn, joint_reader
 
 __all__ = [
     "PhasePoint",
@@ -88,7 +88,7 @@ class PotentialSpec:
     """Quadratic potential U = a0 + a1 x + a2 x^2 with time-function coefficients.
 
     Each field is any object with an exact `.eval(t, order)`; `eval(t, k)`
-    returns their k-th derivatives (a0, a1, a2).
+    returns their k-th derivatives (a0, a1, a2), at order 0 through `joint_reader` where all three are TimeFns.
     """
 
     a0: object
@@ -97,7 +97,16 @@ class PotentialSpec:
 
     names = ("a0", "a1", "a2")
 
+    _joint = cached_property(lambda self: joint_reader((self.a0, self.a1, self.a2)))
+
     def eval(self, t, order=0):
+        if not order and self._joint:
+            try:
+                values = self._joint(t)
+                if math.isfinite(sum(values)):  # else each field is read alone: one not finite raises
+                    return values
+            except (OverflowError, ValueError):
+                pass
         return self.a0.eval(t, order), self.a1.eval(t, order), self.a2.eval(t, order)
 
 

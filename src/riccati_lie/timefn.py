@@ -3,7 +3,8 @@
 The function class is a finite sum of polynomial, sine, cosine and
 exponential terms.  It is closed under differentiation, so any derivative
 order requested anywhere in the library is evaluated in closed form --
-no finite differencing enters any coefficient.
+no finite differencing enters any coefficient.  A sum is read through a flat
+function of t compiled once per shape from its terms' templates (`_read_code`).
 
 Coefficients *derived* from these sums through products, quotients and
 square roots (the maps between the potential and the cubic-equation
@@ -35,6 +36,7 @@ import inspect
 import math
 import operator
 import re
+import types
 from dataclasses import astuple, dataclass, fields
 
 from .errors import DomainError, NumericError, TimeFnSyntaxError
@@ -45,6 +47,7 @@ __all__ = [
     "Cos",
     "Exp",
     "TimeFn",
+    "joint_reader",
     "constant",
     "parse_timefn",
     "render_timefn",
@@ -54,27 +57,37 @@ __all__ = [
 ]
 
 
+class _Term:
+    """A term: `params` are its numbers, as its class's `template` names them; `eval` is its compiled read."""
+
+    params = property(astuple)
+    _reads = functools.cached_property(lambda self: _Reads(((self,),), raw=True))
+
+    def eval(self, t, order=0):
+        return self._reads[order](t)
+
+
+def _times_power(x, base, n):
+    """Source of x * base ** n without its exact factors: base ** 0 is 1.0, base ** 1 is base."""
+    return x if not n else f"{x} * {base}" if n == 1 else f"{x} * {base} ** {n}"
+
+
 @dataclass(frozen=True)
-class Poly:
+class Poly(_Term):
     """Polynomial term Σ coeffs[k] t^k."""
 
     coeffs: tuple
 
     keyword = "poly"
+    params = property(operator.attrgetter("coeffs"))
 
-    def eval(self, t, order=0):
-        coeffs = self.coeffs
-        # the order-0 loop below spelled out for one or two coefficients: t ** 0 is 1.0, t ** 1 is t
-        if len(coeffs) <= 2 and not order:
-            return coeffs[0] + 0.0 if len(coeffs) == 1 else coeffs[0] + 0.0 + coeffs[1] * t
-        acc = 0.0
-        if not order:  # perm(k, 0) is 1, and c * 1 is exact
-            for k, c in enumerate(coeffs):
-                acc += c * t ** k
-            return acc
-        for k in range(order, len(coeffs)):
-            acc += coeffs[k] * math.perm(k, order) * t ** (k - order)
-        return acc
+    @staticmethod
+    def template(c, n, lines):
+        """s = 0.0, then s += c_k perm(k, n) t^(k-n) from k = n up without its exact factors (a perm
+        of 1 too), as flat statements: no poly is too long for the compiler's recursion limit."""
+        products = [f"{c[k]} * {math.perm(k, n)}" if math.perm(k, n) > 1 else c[k] for k in range(n, len(c))]
+        lines += [f"s{c[0]} = 0.0", *[f"s{c[0]} += {_times_power(x, 't', k)}" for k, x in enumerate(products)]]
+        return f"s{c[0]}"
 
     def slope_bound(self, t0, t1):
         """An upper bound of |d/dt| on [t0, t1], from the Taylor expansion of
@@ -86,11 +99,10 @@ class Poly:
 
 
 @dataclass(frozen=True)
-class _Trig:
+class _Trig(_Term):
     """A sin(ω t + φ + quarter_turns π/2); the n-th derivative is
     A ω^n sin(ω t + φ + (quarter_turns + n) π/2), read off the four-cycle
-    sin, cos, -sin, -cos.  Sin and Cos spell it out at order 0, where
-    ω ** 0 is 1.0."""
+    sin, cos, -sin, -cos."""
 
     amp: float
     omega: float
@@ -98,12 +110,13 @@ class _Trig:
 
     quarter_turns = 0
 
-    def eval(self, t, order=0):
-        turns = order + self.quarter_turns
-        value = (math.cos if turns % 2 else math.sin)(self.omega * t + self.phase)
-        if turns % 4 >= 2:
-            value = -value
-        return self.amp * self.omega**order * value
+    @classmethod
+    def template(cls, names, n, lines):
+        # the function first: it raises ValueError before ω ** n's OverflowError; x * y is y * x to the bit
+        amp, omega, phase = names
+        turns = n + cls.quarter_turns
+        return f"{'-' * (turns % 4 >= 2)}{('sin', 'cos')[turns % 2]}({omega} * t + {phase}) * " \
+               f"({_times_power(amp, omega, n)})"
 
     def slope_bound(self, t0, t1):
         """min(|A ω|, |f'(m)| + |A| ω² h), m the midpoint and h the half-width."""
@@ -117,11 +130,6 @@ class Sin(_Trig):
 
     keyword = "sin"
 
-    def eval(self, t, order=0):
-        if not order:
-            return self.amp * math.sin(self.omega * t + self.phase)
-        return super().eval(t, order)
-
 
 class Cos(_Trig):
     """A cos(ω t + φ): a sine a quarter turn ahead."""
@@ -129,14 +137,9 @@ class Cos(_Trig):
     keyword = "cos"
     quarter_turns = 1
 
-    def eval(self, t, order=0):
-        if not order:
-            return self.amp * math.cos(self.omega * t + self.phase)
-        return super().eval(t, order)
-
 
 @dataclass(frozen=True)
-class Exp:
+class Exp(_Term):
     """A e^{rate t}; differentiation multiplies by rate."""
 
     amp: float
@@ -144,8 +147,9 @@ class Exp:
 
     keyword = "exp"
 
-    def eval(self, t, order=0):
-        return self.amp * self.rate**order * math.exp(self.rate * t)
+    @staticmethod
+    def template(names, n, lines):
+        return f"{_times_power(names[0], names[1], n)} * exp({names[1]} * t)"
 
     def slope_bound(self, t0, t1):
         return abs(self.amp * self.rate) * math.exp(max(self.rate * t0, self.rate * t1))
@@ -157,22 +161,15 @@ class TimeFn:
 
     terms: tuple
 
+    _reads = functools.cached_property(lambda self: _Reads((self.terms,)))
+
     def eval(self, t, order=0):
         """Value (order=0) or exact order-th derivative at time t: the
-        correctly rounded sum of the terms, which math.fsum gives, and for one
-        or two terms a + b + 0.0 gives too (IEEE a + b is the correctly rounded
-        sum of two finite doubles, and + 0.0 turns -0.0 into fsum's 0.0).
+        correctly rounded sum of the terms (see `_read_code`).
         NumericError where a term or the sum is not finite."""
-        if order < 0:
-            raise ValueError(f"derivative order must be >= 0, got {order}")
-        terms = self.terms
+        read = self._reads[order]
         try:
-            if len(terms) == 2:
-                value = terms[0].eval(t, order) + terms[1].eval(t, order) + 0.0
-            elif len(terms) == 1:
-                value = terms[0].eval(t, order) + 0.0
-            else:
-                value = math.fsum([term.eval(t, order) for term in terms])
+            value = read(t)
             if math.isfinite(value):
                 return value
         # ValueError: math.sin of an argument, or math.fsum of terms, that overflowed to inf
@@ -183,6 +180,51 @@ class TimeFn:
     def slope_bound(self, t0, t1):
         """An upper bound of |f'| on [t0, t1], from each term's closed-form derivative."""
         return math.fsum(term.slope_bound(t0, t1) for term in self.terms)
+
+
+def joint_reader(fns):
+    """A compiled function of t giving the TimeFns' order-0 values, the bits of their `eval`s where those return;
+    unchecked: a value may be inf or NaN, or it may raise OverflowError or ValueError.  None unless all are TimeFns."""
+    return _Reads(tuple(f.terms for f in fns))[0] if all(type(f) is TimeFn for f in fns) else None
+
+
+# --- compiled reads ------------------------------------------------------
+
+_NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "fsum": math.fsum}
+
+
+@functools.lru_cache(maxsize=1024)
+def _read_code(shape, order, raw):
+    """The code of `read(t, *params)`: the order-th derivatives of sums of terms of `shape` ((term class,
+    number of params) pairs), as a + 0.0 or a + b + 0.0 (fsum's correctly rounded sum of finite terms; + 0.0
+    turns -0.0 into its 0.0) or fsum, or with `raw` a one-term sum's term.  No config number is in its source."""
+    params, lines, values = [], [], []
+    for i, terms in enumerate(shape):
+        parts = []
+        for j, (cls, size) in enumerate(terms):
+            names = [f"k{i}_{j}_{m}" for m in range(size)]
+            params += names
+            parts.append(f"({cls.template(names, order, lines)})")
+        values.append(parts[0] if raw else " + ".join([*parts, "0.0"]) if 0 < len(parts) <= 2
+                      else f"fsum([{', '.join(parts)}])")
+    exec(compile("\n    ".join([f"def read(t, {', '.join(params)}):", *lines, f"return {', '.join(values)}"]),
+                 "<timefn read>", "exec"), _NAMESPACE, namespace := {})
+    return namespace["read"].__code__
+
+
+class _Reads(dict):
+    """order -> the compiled read of sums of terms (term tuples), bound to their numbers on first use."""
+
+    def __init__(self, sums, raw=False):
+        self.sums, self.raw = sums, raw
+
+    def __missing__(self, order):
+        if order < 0:
+            raise ValueError(f"derivative order must be >= 0, got {order}")
+        shape = tuple(tuple((type(term), len(term.params)) for term in terms) for terms in self.sums)
+        params = tuple(x for terms in self.sums for term in terms for x in term.params)
+        read = self[order] = types.FunctionType(_read_code(shape, order, self.raw), _NAMESPACE, "read", params)
+        return read
 
 
 def constant(value) -> TimeFn:
@@ -237,11 +279,7 @@ def _fmt(x: float) -> str:
 
 def render_timefn(f: TimeFn) -> str:
     """Canonical text form; parse_timefn(render_timefn(f)) == f."""
-    parts = []
-    for term in f.terms:
-        numbers = term.coeffs if isinstance(term, Poly) else astuple(term)
-        parts.append(term.keyword + " " + " ".join(_fmt(x) for x in numbers))
-    return "; ".join(parts)
+    return "; ".join(term.keyword + " " + " ".join(_fmt(x) for x in term.params) for term in f.terms)
 
 
 # --- Taylor jets ---------------------------------------------------------
@@ -325,7 +363,8 @@ class JetFn:
     Subclasses implement `jets(t, n)`, one Jet per coefficient of `names` to
     order n or more, which only `eval` calls: it reads the order-th derivative
     of every coefficient off them, as a tuple (NumericError on an overflow in
-    the jet arithmetic).  Each name that is not a field is a `Coefficient` view.
+    the jet arithmetic, or naming the first coefficient whose value it would
+    return is not finite).  Each name that is not a field is a `Coefficient` view.
     A subclass may also implement `floats(t)`, the same values at order 0 in
     plain floats, with the bits of the jets' order-0 coefficients wherever the
     jets return; `eval` then builds order 0 from it, with no jets.
@@ -364,7 +403,12 @@ class JetFn:
             except (OverflowError, ValueError):
                 raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None
             self.__dict__["_last"] = t, order, jets, values
-        return tuple([jet.deriv(order) for jet in jets]) if order else values  # 0! is 1, and c * 1.0 is c
+        values = tuple([jet.deriv(order) for jet in jets]) if order else values  # 0! is 1, and c * 1.0 is c
+        if not math.isfinite(sum(values)):  # a value that is not finite, or a sum that overflows
+            for name, value in zip(self.names, values):
+                if not math.isfinite(value):
+                    raise NumericError(f"coefficient {name} is not finite at t={t}")
+        return values
 
 
 class Coefficient:

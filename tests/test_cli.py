@@ -804,6 +804,8 @@ class TestOverflow:
     suite turns a RuntimeWarning into an error) and no output file."""
 
     BIG_A2 = CANONICAL.replace("a2 = poly 1", "a2 = poly 1e154 1e154")
+    HUGE_A2 = CANONICAL.replace("a2 = poly 1", "a2 = poly 1e200")
+    HUGE_A0 = RICCATI.replace("c1 = poly 0", "c1 = poly -1e200").replace("c3 = poly 1", "c3 = poly 1e-300")
     COARSE = CANONICAL.replace("step = 0.01", "step = 0.5")
     INF_MINUS_INF = BIG_A2.replace("a0 = poly 0", "a0 = poly 1e200 -1e200").replace("1e154 1e154", "1e200 1e200")
     # 1e308 (1 + t) is finite at t = 0 and inf from t = 0.797..., in one term's own sum
@@ -815,16 +817,29 @@ class TestOverflow:
                   "[run]\nt0 = 0\nt1 = 2\nstep = 0.5\n"
 
     @pytest.mark.parametrize("text, argv, rc, message", [
-        # the RHS reads order 0 only, in floats: c3 = a2^2 overflows once a2 passes ~1.34e154, and
-        # the step size underflows there (the jets overflow at t0 in fsum((1e308, 1e308)) of c3's order 1)
+        # the RHS reads order 0 only, in floats: c3 = a2^2 overflows once a2 passes ~1.34e154, at
+        # t = 0.3408, and the first stage time past it is named (the jets overflow at t0 in
+        # fsum((1e308, 1e308)) of c3's order 1)
         pytest.param(BIG_A2, ["simulate", "CONFIG", "--system", "riccati2", "--ic=0,0", "--out", "OUT"],
-                     cli.EXIT_NUMERIC, "numeric failure: step size underflow at t=0.3407807929942516 "
-                     "(stiffness or finite-time blow-up)", id="jets-simulate"),
+                     cli.EXIT_NUMERIC, "numeric failure: coefficient c3 is not finite at t=0.3777", id="jets-simulate"),
         pytest.param(BIG_A2, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
                      "numeric failure: overflow evaluating the coefficient jets at t=0.0", id="jets-derive"),
-        # c1's a0 a2 product sums 1e200 * 1e200 and -1e200 * 1e200: fsum's inf - inf
+        # c1's a0 a2 product is 1e200 * 1e200 at order 0 (its order-1 sum is fsum's inf - inf)
         pytest.param(INF_MINUS_INF, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
-                     "numeric failure: overflow evaluating the coefficient jets at t=0.0", id="jets-inf-minus-inf"),
+                     "numeric failure: coefficient c1 is not finite at t=0.0", id="jets-inf-minus-inf"),
+        # c3 = a2^2 is inf at order 0, with no jet overflow, in the report's read and in the RHS
+        pytest.param(HUGE_A2, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
+                     "numeric failure: coefficient c3 is not finite at t=0.0", id="c3-derive"),
+        pytest.param(HUGE_A2, ["simulate", "CONFIG", "--system", "riccati2", "--ic=0,0", "--out", "OUT"],
+                     cli.EXIT_NUMERIC, "numeric failure: coefficient c3 is not finite at t=0.0", id="c3-riccati2"),
+        # the Hamiltonian picture reads a0, a1 and a2 only, never c3: p = -sigma^2 is what overflows
+        pytest.param(HUGE_A2, ["simulate", "CONFIG", "--ic=0,-0.25", "--out", "OUT"], cli.EXIT_NUMERIC,
+                     "numeric failure: the solution overflows as (x, p) at t=0.01", id="c3-hamiltonian"),
+        # the derived potential's a0 = c1 / sqrt(c3) + ... is -1e200 / 1e-150
+        pytest.param(HUGE_A0, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
+                     "numeric failure: coefficient a0 is not finite at t=0.0", id="a0-derive"),
+        pytest.param(HUGE_A0, ["simulate", "CONFIG", "--ic=0,-1", "--out", "OUT"], cli.EXIT_NUMERIC,
+                     "numeric failure: coefficient a0 is not finite at t=0.0", id="a0-hamiltonian"),
         # sigma stays finite in the chart, but p = -sigma^2 does not at t = 0.5
         pytest.param(COARSE, ["simulate", "CONFIG", "--ic=1e300,-1", "--out", "OUT"], cli.EXIT_NUMERIC,
                      "numeric failure: the solution overflows as (x, p) at t=0.5", id="xp-simulate"),

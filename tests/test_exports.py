@@ -1,5 +1,6 @@
 """Every exported name resolves, every import in the package is used, only
-`JetFn.eval` builds jets, and only the two coefficient maps derive the drag pair.
+`JetFn.eval` builds jets, only the two coefficient maps derive the drag pair,
+and only the time functions' read builder compiles source.
 
 Tools that walk the package by `__all__` (the benchmark's tracer among
 them) look names up with a default, so a stale entry would vanish from
@@ -176,6 +177,19 @@ def test_only_the_maps_derive_the_drag_pair():
     # building a `RiccatiSpec`
     assert _callers("_drag") == {("model", "RiccatiSpec.jets"), ("model", "RiccatiSpec.floats"),
                                  ("model", "_PotentialOfCubic.jets")}
+
+
+def test_only_the_read_builder_compiles_source():
+    # one function turns a shape into code; a config's numbers reach that code as arguments only
+    assert _callers("exec") == _callers("compile") == {("timefn", "_read_code")}
+
+
+def test_the_joint_potential_read_is_a_public_timefn_name():
+    # `model` reaches it through `timefn.__all__`, not a private import, and only a potential reads it
+    from riccati_lie import timefn
+
+    assert "joint_reader" in timefn.__all__
+    assert _callers("joint_reader") == {("model", "PotentialSpec")}
 
 
 def test_the_jets_call_check_sees_a_planted_call(tmp_path):

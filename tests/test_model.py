@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -480,16 +481,57 @@ class TestFloatForms:
     # c1's a0 a2 is inf at order 0, and its order-1 coefficient fsum((inf, -inf)) raises
     @example("potential", [parse_timefn("poly 1e200 -1e200"), constant(0.0), parse_timefn("poly 1e200 1e200"),
                            constant(1.0)], [])
+    # c3 = a2^2 is inf on both paths, with no jet overflow; and f0 = c2/sqrt(c3) is inf
+    @example("potential", [constant(0.0), constant(0.0), parse_timefn("poly 1e200"), constant(1.0)], [])
+    @example("riccati", [constant(0.0), constant(0.0), constant(1e308), constant(1e-300)], [])
     def test_order_0_is_the_jets_bits(self, kind, fs, times):
         for t in [0.0, -0.0] + times:
             want = self.read(_PICTURES[kind](fs), t, floats=False)
             got = self.read(_PICTURES[kind](fs), t)
             if isinstance(want, tuple):
                 assert isinstance(got, tuple) and _bits(got) == _bits(want) and set(map(type, got)) == {float}
-            elif not isinstance(got, tuple) or "coefficient jets" not in str(want):
+            elif "coefficient jets" not in str(want):  # a value that is not finite among them too
                 assert (type(got), str(got)) == (type(want), str(want))
-            else:  # order 0 reads none of the extra order the jets overflowed in; its values may be inf
-                assert [type(v) for v in got] == [float] * 6
+            elif isinstance(got, tuple):  # order 0 reads none of the extra order the jets overflowed in
+                assert [type(v) for v in got] == [float] * 6 and all(map(math.isfinite, got))
+            else:  # or the same error, or, where a value it does read is not finite, one naming it
+                assert isinstance(got, NumericError)
+                assert str(got) == str(want) or re.fullmatch(rf"coefficient [cf]\d is not finite at t={t}", str(got))
+
+
+class TestJointRead:
+    """A potential of three TimeFns reads order 0 through one compiled read of
+    the three; the fields' own reads are the reference, their errors included."""
+
+    @staticmethod
+    def read(compute):
+        try:
+            return compute()
+        except RiccatiLieError as exc:
+            return exc
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_timefns, min_size=3, max_size=3), st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)))
+    @example([TimeFn((Sin(-0.0, 1.0, 0.0), Sin(-0.0, 1.0, 0.0)))] * 3, 0.0)  # -0.0 + -0.0 is -0.0, the sum's 0.0
+    @example([parse_timefn("poly 1e308 1e308"), constant(0.0), constant(1.0)], 1.0)  # a0's own sum overflows
+    @example([constant(0.0), parse_timefn("poly 1e308; poly 1e308"), constant(1.0)], 1.0)  # a1's sum of terms
+    @example([constant(1e308), constant(1e308), constant(1.0)], 0.0)  # finite values whose sum overflows
+    @example([constant(1.0), parse_timefn("sin 1 1e308 1e308"), parse_timefn("exp 1 800")], 1.0)  # raises
+    @example([constant(1.0), constant(1.0), parse_timefn("poly 1e308 1e308; poly -1e308 -1e308")], 1.0)  # NaN
+    def test_order_0_is_the_fields_reads(self, fs, t):
+        P = PotentialSpec(*fs)
+        got, want = self.read(lambda: P.eval(t)), self.read(lambda: tuple(f.eval(t) for f in fs))
+        assert P._joint is not None
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and _bits(got) == _bits(want) and set(map(type, got)) == {float}
+        else:
+            assert (type(got), str(got)) == (type(want), str(want))
+
+    def test_a_field_that_is_no_time_function_is_read_on_its_own(self):
+        R = coefficients_from_potential(random_potential(np.random.default_rng(7)))
+        P = PotentialSpec(R.c0, constant(0.5), R.f1)
+        assert P._joint is None
+        assert P.eval(0.3) == (R.c0.eval(0.3), 0.5, R.f1.eval(0.3))
 
 
 class TestOneBuildPerRead:

@@ -1,6 +1,7 @@
 """Tests for the time-function layer: exact derivatives, grammar, jets."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,17 @@ _timefns = st.builds(lambda ts: TimeFn(tuple(ts)), st.lists(_terms, min_size=1, 
 
 # one and two terms, the sums that skip math.fsum, are drawn about half the time
 _short_timefns = st.builds(lambda ts: TimeFn(tuple(ts)), st.lists(_terms, min_size=1, max_size=2))
+
+
+def _long_sum(rng, n):
+    """n terms of every kind, cycled, with moderate numbers."""
+    kinds = (lambda: Poly(tuple(rng.uniform(-1, 1, 2).tolist())), lambda: Sin(*rng.uniform(-2, 2, 3).tolist()),
+             lambda: Cos(*rng.uniform(-2, 2, 3).tolist()), lambda: Exp(*rng.uniform(-1, 1, 2).tolist()))
+    return TimeFn(tuple(kinds[i % 4]() for i in range(n)))
+
+
+_LONG_POLY = Poly(tuple(np.random.default_rng(31).uniform(-1, 1, 5000).tolist()))
+_LONG_SUM = _long_sum(np.random.default_rng(32), 2000)
 
 
 # TimeFn.eval written as the plain math.fsum of the per-term formulas
@@ -200,7 +212,12 @@ class TestEval:
             parse_timefn(text).eval(1.0, order)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(st.one_of(_short_timefns, _timefns), st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)), st.integers(0, 3))
+    @given(st.one_of(_short_timefns, _timefns), st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)), st.integers(0, 6))
+    # long enough to pass the compiler's recursion limit if a poly compiled to one nested expression
+    @example(TimeFn((_LONG_POLY,)), 0.5, 0)
+    @example(TimeFn((_LONG_POLY,)), -0.5, 6)
+    @example(_LONG_SUM, 0.5, 0)
+    @example(_LONG_SUM, -1.25, 5)
     @example(TimeFn((Poly((-0.0,)), Poly((-0.0,)))), 0.0, 0)  # each poly's own loop gives 0.0
     @example(TimeFn((Sin(-0.0, 1.0, 0.0),)), 0.0, 0)  # a term's -0.0, where fsum gives 0.0
     @example(TimeFn((Sin(-0.0, 1.0, 0.0), Sin(-0.0, 1.0, 0.0))), 0.0, 0)  # -0.0 + -0.0 is -0.0, fsum's is 0.0
@@ -214,6 +231,34 @@ class TestEval:
         assert got == _bits(lambda: [_ref_eval(f, t, n)])
         if got is not NumericError:
             assert type(parse_timefn(render_timefn(f)).eval(t, n)) is float
+
+    def test_a_long_polynomial_compiles_at_the_default_recursion_limit(self):
+        # hypothesis raises the limit while it runs the examples above, and reads are compiled
+        # once per shape, so this one has a length of its own and runs at Python's default limit
+        f, limit = TimeFn((Poly(_LONG_POLY.coeffs[:4321]),)), sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            for t, n in ((0.5, 0), (-0.5, 6)):
+                assert _bits(lambda: [f.eval(t, n)]) == _bits(lambda: [_ref_eval(f, t, n)])
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_timefns, st.data())
+    def test_functions_of_one_shape_read_their_own_numbers(self, f, data):
+        # g has f's shape, so their reads share compiled code, and numbers drawn anew
+        def redraw(term):
+            numbers = data.draw(st.lists(_reals, min_size=len(term.params), max_size=len(term.params)))
+            return Poly(tuple(numbers)) if isinstance(term, Poly) else type(term)(*numbers)
+
+        g = TimeFn(tuple(map(redraw, f.terms)))
+        for n in (2, 0, 5, 1):
+            for t in (0.5, -1.25):
+                for h in (f, g, f):
+                    assert _bits(lambda: [h.eval(t, n)]) == _bits(lambda: [_ref_eval(h, t, n)])
+                    for term in h.terms:
+                        assert _bits(lambda: [term.eval(t, n)]) == _bits(lambda: [_ref_term(term, t, n)])
+            assert f._reads[n].__code__ is g._reads[n].__code__
 
 
 class TestParser:
