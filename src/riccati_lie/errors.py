@@ -58,3 +58,7 @@ class BranchError(GenericityError):
 class NumericError(RiccatiLieError):
     """Numeric failure: step-size underflow or blow-up during integration,
     or overflow evaluating a time function."""
+
+
+class WorkBoundError(NumericError):
+    """An integration that needs more than `integrator.MAX_STEPS` trial steps."""

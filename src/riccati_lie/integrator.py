@@ -9,16 +9,13 @@ are a trajectory's only dense output, so it can be sampled anywhere as
 accurately as at its nodes.  The step size is set by error control alone;
 an optional max_step caps it.
 
-The step runs on Python floats for two-dimensional states: the state, the
-stage states and times, the error norm and the stored samples are floats.
-numpy computes only the stage and error sums, as `ndarray.dot` products
-over views of the (7, 2) array of stage derivatives made once per call; the
-array is filled in place, two scalar stores per stage.  `.dot` runs the
-same BLAS gemv as `@` without the matmul ufunc dispatch, to the same bits
-but one: stage 1's one-term 0.2 k is a fused multiply-add there, so where it
-rounds to zero it keeps k's sign, where `@` gives +0.0.  Those products fix
-the rounding of every step: Python sums round otherwise and shift the step
-sequences, so they are not used.
+The step runs on Python floats for two-dimensional states, with no numpy:
+the state, the stage derivatives, states and times, the error norm and the
+stored samples are floats, and each stage state and the error estimate is
+written out as the tableau's left-to-right float sum, without its two zero
+weights (Hairer-Norsett-Wanner, section II.5).  Those are plain IEEE
+operations, so the steps do not depend on the BLAS kernel numpy picks at run
+time; numpy forms the continuous extension's coefficients once per call.
 
 An optional state guard (a predicate on the raw (y0, y1) state tuple) is
 evaluated at every trial stage.  When the flow approaches the guarded
@@ -39,25 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GuardViolation, NumericError
+from .errors import DomainError, GuardViolation, NumericError, WorkBoundError
 
 __all__ = ["Trajectory", "IntegratorStats", "integrate", "sample_at", "hamiltonian_guard"]
 
-# Dormand-Prince 5(4) tableau
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-# 5th-order weights minus the embedded 4th-order ones
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# Continuous extension: over a step of size h from y, the state at t + u h
-# is y + h * sum_k (K.T @ _P)[:, k] u**(k + 1), for u in [0, 1]
+# Dormand-Prince 5(4): `integrate` writes out the tableau's stage and error sums.
+# Continuous extension: over a step of size h from y, with K the (7, 2) stage
+# derivatives, the state at t + u h is y + h * sum_k (K.T @ _P)[:, k] u**(k + 1)
+# for u in [0, 1]
 _P = np.array([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
     [0.0, 0.0, 0.0, 0.0],
@@ -74,6 +60,7 @@ _EXPO = 0.2 - 0.75 * _BETA
 _MIN_SHRINK = 0.2
 _MAX_GROWTH = 10.0
 _UNDERFLOW_T_SCALE = 4e-15
+MAX_STEPS = 100_000  # trial steps per solve, accepted or rejected: far above any benchmark solve's
 
 # p-threshold for the momentum half-plane guard: 1/sqrt(-p) blows up at the
 # boundary, so trajectories are stopped strictly inside it.
@@ -81,6 +68,20 @@ GUARD_P_MAX = -1e-9
 # width an exit from the half-plane is localized to, relative to max(1, |t|)
 GUARD_T_RESOLUTION = 1e-10
 _NOT_TWO_NUMBERS = "rhs must return two numbers; at t={} it returned {!r}"
+
+
+class _GuardHit(Exception):
+    """A trial stage state the guard rejects."""
+
+
+def _two_numbers(k, t):
+    """The pair the field returned at t, or ValueError unless it is two real numbers."""
+    try:
+        k0, k1 = k
+        math.isnan(k0), math.isnan(k1)
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_TWO_NUMBERS.format(t, k)) from None
+    return k0, k1
 
 
 def hamiltonian_guard(state) -> bool:
@@ -122,116 +123,116 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
 
     The state is two-dimensional: rhs and guard receive a float time and a
     tuple (y0, y1) of floats, and any other state shape raises ValueError.
+    rhs returns two numbers, which the sums take as they are: numpy float64
+    values give the bits of Python floats, float32 ones round in float32.
     Error control uses absolute and relative tolerance `tol` and alone sets
     the step size unless max_step caps it; the continuous extension keeps
     `sample_at` as accurate between the nodes as at them.  A guard's
     docstring, when it has one, states its condition, and the guard errors
-    quote it.
+    quote it.  A solve that needs more than MAX_STEPS trial steps, accepted
+    or rejected, raises WorkBoundError, a NumericError naming t.
     """
-    t0, y0 = ic
+    t0, state0 = ic
     t0, t1 = float(t0), float(t1)
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (2,):
-        raise ValueError(f"the state must be two-dimensional, got shape {y0.shape}")
+    state0 = np.asarray(state0, dtype=float)
+    if state0.shape != (2,):
+        raise ValueError(f"the state must be two-dimensional, got shape {state0.shape}")
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"t0 and t1 must be finite with t1 > t0, got t0={t0}, t1={t1}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_step is not None and not 0.0 < max_step < math.inf:
         raise ValueError(f"max_step must be positive and finite, got {max_step}")
-    y = tuple(y0.tolist())
+    y0, y1 = y = tuple(state0.tolist())
+    field, n_guarded = rhs, 0
     if guard is not None:
         condition = f"domain guard {guard.__doc__ or ''}".rstrip()
         if not guard(y):
-            raise DomainError(f"initial state {y0.tolist()} violates the {condition}")
+            raise DomainError(f"initial state {list(y)} violates the {condition}")
+
+        def rhs(t, y):  # the field behind the guard, which ends the trial step at a stage it rejects
+            nonlocal n_guarded
+            if not guard(y):
+                raise _GuardHit
+            n_guarded += 1
+            return field(t, y)
 
     span = t1 - t0
     h_max = span if max_step is None else min(float(max_step), span)
-
-    K = np.empty((7, 2))  # stage derivatives, filled in place under the views
-    K_stages = [K[:i] for i in range(7)]
-    k = rhs(t0, y)
-    try:
-        K[0, 0], K[0, 1] = k
-    except (TypeError, ValueError):
-        raise ValueError(_NOT_TWO_NUMBERS.format(t0, k)) from None
-    n_rhs = 1
-    ts = [t0]
-    ys = [y]
-    hs = []  # size of each accepted step
-    Ks = []  # stage derivatives of each accepted step
+    a0, a1 = k = _two_numbers(field(t0, y), t0)
+    ts, ys, hs, Ks = [t0], [y], [], []  # each accepted step's time, state, size and 14 stage derivatives
 
     t = t0
     h = min(h_max, max(span * 1e-3, _UNDERFLOW_T_SCALE * max(1.0, abs(t0))))  # no underflow at the start
     err_prev = 1e-4
-    n_accepted = 0
-    n_rejected = 0
-    rejected_streak = 0
+    n_accepted = n_rejected = rejected_streak = 0
 
-    with np.errstate(invalid="ignore", over="ignore"):  # a stage that is not finite rejects the step
-        while t < t1:
-            last = t + h >= t1
-            if last:
-                h = t1 - t
-            elif h < _UNDERFLOW_T_SCALE * max(1.0, abs(t)):
-                raise NumericError(f"step size underflow at t={t} (stiffness or finite-time blow-up)")
+    while t < t1:
+        if n_accepted + n_rejected >= MAX_STEPS:
+            raise WorkBoundError(f"integration work bound reached at t={t}: {MAX_STEPS} trial steps")
+        last = t + h >= t1
+        if last:
+            h = t1 - t
+        elif h < _UNDERFLOW_T_SCALE * max(1.0, abs(t)):
+            raise NumericError(f"step size underflow at t={t} (stiffness or finite-time blow-up)")
 
-            guard_hit = False
-            for i in range(1, 7):
-                d0, d1 = _A[i].dot(K_stages[i]).tolist()
-                y_stage = (y[0] + h * d0, y[1] + h * d1)
-                if guard is not None and not guard(y_stage):
-                    guard_hit = True
-                    break
-                k = rhs(t + _C[i] * h, y_stage)
-                try:
-                    K[i, 0], K[i, 1] = k
-                except (TypeError, ValueError):
-                    raise ValueError(_NOT_TWO_NUMBERS.format(t + _C[i] * h, k)) from None
-                n_rhs += 1
-            if guard_hit:
-                # bisect toward the boundary; report the exit once localized
-                if h <= GUARD_T_RESOLUTION * max(1.0, abs(t)):
-                    raise GuardViolation(f"{condition} violated just past t={t}", last_valid_t=t)
-                h *= 0.5
-                continue
+        # stage derivatives a..g, states y + h (the row's left-to-right sum); k, s: the last return, its time
+        try:
+            k = b0, b1 = rhs(s := t + 0.2 * h, (y0 + h * (0.2 * a0), y1 + h * (0.2 * a1)))
+            k = c0, c1 = rhs(s := t + 0.3 * h, (y0 + h * (3 / 40 * a0 + 9 / 40 * b0),
+                                                y1 + h * (3 / 40 * a1 + 9 / 40 * b1)))
+            k = d0, d1 = rhs(s := t + 0.8 * h, (y0 + h * (44 / 45 * a0 - 56 / 15 * b0 + 32 / 9 * c0),
+                                                y1 + h * (44 / 45 * a1 - 56 / 15 * b1 + 32 / 9 * c1)))
+            k = e0, e1 = rhs(s := t + 8 / 9 * h, (
+                y0 + h * (19372 / 6561 * a0 - 25360 / 2187 * b0 + 64448 / 6561 * c0 - 212 / 729 * d0),
+                y1 + h * (19372 / 6561 * a1 - 25360 / 2187 * b1 + 64448 / 6561 * c1 - 212 / 729 * d1)))
+            k = f0, f1 = rhs(s := t + h, (
+                y0 + h * (9017 / 3168 * a0 - 355 / 33 * b0 + 46732 / 5247 * c0 + 49 / 176 * d0 - 5103 / 18656 * e0),
+                y1 + h * (9017 / 3168 * a1 - 355 / 33 * b1 + 46732 / 5247 * c1 + 49 / 176 * d1 - 5103 / 18656 * e1)))
+            # the 5th-order state z; the last stage sits at (t + h, z): first-same-as-last
+            z0 = y0 + h * (35 / 384 * a0 + 500 / 1113 * c0 + 125 / 192 * d0 - 2187 / 6784 * e0 + 11 / 84 * f0)
+            z1 = y1 + h * (35 / 384 * a1 + 500 / 1113 * c1 + 125 / 192 * d1 - 2187 / 6784 * e1 + 11 / 84 * f1)
+            k = g0, g1 = rhs(s, (z0, z1))
+        except _GuardHit:  # bisect toward the boundary; report the exit once localized
+            if h <= GUARD_T_RESOLUTION * max(1.0, abs(t)):
+                raise GuardViolation(f"{condition} violated just past t={t}", last_valid_t=t) from None
+            h *= 0.5
+            continue
+        except (TypeError, ValueError):  # the field's own error passes through
+            _two_numbers(k, s)
+            raise
 
-            # stage 6 sits at (t + h, y_new): first-same-as-last
-            y_new = y_stage
-            e0, e1 = _E.dot(K).tolist()
-            # y_new first, so a NaN state gives a NaN scale
-            e0 = h * e0 / (tol + tol * max(abs(y_new[0]), abs(y[0])))
-            e1 = h * e1 / (tol + tol * max(abs(y_new[1]), abs(y[1])))
-            err_norm = math.sqrt((e0 * e0 + e1 * e1) / 2)
+        # the 5th-order weights minus the embedded 4th-order ones, scaled; z first, so a NaN state gives a NaN scale
+        q0 = h * (71 / 57600 * a0 - 71 / 16695 * c0 + 71 / 1920 * d0 - 17253 / 339200 * e0 + 22 / 525 * f0
+                  - 1 / 40 * g0) / (tol + tol * max(abs(z0), abs(y0)))
+        q1 = h * (71 / 57600 * a1 - 71 / 16695 * c1 + 71 / 1920 * d1 - 17253 / 339200 * e1 + 22 / 525 * f1
+                  - 1 / 40 * g1) / (tol + tol * max(abs(z1), abs(y1)))
+        err_norm = math.sqrt((q0 * q0 + q1 * q1) / 2)
 
-            if err_norm <= 1.0:
-                t, y = (t1 if last else t + h), y_new
-                ts.append(t)
-                ys.append(y)
-                hs.append(h)
-                Ks.append(K.copy())
-                K[0] = K[6]
-                n_accepted += 1
-                factor = _SAFETY * err_norm**-_EXPO * err_prev**_BETA if err_norm > 0 else _MAX_GROWTH
-                if rejected_streak and factor > 1.0:
-                    factor = 1.0  # no growth right after a rejection
-                rejected_streak = 0
-                err_prev = max(err_norm, 1e-4)
-                h = min(h * min(_MAX_GROWTH, max(_MIN_SHRINK, factor)), h_max)
-            else:
-                n_rejected += 1
-                rejected_streak += 1
-                factor = _SAFETY * err_norm**-_EXPO if math.isfinite(err_norm) else _MIN_SHRINK
-                h *= min(1.0, max(_MIN_SHRINK, factor))
+        if err_norm <= 1.0:
+            t = t1 if last else t + h
+            ts.append(t)
+            ys.append((z0, z1))
+            hs.append(h)
+            Ks.append((a0, a1, b0, b1, c0, c1, d0, d1, e0, e1, f0, f1, g0, g1))
+            y0, y1, a0, a1 = z0, z1, g0, g1
+            n_accepted += 1
+            factor = _SAFETY * err_norm**-_EXPO * err_prev**_BETA if err_norm > 0 else _MAX_GROWTH
+            if rejected_streak and factor > 1.0:
+                factor = 1.0  # no growth right after a rejection
+            rejected_streak = 0
+            err_prev = max(err_norm, 1e-4)
+            h = min(h * min(_MAX_GROWTH, max(_MIN_SHRINK, factor)), h_max)
+        else:
+            n_rejected += 1
+            rejected_streak += 1
+            factor = _SAFETY * err_norm**-_EXPO if math.isfinite(err_norm) else _MIN_SHRINK
+            h *= min(1.0, max(_MIN_SHRINK, factor))
 
-    stats = IntegratorStats(n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs)
-    return Trajectory(
-        ts=np.array(ts),
-        states=np.array(ys),
-        system=system,
-        stats=stats,
-        coeffs=np.array(hs)[:, None, None] * (_P.T @ np.array(Ks)),
-    )
+    n_rhs = 1 + (6 * (n_accepted + n_rejected) if guard is None else n_guarded)
+    return Trajectory(ts=np.array(ts), states=np.array(ys), system=system,
+                      stats=IntegratorStats(n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs),
+                      coeffs=np.array(hs)[:, None, None] * (_P.T @ np.array(Ks).reshape(-1, 7, 2)))
 
 
 def sample_at(traj: Trajectory, t) -> np.ndarray:

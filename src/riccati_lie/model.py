@@ -99,6 +99,9 @@ class PotentialSpec:
 
     _joint = cached_property(lambda self: joint_reader((self.a0, self.a1, self.a2)))
 
+    def __getstate__(self):  # without the compiled joint read, which is built again on use
+        return {name: value for name, value in vars(self).items() if name != "_joint"}
+
     def eval(self, t, order=0):
         if not order and self._joint:
             try:

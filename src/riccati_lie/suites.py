@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg, superpose
-from .errors import GenericityError, GuardViolation, NumericError
+from .errors import GenericityError, GuardViolation, NumericError, WorkBoundError
 # nothing here calls `integrate` (solutions come from `solve_hamiltonian`); it stays
 # bound because bench/tests/test_bench.py checks that the tracer rebinds it here too
 from .integrator import integrate  # noqa: F401
@@ -96,12 +96,15 @@ def draw_surviving_solutions(P, grid, tol, rng, n: int):
     """n Hamiltonian solutions of P from random initial points at grid[0],
     each a `solve_hamiltonian` result: (x, p) rows at the grid times.  A
     draw whose solution blows up, or leaves the half-plane (p <= -1e-9) at
-    any time of [grid[0], grid[-1]], between the grid times too, is redrawn."""
+    any time of [grid[0], grid[-1]], between the grid times too, is redrawn;
+    one that reaches the integrator's work bound ends the draws."""
     out = []
     for _ in range(_MAX_DRAWS):
         ic = random_phase_points(rng, 1, x_range=(-0.8, 0.8), p_range=(-2.0, -0.5))[0]
         try:
             out.append(solve_hamiltonian(P, ic, grid, tol))
+        except WorkBoundError:  # the coefficients, not the draw, set the work
+            raise
         except (NumericError, GuardViolation):
             continue
         if len(out) == n:

@@ -218,6 +218,9 @@ class _Reads(dict):
     def __init__(self, sums, raw=False):
         self.sums, self.raw = sums, raw
 
+    def __reduce__(self):  # pickled without the compiled reads, which it builds again on use
+        return _Reads, (self.sums, self.raw)
+
     def __missing__(self, order):
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")

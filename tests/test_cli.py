@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccati_lie import cli, errors, liealg
+from riccati_lie import cli, errors, integrator, liealg
 
 CANONICAL = """\
 [potential]
@@ -683,6 +683,7 @@ class TestConfigErrors:
         "GenericityError": (4, "genericity error", ("bad",)),
         "BranchError": (4, "genericity error", ("bad",)),
         "NumericError": (5, "numeric failure", ("bad",)),
+        "WorkBoundError": (5, "numeric failure", ("bad",)),
     }
 
     @pytest.mark.parametrize("cls", [
@@ -889,6 +890,30 @@ class TestOverflow:
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line.startswith(message), line
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestWorkBound:
+    """A coefficient DP5 cannot resolve, a sine of frequency 1e154 in a0: the
+    solve stops after integrator.MAX_STEPS trial steps, about a second and a
+    half, with exit 5 and one stderr line, and `verify` does not redraw it."""
+
+    FAST = ("[potential]\na0 = sin 1.369184274815411 1e+154 -0.954876122057045; "
+            "poly -0.015484652803268606 -4.38997601733773e-117\n"
+            "a1 = sin 2.5864370119821286e-90 -0.38512606754029033 -1.49154657398456\n"
+            "a2 = poly 1.8072908990248429 0.1\n\n[run]\nt0 = 0\nt1 = 1\nstep = 0.01\ntol = 1e-8\n")
+
+    @pytest.mark.parametrize("argv", [["simulate", "CONFIG", "--ic=0,-1", "--out", "OUT"],
+                                      ["verify", "all", "CONFIG", "--trials", "100"]], ids=["simulate", "verify"])
+    def test_exit_code_and_one_stderr_line(self, config, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        paths = {"CONFIG": config(self.FAST), "OUT": str(out)}
+        assert cli.main([paths.get(arg, arg) for arg in argv]) == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert re.fullmatch(rf"numeric failure: integration work bound reached at t=0\.00\d+: "
+                            rf"{integrator.MAX_STEPS} trial steps", line), line
         assert captured.out == ""
         assert not out.exists()
 

@@ -1,7 +1,9 @@
 """Tests for the adaptive integrator, guards, and the dense output."""
 
 import math
-from functools import partial
+import operator
+import struct
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -9,10 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from riccati_lie.errors import DomainError, GuardViolation, NumericError
+from riccati_lie import integrator
+from riccati_lie.errors import DomainError, GuardViolation, NumericError, WorkBoundError
 from riccati_lie.integrator import (
-    _A,
-    _E,
     Trajectory,
     hamiltonian_guard,
     integrate,
@@ -156,6 +157,33 @@ class TestIntegrate:
                 integrate(lambda t, y: y, (0.0, y0), 1.0, 1e-8)
 
 
+class TestWorkBound:
+    def test_the_bound_counts_trial_steps_and_names_t(self, monkeypatch):
+        # a step cap of 0.01 takes about 100 steps over [0, 1], none rejected; a bound of 7 stops the 8th
+        def solve():
+            return integrate(lambda t, y: (1.0, 0.0), (0.0, (0.0, -1.0)), 1.0, 1e-8, max_step=0.01)
+
+        ts = solve().ts
+        monkeypatch.setattr(integrator, "MAX_STEPS", 7)
+        with pytest.raises(WorkBoundError) as excinfo:
+            solve()
+        assert isinstance(excinfo.value, NumericError)
+        assert str(excinfo.value) == f"integration work bound reached at t={ts[7]}: 7 trial steps"
+
+    def test_rejected_steps_count_toward_the_bound(self, monkeypatch):
+        # a forcing that jumps at t = 0.5 makes error control reject steps
+        def rhs(t, y):
+            return (0.0 if t < 0.5 else 50.0), -y[1]
+
+        stats = integrate(rhs, (0.0, (1.0, 1.0)), 1.0, 1e-8).stats
+        assert stats.n_rejected > 0
+        monkeypatch.setattr(integrator, "MAX_STEPS", stats.n_accepted + stats.n_rejected)
+        assert integrate(rhs, (0.0, (1.0, 1.0)), 1.0, 1e-8).stats == stats
+        monkeypatch.setattr(integrator, "MAX_STEPS", stats.n_accepted + stats.n_rejected - 1)
+        with pytest.raises(WorkBoundError):
+            integrate(rhs, (0.0, (1.0, 1.0)), 1.0, 1e-8)
+
+
 class TestFieldContract:
     """integrate stores each stage derivative as two scalars, so rhs must
     return exactly two numbers: a tuple or a shape-(2,) array."""
@@ -214,6 +242,33 @@ class TestFieldContract:
         assert message.startswith("step size underflow at t=")
         t_stop = float(message.split("t=")[1].split()[0])
         assert 0.5 - 1e-12 <= t_stop <= 0.5
+
+
+class TestStageErrors:
+    """Every stage reports a return that is not two numbers at its own time,
+    and passes the field's own errors through."""
+
+    @pytest.mark.parametrize("at_call", range(2, 10))
+    @pytest.mark.parametrize("bad", [None, ValueError("inside")], ids=["none", "error"])
+    def test_each_stage_names_its_own_time(self, bad, at_call):
+        # calls 2-7 are the six stages of the first trial step, calls 8 and 9 the next step's first two
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if len(calls) != at_call:
+                return y[1], -y[0]
+            if bad is None:
+                return None
+            raise bad
+
+        with pytest.raises(ValueError) as excinfo:
+            integrate(rhs, (0.0, (1.0, 0.0)), 1.0, 1e-8)
+        assert len(calls) == at_call
+        if bad is None:
+            assert str(excinfo.value) == f"rhs must return two numbers; at t={calls[-1]} it returned None"
+        else:
+            assert excinfo.value is bad
 
 
 class TestGuards:
@@ -362,27 +417,62 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
-class TestDotRounding:
-    """integrate computes its small products with ndarray.dot, which skips the
-    matmul ufunc dispatch, and liealg.compose and the `verify` action check
-    theirs with `@` over stacks of 2x2 matrices, where one trial at a time
-    would call `.dot` per matrix.  All reach the same BLAS kernels; these pin
-    how they round, to the bit pattern, so that a BLAS build where they
-    differ fails here instead of shifting step sequences or check residuals."""
+# the Dormand-Prince 5(4) nodes and stage rows; the last row, the 5th-order weights, gives the stage at t + h
+_NODES = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_ROWS = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+
+
+def _same_float(a, b):
+    """Equal bit patterns; any two NaNs match, since their payloads depend on the hardware."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestStageSums:
+    """integrate forms each stage state as y + h times the tableau row's
+    left-to-right float sum over the earlier stage derivatives, without the
+    row's zero weight: plain IEEE operations, the same bits on every host."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(arrays(np.float64, (7, 2), elements=_STAGE_VALUES))
-    @example(np.full((7, 2), -5e-324))  # 0.2 k rounds to -0.0: .dot gives -0.0, @ gives 0.0
-    def test_stage_and_error_sums_are_the_matmul_bits(self, K):
-        with np.errstate(all="ignore"):
-            # the one-term stage 1 is fma(0.2, k, +0.0) through .dot, which keeps the sign of a
-            # product that rounds to zero, where @ adds that product to +0.0; elsewhere they agree
-            k = K[0]
-            want = np.where((k != 0.0) & (0.2 * k == 0.0), np.copysign(0.0, k), _A[1] @ K[:1])
-            assert np.array_equal(_bits(_A[1].dot(K[:1])), _bits(want))
-            for i in range(2, 7):
-                assert np.array_equal(_bits(_A[i].dot(K[:i])), _bits(_A[i] @ K[:i]))
-            assert np.array_equal(_bits(_E.dot(K)), _bits(_E @ K))
+    @given(arrays(np.float64, (7, 2), elements=_STAGE_VALUES), st.tuples(_STAGE_VALUES, _STAGE_VALUES))
+    # 0.2 k rounds to -0.0 and keeps its sign: a sum that started from +0.0 would turn y = -0.0 into 0.0
+    @example(np.full((7, 2), -5e-324), (-0.0, -0.0))
+    def test_each_stage_state_is_the_left_to_right_float_sum(self, K, y):
+        log = []
+
+        def rhs(t, state):
+            log.append((t, state))
+            if len(log) == 7:
+                raise _Stop
+            return tuple(K[len(log) - 1].tolist())
+
+        with pytest.raises(_Stop):
+            integrate(rhs, (0.0, y), 1.0, 1e-8)
+        k = K.tolist()
+        h = log[5][0]  # the first trial step from t0 = 0: stage 6 sits at t0 + h
+        for (t, state), c, row in zip(log[1:], _NODES, _ROWS):
+            assert t == c * h
+            for m in range(2):
+                terms = [w * k[j][m] for j, w in enumerate(row) if w]
+                assert _same_float(state[m], y[m] + h * reduce(operator.add, terms)), (c, m)
+
+
+class TestDotRounding:
+    """liealg.compose and the `verify` action check compute their products
+    with `@` over stacks of 2x2 matrices, where one trial at a time would call
+    `.dot` per matrix.  Both reach the same BLAS kernels; these pin how they
+    round, to the bit pattern, so that a BLAS build where they differ fails
+    here instead of shifting check residuals."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(arrays(np.float64, (3, 2, 2), elements=_STAGE_VALUES), _STAGE_VALUES, _STAGE_VALUES)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import re
 from functools import partial
 
@@ -532,6 +533,19 @@ class TestJointRead:
         P = PotentialSpec(R.c0, constant(0.5), R.f1)
         assert P._joint is None
         assert P.eval(0.3) == (R.c0.eval(0.3), 0.5, R.f1.eval(0.3))
+
+    def test_read_functions_pickle_without_their_compiled_reads(self):
+        # the compiled reads are functions pickle cannot find by name: each object leaves them out
+        fs = [parse_timefn("poly 1 2; sin 0.5 3 0.25"), parse_timefn("exp -1 0.5; cos 2 1 0"),
+              parse_timefn("poly 0.5 -1 2 0.25 3")]
+        P = PotentialSpec(*fs)
+        times = (0.0, 0.37, -1.5)
+        for obj in (fs[0], fs[1].terms[1], fs[2].terms[0], P):
+            reads = [obj.eval(t, order) for t in times for order in (0, 1, 2)]
+            copy = pickle.loads(pickle.dumps(obj))
+            assert copy == obj and copy is not obj
+            assert _bits([copy.eval(t, order) for t in times for order in (0, 1, 2)]) == _bits(reads)
+        assert P._joint is not None and pickle.loads(pickle.dumps(P)).eval(0.37) == P.eval(0.37)
 
 
 class TestOneBuildPerRead:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from riccati_lie import liealg, superpose, suites
-from riccati_lie.errors import DomainError, GenericityError, GuardViolation, NumericError
+from riccati_lie.errors import DomainError, GenericityError, GuardViolation, NumericError, WorkBoundError
 from riccati_lie.model import PotentialSpec
 from riccati_lie.suites import (
     CheckResult,
@@ -72,6 +72,14 @@ class TestDrawSurvivingSolutions:
         with pytest.raises(NumericError, match=rf"^could not find 3 solutions .* in {suites._MAX_DRAWS} draws"):
             draw_surviving_solutions(CANONICAL, np.linspace(0.0, 1.0, 11), 1e-8, np.random.default_rng(2), 3)
         assert len(calls) == suites._MAX_DRAWS
+
+    def test_a_solve_that_reaches_the_work_bound_is_not_redrawn(self, monkeypatch):
+        # the coefficients set the work, so each of the other draws would take as long
+        error = WorkBoundError("integration work bound reached at t=0.1: 100000 trial steps")
+        calls = _failing_first(monkeypatch, suites, "solve_hamiltonian", [NumericError("blow-up"), error])
+        with pytest.raises(WorkBoundError) as excinfo:
+            draw_surviving_solutions(CANONICAL, np.linspace(0.0, 1.0, 11), 1e-8, np.random.default_rng(2), 3)
+        assert excinfo.value is error and len(calls) == 2
 
 
 class TestSuiteSuperposition:
