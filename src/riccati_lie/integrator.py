@@ -176,23 +176,29 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
         elif h < _UNDERFLOW_T_SCALE * max(1.0, abs(t)):
             raise NumericError(f"step size underflow at t={t} (stiffness or finite-time blow-up)")
 
-        # stage derivatives a..g, states y + h (the row's left-to-right sum); k, s: the last return, its time
+        # stages a..g at y + h (row sums, left to right), each summed before its time; k, s: the last return, its time
         try:
             k = b0, b1 = rhs(s := t + 0.2 * h, (y0 + h * (0.2 * a0), y1 + h * (0.2 * a1)))
-            k = c0, c1 = rhs(s := t + 0.3 * h, (y0 + h * (3 / 40 * a0 + 9 / 40 * b0),
-                                                y1 + h * (3 / 40 * a1 + 9 / 40 * b1)))
-            k = d0, d1 = rhs(s := t + 0.8 * h, (y0 + h * (44 / 45 * a0 - 56 / 15 * b0 + 32 / 9 * c0),
-                                                y1 + h * (44 / 45 * a1 - 56 / 15 * b1 + 32 / 9 * c1)))
-            k = e0, e1 = rhs(s := t + 8 / 9 * h, (
-                y0 + h * (19372 / 6561 * a0 - 25360 / 2187 * b0 + 64448 / 6561 * c0 - 212 / 729 * d0),
-                y1 + h * (19372 / 6561 * a1 - 25360 / 2187 * b1 + 64448 / 6561 * c1 - 212 / 729 * d1)))
-            k = f0, f1 = rhs(s := t + h, (
-                y0 + h * (9017 / 3168 * a0 - 355 / 33 * b0 + 46732 / 5247 * c0 + 49 / 176 * d0 - 5103 / 18656 * e0),
-                y1 + h * (9017 / 3168 * a1 - 355 / 33 * b1 + 46732 / 5247 * c1 + 49 / 176 * d1 - 5103 / 18656 * e1)))
+            u = y0 + h * (3 / 40 * a0 + 9 / 40 * b0), y1 + h * (3 / 40 * a1 + 9 / 40 * b1)
+            k = c0, c1 = rhs(s := t + 0.3 * h, u)
+            u = (y0 + h * (44 / 45 * a0 - 56 / 15 * b0 + 32 / 9 * c0),
+                 y1 + h * (44 / 45 * a1 - 56 / 15 * b1 + 32 / 9 * c1))
+            k = d0, d1 = rhs(s := t + 0.8 * h, u)
+            u = (y0 + h * (19372 / 6561 * a0 - 25360 / 2187 * b0 + 64448 / 6561 * c0 - 212 / 729 * d0),
+                 y1 + h * (19372 / 6561 * a1 - 25360 / 2187 * b1 + 64448 / 6561 * c1 - 212 / 729 * d1))
+            k = e0, e1 = rhs(s := t + 8 / 9 * h, u)
+            u = (y0 + h * (9017 / 3168 * a0 - 355 / 33 * b0 + 46732 / 5247 * c0 + 49 / 176 * d0 - 5103 / 18656 * e0),
+                 y1 + h * (9017 / 3168 * a1 - 355 / 33 * b1 + 46732 / 5247 * c1 + 49 / 176 * d1 - 5103 / 18656 * e1))
+            k = f0, f1 = rhs(s := t + h, u)
             # the 5th-order state z; the last stage sits at (t + h, z): first-same-as-last
             z0 = y0 + h * (35 / 384 * a0 + 500 / 1113 * c0 + 125 / 192 * d0 - 2187 / 6784 * e0 + 11 / 84 * f0)
             z1 = y1 + h * (35 / 384 * a1 + 500 / 1113 * c1 + 125 / 192 * d1 - 2187 / 6784 * e1 + 11 / 84 * f1)
             k = g0, g1 = rhs(s, (z0, z1))
+            # the 5th-order weights minus the embedded 4th-order ones, scaled; z first, so a NaN state gives a NaN scale
+            q0 = h * (71 / 57600 * a0 - 71 / 16695 * c0 + 71 / 1920 * d0 - 17253 / 339200 * e0 + 22 / 525 * f0
+                      - 1 / 40 * g0) / (tol + tol * max(abs(z0), abs(y0)))
+            q1 = h * (71 / 57600 * a1 - 71 / 16695 * c1 + 71 / 1920 * d1 - 17253 / 339200 * e1 + 22 / 525 * f1
+                      - 1 / 40 * g1) / (tol + tol * max(abs(z1), abs(y1)))
         except _GuardHit:  # bisect toward the boundary; report the exit once localized
             if h <= GUARD_T_RESOLUTION * max(1.0, abs(t)):
                 raise GuardViolation(f"{condition} violated just past t={t}", last_valid_t=t) from None
@@ -202,11 +208,6 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
             _two_numbers(k, s)
             raise
 
-        # the 5th-order weights minus the embedded 4th-order ones, scaled; z first, so a NaN state gives a NaN scale
-        q0 = h * (71 / 57600 * a0 - 71 / 16695 * c0 + 71 / 1920 * d0 - 17253 / 339200 * e0 + 22 / 525 * f0
-                  - 1 / 40 * g0) / (tol + tol * max(abs(z0), abs(y0)))
-        q1 = h * (71 / 57600 * a1 - 71 / 16695 * c1 + 71 / 1920 * d1 - 17253 / 339200 * e1 + 22 / 525 * f1
-                  - 1 / 40 * g1) / (tol + tol * max(abs(z1), abs(y1)))
         err_norm = math.sqrt((q0 * q0 + q1 * q1) / 2)
 
         if err_norm <= 1.0:

@@ -103,13 +103,8 @@ class PotentialSpec:
         return {name: value for name, value in vars(self).items() if name != "_joint"}
 
     def eval(self, t, order=0):
-        if not order and self._joint:
-            try:
-                values = self._joint(t)
-                if math.isfinite(sum(values)):  # else each field is read alone: one not finite raises
-                    return values
-            except (OverflowError, ValueError):
-                pass
+        if not order and self._joint and (values := self._joint(t)):  # else each field is read alone
+            return values
         return self.a0.eval(t, order), self.a1.eval(t, order), self.a2.eval(t, order)
 
 
@@ -163,11 +158,14 @@ def _drag(c2, c3, dc3, root):
     return c2 / root - dc3 / (2.0 * c3)
 
 
+_MAP_NAMES = (("drag", _drag), ("positive", _positive))  # what the maps' templates call
+
+
 @dataclass(frozen=True)
 class RiccatiSpec(JetFn):
     """The four cubic coefficients; `eval(t, k)` returns the k-th derivatives
     (c0, c1, c2, c3, f0, f1), the drag pair derived from c2 and c3: at order 0
-    in plain floats (`floats`), at any higher order from jets."""
+    in plain floats (`template`), at any higher order from jets."""
 
     c0: object
     c1: object
@@ -175,6 +173,9 @@ class RiccatiSpec(JetFn):
     c3: object
 
     names = ("c0", "c1", "c2", "c3", "f0", "f1")
+    template = (("c0", "c1", "c2", "c3"), (("dc3", 3, 1), ("c3", 3, 0), ("c0", 0, 0), ("c1", 1, 0), ("c2", 2, 0)),
+                ('positive("c3", t, c3)', "root = sqrt(c3)", "c0, c1, c2, c3, drag(c2, c3, dc3, root), 3.0 * root"),
+                _MAP_NAMES)  # `jets` at n = 0, read in the same order
 
     def jets(self, t, n):
         c3 = Jet.of(self.c3, t, n + 1)  # the highest order first: views of one picture share its build
@@ -182,13 +183,6 @@ class RiccatiSpec(JetFn):
         _positive("c3", t, c3.value)
         root = c3.sqrt()
         return c0, c1, c2, c3, _drag(c2, c3, c3.derivative(), root), 3.0 * root
-
-    def floats(self, t):  # `jets` at n = 0, read in the same order
-        dc3, c3 = float(self.c3.eval(t, 1)), float(self.c3.eval(t))
-        c0, c1, c2 = float(self.c0.eval(t)), float(self.c1.eval(t)), float(self.c2.eval(t))
-        _positive("c3", t, c3)
-        root = math.sqrt(c3)
-        return c0, c1, c2, c3, _drag(c2, c3, dc3, root), 3.0 * root
 
 
 def _momentum_root(p) -> float:
@@ -227,6 +221,11 @@ class _CubicOfPotential(JetFn):
     P: PotentialSpec | JetFn
 
     names = RiccatiSpec.names
+    # `jets` at n = 0; a jet product's order 0 is fsum((x * y,)), which is x * y + 0.0
+    template = (("P.a0", "P.a1", "P.a2"),
+                (("da0", 0, 1), ("a0", 0, 0), ("da1", 1, 1), ("a1", 1, 0), ("da2", 2, 1), ("a2", 2, 0)),
+                ("(da0 + 0.5 * (a0 * a1 + 0.0), da1 + 0.5 * (a1 * a1 + 0.0) + (a0 * a2 + 0.0), "
+                 "da2 + 1.5 * (a1 * a2 + 0.0), a2 * a2 + 0.0, 1.5 * a1, 3.0 * a2)",), ())
 
     def jets(self, t, n):
         a0, a1, a2 = [Jet.of(a, t, n + 1) for a in (self.P.a0, self.P.a1, self.P.a2)]
@@ -238,14 +237,6 @@ class _CubicOfPotential(JetFn):
             1.5 * a1,
             3.0 * a2,
         )
-
-    def floats(self, t):  # `jets` at n = 0; a jet product's order 0 is fsum((x * y,)), which is x * y + 0.0
-        P = self.P
-        da0, a0 = float(P.a0.eval(t, 1)), float(P.a0.eval(t))
-        da1, a1 = float(P.a1.eval(t, 1)), float(P.a1.eval(t))
-        da2, a2 = float(P.a2.eval(t, 1)), float(P.a2.eval(t))
-        return (da0 + 0.5 * (a0 * a1 + 0.0), da1 + 0.5 * (a1 * a1 + 0.0) + (a0 * a2 + 0.0),
-                da2 + 1.5 * (a1 * a2 + 0.0), a2 * a2 + 0.0, 1.5 * a1, 3.0 * a2)
 
 
 def coefficients_from_potential(P: PotentialSpec | JetFn, grid=None) -> JetFn:
@@ -266,6 +257,13 @@ class _PotentialOfCubic(JetFn):
     R: JetFn
 
     names = PotentialSpec.names
+    # `jets` at n = 0: c3 to order 2, c2 to order 1, c1; sqrt's orders 0 and 1, `_drag`'s quotients' order 1, a1'
+    template = (("R.c1", "R.c2", "R.c3"),
+                (("d2c3", 2, 2), ("dc3", 2, 1), ("c3", 2, 0), ("dc2", 1, 1), ("c2", 1, 0), ("c1", 0, 0)),
+                ("a2 = jet_sqrt(c3)", "da2 = dc3 / (2.0 * a2)", "a1 = (2.0 / 3.0) * drag(c2, c3, dc3, a2)",
+                 "da1 = (2.0 / 3.0) * ((dc2 - (da2 * (c2 / a2) + 0.0)) / a2"
+                 " - (2 * (d2c3 / 2) - (dc3 * 2.0 * (dc3 / (c3 * 2.0)) + 0.0)) / (c3 * 2.0))",
+                 "(c1 - da1 - 0.5 * (a1 * a1 + 0.0)) / a2, a1, a2"), _MAP_NAMES)
 
     def jets(self, t, n):
         R = self.R
@@ -298,9 +296,9 @@ def map_defect(R: JetFn, R2: JetFn, grid, names):
 
 
 def riccati2_rhs(R: JetFn, t: float, s: LagrangianPoint):
-    """First-order form of the cubic equation: d(x, v)/dt."""
+    """First-order form of the cubic equation: d(x, v)/dt; order 0 through `R.inline` where it returns, with no memo."""
     x, v = s
-    c0, c1, c2, c3, f0, f1 = R.eval(t)
+    c0, c1, c2, c3, f0, f1 = R.inline and R.inline(t) or R.eval(t)
     return (v, -(f0 + f1 * x) * v - (c0 + x * (c1 + x * (c2 + x * c3))))
 
 

@@ -37,7 +37,7 @@ import math
 import operator
 import re
 import types
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import DomainError, NumericError, TimeFnSyntaxError
 
@@ -60,7 +60,6 @@ __all__ = [
 class _Term:
     """A term: `params` are its numbers, as its class's `template` names them; `eval` is its compiled read."""
 
-    params = property(astuple)
     _reads = functools.cached_property(lambda self: _Reads(((self,),), raw=True))
 
     def eval(self, t, order=0):
@@ -109,6 +108,7 @@ class _Trig(_Term):
     phase: float
 
     quarter_turns = 0
+    params = property(operator.attrgetter("amp", "omega", "phase"))
 
     @classmethod
     def template(cls, names, n, lines):
@@ -146,6 +146,7 @@ class Exp(_Term):
     rate: float
 
     keyword = "exp"
+    params = property(operator.attrgetter("amp", "rate"))
 
     @staticmethod
     def template(names, n, lines):
@@ -167,14 +168,8 @@ class TimeFn:
         """Value (order=0) or exact order-th derivative at time t: the
         correctly rounded sum of the terms (see `_read_code`).
         NumericError where a term or the sum is not finite."""
-        read = self._reads[order]
-        try:
-            value = read(t)
-            if math.isfinite(value):
-                return value
-        # ValueError: math.sin of an argument, or math.fsum of terms, that overflowed to inf
-        except (OverflowError, ValueError):
-            pass
+        if (value := self._reads[order](t)) is not None:
+            return value
         raise NumericError(f"overflow evaluating a time function at t={t}")
 
     def slope_bound(self, t0, t1):
@@ -183,37 +178,61 @@ class TimeFn:
 
 
 def joint_reader(fns):
-    """A compiled function of t giving the TimeFns' order-0 values, the bits of their `eval`s where those return;
-    unchecked: a value may be inf or NaN, or it may raise OverflowError or ValueError.  None unless all are TimeFns."""
+    """A compiled function of t giving the TimeFns' order-0 values, the bits of their `eval`s, or None where a read
+    raises or the values' sum is not finite.  None unless all are TimeFns."""
     return _Reads(tuple(f.terms for f in fns))[0] if all(type(f) is TimeFn for f in fns) else None
 
 
 # --- compiled reads ------------------------------------------------------
 
-_NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "fsum": math.fsum}
+def _sqrt(x):  # a jet's square root at its point
+    if not x > 0.0:
+        raise DomainError(f"jet sqrt needs a positive value at the point, got {x}")
+    return math.sqrt(x)
+
+
+_NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "fsum": math.fsum, "sqrt": math.sqrt,
+              "jet_sqrt": _sqrt, "isfinite": math.isfinite, "DomainError": DomainError}
 
 
 @functools.lru_cache(maxsize=1024)
-def _read_code(shape, order, raw):
-    """The code of `read(t, *params)`: the order-th derivatives of sums of terms of `shape` ((term class,
-    number of params) pairs), as a + 0.0 or a + b + 0.0 (fsum's correctly rounded sum of finite terms; + 0.0
-    turns -0.0 into its 0.0) or fsum, or with `raw` a one-term sum's term.  No config number is in its source."""
-    params, lines, values = [], [], []
+def _read_code(shape, reads, lines, names, raw, check):
+    """The code of `read(t, *params, *names)`: each (name, i, order) of `reads` assigns name the order-th derivative
+    of leaf i, a sum's terms ((term class, number of params) pairs) as a + 0.0 or a + b + 0.0 (fsum's correctly rounded
+    sum of finite terms; + 0.0 turns -0.0 into its 0.0) or fsum, or with `raw` a one-term sum's term, or where the
+    leaf is None its one param through `.eval`; then `lines` run, the last the values returned, or None where a line
+    raises or the `check` of them, if given, is false.  No config number is in its source."""
+    params, code = [], []
     for i, terms in enumerate(shape):
-        parts = []
-        for j, (cls, size) in enumerate(terms):
-            names = [f"k{i}_{j}_{m}" for m in range(size)]
-            params += names
-            parts.append(f"({cls.template(names, order, lines)})")
-        values.append(parts[0] if raw else " + ".join([*parts, "0.0"]) if 0 < len(parts) <= 2
-                      else f"fsum([{', '.join(parts)}])")
-    exec(compile("\n    ".join([f"def read(t, {', '.join(params)}):", *lines, f"return {', '.join(values)}"]),
+        params += [f"leaf{i}"] if terms is None else [f"k{i}_{j}_{m}" for j, (_, n) in enumerate(terms)
+                                                       for m in range(n)]
+    for name, i, order in reads:
+        parts = [f"({cls.template([f'k{i}_{j}_{m}' for m in range(n)], order, code)})"
+                 for j, (cls, n) in enumerate(shape[i] or ())]
+        code.append(f"{name} = " + (f"float(leaf{i}.eval(t, {order}))" if shape[i] is None else parts[0] if raw
+                                    else " + ".join([*parts, "0.0"]) if len(parts) <= 2
+                                    else f"fsum([{', '.join(parts)}])"))
+    *code, values = code + list(lines)
+    if check:
+        code = ["try:", *[f"    {line}" for line in code], f"    values = {values}",
+                "except (ArithmeticError, ValueError, DomainError):", "    return None"]
+        values = f"values if {check} else None"
+    exec(compile("\n    ".join([f"def read(t, {', '.join(params + list(names))}):", *code, f"return {values}"]),
                  "<timefn read>", "exec"), _NAMESPACE, namespace := {})
     return namespace["read"].__code__
 
 
+def _compiled(leaves, reads, lines, raw=False, check=None, names=()):  # bound to leaves, their numbers, `names`
+    shape, params = [], []
+    for leaf in leaves:
+        shape.append(None if hasattr(leaf, "eval") else tuple((type(term), len(term.params)) for term in leaf))
+        params += [leaf] if shape[-1] is None else [x for term in leaf for x in term.params]
+    return types.FunctionType(_read_code(tuple(shape), reads, lines, tuple(name for name, _ in names), raw, check),
+                              _NAMESPACE, "read", (*params, *(value for _, value in names)))
+
+
 class _Reads(dict):
-    """order -> the compiled read of sums of terms (term tuples), bound to their numbers on first use."""
+    """order -> the compiled read of sums of terms (term tuples), bound on first use: finite, or `raw` a term's."""
 
     def __init__(self, sums, raw=False):
         self.sums, self.raw = sums, raw
@@ -224,9 +243,9 @@ class _Reads(dict):
     def __missing__(self, order):
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        shape = tuple(tuple((type(term), len(term.params)) for term in terms) for terms in self.sums)
-        params = tuple(x for terms in self.sums for term in terms for x in term.params)
-        read = self[order] = types.FunctionType(_read_code(shape, order, self.raw), _NAMESPACE, "read", params)
+        vs = [f"v{i}" for i in range(len(self.sums))]  # checked: finite where their sum is
+        read = self[order] = _compiled(self.sums, tuple((v, i, order) for i, v in enumerate(vs)),
+                                       (", ".join(vs),), self.raw, None if self.raw else f"isfinite({' + '.join(vs)})")
         return read
 
 
@@ -350,9 +369,7 @@ class Jet:
 
     def sqrt(self) -> "Jet":
         a = self.coeffs
-        if not a[0] > 0.0:
-            raise DomainError(f"jet sqrt needs a positive value at the point, got {a[0]}")
-        root = math.sqrt(a[0])
+        root = _sqrt(a[0])
         out = [root]
         for k in range(1, len(a)):
             s = a[k] - math.fsum([out[j] * out[k - j] for j in range(1, k)])
@@ -368,22 +385,40 @@ class JetFn:
     of every coefficient off them, as a tuple (NumericError on an overflow in
     the jet arithmetic, or naming the first coefficient whose value it would
     return is not finite).  Each name that is not a field is a `Coefficient` view.
-    A subclass may also implement `floats(t)`, the same values at order 0 in
-    plain floats, with the bits of the jets' order-0 coefficients wherever the
-    jets return; `eval` then builds order 0 from it, with no jets.
+    A subclass may also give a `template` (leaves, reads, lines, names), `jets`
+    at n = 0 as `_read_code` reads of the time functions at the paths `leaves`:
+    `floats(t)` reads each through its `eval`, to the bits of the jets' order 0
+    wherever the jets return.  Where every leaf is a TimeFn of floats,
+    `inline(t)` inlines their terms and returns the same values, or None where
+    a line raises or the values' sum is not finite.  `eval` builds order 0 from
+    `inline`, else from `floats`, with no jets.
 
     `eval` keeps its last build (t, order, jets and values, out of `==`, `hash`
     and `repr`) and serves any read at that t of an order no higher from it, to
     the bit: a jet's k-th coefficient does not depend on the order built.  DP5
     stages 5 and 6 share t + h, and a reader asks for its highest order first.
-    An order-0 build through `floats` keeps no jets, so a higher order at its t
-    builds again.
+    An order-0 build keeps no jets, so a higher order at its t builds again.
     A zero t hits only with the last build's sign: 0.0 == -0.0, but their coefficients may differ.
     """
 
     names = ()
-    floats = None
+    template = None
     _last = (None, -1, (), ())  # (t, order, jets, values) of the last build
+
+    def _map(self, inline):  # inline: TimeFns of floats, whose terms read to the bits of their evals, as floats
+        paths, reads, lines, names = self.template
+        leaves = operator.attrgetter(*paths)(self)
+        if inline:
+            leaves = [leaf.terms for leaf in leaves if type(leaf) is TimeFn
+                      and {type(x) for term in leaf.terms for x in term.params} <= {float}]
+        check = "isfinite(sum(values))" if inline else None
+        return _compiled(leaves, reads, lines, check=check, names=names) if len(leaves) == len(paths) else None
+
+    floats = functools.cached_property(lambda self: self.template and self._map(inline=False))
+    inline = functools.cached_property(lambda self: self.template and self.floats and self._map(inline=True))
+
+    def __getstate__(self):  # without the compiled reads, which are built again on use
+        return {name: value for name, value in vars(self).items() if name not in ("floats", "inline")}
 
     def __init_subclass__(cls):
         annotated = {name for klass in cls.__mro__ for name in inspect.get_annotations(klass)}
@@ -401,7 +436,7 @@ class JetFn:
                     jets = self.jets(t, order)
                     values = tuple([jet.coeffs[0] for jet in jets])
                 else:
-                    jets, values = (), self.floats(t)
+                    jets, values = (), self.inline and self.inline(t) or self.floats(t)
             # math.fsum's intermediate overflow, or its inf - inf, in a jet product, quotient or sqrt
             except (OverflowError, ValueError):
                 raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None

@@ -172,11 +172,17 @@ def test_only_jetfn_eval_builds_jets():
 
 
 def test_only_the_maps_derive_the_drag_pair():
-    # (f0, f1) from (c2, c3) is stated once, in the two maps that need it, for jets
-    # and for RiccatiSpec's order-0 floats; `map_defect` measures a drag pair by
-    # building a `RiccatiSpec`
-    assert _callers("_drag") == {("model", "RiccatiSpec.jets"), ("model", "RiccatiSpec.floats"),
-                                 ("model", "_PotentialOfCubic.jets")}
+    # (f0, f1) from (c2, c3) is stated once, in the two maps that need it: their jets call it,
+    # and their order-0 templates call it as `drag`, the name `_MAP_NAMES` binds it to;
+    # `map_defect` measures a drag pair by building a `RiccatiSpec`
+    from riccati_lie import model
+
+    assert _callers("_drag") == {("model", "RiccatiSpec.jets"), ("model", "_PotentialOfCubic.jets")}
+    assert dict(model._MAP_NAMES)["drag"] is model._drag
+    templates = {cls.__name__: cls.template for cls in (model.RiccatiSpec, model._CubicOfPotential,
+                                                        model._PotentialOfCubic)}
+    assert {name for name, (_, _, lines, _) in templates.items() if any("drag(" in line for line in lines)} \
+        == {"RiccatiSpec", "_PotentialOfCubic"}
 
 
 def test_only_the_read_builder_compiles_source():

@@ -249,7 +249,8 @@ class TestStageErrors:
     and passes the field's own errors through."""
 
     @pytest.mark.parametrize("at_call", range(2, 10))
-    @pytest.mark.parametrize("bad", [None, ValueError("inside")], ids=["none", "error"])
+    # a pair of strings unpacks, and fails only in the arithmetic on it: the next stage's state, z or the error
+    @pytest.mark.parametrize("bad", [None, ("a", "b"), ValueError("inside")], ids=["none", "strings", "error"])
     def test_each_stage_names_its_own_time(self, bad, at_call):
         # calls 2-7 are the six stages of the first trial step, calls 8 and 9 the next step's first two
         calls = []
@@ -258,17 +259,18 @@ class TestStageErrors:
             calls.append(t)
             if len(calls) != at_call:
                 return y[1], -y[0]
-            if bad is None:
-                return None
-            raise bad
+            if isinstance(bad, Exception):
+                raise bad
+            return bad
 
         with pytest.raises(ValueError) as excinfo:
             integrate(rhs, (0.0, (1.0, 0.0)), 1.0, 1e-8)
         assert len(calls) == at_call
-        if bad is None:
-            assert str(excinfo.value) == f"rhs must return two numbers; at t={calls[-1]} it returned None"
-        else:
+        if isinstance(bad, Exception):
             assert excinfo.value is bad
+        else:
+            assert str(excinfo.value) == f"rhs must return two numbers; at t={calls[-1]} it returned {bad!r}"
+            assert excinfo.value.__cause__ is None and excinfo.value.__suppress_context__
 
 
 class TestGuards:

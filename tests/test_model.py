@@ -31,7 +31,7 @@ from riccati_lie.model import (
     riccati2_rhs,
     solve_hamiltonian,
 )
-from riccati_lie.model import _positive_on_window, _stays_in_O
+from riccati_lie.model import _PotentialOfCubic, _positive_on_window, _stays_in_O
 from riccati_lie.suites import random_potential
 from riccati_lie.timefn import Cos, Exp, Jet, JetFn, Poly, Sin, TimeFn, constant, parse_timefn
 from test_timefn import _terms, _timefns, random_timefn
@@ -453,6 +453,9 @@ _PICTURES = {
     "riccati-of-views": lambda fs: _riccati_of_views(coefficients_from_potential(PotentialSpec(*fs[:3]))),
     "signed-potential": lambda fs: coefficients_from_potential(PotentialSpec(_SIGNED, _SIGNED, fs[2])),
     "signed-riccati": lambda fs: RiccatiSpec(_SIGNED, _SIGNED, _SIGNED, fs[3]),
+    # the derived potential of (c0, c1, c2, c3), and of the cubic picture of (a0, a1, a2), which reads views
+    "derived-potential": lambda fs: _PotentialOfCubic(RiccatiSpec(*fs)),
+    "derived-potential-of-views": lambda fs: _PotentialOfCubic(coefficients_from_potential(PotentialSpec(*fs[:3]))),
 }
 
 
@@ -460,10 +463,25 @@ def _bits(values):
     return np.array(values, dtype=np.float64).view(np.int64).tolist()
 
 
+# moderate numbers: every read is finite, and the jets do not overflow
+_moderate = st.floats(-2.0, 2.0)
+_moderate_timefns = st.builds(lambda ts: TimeFn(tuple(ts)), st.lists(st.one_of(
+    st.builds(lambda cs: Poly(tuple(cs)), st.lists(_moderate, min_size=1, max_size=4)),
+    st.builds(Sin, _moderate, _moderate, _moderate), st.builds(Cos, _moderate, _moderate, _moderate),
+    st.builds(Exp, _moderate, _moderate)), min_size=1, max_size=3))
+
+
+def _redrawn(term):
+    numbers = st.lists(_moderate, min_size=len(term.params), max_size=len(term.params))
+    return numbers.map(lambda xs: Poly(tuple(xs)) if isinstance(term, Poly) else type(term)(*xs))
+
+
 class TestFloatForms:
-    """`RiccatiSpec` and the cubic picture of a potential build order 0 in
-    plain floats; their jets, through the same `eval` with the float form
-    switched off, are the reference."""
+    """`RiccatiSpec`, the cubic picture of a potential and the derived
+    potential build order 0 in plain floats, from one template each: inlined
+    where every leaf is a TimeFn of floats, through the leaves' `eval` else.
+    Their jets, through the same `eval` with the float form switched off, are
+    the reference."""
 
     @staticmethod
     def read(picture, t, floats=True):
@@ -485,7 +503,19 @@ class TestFloatForms:
     # c3 = a2^2 is inf on both paths, with no jet overflow; and f0 = c2/sqrt(c3) is inf
     @example("potential", [constant(0.0), constant(0.0), parse_timefn("poly 1e200"), constant(1.0)], [])
     @example("riccati", [constant(0.0), constant(0.0), constant(1e308), constant(1e-300)], [])
+    # the same configs for the derived potential: a1 = (2/3) c2/sqrt(c3) is inf, and a0 = c1/sqrt(c3) + ... -inf
+    @example("derived-potential", [constant(0.0), constant(0.0), constant(1e308), constant(1e-300)], [])
+    @example("derived-potential", [constant(0.0), constant(-1e200), constant(0.0), constant(1e-300)], [])
+    # c2' - fsum((a2' c2/a2,)) is -0.0 - (-0.0 + 0.0), -0.0, where -0.0 - -0.0 is 0.0: a0's sign of zero
+    @example("derived-potential", [constant(0.0), Sin(-0.0, 1.0, 0.0), Sin(-0.0, 1.0, 0.0), constant(1.0)], [])
+    @example("derived-potential-of-views",
+             [constant(0.0), constant(0.0), parse_timefn("poly 1e154 1e154"), constant(1.0)], [])
+    @example("derived-potential-of-views", [parse_timefn("poly 1e200 -1e200"), constant(0.0),
+                                            parse_timefn("poly 1e200 1e200"), constant(1.0)], [])
+    @example("derived-potential-of-views", [constant(0.0), constant(0.0), parse_timefn("poly 1e200"),
+                                            constant(1.0)], [])
     def test_order_0_is_the_jets_bits(self, kind, fs, times):
+        n = len(_PICTURES[kind](fs).names)
         for t in [0.0, -0.0] + times:
             want = self.read(_PICTURES[kind](fs), t, floats=False)
             got = self.read(_PICTURES[kind](fs), t)
@@ -494,10 +524,37 @@ class TestFloatForms:
             elif "coefficient jets" not in str(want):  # a value that is not finite among them too
                 assert (type(got), str(got)) == (type(want), str(want))
             elif isinstance(got, tuple):  # order 0 reads none of the extra order the jets overflowed in
-                assert [type(v) for v in got] == [float] * 6 and all(map(math.isfinite, got))
+                assert [type(v) for v in got] == [float] * n and all(map(math.isfinite, got))
             else:  # or the same error, or, where a value it does read is not finite, one naming it
                 assert isinstance(got, NumericError)
-                assert str(got) == str(want) or re.fullmatch(rf"coefficient [cf]\d is not finite at t={t}", str(got))
+                assert str(got) == str(want) or re.fullmatch(rf"coefficient [acf]\d is not finite at t={t}", str(got))
+
+    @pytest.mark.parametrize("kind", ["potential", "riccati", "derived-potential"])
+    def test_timefn_leaves_of_floats_are_read_inline(self, kind):
+        floats = [parse_timefn(text) for text in ("poly 0.1 0.2; sin 0.3 2 0", "cos 0.5 1 0.25", "exp 0.2 -0.5",
+                                                  "poly 2 0.5 0.25")]
+        # a leaf that is a raw term, or holds a numpy float, is read through its eval (c2, a2 or c2, a leaf of each)
+        for leaf, inline in ((floats[2], True), (Sin(0.3, 2.0, 0.0), False),
+                             (TimeFn((Poly((np.float64(0.1),)),)), False)):
+            fs = floats[:2] + [leaf] + floats[3:]
+            picture = _PICTURES[kind](fs)
+            values = picture.eval(0.37)
+            assert (picture.inline is not None) == inline and picture.floats is not None
+            assert _bits(values) == _bits(self.read(_PICTURES[kind](fs), 0.37, floats=False))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_moderate_timefns, min_size=4, max_size=4), st.data())
+    def test_pictures_of_one_shape_share_their_code_and_read_their_own_numbers(self, fs, data):
+        gs = [TimeFn(tuple(data.draw(_redrawn(term)) for term in f.terms)) for f in fs]  # fs' shapes, new numbers
+        for kind in ("potential", "riccati", "derived-potential"):
+            pictures = _PICTURES[kind](fs), _PICTURES[kind](gs)
+            for t in (0.0, 0.37, -1.25):
+                for which in (0, 1, 0):
+                    got = self.read(pictures[which], t)
+                    want = self.read(_PICTURES[kind]((fs, gs)[which]), t, floats=False)
+                    assert repr(got) == repr(want) and (not isinstance(got, tuple) or _bits(got) == _bits(want))
+            assert pictures[0].inline.__code__ is pictures[1].inline.__code__
+            assert pictures[0].floats.__code__ is pictures[1].floats.__code__
 
 
 class TestJointRead:
@@ -546,6 +603,15 @@ class TestJointRead:
             assert copy == obj and copy is not obj
             assert _bits([copy.eval(t, order) for t in times for order in (0, 1, 2)]) == _bits(reads)
         assert P._joint is not None and pickle.loads(pickle.dumps(P)).eval(0.37) == P.eval(0.37)
+        # the pictures, after an order-0 read: each a build through its compiled map
+        R = RiccatiSpec(*fs, parse_timefn("poly 2 0.5 0.25"))
+        for picture in (R, coefficients_from_potential(P), potential_from_coefficients(R, GRID)):
+            reads = [picture.eval(t) for t in times]
+            assert picture.inline is not None
+            copy = pickle.loads(pickle.dumps(picture))
+            assert copy == picture and copy is not picture and not {"floats", "inline"} & set(vars(copy))
+            assert _bits([copy.eval(t) for t in times]) == _bits(reads)
+            assert _bits([copy.eval(t, 2) for t in times]) == _bits([picture.eval(t, 2) for t in times])
 
 
 class TestOneBuildPerRead:
