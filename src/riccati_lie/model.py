@@ -18,7 +18,8 @@ correspondence implemented here:
 `eval(t, k)` returns a picture's k-th derivatives: (a0, a1, a2) of a potential,
 (c0, c1, c2, c3, f0, f1) of a cubic picture.  A `PotentialSpec` is its three
 time functions, the Lie system's coefficients.  A derived picture is a `JetFn`
-built from Taylor jets.
+built from Taylor jets.  All four pictures are `timefn.Picture`s: each reads
+order 0 through its `template`, the potential's the identity over its fields.
 
 On the branch v + U > 0 the Legendre transform p = -1/(v + U)**2 is a
 bijection onto the half-plane O = {p < 0}, where the dynamics becomes the
@@ -40,14 +41,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, GuardViolation, NumericError
 from .integrator import GUARD_P_MAX, GUARD_T_RESOLUTION, Trajectory, integrate, sample_at
-from .timefn import Jet, JetFn, joint_reader
+from .timefn import Jet, JetFn, Picture
 
 __all__ = [
     "PhasePoint",
@@ -84,11 +85,12 @@ class LagrangianPoint(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(Picture):
     """Quadratic potential U = a0 + a1 x + a2 x^2 with time-function coefficients.
 
     Each field is any object with an exact `.eval(t, order)`; `eval(t, k)`
-    returns their k-th derivatives (a0, a1, a2), at order 0 through `joint_reader` where all three are TimeFns.
+    returns their k-th derivatives (a0, a1, a2): at order 0 through the
+    identity `template`, at any higher order through each field's own `eval`.
     """
 
     a0: object
@@ -96,16 +98,13 @@ class PotentialSpec:
     a2: object
 
     names = ("a0", "a1", "a2")
-
-    _joint = cached_property(lambda self: joint_reader((self.a0, self.a1, self.a2)))
-
-    def __getstate__(self):  # without the compiled joint read, which is built again on use
-        return {name: value for name, value in vars(self).items() if name != "_joint"}
+    template = (names, (("a0", 0, 0), ("a1", 1, 0), ("a2", 2, 0)), ("a0, a1, a2",), ())
 
     def eval(self, t, order=0):
-        if not order and self._joint and (values := self._joint(t)):  # else each field is read alone
-            return values
-        return self.a0.eval(t, order), self.a1.eval(t, order), self.a2.eval(t, order)
+        if order:
+            return self.a0.eval(t, order), self.a1.eval(t, order), self.a2.eval(t, order)
+        # `JetFn.eval`'s order-0 read too: one method for both adds a call per read, about 3% of `affine_rhs`
+        return self.inline and self.inline(t) or self.floats(t)
 
 
 _WINDOW_T_RESOLUTION = 1e-9  # narrowest interval the window check refines to, relative to the window

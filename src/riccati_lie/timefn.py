@@ -6,6 +6,11 @@ order requested anywhere in the library is evaluated in closed form --
 no finite differencing enters any coefficient.  A sum is read through a flat
 function of t compiled once per shape from its terms' templates (`_read_code`).
 
+A `Picture` is the coefficients of one equation, read as a tuple: the
+potential's three time functions, or a picture derived from another.
+Every picture reads order 0 through one compiled function of its time
+functions, built from its `template`.
+
 Coefficients *derived* from these sums through products, quotients and
 square roots (the maps between the potential and the cubic-equation
 parametrizations need all three) are handled by a small truncated
@@ -47,11 +52,11 @@ __all__ = [
     "Cos",
     "Exp",
     "TimeFn",
-    "joint_reader",
     "constant",
     "parse_timefn",
     "render_timefn",
     "Jet",
+    "Picture",
     "JetFn",
     "Coefficient",
 ]
@@ -60,7 +65,7 @@ __all__ = [
 class _Term:
     """A term: `params` are its numbers, as its class's `template` names them; `eval` is its compiled read."""
 
-    _reads = functools.cached_property(lambda self: _Reads(((self,),), raw=True))
+    _reads = functools.cached_property(lambda self: _Reads((self,), raw=True))
 
     def eval(self, t, order=0):
         return self._reads[order](t)
@@ -162,7 +167,7 @@ class TimeFn:
 
     terms: tuple
 
-    _reads = functools.cached_property(lambda self: _Reads((self.terms,)))
+    _reads = functools.cached_property(lambda self: _Reads(self.terms))
 
     def eval(self, t, order=0):
         """Value (order=0) or exact order-th derivative at time t: the
@@ -175,12 +180,6 @@ class TimeFn:
     def slope_bound(self, t0, t1):
         """An upper bound of |f'| on [t0, t1], from each term's closed-form derivative."""
         return math.fsum(term.slope_bound(t0, t1) for term in self.terms)
-
-
-def joint_reader(fns):
-    """A compiled function of t giving the TimeFns' order-0 values, the bits of their `eval`s, or None where a read
-    raises or the values' sum is not finite.  None unless all are TimeFns."""
-    return _Reads(tuple(f.terms for f in fns))[0] if all(type(f) is TimeFn for f in fns) else None
 
 
 # --- compiled reads ------------------------------------------------------
@@ -232,20 +231,19 @@ def _compiled(leaves, reads, lines, raw=False, check=None, names=()):  # bound t
 
 
 class _Reads(dict):
-    """order -> the compiled read of sums of terms (term tuples), bound on first use: finite, or `raw` a term's."""
+    """order -> the compiled read of a sum of terms, bound on first use: finite, or with `raw` a one-term sum's term."""
 
-    def __init__(self, sums, raw=False):
-        self.sums, self.raw = sums, raw
+    def __init__(self, terms, raw=False):
+        self.terms, self.raw = terms, raw
 
     def __reduce__(self):  # pickled without the compiled reads, which it builds again on use
-        return _Reads, (self.sums, self.raw)
+        return _Reads, (self.terms, self.raw)
 
     def __missing__(self, order):
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        vs = [f"v{i}" for i in range(len(self.sums))]  # checked: finite where their sum is
-        read = self[order] = _compiled(self.sums, tuple((v, i, order) for i, v in enumerate(vs)),
-                                       (", ".join(vs),), self.raw, None if self.raw else f"isfinite({' + '.join(vs)})")
+        read = self[order] = _compiled((self.terms,), (("v", 0, order),), ("v",), self.raw,
+                                       None if self.raw else "isfinite(v)")
         return read
 
 
@@ -377,7 +375,37 @@ class Jet:
         return Jet(out)
 
 
-class JetFn:
+class Picture:
+    """A coefficient picture: the coefficients `names` of one equation, read as a tuple by `eval(t, k)`.
+
+    A picture may give its order 0 as a `template` (leaves, reads, lines, names): `_read_code` reads of the
+    time functions at the attribute paths `leaves`, then `lines` of float arithmetic, the last the values.
+    `floats(t)` reads each leaf through its `eval`, which gives the error lines.  Where every leaf is a
+    TimeFn of floats, `inline(t)` inlines their terms and returns the same values, or None where a line
+    raises or the values' sum, written out term by term, is not finite.  `eval` reads order 0 from
+    `inline`, else from `floats`.  Both are compiled once per shape, built on first use and left out of a pickle.
+    """
+
+    names = ()
+    template = None
+
+    def _map(self, inline):  # inline: TimeFns of floats, whose terms read to the bits of their evals, as floats
+        paths, reads, lines, names = self.template
+        leaves = operator.attrgetter(*paths)(self)
+        if inline:
+            leaves = [leaf.terms for leaf in leaves if type(leaf) is TimeFn
+                      and {type(x) for term in leaf.terms for x in term.params} <= {float}]
+        check = f"isfinite({' + '.join(f'values[{i}]' for i in range(len(self.names)))})" if inline else None
+        return _compiled(leaves, reads, lines, check=check, names=names) if len(leaves) == len(paths) else None
+
+    floats = functools.cached_property(lambda self: self.template and self._map(inline=False))
+    inline = functools.cached_property(lambda self: self.template and self.floats and self._map(inline=True))
+
+    def __getstate__(self):  # without the compiled reads, which are built again on use
+        return {name: value for name, value in vars(self).items() if name not in ("floats", "inline")}
+
+
+class JetFn(Picture):
     """A derived coefficient picture: every coefficient evaluated from one jet build.
 
     Subclasses implement `jets(t, n)`, one Jet per coefficient of `names` to
@@ -385,13 +413,9 @@ class JetFn:
     of every coefficient off them, as a tuple (NumericError on an overflow in
     the jet arithmetic, or naming the first coefficient whose value it would
     return is not finite).  Each name that is not a field is a `Coefficient` view.
-    A subclass may also give a `template` (leaves, reads, lines, names), `jets`
-    at n = 0 as `_read_code` reads of the time functions at the paths `leaves`:
-    `floats(t)` reads each through its `eval`, to the bits of the jets' order 0
-    wherever the jets return.  Where every leaf is a TimeFn of floats,
-    `inline(t)` inlines their terms and returns the same values, or None where
-    a line raises or the values' sum is not finite.  `eval` builds order 0 from
-    `inline`, else from `floats`, with no jets.
+    A `template` is `jets` at n = 0: `floats` returns the bits of the jets'
+    order 0 wherever the jets return, and `eval` builds order 0 through the
+    template, with no jets.
 
     `eval` keeps its last build (t, order, jets and values, out of `==`, `hash`
     and `repr`) and serves any read at that t of an order no higher from it, to
@@ -401,24 +425,7 @@ class JetFn:
     A zero t hits only with the last build's sign: 0.0 == -0.0, but their coefficients may differ.
     """
 
-    names = ()
-    template = None
     _last = (None, -1, (), ())  # (t, order, jets, values) of the last build
-
-    def _map(self, inline):  # inline: TimeFns of floats, whose terms read to the bits of their evals, as floats
-        paths, reads, lines, names = self.template
-        leaves = operator.attrgetter(*paths)(self)
-        if inline:
-            leaves = [leaf.terms for leaf in leaves if type(leaf) is TimeFn
-                      and {type(x) for term in leaf.terms for x in term.params} <= {float}]
-        check = "isfinite(sum(values))" if inline else None
-        return _compiled(leaves, reads, lines, check=check, names=names) if len(leaves) == len(paths) else None
-
-    floats = functools.cached_property(lambda self: self.template and self._map(inline=False))
-    inline = functools.cached_property(lambda self: self.template and self.floats and self._map(inline=True))
-
-    def __getstate__(self):  # without the compiled reads, which are built again on use
-        return {name: value for name, value in vars(self).items() if name not in ("floats", "inline")}
 
     def __init_subclass__(cls):
         annotated = {name for klass in cls.__mro__ for name in inspect.get_annotations(klass)}

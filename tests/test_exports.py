@@ -1,6 +1,7 @@
 """Every exported name resolves, every import in the package is used, only
 `JetFn.eval` builds jets, only the two coefficient maps derive the drag pair,
-and only the time functions' read builder compiles source.
+only the time functions' read builder compiles source, and every coefficient
+picture reads order 0 through its template.
 
 Tools that walk the package by `__all__` (the benchmark's tracer among
 them) look names up with a default, so a stale entry would vanish from
@@ -190,12 +191,17 @@ def test_only_the_read_builder_compiles_source():
     assert _callers("exec") == _callers("compile") == {("timefn", "_read_code")}
 
 
-def test_the_joint_potential_read_is_a_public_timefn_name():
-    # `model` reaches it through `timefn.__all__`, not a private import, and only a potential reads it
-    from riccati_lie import timefn
+def test_every_picture_reads_order_0_through_its_template():
+    # the four pictures of `model` each give their order 0 as a template, which only the pictures' own `eval`s
+    # read, through `inline` and else `floats`; `riccati2_rhs` calls `inline` directly, with no memo
+    from riccati_lie import model, timefn
 
-    assert "joint_reader" in timefn.__all__
-    assert _callers("joint_reader") == {("model", "PotentialSpec")}
+    pictures = {name: cls for name, cls in vars(model).items()
+                if isinstance(cls, type) and issubclass(cls, timefn.Picture) and cls.__module__ == model.__name__}
+    assert set(pictures) == {"PotentialSpec", "RiccatiSpec", "_CubicOfPotential", "_PotentialOfCubic"}
+    assert all(cls.template is not None for cls in pictures.values())
+    assert _callers("inline") == {("timefn", "JetFn.eval"), ("model", "PotentialSpec.eval"), ("model", "riccati2_rhs")}
+    assert _callers("floats") == {("timefn", "JetFn.eval"), ("model", "PotentialSpec.eval")}
 
 
 def test_the_jets_call_check_sees_a_planted_call(tmp_path):

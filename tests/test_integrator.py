@@ -445,7 +445,7 @@ class TestStageSums:
     left-to-right float sum over the earlier stage derivatives, without the
     row's zero weight: plain IEEE operations, the same bits on every host."""
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(arrays(np.float64, (7, 2), elements=_STAGE_VALUES), st.tuples(_STAGE_VALUES, _STAGE_VALUES))
     # 0.2 k rounds to -0.0 and keeps its sign: a sum that started from +0.0 would turn y = -0.0 into 0.0
     @example(np.full((7, 2), -5e-324), (-0.0, -0.0))
@@ -476,7 +476,7 @@ class TestDotRounding:
     round, to the bit pattern, so that a BLAS build where they differ fails
     here instead of shifting check residuals."""
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(arrays(np.float64, (3, 2, 2), elements=_STAGE_VALUES), _STAGE_VALUES, _STAGE_VALUES)
     def test_two_by_two_products_are_the_matmul_bits(self, M, v0, v1):
         A, B, C = M
@@ -485,7 +485,7 @@ class TestDotRounding:
             assert np.array_equal(_bits(A.dot(B).dot(C)), _bits(A @ B @ C))
             assert np.array_equal(_bits(A.dot((v0, v1))), _bits(A @ (v0, v1)))
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
         arrays(np.float64, (n, 2, 2), elements=_STAGE_VALUES), arrays(np.float64, (n, 2, 2), elements=_STAGE_VALUES),
         arrays(np.float64, (n, 2, 2), elements=_STAGE_VALUES), arrays(np.float64, (n, 2), elements=_STAGE_VALUES))))

@@ -374,7 +374,7 @@ class TestCompose:
             assert abs(once.p - twice.p) <= 1e-12 * scale
             checked += 1
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(st.floats(-3.0, 3.0), st.floats(-4.0, -0.25), _elements, _elements)
     def test_group_law_property(self, x, p, g1, g2):
         s = PhasePoint(x, p)

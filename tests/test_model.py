@@ -390,7 +390,7 @@ class TestFieldMemo:
                     # a fresh copy carries no memo
                     assert repr(f(t, s)) == repr(rhs(dataclasses.replace(picture), t, s))
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(0, 6),
            st.lists(st.tuples(st.sampled_from(_MEMO_TIMES), st.sampled_from((0, 1, 2, 3))), max_size=12))
     @example(3, [(0.0, 1), (-0.0, 0)])  # the signed cubic's f0 = 1.5 a1 is 0.0 at t = 0.0, -0.0 at t = -0.0
@@ -456,6 +456,8 @@ _PICTURES = {
     # the derived potential of (c0, c1, c2, c3), and of the cubic picture of (a0, a1, a2), which reads views
     "derived-potential": lambda fs: _PotentialOfCubic(RiccatiSpec(*fs)),
     "derived-potential-of-views": lambda fs: _PotentialOfCubic(coefficients_from_potential(PotentialSpec(*fs[:3]))),
+    # the Lie system's coefficients: a potential's order 0 is the identity over its fields
+    "potential-spec": lambda fs: PotentialSpec(*fs[:3]),
 }
 
 
@@ -477,22 +479,39 @@ def _redrawn(term):
 
 
 class TestFloatForms:
-    """`RiccatiSpec`, the cubic picture of a potential and the derived
-    potential build order 0 in plain floats, from one template each: inlined
-    where every leaf is a TimeFn of floats, through the leaves' `eval` else.
-    Their jets, through the same `eval` with the float form switched off, are
-    the reference."""
+    """A potential, `RiccatiSpec`, the cubic picture of a potential and the
+    derived potential build order 0 in plain floats, from one template each:
+    inlined where every leaf is a TimeFn of floats, through the leaves' `eval`
+    else.  The reference is a derived picture's jets, through the same `eval`
+    with the float form switched off, and a potential's fields' own reads;
+    their errors included.  Only a potential's read may raise what a raw
+    term's formula raises: a derived picture's read raises RiccatiLieError."""
 
     @staticmethod
     def read(picture, t, floats=True):
         if not floats:
             picture.__dict__["floats"] = None
+        raw = (ArithmeticError, ValueError) if isinstance(picture, PotentialSpec) else ()
         try:
+            if not floats and isinstance(picture, PotentialSpec):
+                return tuple(f.eval(t) for f in (picture.a0, picture.a1, picture.a2))
             return picture.eval(t)
-        except RiccatiLieError as exc:
+        except (RiccatiLieError, *raw) as exc:
             return exc
 
-    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @staticmethod
+    def assert_same(got, want, t, n):
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and _bits(got) == _bits(want) and set(map(type, got)) == {float}
+        elif "coefficient jets" not in str(want):  # a value that is not finite among them too
+            assert (type(got), str(got)) == (type(want), str(want))
+        elif isinstance(got, tuple):  # order 0 reads none of the extra order the jets overflowed in
+            assert [type(v) for v in got] == [float] * n and all(map(math.isfinite, got))
+        else:  # or the same error, or, where a value it does read is not finite, one naming it
+            assert isinstance(got, NumericError)
+            assert str(got) == str(want) or re.fullmatch(rf"coefficient [acf]\d is not finite at t={t}", str(got))
+
+    @settings(max_examples=500)
     @given(st.sampled_from(tuple(_PICTURES)), st.lists(_fns, min_size=4, max_size=4),
            st.lists(st.floats(-1e3, 1e3), max_size=3))
     # c3 = a2^2 is 1e308 at t = 0, and its order-1 coefficient fsum((1e308, 1e308)) overflows
@@ -514,26 +533,38 @@ class TestFloatForms:
                                             parse_timefn("poly 1e200 1e200"), constant(1.0)], [])
     @example("derived-potential-of-views", [constant(0.0), constant(0.0), parse_timefn("poly 1e200"),
                                             constant(1.0)], [])
+    # -0.0 + -0.0 is -0.0, the sum's 0.0
+    @example("potential-spec", [TimeFn((Sin(-0.0, 1.0, 0.0), Sin(-0.0, 1.0, 0.0)))] * 3 + [constant(1.0)], [])
+    # a0's own sum overflows; a1's sum of terms does
+    @example("potential-spec", [parse_timefn("poly 1e308 1e308"), constant(0.0), constant(1.0), constant(1.0)],
+             [1.0])
+    @example("potential-spec", [constant(0.0), parse_timefn("poly 1e308; poly 1e308"), constant(1.0),
+                                constant(1.0)], [1.0])
+    # finite values whose sum overflows
+    @example("potential-spec", [constant(1e308), constant(1e308), constant(1.0), constant(1.0)], [])
+    # a read raises; a read is NaN
+    @example("potential-spec", [constant(1.0), parse_timefn("sin 1 1e308 1e308"), parse_timefn("exp 1 800"),
+                                constant(1.0)], [1.0])
+    @example("potential-spec", [constant(1.0), constant(1.0), parse_timefn("poly 1e308 1e308; poly -1e308 -1e308"),
+                                constant(1.0)], [1.0])
     def test_order_0_is_the_jets_bits(self, kind, fs, times):
         n = len(_PICTURES[kind](fs).names)
         for t in [0.0, -0.0] + times:
-            want = self.read(_PICTURES[kind](fs), t, floats=False)
-            got = self.read(_PICTURES[kind](fs), t)
-            if isinstance(want, tuple):
-                assert isinstance(got, tuple) and _bits(got) == _bits(want) and set(map(type, got)) == {float}
-            elif "coefficient jets" not in str(want):  # a value that is not finite among them too
-                assert (type(got), str(got)) == (type(want), str(want))
-            elif isinstance(got, tuple):  # order 0 reads none of the extra order the jets overflowed in
-                assert [type(v) for v in got] == [float] * n and all(map(math.isfinite, got))
-            else:  # or the same error, or, where a value it does read is not finite, one naming it
-                assert isinstance(got, NumericError)
-                assert str(got) == str(want) or re.fullmatch(rf"coefficient [acf]\d is not finite at t={t}", str(got))
+            self.assert_same(self.read(_PICTURES[kind](fs), t), self.read(_PICTURES[kind](fs), t, floats=False), t, n)
 
-    @pytest.mark.parametrize("kind", ["potential", "riccati", "derived-potential"])
+    @settings(max_examples=300)
+    @given(st.lists(_timefns, min_size=3, max_size=3), st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)))
+    def test_a_potential_of_timefns_reads_its_fields_bits_inline(self, fs, t):
+        # the path `affine_rhs` takes: three TimeFns of floats, read through the one compiled `inline`
+        P = PotentialSpec(*fs)
+        self.assert_same(self.read(P, t), self.read(PotentialSpec(*fs), t, floats=False), t, 3)
+        assert P.inline is not None
+
+    @pytest.mark.parametrize("kind", ["potential", "riccati", "derived-potential", "potential-spec"])
     def test_timefn_leaves_of_floats_are_read_inline(self, kind):
         floats = [parse_timefn(text) for text in ("poly 0.1 0.2; sin 0.3 2 0", "cos 0.5 1 0.25", "exp 0.2 -0.5",
                                                   "poly 2 0.5 0.25")]
-        # a leaf that is a raw term, or holds a numpy float, is read through its eval (c2, a2 or c2, a leaf of each)
+        # a leaf that is a raw term, or holds a numpy float, is read through its eval (c2 or a2, a leaf of each)
         for leaf, inline in ((floats[2], True), (Sin(0.3, 2.0, 0.0), False),
                              (TimeFn((Poly((np.float64(0.1),)),)), False)):
             fs = floats[:2] + [leaf] + floats[3:]
@@ -542,11 +573,11 @@ class TestFloatForms:
             assert (picture.inline is not None) == inline and picture.floats is not None
             assert _bits(values) == _bits(self.read(_PICTURES[kind](fs), 0.37, floats=False))
 
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(_moderate_timefns, min_size=4, max_size=4), st.data())
     def test_pictures_of_one_shape_share_their_code_and_read_their_own_numbers(self, fs, data):
         gs = [TimeFn(tuple(data.draw(_redrawn(term)) for term in f.terms)) for f in fs]  # fs' shapes, new numbers
-        for kind in ("potential", "riccati", "derived-potential"):
+        for kind in ("potential", "riccati", "derived-potential", "potential-spec"):
             pictures = _PICTURES[kind](fs), _PICTURES[kind](gs)
             for t in (0.0, 0.37, -1.25):
                 for which in (0, 1, 0):
@@ -557,38 +588,10 @@ class TestFloatForms:
             assert pictures[0].floats.__code__ is pictures[1].floats.__code__
 
 
-class TestJointRead:
-    """A potential of three TimeFns reads order 0 through one compiled read of
-    the three; the fields' own reads are the reference, their errors included."""
-
-    @staticmethod
-    def read(compute):
-        try:
-            return compute()
-        except RiccatiLieError as exc:
-            return exc
-
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(st.lists(_timefns, min_size=3, max_size=3), st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)))
-    @example([TimeFn((Sin(-0.0, 1.0, 0.0), Sin(-0.0, 1.0, 0.0)))] * 3, 0.0)  # -0.0 + -0.0 is -0.0, the sum's 0.0
-    @example([parse_timefn("poly 1e308 1e308"), constant(0.0), constant(1.0)], 1.0)  # a0's own sum overflows
-    @example([constant(0.0), parse_timefn("poly 1e308; poly 1e308"), constant(1.0)], 1.0)  # a1's sum of terms
-    @example([constant(1e308), constant(1e308), constant(1.0)], 0.0)  # finite values whose sum overflows
-    @example([constant(1.0), parse_timefn("sin 1 1e308 1e308"), parse_timefn("exp 1 800")], 1.0)  # raises
-    @example([constant(1.0), constant(1.0), parse_timefn("poly 1e308 1e308; poly -1e308 -1e308")], 1.0)  # NaN
-    def test_order_0_is_the_fields_reads(self, fs, t):
-        P = PotentialSpec(*fs)
-        got, want = self.read(lambda: P.eval(t)), self.read(lambda: tuple(f.eval(t) for f in fs))
-        assert P._joint is not None
-        if isinstance(want, tuple):
-            assert isinstance(got, tuple) and _bits(got) == _bits(want) and set(map(type, got)) == {float}
-        else:
-            assert (type(got), str(got)) == (type(want), str(want))
-
     def test_a_field_that_is_no_time_function_is_read_on_its_own(self):
         R = coefficients_from_potential(random_potential(np.random.default_rng(7)))
         P = PotentialSpec(R.c0, constant(0.5), R.f1)
-        assert P._joint is None
+        assert P.inline is None and P.floats is not None
         assert P.eval(0.3) == (R.c0.eval(0.3), 0.5, R.f1.eval(0.3))
 
     def test_read_functions_pickle_without_their_compiled_reads(self):
@@ -597,15 +600,14 @@ class TestJointRead:
               parse_timefn("poly 0.5 -1 2 0.25 3")]
         P = PotentialSpec(*fs)
         times = (0.0, 0.37, -1.5)
-        for obj in (fs[0], fs[1].terms[1], fs[2].terms[0], P):
+        for obj in (fs[0], fs[1].terms[1], fs[2].terms[0]):
             reads = [obj.eval(t, order) for t in times for order in (0, 1, 2)]
             copy = pickle.loads(pickle.dumps(obj))
             assert copy == obj and copy is not obj
             assert _bits([copy.eval(t, order) for t in times for order in (0, 1, 2)]) == _bits(reads)
-        assert P._joint is not None and pickle.loads(pickle.dumps(P)).eval(0.37) == P.eval(0.37)
-        # the pictures, after an order-0 read: each a build through its compiled map
+        # the pictures, after an order-0 read: each a read through its compiled map
         R = RiccatiSpec(*fs, parse_timefn("poly 2 0.5 0.25"))
-        for picture in (R, coefficients_from_potential(P), potential_from_coefficients(R, GRID)):
+        for picture in (P, R, coefficients_from_potential(P), potential_from_coefficients(R, GRID)):
             reads = [picture.eval(t) for t in times]
             assert picture.inline is not None
             copy = pickle.loads(pickle.dumps(picture))
@@ -826,7 +828,7 @@ def _windows(draw):
 class TestPositivityProofsAreSound:
     """The two proofs behind exit 3 never pass a function that is not positive."""
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(_charts())
     def test_stays_in_O(self, chart):
         floor = math.sqrt(1e-9)
@@ -842,7 +844,7 @@ class TestPositivityProofsAreSound:
             return
         assert sigma.min() >= floor - 1e-12
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(_windows())
     def test_positive_on_window(self, window):
         f, grid, samples = window
@@ -880,7 +882,7 @@ class TestWindowProofNearATangent:
         _positive_on_window("c3", parse_timefn("poly 1.00000001; sin 1 0.3 0"), grid)
         assert len(calls) <= 1000
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(_uniform(0.1, 10.0), _uniform(8.0, 40.0), _uniform(0.0, 2 * math.pi),
            st.sampled_from((-1.0, 1.0)), _uniform(-6.0, -1.0))
     def test_passes_exactly_when_the_least_value_is_positive(self, amp, omega, phase, sign, digits):

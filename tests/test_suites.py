@@ -204,7 +204,7 @@ class TestBatchedDraws:
     per-trial scalar and size-1 draws, and its element builder the per-trial
     product, to the bit."""
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(0, 2**63), st.integers(1, 40), st.lists(_BOUNDS, min_size=12, max_size=12))
     def test_one_draw_of_n_rows_is_the_per_trial_draws(self, seed, n, bounds):
         low, high = np.transpose(bounds)
@@ -216,7 +216,7 @@ class TestBatchedDraws:
         assert got.tobytes() == np.array(want).tobytes()
         assert batch.bit_generator.state == one_at_a_time.bit_generator.state
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(arrays(np.float64, (8, 3), elements=st.floats(-0.4, 0.4)))
     def test_the_element_builder_is_the_per_trial_product(self, bcd):
         draws = np.column_stack((np.zeros((8, 2)), bcd))

@@ -127,7 +127,7 @@ class TestSuperposePoint:
             assert abs(rec.p - xi0.p) <= 1e-9 * scale
             checked += 1
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-4.0, -0.25)),
                     min_size=4, max_size=4))
     def test_inversion_property(self, points):

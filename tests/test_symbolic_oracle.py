@@ -237,7 +237,7 @@ _numbers = st.tuples(_amp, _amp, _amp, _amp, _amp, _freq, _phase, _amp, _freq, _
                      st.floats(-1.5, 1.5))
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(_numbers, _numbers, st.floats(-1.5, 1.5), st.integers(0, JET_ORDER))
 def test_jet_arithmetic_matches_sympy_taylor_coefficients(f_numbers, g_numbers, t0, n):
     # shift g's constant so that g(t0) >= 0.5: it divides, and it has a root

@@ -211,7 +211,7 @@ class TestEval:
         with pytest.raises(NumericError, match=r"^overflow evaluating a time function at t=1\.0$"):
             parse_timefn(text).eval(1.0, order)
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(st.one_of(_short_timefns, _timefns), st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)), st.integers(0, 6))
     # long enough to pass the compiler's recursion limit if a poly compiled to one nested expression
     @example(TimeFn((_LONG_POLY,)), 0.5, 0)
@@ -243,7 +243,7 @@ class TestEval:
         finally:
             sys.setrecursionlimit(limit)
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(_timefns, st.data())
     def test_functions_of_one_shape_read_their_own_numbers(self, f, data):
         # g has f's shape, so their reads share compiled code, and numbers drawn anew
@@ -319,7 +319,7 @@ class TestParser:
             f = random_timefn(rng)
             assert parse_timefn(render_timefn(f)) == f
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(_timefns)
     @example(TimeFn((Poly((5e-324, -0.0, 1.7976931348623157e308)), Exp(-1e308, 2.2250738585072014e-308))))
     def test_roundtrip_property(self, f):
@@ -436,7 +436,7 @@ class TestJets:
         with pytest.raises(DomainError):
             Jet.of(constant(-1.0), 0.0, 2).sqrt()
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(_jets, _jets, _jet_reals)
     @example([-0.0], [1.0], 1.0)  # fsum((-0.0,)) is 0.0, where -0.0 * 1.0 is -0.0
     @example([-0.0, -0.0], [1.0, 1.0], 1.0)  # and fsum((-0.0, -0.0)) is 0.0
@@ -457,7 +457,7 @@ class TestJets:
         for got, want in pairs:
             assert _bits(got) == _bits(want)
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(_timefns, st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)), st.integers(0, 3))
     @example(TimeFn((Poly((-0.0, -0.0)),)), 0.0, 1)
     # the time function overflows at order 3; the view's square is inf - inf at order 2
