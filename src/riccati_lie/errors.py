@@ -61,4 +61,5 @@ class NumericError(RiccatiLieError):
 
 
 class WorkBoundError(NumericError):
-    """An integration that needs more than `integrator.MAX_STEPS` trial steps."""
+    """An integration DP5 cannot finish: one that needs more than
+    `integrator.MAX_STEPS` trial steps, or whose step size underflows."""

@@ -26,7 +26,8 @@ picture unguarded in a chart where its field is affine-linear and checks
 the domain on the dense output afterwards, and the riccati2 picture has no
 domain boundary.  `hamiltonian_guard` remains for library callers that
 integrate `model.hamiltonian_field` in (x, p).  Step-size underflow from
-error control (stiffness or finite-time blow-up) is reported separately.
+error control (stiffness or finite-time blow-up) is reported separately, as
+a `WorkBoundError`: like a solve past `MAX_STEPS`, one DP5 cannot finish.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GuardViolation, NumericError, WorkBoundError
+from .errors import DomainError, GuardViolation, WorkBoundError
 
 __all__ = ["Trajectory", "IntegratorStats", "integrate", "sample_at", "hamiltonian_guard"]
 
@@ -129,8 +130,9 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
     the step size unless max_step caps it; the continuous extension keeps
     `sample_at` as accurate between the nodes as at them.  A guard's
     docstring, when it has one, states its condition, and the guard errors
-    quote it.  A solve that needs more than MAX_STEPS trial steps, accepted
-    or rejected, raises WorkBoundError, a NumericError naming t.
+    quote it.  A solve DP5 cannot finish raises WorkBoundError, a NumericError
+    naming t: one that needs more than MAX_STEPS trial steps, accepted or
+    rejected, or whose step size underflows (stiffness or finite-time blow-up).
     """
     t0, state0 = ic
     t0, t1 = float(t0), float(t1)
@@ -174,7 +176,7 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
         if last:
             h = t1 - t
         elif h < _UNDERFLOW_T_SCALE * max(1.0, abs(t)):
-            raise NumericError(f"step size underflow at t={t} (stiffness or finite-time blow-up)")
+            raise WorkBoundError(f"step size underflow at t={t} (stiffness or finite-time blow-up)")
 
         # stages a..g at y + h (row sums, left to right), each summed before its time; k, s: the last return, its time
         try:

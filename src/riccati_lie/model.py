@@ -104,7 +104,7 @@ class PotentialSpec(Picture):
         if order:
             return self.a0.eval(t, order), self.a1.eval(t, order), self.a2.eval(t, order)
         # `JetFn.eval`'s order-0 read too: one method for both adds a call per read, about 3% of `affine_rhs`
-        return self.inline and self.inline(t) or self.floats(t)
+        return self.inline(t) or self.floats(t)
 
 
 _WINDOW_T_RESOLUTION = 1e-9  # narrowest interval the window check refines to, relative to the window

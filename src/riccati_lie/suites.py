@@ -95,9 +95,10 @@ def _relative_deviation(got, want) -> float:
 def draw_surviving_solutions(P, grid, tol, rng, n: int):
     """n Hamiltonian solutions of P from random initial points at grid[0],
     each a `solve_hamiltonian` result: (x, p) rows at the grid times.  A
-    draw whose solution blows up, or leaves the half-plane (p <= -1e-9) at
+    draw whose solution overflows as (x, p), or leaves the half-plane (p <= -1e-9) at
     any time of [grid[0], grid[-1]], between the grid times too, is redrawn;
-    one that reaches the integrator's work bound ends the draws."""
+    one DP5 cannot finish (`WorkBoundError`: the integrator's work bound, or
+    a step size that underflows) ends the draws."""
     out = []
     for _ in range(_MAX_DRAWS):
         ic = random_phase_points(rng, 1, x_range=(-0.8, 0.8), p_range=(-2.0, -0.5))[0]

@@ -44,7 +44,7 @@ import re
 import types
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, NumericError, TimeFnSyntaxError
+from .errors import DomainError, NumericError, RiccatiLieError, TimeFnSyntaxError
 
 __all__ = [
     "Poly",
@@ -191,16 +191,17 @@ def _sqrt(x):  # a jet's square root at its point
 
 
 _NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "fsum": math.fsum, "sqrt": math.sqrt,
-              "jet_sqrt": _sqrt, "isfinite": math.isfinite, "DomainError": DomainError}
+              "jet_sqrt": _sqrt, "isfinite": math.isfinite, "RiccatiLieError": RiccatiLieError}
 
 
 @functools.lru_cache(maxsize=1024)
-def _read_code(shape, reads, lines, names, raw, check):
+def _read_code(shape, reads, lines, names, check):
     """The code of `read(t, *params, *names)`: each (name, i, order) of `reads` assigns name the order-th derivative
-    of leaf i, a sum's terms ((term class, number of params) pairs) as a + 0.0 or a + b + 0.0 (fsum's correctly rounded
-    sum of finite terms; + 0.0 turns -0.0 into its 0.0) or fsum, or with `raw` a one-term sum's term, or where the
-    leaf is None its one param through `.eval`; then `lines` run, the last the values returned, or None where a line
-    raises or the `check` of them, if given, is false.  No config number is in its source."""
+    of leaf i: where the leaf is None, its one param through `.eval`; else a sum's terms ((term class, number of
+    params) pairs), with a `check` as a + 0.0 or a + b + 0.0 (fsum's correctly rounded sum of finite terms; + 0.0
+    turns -0.0 into its 0.0) or fsum, with none as a one-term sum's term, a term's own read.  Then `lines` run, the
+    last the values returned; with a `check`, None where a line or a leaf's `.eval` raises ArithmeticError,
+    ValueError or a RiccatiLieError, or the check of the values is false.  No config number is in its source."""
     params, code = [], []
     for i, terms in enumerate(shape):
         params += [f"leaf{i}"] if terms is None else [f"k{i}_{j}_{m}" for j, (_, n) in enumerate(terms)
@@ -208,25 +209,25 @@ def _read_code(shape, reads, lines, names, raw, check):
     for name, i, order in reads:
         parts = [f"({cls.template([f'k{i}_{j}_{m}' for m in range(n)], order, code)})"
                  for j, (cls, n) in enumerate(shape[i] or ())]
-        code.append(f"{name} = " + (f"float(leaf{i}.eval(t, {order}))" if shape[i] is None else parts[0] if raw
+        code.append(f"{name} = " + (f"float(leaf{i}.eval(t, {order}))" if shape[i] is None else parts[0] if not check
                                     else " + ".join([*parts, "0.0"]) if len(parts) <= 2
                                     else f"fsum([{', '.join(parts)}])"))
     *code, values = code + list(lines)
     if check:
         code = ["try:", *[f"    {line}" for line in code], f"    values = {values}",
-                "except (ArithmeticError, ValueError, DomainError):", "    return None"]
+                "except (ArithmeticError, ValueError, RiccatiLieError):", "    return None"]
         values = f"values if {check} else None"
     exec(compile("\n    ".join([f"def read(t, {', '.join(params + list(names))}):", *code, f"return {values}"]),
                  "<timefn read>", "exec"), _NAMESPACE, namespace := {})
     return namespace["read"].__code__
 
 
-def _compiled(leaves, reads, lines, raw=False, check=None, names=()):  # bound to leaves, their numbers, `names`
+def _compiled(leaves, reads, lines, check=None, names=()):  # bound to leaves, their numbers, `names`
     shape, params = [], []
     for leaf in leaves:
         shape.append(None if hasattr(leaf, "eval") else tuple((type(term), len(term.params)) for term in leaf))
         params += [leaf] if shape[-1] is None else [x for term in leaf for x in term.params]
-    return types.FunctionType(_read_code(tuple(shape), reads, lines, tuple(name for name, _ in names), raw, check),
+    return types.FunctionType(_read_code(tuple(shape), reads, lines, tuple(name for name, _ in names), check),
                               _NAMESPACE, "read", (*params, *(value for _, value in names)))
 
 
@@ -242,8 +243,7 @@ class _Reads(dict):
     def __missing__(self, order):
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        read = self[order] = _compiled((self.terms,), (("v", 0, order),), ("v",), self.raw,
-                                       None if self.raw else "isfinite(v)")
+        read = self[order] = _compiled((self.terms,), (("v", 0, order),), ("v",), None if self.raw else "isfinite(v)")
         return read
 
 
@@ -380,26 +380,28 @@ class Picture:
 
     A picture may give its order 0 as a `template` (leaves, reads, lines, names): `_read_code` reads of the
     time functions at the attribute paths `leaves`, then `lines` of float arithmetic, the last the values.
-    `floats(t)` reads each leaf through its `eval`, which gives the error lines.  Where every leaf is a
-    TimeFn of floats, `inline(t)` inlines their terms and returns the same values, or None where a line
-    raises or the values' sum, written out term by term, is not finite.  `eval` reads order 0 from
-    `inline`, else from `floats`.  Both are compiled once per shape, built on first use and left out of a pickle.
+    `floats(t)` reads each leaf through its `eval`, which gives the error lines.  `inline(t)` decides leaf by
+    leaf: it inlines the terms of a TimeFn of floats and reads any other leaf through its `eval`, as `floats`
+    does, and returns the same values, or None where a line or a leaf's `eval` raises or the values' sum,
+    written out term by term, is not finite.  `eval` reads order 0 from `inline`, else from `floats`, which
+    raises the first failure in the order the leaves are read.  Every picture with a template has both, each
+    compiled once per shape, built on first use and left out of a pickle.
     """
 
     names = ()
     template = None
 
-    def _map(self, inline):  # inline: TimeFns of floats, whose terms read to the bits of their evals, as floats
+    def _map(self, inline):  # inline: a TimeFn of floats as its terms, which read to the bits of its eval, as floats
         paths, reads, lines, names = self.template
         leaves = operator.attrgetter(*paths)(self)
         if inline:
-            leaves = [leaf.terms for leaf in leaves if type(leaf) is TimeFn
-                      and {type(x) for term in leaf.terms for x in term.params} <= {float}]
+            leaves = [leaf.terms if type(leaf) is TimeFn
+                      and {type(x) for term in leaf.terms for x in term.params} <= {float} else leaf for leaf in leaves]
         check = f"isfinite({' + '.join(f'values[{i}]' for i in range(len(self.names)))})" if inline else None
-        return _compiled(leaves, reads, lines, check=check, names=names) if len(leaves) == len(paths) else None
+        return _compiled(leaves, reads, lines, check=check, names=names)
 
     floats = functools.cached_property(lambda self: self.template and self._map(inline=False))
-    inline = functools.cached_property(lambda self: self.template and self.floats and self._map(inline=True))
+    inline = functools.cached_property(lambda self: self.template and self._map(inline=True))
 
     def __getstate__(self):  # without the compiled reads, which are built again on use
         return {name: value for name, value in vars(self).items() if name not in ("floats", "inline")}
@@ -443,7 +445,7 @@ class JetFn(Picture):
                     jets = self.jets(t, order)
                     values = tuple([jet.coeffs[0] for jet in jets])
                 else:
-                    jets, values = (), self.inline and self.inline(t) or self.floats(t)
+                    jets, values = (), self.inline(t) or self.floats(t)
             # math.fsum's intermediate overflow, or its inf - inf, in a jet product, quotient or sqrt
             except (OverflowError, ValueError):
                 raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None

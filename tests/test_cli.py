@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riccati_lie import cli, errors, integrator, liealg
+from riccati_lie import cli, errors, integrator, liealg, suites
 from riccati_lie.timefn import TimeFn, render_timefn
 from test_model import _fns
 
@@ -921,6 +921,22 @@ class TestWorkBound:
                             rf"{integrator.MAX_STEPS} trial steps", line), line
         assert captured.out == ""
         assert not out.exists()
+
+    # a quartic a0 of size 3e16 over a window of width 1e-3: the chart solve's step size underflows at one t,
+    # whatever the initial point, so `verify` ends on its first draw
+    UNDERFLOW = ("[potential]\na0 = poly -0.29999999999999999 -0.29999999999999999 0 -29551120510194752\n"
+                 "a1 = poly -0.15841878718873015\na2 = poly -0.15841878718873015\n\n"
+                 "[run]\nt0 = -2.08274666541109\nt1 = -2.08174666541109\nstep = 1e-4\ntol = 1e-10\n")
+
+    def test_a_step_size_underflow_ends_verify_on_its_first_solve(self, config, capsys, monkeypatch):
+        real, calls = suites.solve_hamiltonian, []
+        monkeypatch.setattr(suites, "solve_hamiltonian", lambda *args: calls.append(args) or real(*args))
+        assert cli.main(["verify", "all", config(self.UNDERFLOW), "--trials", "3"]) == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert re.fullmatch(r"numeric failure: step size underflow at t=-2\.08274\d+ "
+                            r"\(stiffness or finite-time blow-up\)", line), line
+        assert captured.out == "" and len(calls) == 1
 
 
 @st.composite

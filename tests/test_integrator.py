@@ -2,6 +2,7 @@
 
 import math
 import operator
+import re
 import struct
 from functools import partial, reduce
 
@@ -299,9 +300,12 @@ class TestGuards:
         assert np.all(traj.states[:, 1] <= -1e-9)
 
     def test_blowup_reports_step_underflow(self):
-        # dx/dt = x^2 from x=1 has a pole at t=1
-        with pytest.raises(NumericError):
+        # dx/dt = x^2 from x=1 has a pole at t=1: a step size that underflows there is a solve DP5 cannot finish
+        with pytest.raises(WorkBoundError) as excinfo:
             integrate(lambda t, y: (y[0] ** 2, 0.0), (0.0, (1.0, -1.0)), 2.0, 1e-8)
+        message = str(excinfo.value)
+        assert re.fullmatch(r"step size underflow at t=\S+ \(stiffness or finite-time blow-up\)", message)
+        assert abs(float(message.split("t=")[1].split()[0]) - 1.0) < 1e-6
 
 
 class TestEnergyDrift:

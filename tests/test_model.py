@@ -320,16 +320,17 @@ class TestHamiltonSide:
 
 class CountingJets(JetFn):
     """A picture that counts its builds: `JetFn.eval` calls `jets`, or the
-    order-0 `floats` where the wrapped picture has them, only when its memo
-    misses.  It takes a cubic picture's names, so that the views of a wrapped
-    cubic picture exist."""
+    order-0 `inline` (and `floats` where it returns None) where the wrapped
+    picture has them, only when its memo misses; `riccati2_rhs` calls `inline`
+    at every read.  It takes a cubic picture's names, so that the views of a
+    wrapped cubic picture exist."""
 
     names = RiccatiSpec.names
 
     def __init__(self, picture):
         self.picture, self.calls = picture, 0
         if picture.floats is None:  # every read builds jets
-            self.floats = None
+            self.floats = self.inline = None
 
     def jets(self, t, n):
         self.calls += 1
@@ -338,6 +339,10 @@ class CountingJets(JetFn):
     def floats(self, t):
         self.calls += 1
         return self.picture.floats(t)
+
+    def inline(self, t):
+        self.calls += 1
+        return self.picture.inline(t)
 
 
 class CountingPotentialJets(CountingJets):
@@ -353,24 +358,25 @@ _MEMO_TIMES = (0.0, -0.0, math.nan, 0.3, 0.3, 0.7, 1.25)
 class TestFieldMemo:
     def test_one_evaluation_per_distinct_stage_time(self):
         # DP5 stages 5 and 6 share t + h: every trial step reaching stage 6
-        # builds the picture's jets five times, not six
+        # builds the picture read through `eval` five times, not six;
+        # `riccati2_rhs` reads `inline` directly, with no memo, once per call
         R = coefficients_from_potential(random_potential(np.random.default_rng(44)))
         hits = []
 
         def guard(y):
             return hamiltonian_guard(y) or hits.append(y)
 
-        for rhs, picture, ic, guard_fn in (
+        for rhs, picture, ic, guard_fn, memo in (
             # a derived potential: a PotentialSpec is its time functions, with no jets to count
             (hamilton_rhs, potential_from_coefficients(RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID),
-             (0.1, -1.0), guard),
-            (riccati2_rhs, R, (0.1, 0.5), None),
+             (0.1, -1.0), guard, True),
+            (riccati2_rhs, R, (0.1, 0.5), None, False),
         ):
             counting = CountingJets(picture)
             stats = integrate(partial(rhs, counting), (0.0, ic), 2.0, 1e-10, guard=guard_fn).stats
             assert not hits
             assert stats.n_rejected > 0
-            assert counting.calls == stats.n_rhs - stats.n_accepted - stats.n_rejected
+            assert counting.calls == stats.n_rhs - (stats.n_accepted + stats.n_rejected if memo else 0)
 
     def test_field_equals_rhs_across_repeated_and_moved_times(self):
         rng = np.random.default_rng(48)
@@ -481,8 +487,8 @@ def _redrawn(term):
 class TestFloatForms:
     """A potential, `RiccatiSpec`, the cubic picture of a potential and the
     derived potential build order 0 in plain floats, from one template each:
-    inlined where every leaf is a TimeFn of floats, through the leaves' `eval`
-    else.  The reference is a derived picture's jets, through the same `eval`
+    a leaf that is a TimeFn of floats inlined, any other read through its
+    `eval`.  The reference is a derived picture's jets, through the same `eval`
     with the float form switched off, and a potential's fields' own reads;
     their errors included.  Only a potential's read may raise what a raw
     term's formula raises: a derived picture's read raises RiccatiLieError."""
@@ -560,18 +566,21 @@ class TestFloatForms:
         self.assert_same(self.read(P, t), self.read(PotentialSpec(*fs), t, floats=False), t, 3)
         assert P.inline is not None
 
-    @pytest.mark.parametrize("kind", ["potential", "riccati", "derived-potential", "potential-spec"])
+    @pytest.mark.parametrize("kind", ["potential", "riccati", "derived-potential", "potential-spec",
+                                      "riccati-of-views", "derived-potential-of-views"])
     def test_timefn_leaves_of_floats_are_read_inline(self, kind):
         floats = [parse_timefn(text) for text in ("poly 0.1 0.2; sin 0.3 2 0", "cos 0.5 1 0.25", "exp 0.2 -0.5",
                                                   "poly 2 0.5 0.25")]
-        # a leaf that is a raw term, or holds a numpy float, is read through its eval (c2 or a2, a leaf of each)
-        for leaf, inline in ((floats[2], True), (Sin(0.3, 2.0, 0.0), False),
-                             (TimeFn((Poly((np.float64(0.1),)),)), False)):
+        # a leaf that is a raw term, or holds a numpy float, is read through its eval (c2 or a2, a leaf of each),
+        # and so is every leaf of a picture over views; the other leaves' terms are inlined
+        for leaf, raw in ((floats[2], 0), (Sin(0.3, 2.0, 0.0), 1), (TimeFn((Poly((np.float64(0.1),)),)), 1)):
             fs = floats[:2] + [leaf] + floats[3:]
             picture = _PICTURES[kind](fs)
-            values = picture.eval(0.37)
-            assert (picture.inline is not None) == inline and picture.floats is not None
-            assert _bits(values) == _bits(self.read(_PICTURES[kind](fs), 0.37, floats=False))
+            want = _bits(self.read(_PICTURES[kind](fs), 0.37, floats=False))
+            assert _bits(picture.inline(0.37)) == _bits(picture.eval(0.37)) == want
+            code = picture.inline.__code__
+            leaves = sum(name.startswith("leaf") for name in code.co_varnames[:code.co_argcount])
+            assert leaves == (len(picture.template[0]) if kind.endswith("views") else raw)
 
     @settings(max_examples=60)
     @given(st.lists(_moderate_timefns, min_size=4, max_size=4), st.data())
@@ -591,8 +600,25 @@ class TestFloatForms:
     def test_a_field_that_is_no_time_function_is_read_on_its_own(self):
         R = coefficients_from_potential(random_potential(np.random.default_rng(7)))
         P = PotentialSpec(R.c0, constant(0.5), R.f1)
-        assert P.inline is None and P.floats is not None
-        assert P.eval(0.3) == (R.c0.eval(0.3), 0.5, R.f1.eval(0.3))
+        want = _bits((R.c0.eval(0.3), 0.5, R.f1.eval(0.3)))
+        assert _bits(P.inline(0.3)) == _bits(P.eval(0.3)) == _bits(P.floats(0.3)) == want
+
+    @pytest.mark.parametrize("make", [
+        lambda first, later: PotentialSpec(first, later, constant(1.0)),
+        lambda first, later: RiccatiSpec(first, later, constant(0.0), constant(1.0)),
+    ], ids=["potential-spec", "riccati"])
+    def test_a_mixed_picture_raises_its_first_leafs_error(self, make):
+        # an inlined leaf that overflows to inf without raising, read before a view whose eval raises: the read
+        # raises the first leaf's error, as the leaves' own reads in template order do
+        first = parse_timefn("poly 1e308 1e308")  # inf at t = 1
+        later = RiccatiSpec(constant(0.0), constant(0.0), constant(1e308), constant(1e-300)).f0  # inf at any t
+        with pytest.raises(NumericError, match=r"coefficient f0 is not finite at t=1\.0"):
+            later.eval(1.0)
+        picture = make(first, later)
+        assert picture.inline(1.0) is None
+        with pytest.raises(NumericError) as caught:
+            picture.eval(1.0)
+        assert str(caught.value) == "overflow evaluating a time function at t=1.0"
 
     def test_read_functions_pickle_without_their_compiled_reads(self):
         # the compiled reads are functions pickle cannot find by name: each object leaves them out

@@ -19,7 +19,7 @@ from riccati_lie.suites import (
     suite_action,
     suite_superposition,
 )
-from riccati_lie.timefn import constant
+from riccati_lie.timefn import constant, parse_timefn
 
 CANONICAL = PotentialSpec(constant(0.0), constant(0.0), constant(1.0))
 
@@ -80,6 +80,16 @@ class TestDrawSurvivingSolutions:
         with pytest.raises(WorkBoundError) as excinfo:
             draw_surviving_solutions(CANONICAL, np.linspace(0.0, 1.0, 11), 1e-8, np.random.default_rng(2), 3)
         assert excinfo.value is error and len(calls) == 2
+
+    def test_a_solve_whose_step_size_underflows_is_not_redrawn(self, monkeypatch):
+        # a quartic a0 of size 3e16 over a window of width 1e-3: every draw underflows at the same t
+        P = PotentialSpec(parse_timefn("poly -0.3 -0.3 0 -29551120510194752"),
+                          constant(-0.15841878718873015), constant(-0.15841878718873015))
+        calls = _failing_first(monkeypatch, suites, "solve_hamiltonian", [])
+        with pytest.raises(WorkBoundError, match=r"^step size underflow at t=-2\.08274"):
+            draw_surviving_solutions(P, np.linspace(-2.08274666541109, -2.08174666541109, 11), 1e-10,
+                                     np.random.default_rng(2), 3)
+        assert len(calls) == 1
 
 
 class TestSuiteSuperposition:
