@@ -37,7 +37,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .model import (
     coefficients_from_potential,
     map_defect,
     potential_from_coefficients,
-    riccati2_rhs,
     solve_hamiltonian,
 )
 from .superpose import Constants, PhaseTuple, constants_from_four, cyclic_integral, superpose_states
@@ -275,8 +274,7 @@ def cmd_simulate(args) -> int:
         traj = solve_hamiltonian(scenario.potential, ic, grid, scenario.tol)
         header, states = ["t", "x", "p"], traj.states
     else:
-        traj = integrate(partial(riccati2_rhs, scenario.riccati), (scenario.t0, ic), scenario.t1,
-                         scenario.tol, system=args.system)
+        traj = integrate(scenario.riccati.rhs, (scenario.t0, ic), scenario.t1, scenario.tol, system=args.system)
         header, states = ["t", "x", "v"], sample_at(traj, grid)
     rows = np.column_stack((grid, states))
     write_csv(args.out, header, rows)

@@ -20,6 +20,10 @@ correspondence implemented here:
 time functions, the Lie system's coefficients.  A derived picture is a `JetFn`
 built from Taylor jets.  All four pictures are `timefn.Picture`s: each reads
 order 0 through its `template`, the potential's the identity over its fields.
+Each states its field once, as `field` lines: a potential's the chart field
+below, a cubic picture's the first-order form of the equation.  Its `rhs`,
+which DP5 runs, compiles them after its order-0 read; `affine_rhs` and
+`riccati2_rhs` run them over any picture's `eval`.
 
 On the branch v + U > 0 the Legendre transform p = -1/(v + U)**2 is a
 bijection onto the half-plane O = {p < 0}, where the dynamics becomes the
@@ -48,7 +52,7 @@ import numpy as np
 
 from .errors import DomainError, GuardViolation, NumericError
 from .integrator import GUARD_P_MAX, GUARD_T_RESOLUTION, Trajectory, integrate, sample_at
-from .timefn import Jet, JetFn, Picture
+from .timefn import Jet, JetFn, Picture, uncompiled_field
 
 __all__ = [
     "PhasePoint",
@@ -99,6 +103,8 @@ class PotentialSpec(Picture):
 
     names = ("a0", "a1", "a2")
     template = (names, (("a0", 0, 0), ("a1", 1, 0), ("a2", 2, 0)), ("a0, a1, a2",), ())
+    # the chart field d(u, sigma)/dt of `affine_rhs`, with y = (u, sigma)
+    field = ("u, sigma = y", "half = 0.5 * a1", "1.0 - a0 * sigma - half * u, a2 * u + half * sigma")
 
     def eval(self, t, order=0):
         if order:
@@ -175,6 +181,8 @@ class RiccatiSpec(JetFn):
     template = (("c0", "c1", "c2", "c3"), (("dc3", 3, 1), ("c3", 3, 0), ("c0", 0, 0), ("c1", 1, 0), ("c2", 2, 0)),
                 ('positive("c3", t, c3)', "root = sqrt(c3)", "c0, c1, c2, c3, drag(c2, c3, dc3, root), 3.0 * root"),
                 _MAP_NAMES)  # `jets` at n = 0, read in the same order
+    # the first-order field d(x, v)/dt of `riccati2_rhs`, with y = (x, v)
+    field = ("x, v = y", "v, -(f0 + f1 * x) * v - (c0 + x * (c1 + x * (c2 + x * c3)))")
 
     def jets(self, t, n):
         c3 = Jet.of(self.c3, t, n + 1)  # the highest order first: views of one picture share its build
@@ -219,7 +227,7 @@ def eval_U(P: PotentialSpec | JetFn, t: float, x: float):
 class _CubicOfPotential(JetFn):
     P: PotentialSpec | JetFn
 
-    names = RiccatiSpec.names
+    names, field = RiccatiSpec.names, RiccatiSpec.field
     # `jets` at n = 0; a jet product's order 0 is fsum((x * y,)), which is x * y + 0.0
     template = (("P.a0", "P.a1", "P.a2"),
                 (("da0", 0, 1), ("a0", 0, 0), ("da1", 1, 1), ("a1", 1, 0), ("da2", 2, 1), ("a2", 2, 0)),
@@ -255,7 +263,7 @@ def coefficients_from_potential(P: PotentialSpec | JetFn, grid=None) -> JetFn:
 class _PotentialOfCubic(JetFn):
     R: JetFn
 
-    names = PotentialSpec.names
+    names, field = PotentialSpec.names, PotentialSpec.field
     # `jets` at n = 0: c3 to order 2, c2 to order 1, c1; sqrt's orders 0 and 1, `_drag`'s quotients' order 1, a1'
     template = (("R.c1", "R.c2", "R.c3"),
                 (("d2c3", 2, 2), ("dc3", 2, 1), ("c3", 2, 0), ("dc2", 1, 1), ("c2", 1, 0), ("c1", 0, 0)),
@@ -294,11 +302,14 @@ def map_defect(R: JetFn, R2: JetFn, grid, names):
     return tuple(map(max, zip(*rows)))
 
 
+_CUBIC_FIELD = uncompiled_field(RiccatiSpec.names, RiccatiSpec.field)
+_CHART_FIELD = uncompiled_field(PotentialSpec.names, PotentialSpec.field)
+
+
 def riccati2_rhs(R: JetFn, t: float, s: LagrangianPoint):
-    """First-order form of the cubic equation: d(x, v)/dt; order 0 through `R.inline` where it returns, with no memo."""
-    x, v = s
-    c0, c1, c2, c3, f0, f1 = R.inline and R.inline(t) or R.eval(t)
-    return (v, -(f0 + f1 * x) * v - (c0 + x * (c1 + x * (c2 + x * c3))))
+    """First-order form of the cubic equation: d(x, v)/dt, the lines of `RiccatiSpec.field` over `R.eval(t)`;
+    a cubic picture's compiled `rhs` runs them over its order-0 read."""
+    return _CUBIC_FIELD(t, s, R.eval)
 
 
 def hamilton_rhs(P: PotentialSpec | JetFn, t: float, s: PhasePoint):
@@ -310,11 +321,9 @@ def hamilton_rhs(P: PotentialSpec | JetFn, t: float, s: PhasePoint):
 
 
 def affine_rhs(P: PotentialSpec | JetFn, t: float, s):
-    """d(u, sigma)/dt: `hamilton_rhs` in the chart of `_to_affine`, defined on all of R^2."""
-    u, sigma = s
-    a0, a1, a2 = P.eval(t)
-    half = 0.5 * a1
-    return (1.0 - a0 * sigma - half * u, a2 * u + half * sigma)
+    """d(u, sigma)/dt: `hamilton_rhs` in the chart of `_to_affine`, defined on all of R^2; the lines of
+    `PotentialSpec.field` over `P.eval(t)`, which a potential's compiled `rhs` runs over its order-0 read."""
+    return _CHART_FIELD(t, s, P.eval)
 
 
 def hamiltonian(P: PotentialSpec | JetFn, t: float, s: PhasePoint) -> float:
@@ -405,20 +414,20 @@ def solve_hamiltonian(P: PotentialSpec | JetFn, s0, grid, tol) -> Trajectory:
     rows at the grid times.
 
     s0 must satisfy p0 <= -1e-9 (DomainError otherwise).  It is converted to
-    (u, sigma) once; DP5 integrates the affine chart field up to grid[-1]
-    with no guard, at _CHART_TOL_FACTOR times tol; `_stays_in_O` proves
-    p <= -1e-9 on the whole solution, between the grid times too, or raises
-    GuardViolation at the first exit; and the chart's dense output at the
-    grid converts back to (x, p), or NumericError names the first grid time
-    where it overflows.  The result carries no dense output: its ts is the
-    grid, and its stats count the chart integration's steps.
+    (u, sigma) once; DP5 integrates the affine chart field, P's compiled
+    `rhs`, up to grid[-1] with no guard, at _CHART_TOL_FACTOR times tol;
+    `_stays_in_O` proves p <= -1e-9 on the whole solution, between the grid
+    times too, or raises GuardViolation at the first exit; and the chart's
+    dense output at the grid converts back to (x, p), or NumericError names
+    the first grid time where it overflows.  The result carries no dense
+    output: its ts is the grid, and its stats count the chart integration's
+    steps.
     """
     x0, p0 = float(s0[0]), float(s0[1])
     if not p0 <= GUARD_P_MAX:
         raise DomainError(f"initial state {[x0, p0]} violates the domain guard p <= {GUARD_P_MAX}")
     grid = np.asarray(grid, dtype=float)
-    chart = integrate(partial(affine_rhs, P), (grid[0], _to_affine(x0, p0)), grid[-1],
-                      _CHART_TOL_FACTOR * tol)
+    chart = integrate(P.rhs, (grid[0], _to_affine(x0, p0)), grid[-1], _CHART_TOL_FACTOR * tol)
     _stays_in_O(chart)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         x, p = _from_affine(*sample_at(chart, grid).T)

@@ -9,7 +9,8 @@ function of t compiled once per shape from its terms' templates (`_read_code`).
 A `Picture` is the coefficients of one equation, read as a tuple: the
 potential's three time functions, or a picture derived from another.
 Every picture reads order 0 through one compiled function of its time
-functions, built from its `template`.
+functions, built from its `template`, and its field dy/dt through one
+more, which runs the field's lines after that read.
 
 Coefficients *derived* from these sums through products, quotients and
 square roots (the maps between the potential and the cubic-equation
@@ -59,6 +60,7 @@ __all__ = [
     "Picture",
     "JetFn",
     "Coefficient",
+    "uncompiled_field",
 ]
 
 
@@ -88,9 +90,14 @@ class Poly(_Term):
     @staticmethod
     def template(c, n, lines):
         """s = 0.0, then s += c_k perm(k, n) t^(k-n) from k = n up without its exact factors (a perm
-        of 1 too), as flat statements: no poly is too long for the compiler's recursion limit."""
+        of 1 too), as flat statements: no poly is too long for the compiler's recursion limit.  Each
+        t^j past t is computed once, at the top of `lines`, as tj: the same `pow`, so the same bits."""
         products = [f"{c[k]} * {math.perm(k, n)}" if math.perm(k, n) > 1 else c[k] for k in range(n, len(c))]
-        lines += [f"s{c[0]} = 0.0", *[f"s{c[0]} += {_times_power(x, 't', k)}" for k, x in enumerate(products)]]
+        for k in range(2, len(products)):
+            if (power := f"t{k} = t ** {k}") not in lines:
+                lines.insert(0, power)
+        terms = [x if not k else f"{x} * t" if k == 1 else f"{x} * t{k}" for k, x in enumerate(products)]
+        lines += [f"s{c[0]} = 0.0", *[f"s{c[0]} += {x}" for x in terms]]
         return f"s{c[0]}"
 
     def slope_bound(self, t0, t1):
@@ -195,13 +202,17 @@ _NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "fsum": math.fs
 
 
 @functools.lru_cache(maxsize=1024)
-def _read_code(shape, reads, lines, names, check):
+def _read_code(shape, reads, lines, names, check, field=None):
     """The code of `read(t, *params, *names)`: each (name, i, order) of `reads` assigns name the order-th derivative
     of leaf i: where the leaf is None, its one param through `.eval`; else a sum's terms ((term class, number of
     params) pairs), with a `check` as a + 0.0 or a + b + 0.0 (fsum's correctly rounded sum of finite terms; + 0.0
     turns -0.0 into its 0.0) or fsum, with none as a one-term sum's term, a term's own read.  Then `lines` run, the
     last the values returned; with a `check`, None where a line or a leaf's `.eval` raises ArithmeticError,
-    ValueError or a RiccatiLieError, or the check of the values is false.  No config number is in its source."""
+    ValueError or a RiccatiLieError, or the check of the values is false.  No config number is in its source.
+
+    With a `field` (coefficients, field lines) the code is of `read(t, y, *params, *names)`, and `eval` is one of
+    `names`: it binds the values to the coefficients, which the check reads, and to `eval(t)`'s where it fails,
+    then runs the field lines over them and the state y, and returns the last."""
     params, code = [], []
     for i, terms in enumerate(shape):
         params += [f"leaf{i}"] if terms is None else [f"k{i}_{j}_{m}" for j, (_, n) in enumerate(terms)
@@ -213,22 +224,34 @@ def _read_code(shape, reads, lines, names, check):
                                     else " + ".join([*parts, "0.0"]) if len(parts) <= 2
                                     else f"fsum([{', '.join(parts)}])"))
     *code, values = code + list(lines)
+    target = ", ".join(field[0]) if field else "values"
+    code += [f"{target} = {values}"] if values != target else []  # a potential's values are its coefficients
     if check:
-        code = ["try:", *[f"    {line}" for line in code], f"    values = {values}",
-                "except (ArithmeticError, ValueError, RiccatiLieError):", "    return None"]
-        values = f"values if {check} else None"
+        code = ["try:", *[f"    {line}" for line in code], f"    ok = {check}",
+                "except (ArithmeticError, ValueError, RiccatiLieError):", "    ok = False"]
+    values = "values if ok else None" if check else "values"
+    if field:
+        *code, values = [*code, *(["if not ok:", f"    {target} = eval(t)"] if check else []), *field[1]]
+        params.insert(0, "y")
     exec(compile("\n    ".join([f"def read(t, {', '.join(params + list(names))}):", *code, f"return {values}"]),
                  "<timefn read>", "exec"), _NAMESPACE, namespace := {})
     return namespace["read"].__code__
 
 
-def _compiled(leaves, reads, lines, check=None, names=()):  # bound to leaves, their numbers, `names`
+def _compiled(leaves, reads, lines, check=None, names=(), field=None):  # bound to leaves, their numbers, `names`
     shape, params = [], []
     for leaf in leaves:
         shape.append(None if hasattr(leaf, "eval") else tuple((type(term), len(term.params)) for term in leaf))
         params += [leaf] if shape[-1] is None else [x for term in leaf for x in term.params]
-    return types.FunctionType(_read_code(tuple(shape), reads, lines, tuple(name for name, _ in names), check),
-                              _NAMESPACE, "read", (*params, *(value for _, value in names)))
+    code = _read_code(tuple(shape), reads, lines, tuple(name for name, _ in names), check, field)
+    return types.FunctionType(code, _NAMESPACE, "read", (*params, *(value for _, value in names)))
+
+
+def uncompiled_field(names, lines):
+    """The field of `lines` over the coefficients `names` and the state y, the last the derivative, as
+    `read(t, y, eval)`: they run over `eval(t)`, for any picture's `eval`.  A picture's `rhs` is the
+    same lines compiled with its order-0 read."""
+    return types.FunctionType(_read_code((), (), ("eval(t)",), ("eval",), None, (names, lines)), _NAMESPACE, "read")
 
 
 class _Reads(dict):
@@ -384,27 +407,38 @@ class Picture:
     leaf: it inlines the terms of a TimeFn of floats and reads any other leaf through its `eval`, as `floats`
     does, and returns the same values, or None where a line or a leaf's `eval` raises or the values' sum,
     written out term by term, is not finite.  `eval` reads order 0 from `inline`, else from `floats`, which
-    raises the first failure in the order the leaves are read.  Every picture with a template has both, each
-    compiled once per shape, built on first use and left out of a pickle.
+    raises the first failure in the order the leaves are read.
+
+    A picture with a template may give its field dy/dt as `field`: lines of arithmetic over `names` and a
+    state y, the last the derivative, which `uncompiled_field` runs over `eval(t)`.  `rhs(t, y)` runs them
+    over `inline`'s values, else over `eval(t)`'s, which is that uncompiled field: the same values, or the
+    same exception.  `floats`, `inline` and `rhs` are each compiled once per shape, built on first use and
+    left out of a pickle.
     """
 
     names = ()
     template = None
+    field = None
 
-    def _map(self, inline):  # inline: a TimeFn of floats as its terms, which read to the bits of its eval, as floats
+    # inline: a TimeFn of floats as its terms, which read to the bits of its eval, as floats
+    def _map(self, inline, field=None):
         paths, reads, lines, names = self.template
         leaves = operator.attrgetter(*paths)(self)
         if inline:
             leaves = [leaf.terms if type(leaf) is TimeFn
                       and {type(x) for term in leaf.terms for x in term.params} <= {float} else leaf for leaf in leaves]
-        check = f"isfinite({' + '.join(f'values[{i}]' for i in range(len(self.names)))})" if inline else None
-        return _compiled(leaves, reads, lines, check=check, names=names)
+        terms = self.names if field else [f"values[{i}]" for i in range(len(self.names))]
+        check = f"isfinite({' + '.join(terms)})" if inline else None
+        if field:
+            names += (("eval", self.eval),)
+        return _compiled(leaves, reads, lines, check=check, names=names, field=field and (self.names, field))
 
     floats = functools.cached_property(lambda self: self.template and self._map(inline=False))
     inline = functools.cached_property(lambda self: self.template and self._map(inline=True))
+    rhs = functools.cached_property(lambda self: self.field and self._map(inline=True, field=self.field))
 
     def __getstate__(self):  # without the compiled reads, which are built again on use
-        return {name: value for name, value in vars(self).items() if name not in ("floats", "inline")}
+        return {name: value for name, value in vars(self).items() if name not in ("floats", "inline", "rhs")}
 
 
 class JetFn(Picture):

@@ -193,14 +193,16 @@ def test_only_the_read_builder_compiles_source():
 
 def test_every_picture_reads_order_0_through_its_template():
     # the four pictures of `model` each give their order 0 as a template, which only the pictures' own `eval`s
-    # read, through `inline` and else `floats`; `riccati2_rhs` calls `inline` directly, with no memo
+    # read, through `inline` and else `floats`; each compiles it with its field as `rhs`, which the commands hand
+    # to DP5, so no module calls the uncompiled fields `affine_rhs` and `riccati2_rhs`: the oracles and tests do
     from riccati_lie import model, timefn
 
     pictures = {name: cls for name, cls in vars(model).items()
                 if isinstance(cls, type) and issubclass(cls, timefn.Picture) and cls.__module__ == model.__name__}
     assert set(pictures) == {"PotentialSpec", "RiccatiSpec", "_CubicOfPotential", "_PotentialOfCubic"}
-    assert all(cls.template is not None for cls in pictures.values())
-    assert _callers("inline") == {("timefn", "JetFn.eval"), ("model", "PotentialSpec.eval"), ("model", "riccati2_rhs")}
+    assert all(cls.template is not None and cls.field is not None for cls in pictures.values())
+    assert _callers("inline") == {("timefn", "JetFn.eval"), ("model", "PotentialSpec.eval")}
+    assert _callers("affine_rhs") == _callers("riccati2_rhs") == set()
     assert _callers("floats") == {("timefn", "JetFn.eval"), ("model", "PotentialSpec.eval")}
 
 

@@ -19,6 +19,7 @@ from riccati_lie.model import (
     PhasePoint,
     PotentialSpec,
     RiccatiSpec,
+    affine_rhs,
     coefficients_from_potential,
     eval_U,
     hamilton_rhs,
@@ -321,9 +322,9 @@ class TestHamiltonSide:
 class CountingJets(JetFn):
     """A picture that counts its builds: `JetFn.eval` calls `jets`, or the
     order-0 `inline` (and `floats` where it returns None) where the wrapped
-    picture has them, only when its memo misses; `riccati2_rhs` calls `inline`
-    at every read.  It takes a cubic picture's names, so that the views of a
-    wrapped cubic picture exist."""
+    picture has them, only when its memo misses; the wrapped picture's
+    compiled `rhs` calls none of them.  It takes a cubic picture's names, so
+    that the views of a wrapped cubic picture exist."""
 
     names = RiccatiSpec.names
 
@@ -359,24 +360,30 @@ class TestFieldMemo:
     def test_one_evaluation_per_distinct_stage_time(self):
         # DP5 stages 5 and 6 share t + h: every trial step reaching stage 6
         # builds the picture read through `eval` five times, not six;
-        # `riccati2_rhs` reads `inline` directly, with no memo, once per call
+        # a picture's compiled `rhs` reads its template directly, with no memo,
+        # and calls `eval` only where that read fails
         R = coefficients_from_potential(random_potential(np.random.default_rng(44)))
         hits = []
 
         def guard(y):
             return hamiltonian_guard(y) or hits.append(y)
 
-        for rhs, picture, ic, guard_fn, memo in (
+        for rhs, picture, ic, guard_fn in (
             # a derived potential: a PotentialSpec is its time functions, with no jets to count
-            (hamilton_rhs, potential_from_coefficients(RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID),
-             (0.1, -1.0), guard, True),
-            (riccati2_rhs, R, (0.1, 0.5), None, False),
+            (hamilton_rhs, potential_from_coefficients(RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID), (0.1, -1.0), guard),
+            (riccati2_rhs, R, (0.1, 0.5), None),
         ):
             counting = CountingJets(picture)
-            stats = integrate(partial(rhs, counting), (0.0, ic), 2.0, 1e-10, guard=guard_fn).stats
+            traj = integrate(partial(rhs, counting), (0.0, ic), 2.0, 1e-10, guard=guard_fn)
+            stats = traj.stats
             assert not hits
             assert stats.n_rejected > 0
-            assert counting.calls == stats.n_rhs - (stats.n_accepted + stats.n_rejected if memo else 0)
+            assert counting.calls == stats.n_rhs - (stats.n_accepted + stats.n_rejected)
+        # the compiled field of the last row's picture: its trajectory, and no `eval` call
+        evals, compiled = [], dataclasses.replace(R)
+        compiled.__dict__["eval"] = lambda t, order=0: evals.append(t) or R.eval(t, order)
+        got = integrate(compiled.rhs, (0.0, (0.1, 0.5)), 2.0, 1e-10)
+        assert not evals and got.stats == stats and _bits(got.states.ravel()) == _bits(traj.states.ravel())
 
     def test_field_equals_rhs_across_repeated_and_moved_times(self):
         rng = np.random.default_rng(48)
@@ -484,6 +491,16 @@ def _redrawn(term):
     return numbers.map(lambda xs: Poly(tuple(xs)) if isinstance(term, Poly) else type(term)(*xs))
 
 
+def _of_numpy_floats(f):  # a picture reads such a leaf through its eval
+    return TimeFn(tuple(Poly(tuple(map(np.float64, term.params))) if isinstance(term, Poly)
+                        else type(term)(*map(np.float64, term.params)) for term in f.terms))
+
+
+# the grammar's leaves, and moderate ones over numpy floats, whose overflow would warn
+_leaves = st.one_of(_fns, _moderate_timefns.map(_of_numpy_floats))
+_coordinates = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestFloatForms:
     """A potential, `RiccatiSpec`, the cubic picture of a potential and the
     derived potential build order 0 in plain floats, from one template each:
@@ -558,6 +575,43 @@ class TestFloatForms:
         for t in [0.0, -0.0] + times:
             self.assert_same(self.read(_PICTURES[kind](fs), t), self.read(_PICTURES[kind](fs), t, floats=False), t, n)
 
+    @staticmethod
+    def field(rhs, t, y):
+        try:
+            return rhs(t, y)
+        except (RiccatiLieError, ArithmeticError, ValueError) as exc:
+            return exc
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(tuple(_PICTURES)), st.lists(_leaves, min_size=4, max_size=4),
+           st.lists(st.floats(-1e3, 1e3), max_size=3), st.tuples(_coordinates, _coordinates))
+    # signed zeros in the coefficients and the state
+    @example("signed-potential", [constant(1.0)] * 4, [], (-0.0, -0.0))
+    @example("signed-riccati", [constant(1.0)] * 4, [], (-0.0, 0.0))
+    # `test_order_0_is_the_jets_bits`'s overflow configs: c3 = a2^2 overflows in its jets, c1's a0 a2 is inf, c3 and f0
+    # are inf
+    @example("potential", [constant(0.0), constant(0.0), parse_timefn("poly 1e154 1e154"), constant(1.0)], [],
+             (0.5, 1.0))
+    @example("potential", [parse_timefn("poly 1e200 -1e200"), constant(0.0), parse_timefn("poly 1e200 1e200"),
+                           constant(1.0)], [], (0.5, 1.0))
+    @example("potential", [constant(0.0), constant(0.0), parse_timefn("poly 1e200"), constant(1.0)], [], (0.5, 1.0))
+    @example("riccati", [constant(0.0), constant(0.0), constant(1e308), constant(1e-300)], [], (0.5, 1.0))
+    # finite coefficients whose sum overflows: the compiled read's check fails, and the field still returns
+    @example("potential-spec", [parse_timefn("poly 1e308"), parse_timefn("poly 1e308"), constant(1.0),
+                                constant(1.0)], [], (0.5, 1.0))
+    @example("riccati", [constant(1e308), constant(1e308), constant(0.0), constant(1.0)], [], (0.5, 1.0))
+    def test_the_compiled_field_is_the_uncompiled_ones(self, kind, fs, times, y):
+        # each picture's `rhs` returns the bits of `affine_rhs` or `riccati2_rhs` on a fresh picture, or raises
+        # the same error; a raw term's error too
+        uncompiled = affine_rhs if len(_PICTURES[kind](fs).names) == 3 else riccati2_rhs
+        for t in [0.0, -0.0] + times:
+            got = self.field(_PICTURES[kind](fs).rhs, t, y)
+            want = self.field(partial(uncompiled, _PICTURES[kind](fs)), t, y)
+            if isinstance(want, tuple):
+                assert isinstance(got, tuple) and _bits(got) == _bits(want) and set(map(type, got)) <= {float}
+            else:
+                assert (type(got), str(got)) == (type(want), str(want))
+
     @settings(max_examples=300)
     @given(st.lists(_timefns, min_size=3, max_size=3), st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)))
     def test_a_potential_of_timefns_reads_its_fields_bits_inline(self, fs, t):
@@ -631,14 +685,16 @@ class TestFloatForms:
             copy = pickle.loads(pickle.dumps(obj))
             assert copy == obj and copy is not obj
             assert _bits([copy.eval(t, order) for t in times for order in (0, 1, 2)]) == _bits(reads)
-        # the pictures, after an order-0 read: each a read through its compiled map
+        # the pictures, after an order-0 read and a field read: each a read through its compiled map
         R = RiccatiSpec(*fs, parse_timefn("poly 2 0.5 0.25"))
         for picture in (P, R, coefficients_from_potential(P), potential_from_coefficients(R, GRID)):
             reads = [picture.eval(t) for t in times]
-            assert picture.inline is not None
+            fields = [picture.rhs(t, (0.25, -0.5)) for t in times]
+            assert picture.inline is not None and "rhs" in vars(picture)
             copy = pickle.loads(pickle.dumps(picture))
-            assert copy == picture and copy is not picture and not {"floats", "inline"} & set(vars(copy))
+            assert copy == picture and copy is not picture and not {"floats", "inline", "rhs"} & set(vars(copy))
             assert _bits([copy.eval(t) for t in times]) == _bits(reads)
+            assert _bits([copy.rhs(t, (0.25, -0.5)) for t in times]) == _bits(fields)
             assert _bits([copy.eval(t, 2) for t in times]) == _bits([picture.eval(t, 2) for t in times])
 
 

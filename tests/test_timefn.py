@@ -1,5 +1,6 @@
 """Tests for the time-function layer: exact derivatives, grammar, jets."""
 
+import dis
 import math
 import sys
 from dataclasses import dataclass
@@ -259,6 +260,39 @@ class TestEval:
                     for term in h.terms:
                         assert _bits(lambda: [term.eval(t, n)]) == _bits(lambda: [_ref_term(term, t, n)])
             assert f._reads[n].__code__ is g._reads[n].__code__
+
+    @settings(max_examples=100)
+    @given(st.lists(st.lists(st.one_of(_reals, st.floats(-2.0, 2.0)), min_size=6, max_size=9), min_size=4, max_size=4))
+    def test_each_power_of_t_is_computed_once_to_the_same_bits(self, coeffs):
+        # polys of degree 5-8 at orders 0-3; t = 1e62 makes t ** 5 overflow, t = 1e-160 makes t ** 2 subnormal
+        from riccati_lie.model import RiccatiSpec
+
+        fs = [TimeFn((Poly(tuple(c)),)) for c in coeffs]
+        picture = RiccatiSpec(*fs)  # c3 at orders 1 and 0, the others at 0, from one compiled read
+        for t in (0.0, -0.0, 5e-324, 1e-160, 1e62):
+            for f in fs:
+                for n in range(4):
+                    assert _bits(lambda: [f.terms[0].eval(t, n)]) == _bits(lambda: [_ref_term(f.terms[0], t, n)])
+                    assert _bits(lambda: [f.eval(t, n)]) == _bits(lambda: [_ref_eval(f, t, n)])
+            # each leaf through its own read, or the first failure among them
+            want, got = _bits(lambda: picture.floats(t)), picture.inline(t)
+            if isinstance(want, list) and math.isfinite(sum(map(float.fromhex, want))):
+                assert [x.hex() for x in got] == want
+            else:
+                assert got is None
+        codes = [g._reads[n].__code__ for f in fs for g in (f, f.terms[0]) for n in range(4)]
+        for code in codes + [picture.inline.__code__, picture.rhs.__code__]:
+            powers = _powers(code)
+            assert len(powers) == len(set(powers))
+        assert sorted(_powers(picture.rhs.__code__)) == list(range(2, max(map(len, coeffs))))
+
+
+def _powers(code):
+    """The exponent of each `t ** n` a compiled read computes."""
+    ops = list(dis.get_instructions(code))
+    return [n.argval for t, n, power in zip(ops, ops[1:], ops[2:])
+            if (t.opname, t.argval, n.opname) == ("LOAD_FAST", "t", "LOAD_CONST")
+            and (power.opname == "BINARY_POWER" or power.argrepr == "**")]
 
 
 class TestParser:
