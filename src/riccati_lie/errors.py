@@ -61,5 +61,6 @@ class NumericError(RiccatiLieError):
 
 
 class WorkBoundError(NumericError):
-    """An integration DP5 cannot finish: one that needs more than
-    `integrator.MAX_STEPS` trial steps, or whose step size underflows."""
+    """An integration the DOP853 integrator cannot finish: one that needs
+    more than `integrator.MAX_STEPS` trial steps, or whose step size
+    underflows."""

@@ -22,8 +22,8 @@ built from Taylor jets.  All four pictures are `timefn.Picture`s: each reads
 order 0 through its `template`, the potential's the identity over its fields.
 Each states its field once, as `field` lines: a potential's the chart field
 below, a cubic picture's the first-order form of the equation.  Its `rhs`,
-which DP5 runs, compiles them after its order-0 read; `affine_rhs` and
-`riccati2_rhs` run them over any picture's `eval`.
+which the integrator runs, compiles them after its order-0 read;
+`affine_rhs` and `riccati2_rhs` run them over any picture's `eval`.
 
 On the branch v + U > 0 the Legendre transform p = -1/(v + U)**2 is a
 bijection onto the half-plane O = {p < 0}, where the dynamics becomes the
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -358,18 +358,27 @@ def hamiltonian_field(P: PotentialSpec | JetFn):
     return partial(hamilton_rhs, P)
 
 
-# The chart solve's error control runs at a quarter of the caller's tol.  At
-# tol itself it is less accurate than the guarded (x, p) solve it replaced:
-# F0 drift over the simulate_hamiltonian bench configs, seeds 21-23, went
-# 9.69 -> 9.19, 9.75 -> 9.62 and 9.43 -> 9.43 correct digits.  At tol/4 it
-# gains (9.69 -> 9.73, 9.75 -> 10.16, 9.43 -> 10.12), while RHS calls per op
-# still fall 424 -> 294 (traced, seed 21) and op_p50 9.80 -> 7.76 ms (median
-# over seeds 21-30; Intel Xeon VM, two vCPUs).
-_CHART_TOL_FACTOR = 0.25
+# The chart solve's error control runs at a sixteenth of the caller's tol.
+# With DP5, the Dormand-Prince 5(4) pair DOP853 replaced, it ran at a
+# quarter: at tol itself it was less accurate than the guarded (x, p) solve
+# it replaced (F0 drift over the simulate_hamiltonian bench configs, seeds
+# 21-23, 9.69 -> 9.19, 9.75 -> 9.62 and 9.43 -> 9.43 correct digits), and at
+# tol/4 it gained (9.69 -> 9.73, 9.75 -> 10.16, 9.43 -> 10.12).  DOP853 at
+# tol/4 is no more accurate than DP5 there: verify_all err_digits over the
+# 128 configs of seeds 21-23, DP5 -> DOP853, 9.84 -> 9.89, 9.79 -> 9.79 and
+# 9.89 -> 9.81.  At tol/16 DOP853 reads 10.33, 10.27 and 10.35, while RHS
+# calls per op still fall 2,673 -> 1,503, 2,622 -> 1,509 and 2,547 -> 1,473
+# (in one process, on `bench/gen.py` inputs).
+_CHART_TOL_FACTOR = 0.0625
 _SIGMA_FLOOR = math.sqrt(-GUARD_P_MAX)  # sigma >= sqrt(1e-9) is p <= -1e-9
-# power-basis coefficients of a quartic in s on [0, 1] to its Bernstein ones,
-# which bound it from below by their least and equal it at s = 0 and s = 1
-_BERNSTEIN = np.array([[math.comb(j, k) / math.comb(4, k) for k in range(5)] for j in range(5)])
+
+
+@cache
+def _bernstein(n):
+    """The matrix taking the power-basis coefficients of a degree-n polynomial
+    in s on [0, 1] to its Bernstein ones, which bound it from below by their
+    least and equal it at s = 0 and s = 1."""
+    return np.array([[math.comb(j, k) / math.comb(n, k) for k in range(n + 1)] for j in range(n + 1)])
 
 
 def _halves(coef):
@@ -387,16 +396,18 @@ def _stays_in_O(chart: Trajectory) -> None:
     """GuardViolation unless sigma >= sqrt(1e-9) on the whole dense output of
     a chart trajectory, between its nodes too.
 
-    Each step's sigma is a quartic; the least of its Bernstein coefficients
-    bounds it from below, so one array pass proves almost every step.  A
-    step it does not prove is halved, left half first, until each piece is
-    proved or the first piece that is not has shrunk to GUARD_T_RESOLUTION;
-    its start is the exit time reported.  A NaN coefficient proves nothing.
+    Each step's sigma is a polynomial of degree coeffs.shape[1]; the least
+    of its Bernstein coefficients bounds it from below, so one array pass
+    proves almost every step.  A step it does not prove is halved, left half
+    first, until each piece is proved or the first piece that is not has
+    shrunk to GUARD_T_RESOLUTION; its start is the exit time reported.  A NaN
+    coefficient proves nothing.
     """
     ts = chart.ts.tolist()
-    quartics = np.column_stack((chart.states[:-1, 1], chart.coeffs[:, :, 1])) @ _BERNSTEIN.T
-    for i in np.flatnonzero(~(quartics.min(axis=1) >= _SIGMA_FLOOR)).tolist():
-        todo = [(ts[i], ts[i + 1], quartics[i].tolist())]
+    power = np.column_stack((chart.states[:-1, 1], chart.coeffs[:, :, 1]))
+    bernstein = power @ _bernstein(power.shape[1] - 1).T
+    for i in np.flatnonzero(~(bernstein.min(axis=1) >= _SIGMA_FLOOR)).tolist():
+        todo = [(ts[i], ts[i + 1], bernstein[i].tolist())]
         while todo:
             a, b, coef = todo.pop()
             if all(c >= _SIGMA_FLOOR for c in coef):
@@ -414,7 +425,7 @@ def solve_hamiltonian(P: PotentialSpec | JetFn, s0, grid, tol) -> Trajectory:
     rows at the grid times.
 
     s0 must satisfy p0 <= -1e-9 (DomainError otherwise).  It is converted to
-    (u, sigma) once; DP5 integrates the affine chart field, P's compiled
+    (u, sigma) once; DOP853 integrates the affine chart field, P's compiled
     `rhs`, up to grid[-1] with no guard, at _CHART_TOL_FACTOR times tol;
     `_stays_in_O` proves p <= -1e-9 on the whole solution, between the grid
     times too, or raises GuardViolation at the first exit; and the chart's

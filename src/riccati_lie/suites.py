@@ -97,7 +97,7 @@ def draw_surviving_solutions(P, grid, tol, rng, n: int):
     each a `solve_hamiltonian` result: (x, p) rows at the grid times.  A
     draw whose solution overflows as (x, p), or leaves the half-plane (p <= -1e-9) at
     any time of [grid[0], grid[-1]], between the grid times too, is redrawn;
-    one DP5 cannot finish (`WorkBoundError`: the integrator's work bound, or
+    one the integrator cannot finish (`WorkBoundError`: its work bound, or
     a step size that underflows) ends the draws."""
     out = []
     for _ in range(_MAX_DRAWS):
@@ -167,7 +167,7 @@ def suite_action(rng, trials: int) -> list:
 
 
 def suite_integrals(P, t0, t1, tol, rng) -> list:
-    """Drift of F0, F1, F2 along four simultaneously integrated solutions."""
+    """Drift of F0, F1, F2 along four separately integrated solutions of P."""
     trajs = draw_surviving_solutions(P, np.linspace(t0, t1, _CHECK_GRID), tol, rng, 4)
     k = superpose.constants_from_four([tr.states.T for tr in trajs])
     values = np.column_stack((k.F0, k.k1, k.k2))

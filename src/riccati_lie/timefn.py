@@ -455,8 +455,9 @@ class JetFn(Picture):
 
     `eval` keeps its last build (t, order, jets and values, out of `==`, `hash`
     and `repr`) and serves any read at that t of an order no higher from it, to
-    the bit: a jet's k-th coefficient does not depend on the order built.  DP5
-    stages 5 and 6 share t + h, and a reader asks for its highest order first.
+    the bit: a jet's k-th coefficient does not depend on the order built.  An
+    accepted DOP853 step's stages 12 and 13 share t + h, and a reader asks for
+    its highest order first.
     An order-0 build keeps no jets, so a higher order at its t builds again.
     A zero t hits only with the last build's sign: 0.0 == -0.0, but their coefficients may differ.
     """

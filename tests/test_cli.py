@@ -827,7 +827,8 @@ class TestOverflow:
         # t = 0.3408, and the first stage time past it is named (the jets overflow at t0 in
         # fsum((1e308, 1e308)) of c3's order 1)
         pytest.param(BIG_A2, ["simulate", "CONFIG", "--system", "riccati2", "--ic=0,0", "--out", "OUT"],
-                     cli.EXIT_NUMERIC, "numeric failure: coefficient c3 is not finite at t=0.3777", id="jets-simulate"),
+                     cli.EXIT_NUMERIC, "numeric failure: coefficient c3 is not finite at t=0.3614662829",
+                     id="jets-simulate"),
         pytest.param(BIG_A2, ["derive", "CONFIG"], cli.EXIT_NUMERIC,
                      "numeric failure: overflow evaluating the coefficient jets at t=0.0", id="jets-derive"),
         # c1's a0 a2 product is 1e200 * 1e200 at order 0 (its order-1 sum is fsum's inf - inf)
@@ -900,9 +901,10 @@ class TestOverflow:
 
 
 class TestWorkBound:
-    """A coefficient DP5 cannot resolve, a sine of frequency 1e154 in a0: the
-    solve stops after integrator.MAX_STEPS trial steps, about a second and a
-    half, with exit 5 and one stderr line, and `verify` does not redraw it."""
+    """A coefficient the integrator cannot resolve, a sine of frequency 1e154
+    in a0: the solve stops after integrator.MAX_STEPS trial steps, about a
+    second of CPU, with exit 5 and one stderr line, and `verify` does not
+    redraw it."""
 
     FAST = ("[potential]\na0 = sin 1.369184274815411 1e+154 -0.954876122057045; "
             "poly -0.015484652803268606 -4.38997601733773e-117\n"
@@ -917,8 +919,9 @@ class TestWorkBound:
         assert cli.main([paths.get(arg, arg) for arg in argv]) == cli.EXIT_NUMERIC
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
-        assert re.fullmatch(rf"numeric failure: integration work bound reached at t=0\.00\d+: "
-                            rf"{integrator.MAX_STEPS} trial steps", line), line
+        stop = re.fullmatch(rf"numeric failure: integration work bound reached at t=(\S+): "
+                            rf"{integrator.MAX_STEPS} trial steps", line)
+        assert stop and 0.0 < float(stop[1]) < 1e-4, line
         assert captured.out == ""
         assert not out.exists()
 
@@ -959,9 +962,9 @@ class TestEveryCommand:
     it prints or writes finite, or 1 with FAIL lines, or an error exit (2-5) with one stderr line,
     nothing on stdout and no output file; never a traceback.
 
-    The grammar reaches coefficients DP5 cannot resolve, whose solves run to the work bound, and
+    The grammar reaches coefficients the integrator cannot resolve, whose solves run to the work bound, and
     `verify` redraws a solution that fails up to 80 times.  The bound is lowered to WORK trial steps,
-    ten times the largest solve of the benchmark's inputs, so that every example ends within seconds."""
+    about fifty times the largest solve of the benchmark's inputs, so that every example ends within seconds."""
 
     WORK = 2_000
 

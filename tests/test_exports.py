@@ -194,7 +194,8 @@ def test_only_the_read_builder_compiles_source():
 def test_every_picture_reads_order_0_through_its_template():
     # the four pictures of `model` each give their order 0 as a template, which only the pictures' own `eval`s
     # read, through `inline` and else `floats`; each compiles it with its field as `rhs`, which the commands hand
-    # to DP5, so no module calls the uncompiled fields `affine_rhs` and `riccati2_rhs`: the oracles and tests do
+    # to the integrator, so no module calls the uncompiled fields `affine_rhs` and `riccati2_rhs`: the oracles and
+    # tests do
     from riccati_lie import model, timefn
 
     pictures = {name: cls for name, cls in vars(model).items()

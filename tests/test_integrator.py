@@ -1,9 +1,12 @@
 """Tests for the adaptive integrator, guards, and the dense output."""
 
+import ast
+import inspect
 import math
 import operator
 import re
 import struct
+import textwrap
 from functools import partial, reduce
 
 import numpy as np
@@ -128,8 +131,9 @@ class TestIntegrate:
     def test_no_step_growth_right_after_a_rejection(self):
         # a forcing that jumps at t = 0.5 makes error control reject steps; the
         # trial step sizes are recovered from the stage times the RHS sees:
-        # each trial makes six calls, the fifth at t + h, and a trial was
-        # accepted when that time is a trajectory node
+        # after the initial call and the starting-step probe, each trial makes
+        # eleven calls, the last at t + h, and an accepted one four more; a
+        # trial was accepted when that time is a trajectory node
         times = []
 
         def rhs(t, y):
@@ -138,11 +142,14 @@ class TestIntegrate:
 
         traj = integrate(rhs, (0.0, (1.0, 1.0)), 1.0, 1e-8)
         nodes = set(traj.ts.tolist())
-        trials, start = [], 0.0
-        for stage5 in times[5::6]:
-            accepted = stage5 in nodes
-            trials.append((stage5 - start, accepted))
-            start = stage5 if accepted else start
+        trials, start, call = [], 0.0, 2
+        while call < len(times):
+            stage12 = times[call + 10]
+            accepted = stage12 in nodes
+            trials.append((stage12 - start, accepted))
+            start = stage12 if accepted else start
+            call += 15 if accepted else 11
+        assert call == len(times)
         assert traj.stats.n_rejected > 0
         assert len(trials) == traj.stats.n_accepted + traj.stats.n_rejected
         after_rejection = [(h, h_next)
@@ -151,6 +158,24 @@ class TestIntegrate:
         assert after_rejection
         for h, h_next in after_rejection:
             assert h_next <= h * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "guard"])
+    def test_a_probe_that_is_not_finite_falls_back_to_a_thousandth_of_the_span(self, bad):
+        # the field's second call is the starting-step probe: a value there that is not finite, or a probe
+        # state the guard rejects, makes the first step span * 1e-3, whose stage 12 sits at t0 + h
+        calls, checks = [], []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (float(bad), 0.0) if len(calls) == 2 and bad != "guard" else (y[1], -y[0])
+
+        def guard(y):
+            checks.append(y)
+            return len(checks) != 2 or bad != "guard"
+
+        traj = integrate(rhs, (0.0, (1.0, 0.0)), 2.0, 1e-8, guard=guard)
+        assert calls[12 - (bad == "guard")] == 2.0 * 1e-3
+        np.testing.assert_allclose(traj.states[-1], [math.cos(2.0), -math.sin(2.0)], atol=1e-7)
 
     def test_state_must_be_two_dimensional(self):
         for y0 in ((1.0, -1.0, 0.5), (1.0,), ((1.0, -1.0),)):
@@ -249,11 +274,13 @@ class TestStageErrors:
     """Every stage reports a return that is not two numbers at its own time,
     and passes the field's own errors through."""
 
-    @pytest.mark.parametrize("at_call", range(2, 10))
-    # a pair of strings unpacks, and fails only in the arithmetic on it: the next stage's state, z or the error
+    @pytest.mark.parametrize("at_call", range(2, 20))
+    # a pair of strings unpacks, and fails only in the arithmetic on it: a later stage's state, z, the error
+    # or, for the last stage, the check that it is two numbers
     @pytest.mark.parametrize("bad", [None, ("a", "b"), ValueError("inside")], ids=["none", "strings", "error"])
     def test_each_stage_names_its_own_time(self, bad, at_call):
-        # calls 2-7 are the six stages of the first trial step, calls 8 and 9 the next step's first two
+        # call 2 is the starting-step probe, calls 3-17 are stages 2-16 of the first step, which passes, and
+        # calls 18 and 19 the next step's first two
         calls = []
 
         def rhs(t, y):
@@ -300,7 +327,8 @@ class TestGuards:
         assert np.all(traj.states[:, 1] <= -1e-9)
 
     def test_blowup_reports_step_underflow(self):
-        # dx/dt = x^2 from x=1 has a pole at t=1: a step size that underflows there is a solve DP5 cannot finish
+        # dx/dt = x^2 from x=1 has a pole at t=1: a step size that underflows there ends a solve the integrator
+        # cannot finish
         with pytest.raises(WorkBoundError) as excinfo:
             integrate(lambda t, y: (y[0] ** 2, 0.0), (0.0, (1.0, -1.0)), 2.0, 1e-8)
         message = str(excinfo.value)
@@ -390,7 +418,7 @@ class TestSampleAt:
                      integrate(partial(riccati2_rhs, coefficients_from_potential(P)),
                                (0.0, legendre_inverse(P, 0.0, s0)), 2.0, 1e-10)]
             for traj in trajs:
-                assert traj.coeffs.shape == (len(traj.ts) - 1, 4, 2)
+                assert traj.coeffs.shape == (len(traj.ts) - 1, 7, 2)
                 end = traj.states[:-1] + traj.coeffs.sum(axis=1)
                 scale = np.maximum(1.0, np.maximum(np.abs(traj.states[:-1]), np.abs(traj.states[1:])))
                 assert np.all(np.abs(end - traj.states[1:]) <= 4 * np.finfo(float).eps * scale)
@@ -423,16 +451,9 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
-# the Dormand-Prince 5(4) nodes and stage rows; the last row, the 5th-order weights, gives the stage at t + h
-_NODES = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_ROWS = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+def _dop853():
+    """scipy's DOP853 tableau, which shares no code with the package."""
+    return pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
 
 
 def _same_float(a, b):
@@ -445,32 +466,116 @@ class _Stop(Exception):
 
 
 class TestStageSums:
-    """integrate forms each stage state as y + h times the tableau row's
-    left-to-right float sum over the earlier stage derivatives, without the
-    row's zero weight: plain IEEE operations, the same bits on every host."""
+    """integrate forms each stage state, the 8th-order state z among them, as
+    y + h times the tableau row's left-to-right float sum over the earlier
+    stage derivatives, without the row's zero weights: plain IEEE
+    operations, the same bits on every host."""
 
     @settings(max_examples=300)
-    @given(arrays(np.float64, (7, 2), elements=_STAGE_VALUES), st.tuples(_STAGE_VALUES, _STAGE_VALUES))
-    # 0.2 k rounds to -0.0 and keeps its sign: a sum that started from +0.0 would turn y = -0.0 into 0.0
-    @example(np.full((7, 2), -5e-324), (-0.0, -0.0))
-    def test_each_stage_state_is_the_left_to_right_float_sum(self, K, y):
+    @given(arrays(np.float64, (18, 2), elements=_STAGE_VALUES), st.tuples(_STAGE_VALUES, _STAGE_VALUES),
+           st.sampled_from([1e-8, 1e300]))
+    # 0.05 k rounds to -0.0 and keeps its sign: a sum that started from +0.0 would turn y = -0.0 into 0.0
+    @example(np.full((18, 2), -5e-324), (-0.0, -0.0), 1e-8)
+    @example(np.linspace(-3.0, 5.0, 36).reshape(18, 2), (0.5, -0.25), 1e300)  # stages 13-16 run
+    def test_each_stage_state_is_the_left_to_right_float_sum(self, K, y, tol):
+        # call 1 is stage 1 and call 2 the starting-step probe; calls 3-13 are stages 2-12 of the first trial
+        # step and, where its error passes (tol 1e300 lets most pass), calls 14-17 are its stages 13-16,
+        # stage 13 at (t0 + h, z); the 18th call is of the next trial step, unless a starting step near the
+        # underflow bound (from a large first derivative) ends the solve after the first
+        dop = _dop853()
+        A, C = dop.A.tolist(), dop.C.tolist()
         log = []
 
         def rhs(t, state):
             log.append((t, state))
-            if len(log) == 7:
+            if len(log) == len(K):
                 raise _Stop
             return tuple(K[len(log) - 1].tolist())
 
-        with pytest.raises(_Stop):
-            integrate(rhs, (0.0, y), 1.0, 1e-8)
-        k = K.tolist()
-        h = log[5][0]  # the first trial step from t0 = 0: stage 6 sits at t0 + h
-        for (t, state), c, row in zip(log[1:], _NODES, _ROWS):
-            assert t == c * h
+        with pytest.raises((_Stop, WorkBoundError)):
+            integrate(rhs, (0.0, y), 1.0, tol, max_step=0.5)
+        k = K[:1].tolist() + K[2:].tolist()  # stage j's derivative is k[j - 1]
+        h = log[12][0]  # stage 12 sits at t0 + h
+        for j in range(2, 17 if len(log) > 13 and log[13][0] == h else 13):
+            t, state = log[j]
+            assert t == C[j - 1] * h, j
             for m in range(2):
-                terms = [w * k[j][m] for j, w in enumerate(row) if w]
-                assert _same_float(state[m], y[m] + h * reduce(operator.add, terms)), (c, m)
+                terms = [w * k[i][m] for i, w in enumerate(A[j - 1][:j - 1]) if w]
+                assert _same_float(state[m], y[m] + h * reduce(operator.add, terms)), (j, m)
+
+
+def _terms(node):
+    """[(j, w, m)] of a sum w * kj_m +- ... written out left to right, term by term; a difference negates w."""
+    if isinstance(node.op, ast.Mult):
+        j, m = node.right.id.removeprefix("k").split("_")
+        return [(int(j), ast.literal_eval(node.left), int(m))]
+    assert isinstance(node.op, (ast.Add, ast.Sub)), ast.dump(node)
+    (j, w, m), = _terms(node.right)
+    return _terms(node.left) + [(j, -w if isinstance(node.op, ast.Sub) else w, m)]
+
+
+def _row(node, m):
+    """{j: the bits of w} of a written-out sum over component m's stage derivatives."""
+    terms = _terms(node)
+    assert {term[2] for term in terms} == {m} and all(type(w) is float for _, w, _ in terms)
+    return {j: w.hex() for j, w, _ in terms}
+
+
+def _state_row(node, m):
+    """The row of a stage state y_m + h * (sum) written out for component m."""
+    assert ast.unparse(node).startswith(f"y{m} + h * ("), ast.unparse(node)
+    return _row(node.right.right, m)
+
+
+def _scipy_row(weights):
+    """{j: the bits of w} of a scipy row over the stage derivatives k1, k2, ..., zero weights left out."""
+    return {j: w.hex() for j, w in enumerate(weights.tolist(), start=1) if w}
+
+
+class TestWrittenOutWeights:
+    """The weights `integrate` writes out as literals are scipy's DOP853
+    coefficients, bit for bit, in both components: each stage's node and
+    row (C and A), the 8th-order weights (B), the 5th- and 3rd-order error
+    weights (E5 and E3), and `_D`, the continuous extension's rows (D) over
+    the stage derivatives each accepted step stores."""
+
+    def test_each_weight_is_scipys(self):
+        dop = _dop853()
+        tree = ast.parse(textwrap.dedent(inspect.getsource(integrator.integrate)))
+        assigns = sorted((n for n in ast.walk(tree) if isinstance(n, ast.Assign)), key=lambda n: n.lineno)
+        named = {n.targets[0].id: n.value for n in assigns if isinstance(n.targets[0], ast.Name)}
+        stages, state = {}, None
+        for node in assigns:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id == "u":
+                state = [_state_row(value, m) for m, value in enumerate(node.value.elts)]
+            elif len(node.targets) == 2 and isinstance(node.value, ast.Call) and node.value.func.id == "rhs":
+                j = int(node.targets[1].elts[0].id.removeprefix("k").split("_")[0])
+                time, arg = node.value.args
+                c = 1.0 if ast.unparse(time.value) == "t + h" else ast.literal_eval(time.value.right.left)
+                if ast.unparse(arg) == "(z0, z1)":
+                    stages[j] = c, [_state_row(named[f"z{m}"], m) for m in range(2)]
+                else:
+                    stages[j] = c, state
+        assert sorted(stages) == list(range(2, 17))
+        for j, (c, rows) in stages.items():
+            assert c.hex() == dop.C[j - 1].item().hex(), j
+            assert rows == [_scipy_row(dop.A[j - 1, :j - 1])] * 2, j
+        # stage 13 sits at (t + h, z): its row is B
+        assert stages[13][1] == [_scipy_row(dop.B)] * 2
+        for name, weights in (("q", dop.E5[:12]), ("r", dop.E3[:12])):
+            for m in range(2):
+                assert ast.unparse(named[f"{name}{m}"].right) == "sc"
+                assert _row(named[f"{name}{m}"].left, m) == _scipy_row(weights), (name, m)
+        assert not dop.E5[12] and not dop.E3[12]
+        # `_D` holds D's columns over the stored stage derivatives, and D is zero over the others
+        (stored,) = [n.args[0] for n in ast.walk(tree)
+                     if isinstance(n, ast.Call) and ast.unparse(n.func) == "Ks.append"]
+        names = [elt.id for elt in stored.elts]
+        js = [int(name.removeprefix("k").split("_")[0]) for name in names[::2]]
+        assert names == [f"k{j}_{m}" for j in js for m in range(2)]
+        assert np.array_equal(_bits(integrator._D), _bits(dop.D[:, [j - 1 for j in js]]))
+        assert not np.delete(dop.D, [j - 1 for j in js], axis=1).any()
 
 
 class TestDotRounding:

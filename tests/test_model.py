@@ -358,11 +358,12 @@ _MEMO_TIMES = (0.0, -0.0, math.nan, 0.3, 0.3, 0.7, 1.25)
 
 class TestFieldMemo:
     def test_one_evaluation_per_distinct_stage_time(self):
-        # DP5 stages 5 and 6 share t + h: every trial step reaching stage 6
-        # builds the picture read through `eval` five times, not six;
-        # a picture's compiled `rhs` reads its template directly, with no memo,
-        # and calls `eval` only where that read fails
-        R = coefficients_from_potential(random_potential(np.random.default_rng(44)))
+        # stages 12 and 13 share t + h: an accepted step, which makes 15 RHS
+        # calls, builds the picture read through `eval` 14 times, and a rejected
+        # one, which stops after stage 12, 11 times (seed 62: both solves reject a
+        # step); a picture's compiled `rhs` reads its template directly, with
+        # no memo, and calls `eval` only where that read fails
+        R = coefficients_from_potential(random_potential(np.random.default_rng(62)))
         hits = []
 
         def guard(y):
@@ -378,7 +379,7 @@ class TestFieldMemo:
             stats = traj.stats
             assert not hits
             assert stats.n_rejected > 0
-            assert counting.calls == stats.n_rhs - (stats.n_accepted + stats.n_rejected)
+            assert counting.calls == stats.n_rhs - stats.n_accepted
         # the compiled field of the last row's picture: its trajectory, and no `eval` call
         evals, compiled = [], dataclasses.replace(R)
         compiled.__dict__["eval"] = lambda t, order=0: evals.append(t) or R.eval(t, order)
