@@ -37,11 +37,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
+from itertools import chain
 
-import numpy as np
-
-from . import suites
 from .errors import ConfigError, DomainError, GenericityError, NumericError, RiccatiLieError
 from .integrator import integrate, sample_at
 from .model import (
@@ -52,7 +50,6 @@ from .model import (
     potential_from_coefficients,
     solve_hamiltonian,
 )
-from .superpose import Constants, PhaseTuple, constants_from_four, cyclic_integral, superpose_states
 from .timefn import FLOAT_SPEC, JetFn, _fmt, parse_timefn
 
 EXIT_OK = 0
@@ -82,17 +79,29 @@ CSV_BLOCK_ROWS = 4096  # table rows `read_csv` converts per pass: bounds the cel
 # --- scenario loading -----------------------------------------------------
 
 
+def _grid(t0, t1, steps):
+    """[t0, t1] in `steps` equal steps: numpy's linspace(t0, t1, steps + 1) to
+    its bits, k dt + t0 with dt = (t1 - t0) / steps, and t1 itself last."""
+    dt = (t1 - t0) / steps
+    return [k * dt + t0 for k in range(steps)] + [t1]
+
+
 @dataclass
 class Scenario:
     potential: PotentialSpec | JetFn  # (a0, a1, a2)
     riccati: JetFn                    # (c0, c1, c2, c3, f0, f1)
     t0: float
     t1: float
-    grid: np.ndarray      # output grid: [t0, t1] in round((t1 - t0)/step) >= 1 equal steps
+    steps: int            # output grid steps: round((t1 - t0)/step) >= 1
     tol: float
     seed: int
     ics: list
     source: str           # "potential" | "riccati"
+
+    @cached_property
+    def grid(self) -> list:
+        """The output grid, built on first read: `superpose` and `verify` read none."""
+        return _grid(self.t0, self.t1, self.steps)
 
     @property
     def c0_residual(self) -> float:
@@ -156,7 +165,7 @@ def load_scenario(path: str) -> Scenario:
 
     ics = [_parse_pair(raw) for raw in cfg["ics"].values()] if cfg.has_section("ics") else []
 
-    grid = np.linspace(t0, t1, max(1, round((t1 - t0) / step)) + 1)
+    steps = max(1, round((t1 - t0) / step))
     source = "potential" if has_pot else "riccati"
     fns = []
     for key in CONFIG_KEYS[source]:  # in turn: a bad coefficient is named before a later missing one
@@ -170,8 +179,8 @@ def load_scenario(path: str) -> Scenario:
         R = coefficients_from_potential(P)
     else:
         R = RiccatiSpec(*fns)
-        P = potential_from_coefficients(R, grid)  # checks c3 > 0 on the whole window
-    return Scenario(P, R, t0, t1, grid, tol, int(seed), ics, source)
+        P = potential_from_coefficients(R, _grid(t0, t1, steps))  # checks c3 > 0 on the whole window
+    return Scenario(P, R, t0, t1, steps, tol, int(seed), ics, source)
 
 
 def scenario_seed(scenario: Scenario) -> int:
@@ -197,12 +206,15 @@ def _write_table(path: str, *parts: str) -> None:
 
 
 def write_csv(path: str, header, rows) -> str:
-    """One line per row, every cell formatted as `_fmt` does, by one `%`
-    template for the whole table; returns the text of the rows."""
-    table = np.asarray(rows, dtype=float)
-    n_rows, n_cols = table.shape
-    row = ",".join(["%" + FLOAT_SPEC] * n_cols) + "\n"
-    text = (row * n_rows) % tuple(table.ravel().tolist())  # floats format faster than numpy scalars
+    """One line per row, a sequence of floats, one per header name, every
+    cell formatted as `_fmt` does, by one `%` template for the whole table;
+    returns the text of the rows.  rows is a list of rows, or a 2-D numpy
+    array, whose caller holds numpy already: numpy flattens it to floats,
+    which format faster than numpy scalars, sooner than its rows iterate and
+    sooner than a list of its rows is built (`superpose`'s 2,001 rows)."""
+    cells = tuple(rows.ravel().tolist() if hasattr(rows, "ravel") else chain.from_iterable(rows))
+    row = ",".join(["%" + FLOAT_SPEC] * len(header)) + "\n"
+    text = (row * (len(cells) // len(header))) % cells
     _write_table(path, ",".join(header) + "\n", text)
     return text
 
@@ -213,6 +225,8 @@ def read_csv(path: str):
     Validates finite numeric cells and a strictly increasing first (time)
     column.  Blank lines are skipped; an error names the file's own line.
     """
+    import numpy as np
+
     try:
         with open(path) as fh:
             stripped = [line.strip() for line in fh]
@@ -276,7 +290,7 @@ def cmd_simulate(args) -> int:
     else:
         traj = integrate(scenario.riccati.rhs, (scenario.t0, ic), scenario.t1, scenario.tol, system=args.system)
         header, states = ["t", "x", "v"], sample_at(traj, grid)
-    rows = np.column_stack((grid, states))
+    rows = [(t, y0, y1) for t, (y0, y1) in zip(grid, states)]
     write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} samples to {args.out} "
           f"({traj.stats.n_accepted} steps, {traj.stats.n_rhs} RHS evaluations)")
@@ -302,8 +316,10 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _constants_from_row(args, sols) -> Constants:
+def _constants_from_row(args, sols):
     """Constants from the first table row, x1, p1, x2, p2, x3, p3."""
+    from .superpose import Constants, PhaseTuple, constants_from_four, cyclic_integral
+
     xi1, xi2, xi3 = sols.reshape(3, 2)
     F0 = cyclic_integral(xi1, xi2, xi3)
     if args.k1 is not None or args.k2 is not None:
@@ -318,6 +334,10 @@ def _constants_from_row(args, sols) -> Constants:
 
 
 def cmd_superpose(args) -> int:
+    import numpy as np
+
+    from .superpose import superpose_states
+
     load_scenario(args.config)  # validates the scenario the table came from
     header, data = read_csv(args.sols)
     if len(header) != 7:
@@ -339,6 +359,10 @@ def cmd_superpose(args) -> int:
 def cmd_verify(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ConfigError(f"--trials must be in 1..{MAX_TRIALS}, got {args.trials}")
+    import numpy as np
+
+    from . import suites
+
     scenario = load_scenario(args.config)
     rng = np.random.default_rng(scenario_seed(scenario))
     results = suites.run_suites(

@@ -14,13 +14,15 @@ a trajectory's only dense output, so it can be sampled anywhere about as
 accurately as at its nodes.  After the first step, error control alone
 sets the step size; an optional max_step caps it.
 
-The step runs on Python floats for two-dimensional states, with no numpy:
-the state, the stage derivatives, states and times, the error norm and the
-stored samples are floats, and each stage state, the solution and the two
-error estimates are written out as the tableau's left-to-right float sums,
+The step runs on Python floats for two-dimensional states, and the module
+imports no numpy: the state, the stage derivatives, states and times, the
+error norm and the stored samples are floats, and each stage state, the
+solution, the two error estimates and the continuous extension's
+coefficients are written out as the tableau's left-to-right float sums,
 without their zero weights.  Those are plain IEEE operations, so the steps
-do not depend on the BLAS kernel numpy picks at run time; numpy forms the
-continuous extension's coefficients once per call.
+do not depend on the BLAS kernel numpy picks at run time.  `sample_at`
+evaluates a float or a list of times in floats too; only an array of times,
+whose caller holds numpy already, takes a vectorised path.
 
 An optional state guard (a predicate on the raw (y0, y1) state tuple) is
 evaluated at every trial stage, the continuous extension's included.  When
@@ -39,9 +41,10 @@ integrator cannot finish.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Real
 
 from .errors import DomainError, GuardViolation, WorkBoundError
 
@@ -52,33 +55,17 @@ __all__ = ["Trajectory", "IntegratorStats", "integrate", "sample_at", "hamiltoni
 # derivatives at its two ends, the state at t + u h is
 #     y + u (F0 + (1 - u) (F1 + u (F2 + (1 - u) (F3 + u (F4 + (1 - u) (F5 + u F6))))))
 # for u in [0, 1], where F0 = dy, F1 = h k1 - dy, F2 = 2 dy - h (k1 + k13),
-# and F3..F6 are h times the rows of _D over the stage derivatives k1 and
-# k6..k16, which each accepted step stores.
-_D = np.array([
-    [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207, 2.117034582445028,
-     -0.871391583777973, 2.2404374302607883, 0.6315787787694688, -0.08899033645133331, 18.148505520854727,
-     -9.194632392478356, -4.436036387594894],
-    [10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902, -22.113666853125306,
-     7.733432668472264, -30.674084731089398, -9.332130526430229, 15.697238121770845, -31.139403219565178,
-     -9.35292435884448, 35.81684148639408],
-    [19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236, -11.57390253995963,
-     6.8812326946963, -1.0006050966910838, 0.7777137798053443, -2.778205752353508, -60.19669523126412,
-     84.32040550667716, 11.99229113618279],
-    [-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141, 93.40532418362432,
-     -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
-     -39.17726167561544, -149.72683625798564],
-])
-# Its coefficients of u, u**2, ..., u**7 are _POWER @ (dy, h k1, h k13, F3, F4, F5, F6); the first is h k1 itself
-_POWER = np.array([
-    [0, 1, 0, 0, 0, 0, 0],
-    [3, -2, -1, 1, 0, 0, 0],
-    [-2, 1, 1, -2, 1, 1, 0],
-    [0, 0, 0, 1, -2, -3, 1],
-    [0, 0, 0, 0, 1, 3, -3],
-    [0, 0, 0, 0, 0, -1, 3],
-    [0, 0, 0, 0, 0, 0, -1],
-], dtype=float)
-_EXTENSION = np.vstack((np.eye(12)[[0, 8]], _D))  # k1, k13 and _D's rows over the stored stage derivatives
+# and F3..F6 are h times the rows of the tableau's D over the stage
+# derivatives k1 and k6..k16, which `integrate` writes out.  Its
+# coefficients of u, u**2, ..., u**7 are the rows of
+#     [ 0  1  0  0  0  0  0]
+#     [ 3 -2 -1  1  0  0  0]
+#     [-2  1  1 -2  1  1  0]
+#     [ 0  0  0  1 -2 -3  1]
+#     [ 0  0  0  0  1  3 -3]
+#     [ 0  0  0  0  0 -1  3]
+#     [ 0  0  0  0  0  0 -1]
+# over (dy, h k1, h k13, F3, F4, F5, F6); the first is h k1 itself.
 
 _SAFETY = 0.9
 _BETA = 0.04           # PI stabilization exponent
@@ -153,21 +140,27 @@ class IntegratorStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration samples and their dense output.
+    """Accepted integration samples and their dense output, in plain Python
+    sequences: a caller that wants arrays builds them (`np.asarray(traj.states)`
+    is the (n, 2) array of states).
 
-    ts is strictly increasing.  coeffs[i, k] is the coefficient of
-    u**(k + 1) in the state polynomial of segment i, u = (t - ts[i]) /
-    (ts[i + 1] - ts[i]), whose degree is coeffs.shape[1]: the 7th-order
-    continuous extension of each step for integrator-produced trajectories.
-    Samples on a grid, reconstructed ones (system == "superposed") and
+    ts is a list of strictly increasing float times, and states the list of
+    (y0, y1) pairs at them.  coeffs is a flat `array('d')` holding, segment
+    by segment, the power-basis coefficients of the state polynomial of
+    segment i in u = (t - ts[i]) / (ts[i + 1] - ts[i]), from u**0 (the state
+    at ts[i]) up to u**d, each a (y0, y1) pair: 2 (d + 1) doubles a segment,
+    so `np.frombuffer(traj.coeffs).reshape(len(traj.ts) - 1, -1, 2)` views
+    them as [segment, power, component].  d is 7 for integrator-produced
+    trajectories, the continuous extension of each step.  Samples on a grid,
+    reconstructed ones (system == "superposed") and
     `model.solve_hamiltonian`'s, carry no coeffs and cannot be resampled.
     """
 
-    ts: np.ndarray
-    states: np.ndarray
+    ts: list
+    states: list
     system: str = "generic"
     stats: IntegratorStats | None = None
-    coeffs: np.ndarray | None = None
+    coeffs: array | None = None
 
 
 def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> Trajectory:
@@ -188,16 +181,19 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
     """
     t0, state0 = ic
     t0, t1 = float(t0), float(t1)
-    state0 = np.asarray(state0, dtype=float)
-    if state0.shape != (2,):
-        raise ValueError(f"the state must be two-dimensional, got shape {state0.shape}")
+    try:
+        y0, y1 = state0
+    except (TypeError, ValueError):
+        y0 = y1 = None
+    if not (isinstance(y0, Real) and isinstance(y1, Real)):
+        raise ValueError(f"the state must be two-dimensional, two real numbers, got {state0!r}")
+    y0, y1 = y = float(y0), float(y1)
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"t0 and t1 must be finite with t1 > t0, got t0={t0}, t1={t1}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_step is not None and not 0.0 < max_step < math.inf:
         raise ValueError(f"max_step must be positive and finite, got {max_step}")
-    y0, y1 = y = tuple(state0.tolist())
     field, n_guarded = rhs, 0
     if guard is not None:
         condition = f"domain guard {guard.__doc__ or ''}".rstrip()
@@ -215,8 +211,8 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
     h_max = span if max_step is None else min(float(max_step), span)
     k1_0, k1_1 = ret = _two_numbers(field(t0, y), t0)
     h = _first_step(rhs, t0, y0, y1, k1_0, k1_1, tol, h_max)
-    # each accepted step's time, state, size and the 24 stage derivatives its continuous extension reads
-    ts, ys, hs, Ks = [t0], [y], [], []
+    # each accepted step's end time and state, and its continuous extension's coefficients
+    ts, ys, coeffs = [t0], [y], array("d")
 
     t = t0
     h = min(h_max, max(span * 1e-3 if h is None else h, _UNDERFLOW_T_SCALE * max(1.0, abs(t0))))
@@ -349,12 +345,50 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
             raise
 
         if err_norm <= 1.0:
+            # the continuous extension, as the comment above `_SAFETY` states it: F3..F6, then its coefficients
+            # of u**0 (the state) to u**7, the power map's rows summed left to right
+            f3_0 = h * (-8.428938276109013 * k1_0 + 0.5667149535193777 * k6_0 - 3.0689499459498917 * k7_0
+                        + 2.38466765651207 * k8_0 + 2.117034582445028 * k9_0 - 0.871391583777973 * k10_0
+                        + 2.2404374302607883 * k11_0 + 0.6315787787694688 * k12_0 - 0.08899033645133331 * k13_0
+                        + 18.148505520854727 * k14_0 - 9.194632392478356 * k15_0 - 4.436036387594894 * k16_0)
+            f3_1 = h * (-8.428938276109013 * k1_1 + 0.5667149535193777 * k6_1 - 3.0689499459498917 * k7_1
+                        + 2.38466765651207 * k8_1 + 2.117034582445028 * k9_1 - 0.871391583777973 * k10_1
+                        + 2.2404374302607883 * k11_1 + 0.6315787787694688 * k12_1 - 0.08899033645133331 * k13_1
+                        + 18.148505520854727 * k14_1 - 9.194632392478356 * k15_1 - 4.436036387594894 * k16_1)
+            f4_0 = h * (10.427508642579134 * k1_0 + 242.28349177525817 * k6_0 + 165.20045171727028 * k7_0
+                        - 374.5467547226902 * k8_0 - 22.113666853125306 * k9_0 + 7.733432668472264 * k10_0
+                        - 30.674084731089398 * k11_0 - 9.332130526430229 * k12_0 + 15.697238121770845 * k13_0
+                        - 31.139403219565178 * k14_0 - 9.35292435884448 * k15_0 + 35.81684148639408 * k16_0)
+            f4_1 = h * (10.427508642579134 * k1_1 + 242.28349177525817 * k6_1 + 165.20045171727028 * k7_1
+                        - 374.5467547226902 * k8_1 - 22.113666853125306 * k9_1 + 7.733432668472264 * k10_1
+                        - 30.674084731089398 * k11_1 - 9.332130526430229 * k12_1 + 15.697238121770845 * k13_1
+                        - 31.139403219565178 * k14_1 - 9.35292435884448 * k15_1 + 35.81684148639408 * k16_1)
+            f5_0 = h * (19.985053242002433 * k1_0 - 387.0373087493518 * k6_0 - 189.17813819516758 * k7_0
+                        + 527.8081592054236 * k8_0 - 11.57390253995963 * k9_0 + 6.8812326946963 * k10_0
+                        - 1.0006050966910838 * k11_0 + 0.7777137798053443 * k12_0 - 2.778205752353508 * k13_0
+                        - 60.19669523126412 * k14_0 + 84.32040550667716 * k15_0 + 11.99229113618279 * k16_0)
+            f5_1 = h * (19.985053242002433 * k1_1 - 387.0373087493518 * k6_1 - 189.17813819516758 * k7_1
+                        + 527.8081592054236 * k8_1 - 11.57390253995963 * k9_1 + 6.8812326946963 * k10_1
+                        - 1.0006050966910838 * k11_1 + 0.7777137798053443 * k12_1 - 2.778205752353508 * k13_1
+                        - 60.19669523126412 * k14_1 + 84.32040550667716 * k15_1 + 11.99229113618279 * k16_1)
+            f6_0 = h * (-25.69393346270375 * k1_0 - 154.18974869023643 * k6_0 - 231.5293791760455 * k7_0
+                        + 357.6391179106141 * k8_0 + 93.40532418362432 * k9_0 - 37.45832313645163 * k10_0
+                        + 104.0996495089623 * k11_0 + 29.8402934266605 * k12_0 - 43.53345659001114 * k13_0
+                        + 96.32455395918828 * k14_0 - 39.17726167561544 * k15_0 - 149.72683625798564 * k16_0)
+            f6_1 = h * (-25.69393346270375 * k1_1 - 154.18974869023643 * k6_1 - 231.5293791760455 * k7_1
+                        + 357.6391179106141 * k8_1 + 93.40532418362432 * k9_1 - 37.45832313645163 * k10_1
+                        + 104.0996495089623 * k11_1 + 29.8402934266605 * k12_1 - 43.53345659001114 * k13_1
+                        + 96.32455395918828 * k14_1 - 39.17726167561544 * k15_1 - 149.72683625798564 * k16_1)
+            d0, d1, g0, g1, e0, e1 = z0 - y0, z1 - y1, h * k1_0, h * k1_1, h * k13_0, h * k13_1
+            coeffs.extend((y0, y1, g0, g1,
+                           3.0 * d0 - 2.0 * g0 - e0 + f3_0, 3.0 * d1 - 2.0 * g1 - e1 + f3_1,
+                           -2.0 * d0 + g0 + e0 - 2.0 * f3_0 + f4_0 + f5_0, -2.0 * d1 + g1 + e1 - 2.0 * f3_1 + f4_1 + f5_1,
+                           f3_0 - 2.0 * f4_0 - 3.0 * f5_0 + f6_0, f3_1 - 2.0 * f4_1 - 3.0 * f5_1 + f6_1,
+                           f4_0 + 3.0 * f5_0 - 3.0 * f6_0, f4_1 + 3.0 * f5_1 - 3.0 * f6_1,
+                           -f5_0 + 3.0 * f6_0, -f5_1 + 3.0 * f6_1, -f6_0, -f6_1))
             t = t1 if last else t + h
             ts.append(t)
             ys.append((z0, z1))
-            hs.append(h)
-            Ks.append((k1_0, k1_1, k6_0, k6_1, k7_0, k7_1, k8_0, k8_1, k9_0, k9_1, k10_0, k10_1, k11_0, k11_1,
-                       k12_0, k12_1, k13_0, k13_1, k14_0, k14_1, k15_0, k15_1, k16_0, k16_1))
             y0, y1, k1_0, k1_1 = z0, z1, k13_0, k13_1
             n_accepted += 1
             factor = _SAFETY * err_norm**-_EXPO * err_prev**_BETA if err_norm > 0 else _MAX_GROWTH
@@ -371,34 +405,85 @@ def integrate(rhs, ic, t1, tol, guard=None, max_step=None, system="generic") -> 
 
     # the initial call and the probe; 11 calls per trial step and 4 more per accepted one
     n_rhs = 1 + (1 + 11 * (n_accepted + n_rejected) + 4 * n_accepted if guard is None else n_guarded)
-    states = np.array(ys)
-    hk = np.array(hs)[:, None, None] * (_EXTENSION @ np.array(Ks).reshape(-1, 12, 2))  # h k1, h k13, F3..F6
-    return Trajectory(ts=np.array(ts), states=states, system=system,
-                      stats=IntegratorStats(n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs),
-                      coeffs=_POWER @ np.concatenate(((states[1:] - states[:-1])[:, None], hk), axis=1))
+    return Trajectory(ts=ts, states=ys, system=system, coeffs=coeffs,
+                      stats=IntegratorStats(n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs))
 
 
-def sample_at(traj: Trajectory, t) -> np.ndarray:
-    """The trajectory's dense output at a time or an array of times.
+def sample_at(traj: Trajectory, t):
+    """The trajectory's dense output at a time, a list of times or an array of times.
 
-    Returns one state for a scalar t and a row per time for an array.
-    Evaluates the polynomial of the segment holding t, of any degree, by
-    Horner's rule; a node time returns the stored state itself.  Every t
-    must lie in [ts[0], ts[-1]].
+    Returns one (y0, y1) pair for a number t, a list of pairs for a list or
+    tuple of times, and a row per time for a numpy array (or any other
+    sequence numpy takes).  Evaluates the polynomial of the segment holding
+    t, of any degree, by Horner's rule, with the same operations in floats
+    and in arrays, so both give the same bits; a node time returns the
+    stored state itself.  Every t must lie in [ts[0], ts[-1]].
     """
-    ts = traj.ts
+    if traj.coeffs is None:
+        raise ValueError("trajectory carries no dense output; cannot interpolate")
+    if isinstance(t, (int, float)):
+        return _sample_floats(traj, (t,))[0]
+    if isinstance(t, (list, tuple)):
+        return _sample_floats(traj, t)
+    return _sample_array(traj, t)
+
+
+def _outside(t, ts):
+    return DomainError(f"t={t} outside trajectory range [{ts[0]}, {ts[-1]}]")
+
+
+def _sample_floats(traj, times):
+    """`sample_at` over a sequence of times in floats: a sorted one loads each segment's coefficients once.
+    Degree 7, the integrator's, is written out; the loop over the coefficients runs the same operations."""
+    ts, coeffs = traj.ts, traj.coeffs
+    lo, hi = ts[0], ts[-1]
+    width = len(coeffs) // (len(ts) - 1)
+    out = []
+    a = b = hi  # the segment [a, b) whose coefficients are loaded: none yet
+    for t in times:
+        if not a <= t < b:
+            if not lo <= t <= hi:
+                raise _outside(t, ts)
+            if t == hi:  # u = 0 at any other node returns its state exactly
+                out.append(traj.states[-1])
+                continue
+            i = bisect_right(ts, t) - 1
+            a, b = ts[i], ts[i + 1]
+            h = b - a
+            c = coeffs[i * width:(i + 1) * width]
+            if width == 16:
+                s0, s1, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7 = c
+            else:
+                top0, top1 = c[-2], c[-1]
+                lower = list(zip(c[-4::-2], c[-3::-2]))  # (y0, y1) coefficients of u**(d - 1) down to u**0
+        u = (t - a) / h
+        if width == 16:
+            out.append((s0 + u * (a1 + u * (a2 + u * (a3 + u * (a4 + u * (a5 + u * (a6 + u * a7)))))),
+                        s1 + u * (b1 + u * (b2 + u * (b3 + u * (b4 + u * (b5 + u * (b6 + u * b7))))))))
+            continue
+        y0, y1 = top0, top1
+        for c0, c1 in lower:
+            y0 = c0 + u * y0
+            y1 = c1 + u * y1
+        out.append((y0, y1))
+    return out
+
+
+def _sample_array(traj, t):
+    """`sample_at` over an array of times, vectorised, as an array with a row per time."""
+    import numpy as np
+
+    ts = np.array(traj.ts)
     t = np.asarray(t, dtype=float)
     outside = ~((ts[0] <= t) & (t <= ts[-1]))
     if outside.any():
-        raise DomainError(f"t={t[outside].flat[0]} outside trajectory range [{ts[0]}, {ts[-1]}]")
-    if traj.coeffs is None:
-        raise ValueError("trajectory carries no dense output; cannot interpolate")
-    i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
+        raise _outside(t[outside].flat[0], ts)
+    n = len(ts) - 1
+    i = np.minimum(np.searchsorted(ts, t, side="right") - 1, n - 1)
     u = ((t - ts[i]) / (ts[i + 1] - ts[i]))[..., None]
-    c = traj.coeffs[i]
+    c = np.frombuffer(traj.coeffs).reshape(n, -1, 2)[i]  # each time's segment coefficients, gathered once
     out = c[..., -1, :]
     for k in range(c.shape[-2] - 2, -1, -1):
         out = c[..., k, :] + u * out
-    # u = 0 at a node returns its state exactly; only ts[-1] needs the stored state
-    out = traj.states[i] + u * out
-    return np.where((t == ts[i + 1])[..., None], traj.states[i + 1], out)
+    out[t == ts[-1]] = traj.states[-1]  # u = 0 at any other node returns its state exactly
+    return out

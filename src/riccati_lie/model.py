@@ -46,9 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import chain
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError, GuardViolation, NumericError
 from .integrator import GUARD_P_MAX, GUARD_T_RESOLUTION, Trajectory, integrate, sample_at
@@ -200,15 +199,18 @@ def _momentum_root(p) -> float:
 
 
 def _to_affine(x, p):
-    """(u, sigma) = (x sqrt(-p), sqrt(-p)) of floats or of arrays of one shape,
+    """(u, sigma) = (x sqrt(-p), sqrt(-p)) of numbers or of arrays of one shape,
     the chart of O in which the group R^2 x| SL(2, R) acts affinely and the
-    superposition rule is affine; DomainError names the first p >= 0 (or NaN)."""
-    if isinstance(p, np.ndarray):
+    superposition rule is affine; DomainError names the first p >= 0 (or NaN).
+    Only arrays, whose callers hold numpy already, import it."""
+    if isinstance(p, (int, float)):
+        sigma = _momentum_root(p)
+    else:
+        import numpy as np
+
         if not (p < 0).all():
             _momentum_root(float(p.flat[np.argmin(p < 0)]))
         sigma = np.sqrt(-p)
-    else:
-        sigma = _momentum_root(p)
     return x * sigma, sigma
 
 
@@ -374,11 +376,17 @@ _SIGMA_FLOOR = math.sqrt(-GUARD_P_MAX)  # sigma >= sqrt(1e-9) is p <= -1e-9
 
 
 @cache
-def _bernstein(n):
-    """The matrix taking the power-basis coefficients of a degree-n polynomial
-    in s on [0, 1] to its Bernstein ones, which bound it from below by their
+def _bernstein_rows(n):
+    """The rows of the matrix taking the power-basis coefficients of a
+    degree-n polynomial to its Bernstein ones, without their zeros."""
+    return tuple(tuple(math.comb(j, k) / math.comb(n, k) for k in range(j + 1)) for j in range(n + 1))
+
+
+def _bernstein(power):
+    """The Bernstein coefficients of the polynomial with power-basis
+    coefficients `power` in s on [0, 1], which bound it from below by their
     least and equal it at s = 0 and s = 1."""
-    return np.array([[math.comb(j, k) / math.comb(n, k) for k in range(n + 1)] for j in range(n + 1)])
+    return [sum([w * c for w, c in zip(row, power)]) for row in _bernstein_rows(len(power) - 1)]
 
 
 def _halves(coef):
@@ -396,18 +404,22 @@ def _stays_in_O(chart: Trajectory) -> None:
     """GuardViolation unless sigma >= sqrt(1e-9) on the whole dense output of
     a chart trajectory, between its nodes too.
 
-    Each step's sigma is a polynomial of degree coeffs.shape[1]; the least
-    of its Bernstein coefficients bounds it from below, so one array pass
-    proves almost every step.  A step it does not prove is halved, left half
-    first, until each piece is proved or the first piece that is not has
-    shrunk to GUARD_T_RESOLUTION; its start is the exit time reported.  A NaN
+    Each step's sigma is a polynomial in u on [0, 1], at least its value at
+    u = 0 less the magnitudes of its other power-basis coefficients, which
+    proves almost every step in a few float operations.  A step that bound
+    does not prove is tried by the least of its Bernstein coefficients, which
+    bounds it from below too, and then halved, left half first, until each
+    piece is proved or the first piece that is not has shrunk to
+    GUARD_T_RESOLUTION; its start is the exit time reported.  A NaN
     coefficient proves nothing.
     """
-    ts = chart.ts.tolist()
-    power = np.column_stack((chart.states[:-1, 1], chart.coeffs[:, :, 1]))
-    bernstein = power @ _bernstein(power.shape[1] - 1).T
-    for i in np.flatnonzero(~(bernstein.min(axis=1) >= _SIGMA_FLOOR)).tolist():
-        todo = [(ts[i], ts[i + 1], bernstein[i].tolist())]
+    ts, coeffs = chart.ts, chart.coeffs
+    width = len(coeffs) // (len(ts) - 1)
+    for i in range(len(ts) - 1):
+        power = coeffs[i * width + 1:(i + 1) * width:2]  # sigma's coefficients of u**0 up to u**d
+        if power[0] - sum(map(abs, power[1:])) >= _SIGMA_FLOOR:
+            continue
+        todo = [(ts[i], ts[i + 1], _bernstein(power))]
         while todo:
             a, b, coef = todo.pop()
             if all(c >= _SIGMA_FLOOR for c in coef):
@@ -437,12 +449,12 @@ def solve_hamiltonian(P: PotentialSpec | JetFn, s0, grid, tol) -> Trajectory:
     x0, p0 = float(s0[0]), float(s0[1])
     if not p0 <= GUARD_P_MAX:
         raise DomainError(f"initial state {[x0, p0]} violates the domain guard p <= {GUARD_P_MAX}")
-    grid = np.asarray(grid, dtype=float)
+    grid = list(map(float, grid))
     chart = integrate(P.rhs, (grid[0], _to_affine(x0, p0)), grid[-1], _CHART_TOL_FACTOR * tol)
     _stays_in_O(chart)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        x, p = _from_affine(*sample_at(chart, grid).T)
-    finite = np.isfinite(x) & np.isfinite(p)
-    if not finite.all():
-        raise NumericError(f"the solution overflows as (x, p) at t={grid[np.argmin(finite)]}")
-    return Trajectory(ts=grid, states=np.column_stack((x, p)), system="hamiltonian", stats=chart.stats)
+    # sigma >= sqrt(1e-9) holds on the polynomials; a sample that rounds to 0 is reported as an overflow
+    states = [_from_affine(u, sigma) if sigma else (math.nan, -0.0) for u, sigma in sample_at(chart, grid)]
+    if not all(map(math.isfinite, chain.from_iterable(states))):
+        t = next(t for t, state in zip(grid, states) if not all(map(math.isfinite, state)))
+        raise NumericError(f"the solution overflows as (x, p) at t={t}")
+    return Trajectory(ts=grid, states=states, system="hamiltonian", stats=chart.stats)

@@ -169,7 +169,7 @@ def suite_action(rng, trials: int) -> list:
 def suite_integrals(P, t0, t1, tol, rng) -> list:
     """Drift of F0, F1, F2 along four separately integrated solutions of P."""
     trajs = draw_surviving_solutions(P, np.linspace(t0, t1, _CHECK_GRID), tol, rng, 4)
-    k = superpose.constants_from_four([tr.states.T for tr in trajs])
+    k = superpose.constants_from_four([np.array(tr.states).T for tr in trajs])
     values = np.column_stack((k.F0, k.k1, k.k2))
     drift = np.max(np.abs(values - values[0]), axis=0)
     thresholds = 1e-7 * np.maximum(1.0, np.abs(values[0]))
@@ -195,7 +195,7 @@ def suite_superposition(P, t0, t1, tol, rng, trials: int) -> list:
 
     grid = np.linspace(t0, t1, _CHECK_GRID)
     for _ in range(20):
-        sols = [tr.states for tr in draw_surviving_solutions(P, grid, tol, rng, 4)]
+        sols = [np.array(tr.states) for tr in draw_surviving_solutions(P, grid, tol, rng, 4)]
         k = superpose.constants_from_four([s[0] for s in sols])
         try:
             rec = superpose.superpose_states(np.hstack(sols[1:]), k, ts=grid)

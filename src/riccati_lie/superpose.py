@@ -147,10 +147,10 @@ def superpose_trajectory(traj1, traj2, traj3, k: Constants, grid) -> Trajectory:
 
     The three trajectories must cover the grid; errors name the first
     offending time.  The result carries the grid times and the
-    reconstructed (x0, p0) states; the x-only view is its first state
-    column.
+    reconstructed (x0, p0) states, as lists like every `Trajectory`'s; the
+    x-only view is the first of each state.
     """
     grid = np.array(grid, dtype=float)
     sols = np.hstack([sample_at(traj, grid) for traj in (traj1, traj2, traj3)])
-    states = superpose_states(sols, k, ts=grid)
-    return Trajectory(ts=grid, states=states, system="superposed")
+    x0, p0 = superpose_states(sols, k, ts=grid).T
+    return Trajectory(ts=grid.tolist(), states=list(zip(x0.tolist(), p0.tolist())), system="superposed")

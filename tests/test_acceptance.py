@@ -97,7 +97,7 @@ def _draw_equivalence_scenario(rng, grid):
                                system="riccati2")
         except (NumericError, GuardViolation):
             continue
-        return traj_h.states[:, 0], sample_at(traj_r, grid)[:, 0]
+        return np.array(traj_h.states)[:, 0], sample_at(traj_r, grid)[:, 0]
 
 
 def test_criterion_02_lagrangian_hamiltonian_equivalence(monkeypatch):

@@ -3,6 +3,7 @@
 import configparser
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -176,7 +177,7 @@ class TestSimulate:
         t_exit = -u0 - math.sqrt(u0 * u0 - 2.0 * (sigma0 - floor))
         assert abs(float(match.group(1)) - t_exit) <= 1e-6
         (chart,) = charts
-        assert bool(np.all(chart.states[:, 1] >= floor)) is between_nodes
+        assert bool(np.all(np.array(chart.states)[:, 1] >= floor)) is between_nodes
 
     def test_step_line_counts_the_chart_integration(self, config, tmp_path, capsys):
         from riccati_lie.model import PotentialSpec, solve_hamiltonian
@@ -723,6 +724,16 @@ class TestRunDefaults:
         assert (sc.t0, sc.t1, sc.tol, sc.seed) == (t0, t1, tol, seed)
         np.testing.assert_array_equal(sc.grid, np.linspace(t0, t1, n))
 
+    @settings(max_examples=300)
+    @given(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3), st.integers(1, 2000))
+    def test_the_grid_is_numpys_linspace_to_the_bit(self, tmp_path_factory, t0, span, n):
+        # `load_scenario` builds the grid in floats by numpy's formula
+        path = tmp_path_factory.mktemp("grid") / "scenario.ini"
+        path.write_text(self.POTENTIAL + f"[run]\nt0 = {t0!r}\nt1 = {t0 + span!r}\nstep = {span / n!r}\n")
+        sc = cli.load_scenario(str(path))
+        expected = np.linspace(sc.t0, sc.t1, max(1, round((sc.t1 - sc.t0) / (span / n))) + 1)
+        assert np.array(sc.grid).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
     def test_key_case_is_folded(self, config):
         sc = cli.load_scenario(config(self.POTENTIAL + "[run]\nT1 = 2\n"))
         assert (sc.t1, len(sc.grid)) == (2.0, 201)
@@ -1054,6 +1065,52 @@ class TestEntryPoint:
             assert proc.stdout == ""
             (line,) = proc.stderr.splitlines()
             assert line.startswith(message), line
+
+
+# run in a fresh interpreter by TestFreshProcess: the package's modules each command imports, in order
+FRESH_PROCESS = """
+import json, sys
+import riccati_lie
+from riccati_lie import cli
+import riccati_lie.cli
+
+def loaded():
+    return sorted(name for name in ("numpy", "riccati_lie.liealg", "riccati_lie.superpose", "riccati_lie.suites")
+                  if name in sys.modules)
+
+cfg = sys.argv[1]
+steps = [("import", 0, loaded())]
+for i in (1, 2, 3):
+    steps.append(("simulate", cli.main(["simulate", cfg, "--ic", str(i), "--out", f"s{i}.csv"]), loaded()))
+steps.append(("simulate-riccati2", cli.main(["simulate", cfg, "--system", "riccati2", "--ic", "0.1,0.5",
+                                             "--out", "r.csv"]), loaded()))
+steps.append(("derive", cli.main(["derive", cfg]), loaded()))
+tables = [open(f"s{i}.csv").read().split() for i in (1, 2, 3)]
+with open("three.csv", "w") as fh:
+    fh.writelines(",".join([a, b.split(",", 1)[1], c.split(",", 1)[1]]) + "\\n" for a, b, c in zip(*tables))
+steps.append(("superpose", cli.main(["superpose", cfg, "--sols", "three.csv", "--fourth-ic", "0.0,-0.25",
+                                     "--out", "rec.csv"]), loaded()))
+steps.append(("verify", cli.main(["verify", "all", cfg, "--trials", "3"]), loaded()))
+print(json.dumps(steps))
+"""
+
+
+class TestFreshProcess:
+    """`import riccati_lie`, `simulate` in both pictures and `derive` import no numpy; `superpose` and `verify`
+    import it, and their modules, when they run."""
+
+    def test_numpy_is_imported_by_superpose_and_verify_only(self, config, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS, config(CANONICAL)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout.splitlines()[-1])
+        assert [(name, rc) for name, rc, _ in steps] == [
+            ("import", 0), ("simulate", 0), ("simulate", 0), ("simulate", 0), ("simulate-riccati2", 0),
+            ("derive", 0), ("superpose", 0), ("verify", 0)]
+        assert all(modules == [] for name, _, modules in steps[:6])
+        assert steps[6][2] == ["numpy", "riccati_lie.superpose"]
+        assert steps[7][2] == ["numpy", "riccati_lie.liealg", "riccati_lie.suites", "riccati_lie.superpose"]
 
 
 class TestParserReuse:

@@ -40,21 +40,34 @@ def _public_names(module):
 
 
 def test_every_package_reexport_resolves():
-    # the root binds each re-exported module's public names, as the same objects, and no other
-    expected = set()
+    # the root's `__all__` is each re-exported module's public names, and each resolves, on first read, to the
+    # same object
+    expected = []
     for name in REEXPORTED:
         source = importlib.import_module(f"riccati_lie.{name}")
         for attr in _public_names(source):
-            assert getattr(riccati_lie, attr, None) is getattr(source, attr), f"riccati_lie.{attr}"
-        expected |= set(_public_names(source))
+            assert getattr(riccati_lie, attr) is getattr(source, attr), f"riccati_lie.{attr}"
+        expected += _public_names(source)
+    assert sorted(riccati_lie.__all__) == sorted(expected) and len(set(expected)) == len(expected)
+    assert set(expected) <= set(dir(riccati_lie))
+    namespace = {}
+    exec("from riccati_lie import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(expected)
+    assert all(namespace[name] is getattr(riccati_lie, name) for name in expected)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        riccati_lie.no_such_name
+    # and binds no public name of its own, once every re-export is read, but its modules and version
     submodules = {name for name, value in vars(riccati_lie).items() if inspect.ismodule(value)}
-    assert {name for name in vars(riccati_lie) if not name.startswith("_")} - submodules == expected
+    assert {name for name in vars(riccati_lie) if not name.startswith("_")} - submodules == set(expected)
+    assert submodules <= {info.name for info in pkgutil.iter_modules(riccati_lie.__path__)}
     assert isinstance(riccati_lie.__version__, str)
-    # and names none itself: one `from .module import *` per re-exported module
+    # and names none itself: one `from .module import *` per module it imports, all but the two that import
+    # numpy, which `__getattr__` imports on a miss
     imports = [node for node in ast.parse(inspect.getsource(riccati_lie)).body
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert [(node.level, node.module, [a.name for a in node.names]) for node in imports] \
-        == [(1, name, ["*"]) for name in REEXPORTED]
+        == [(1, name, ["*"]) for name in REEXPORTED if name not in riccati_lie._LAZY]
+    assert riccati_lie._LAZY == ("liealg", "superpose")
 
 
 def test_the_hamiltonian_solve_is_exported_from_the_package_root():
@@ -100,8 +113,10 @@ def test_no_unused_imports(path):
 def test_the_unused_import_check_sees_an_unused_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("from __future__ import annotations\nimport math, os.path\nfrom x import (a, b as c)\n"
-                      "__all__ = ['a']\n\ndef f(v: c) -> None:\n    return os.sep\n")
-    assert _unused_imports(module) == {"math": 2}
+                      "__all__ = ['a']\n\ndef f(v: c) -> None:\n    import numpy as np\n    from y import d\n"
+                      "    return os.sep, d\n")
+    # a function-local import counts as the module's
+    assert _unused_imports(module) == {"math": 2, "np": 7}
 
 
 # (importing module, defining module, name): a private name one module reads

@@ -7,6 +7,8 @@ import operator
 import re
 import struct
 import textwrap
+from array import array
+from fractions import Fraction
 from functools import partial, reduce
 
 import numpy as np
@@ -46,19 +48,25 @@ def canonical_solution(t):
     return np.array([2.0 * t / (1.0 + t * t), -((1.0 + t * t) ** 2) / 4.0])
 
 
+def _coeffs(traj):
+    """A trajectory's step polynomials as an array [step, power of u from 0, component]."""
+    return np.frombuffer(traj.coeffs).reshape(len(traj.ts) - 1, -1, 2)
+
+
 class TestIntegrate:
     def test_zero_field_is_constant(self):
         traj = integrate(lambda t, y: (0.0, 0.0), (0.0, (1.0, -1.0)), 5.0, 1e-10)
-        assert np.all(traj.states == [1.0, -1.0])
-        assert np.all(traj.coeffs == 0.0)
+        assert np.all(np.array(traj.states) == [1.0, -1.0])
+        assert np.all(_coeffs(traj)[:, 0] == [1.0, -1.0]) and np.all(_coeffs(traj)[:, 1:] == 0.0)
         assert traj.ts[0] == 0.0 and traj.ts[-1] == 5.0
 
     def test_free_particle_closed_form(self):
         P = PotentialSpec(constant(0.0), constant(0.0), constant(0.0))
         traj = integrate(hamiltonian_field(P), (0.0, (0.0, -1.0)), 2.0, 1e-10,
                          guard=hamiltonian_guard)
-        assert np.max(np.abs(traj.states[:, 0] - traj.ts)) < 1e-10
-        assert np.max(np.abs(traj.states[:, 1] + 1.0)) < 1e-12
+        states = np.array(traj.states)
+        assert np.max(np.abs(states[:, 0] - traj.ts)) < 1e-10
+        assert np.max(np.abs(states[:, 1] + 1.0)) < 1e-12
 
     def test_canonical_final_state(self):
         traj = integrate(hamiltonian_field(canonical_potential()), (0.0, (0.0, -0.25)),
@@ -78,7 +86,7 @@ class TestIntegrate:
         traj = integrate(rhs, (0.0, (0.0, -0.25)), 2.0, 1e-10, guard=hamiltonian_guard)
         hs = np.diff(traj.ts)
         for i, t in enumerate(traj.ts[:-1]):
-            np.testing.assert_allclose(traj.coeffs[i, 0] / hs[i], rhs(t, traj.states[i]), rtol=1e-14)
+            np.testing.assert_allclose(_coeffs(traj)[i, 1] / hs[i], rhs(t, traj.states[i]), rtol=1e-14)
 
     def test_convergence_with_tolerance(self):
         rhs = hamiltonian_field(canonical_potential())
@@ -141,7 +149,7 @@ class TestIntegrate:
             return (0.0 if t < 0.5 else 50.0), -y[1]
 
         traj = integrate(rhs, (0.0, (1.0, 1.0)), 1.0, 1e-8)
-        nodes = set(traj.ts.tolist())
+        nodes = set(traj.ts)
         trials, start, call = [], 0.0, 2
         while call < len(times):
             stage12 = times[call + 10]
@@ -178,9 +186,19 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.states[-1], [math.cos(2.0), -math.sin(2.0)], atol=1e-7)
 
     def test_state_must_be_two_dimensional(self):
-        for y0 in ((1.0, -1.0, 0.5), (1.0,), ((1.0, -1.0),)):
-            with pytest.raises(ValueError):
+        # exactly two real numbers: a string of two digits or a (2, 1) array is not a state
+        for y0 in ((1.0, -1.0, 0.5), (1.0,), ((1.0, -1.0),), "12", ("1", "2"), np.zeros((2, 1)), np.zeros(3), None,
+                   1.0, (1.0, None), (1.0, 1j)):
+            with pytest.raises(ValueError, match="the state must be two-dimensional, two real numbers"):
                 integrate(lambda t, y: y, (0.0, y0), 1.0, 1e-8)
+
+    @pytest.mark.parametrize("y0", [(1, -2), [1.0, -2.0], np.array([1.0, -2.0]), (np.float32(1.0), np.int64(-2)),
+                                    (Fraction(1), -2.0)], ids=repr)
+    def test_any_two_real_numbers_start_the_same_solve(self, y0):
+        traj = integrate(lambda t, y: (y[1], -y[0]), (0.0, y0), 1.0, 1e-8)
+        reference = integrate(lambda t, y: (y[1], -y[0]), (0.0, (1.0, -2.0)), 1.0, 1e-8)
+        assert traj.states[0] == (1.0, -2.0) and type(traj.states[0][0]) is float
+        assert traj.states == reference.states
 
 
 class TestWorkBound:
@@ -253,7 +271,7 @@ class TestFieldContract:
                              guard=hamiltonian_guard)
         assert as_array.stats == as_tuple.stats
         for name in ("ts", "states", "coeffs"):
-            assert getattr(as_array, name).tobytes() == getattr(as_tuple, name).tobytes()
+            assert np.array(getattr(as_array, name)).tobytes() == np.array(getattr(as_tuple, name)).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_stage_that_is_not_finite_ends_in_step_underflow(self, bad):
@@ -324,7 +342,7 @@ class TestGuards:
             pass
         traj = integrate(hamiltonian_field(canonical_potential()), (0.0, (0.0, -0.25)),
                          2.0, 1e-10, guard=hamiltonian_guard)
-        assert np.all(traj.states[:, 1] <= -1e-9)
+        assert np.all(np.array(traj.states)[:, 1] <= -1e-9)
 
     def test_blowup_reports_step_underflow(self):
         # dx/dt = x^2 from x=1 has a pole at t=1: a step size that underflows there ends a solve the integrator
@@ -356,6 +374,10 @@ class TestSampleAt:
                          2.0, 1e-8, guard=hamiltonian_guard)
         for i in (0, len(traj.ts) // 2, len(traj.ts) - 1):
             np.testing.assert_array_equal(sample_at(traj, traj.ts[i]), traj.states[i])
+        # the end node returns the stored state, not the last polynomial at u = 1, in floats and in arrays
+        traj = Trajectory(ts=[0.0, 1.0], states=[(0.0, 0.0), (5.0, 5.0)], coeffs=array("d", [0.0, 0.0, 1.0, 1.0]))
+        assert sample_at(traj, 1.0) == (5.0, 5.0) and sample_at(traj, [0.5, 1.0]) == [(0.5, 0.5), (5.0, 5.0)]
+        np.testing.assert_array_equal(sample_at(traj, np.array([0.5, 1.0])), [(0.5, 0.5), (5.0, 5.0)])
 
     def test_constant_trajectory_resamples_to_constant(self):
         traj = integrate(lambda t, y: (0.0, 0.0), (0.0, (1.0, -1.0)), 5.0, 1e-10)
@@ -379,12 +401,16 @@ class TestSampleAt:
         d2poly = lambda t: np.column_stack([6 * t - 4, 12 * t])
         d3poly = lambda t: np.column_stack([np.full_like(t, 6.0), np.full_like(t, 12.0)])
         t, h = ts[:-1], np.diff(ts)[:, None]
-        coeffs = np.stack([h * dpoly(t), h**2 * d2poly(t) / 2, h**3 * d3poly(t) / 6,
+        coeffs = np.stack([poly(t), h * dpoly(t), h**2 * d2poly(t) / 2, h**3 * d3poly(t) / 6,
                            np.zeros((len(t), 2))], axis=1)
-        traj = Trajectory(ts=ts, states=poly(ts), system="generic", coeffs=coeffs)
+        traj = Trajectory(ts=ts.tolist(), states=[tuple(s) for s in poly(ts).tolist()], system="generic",
+                          coeffs=array("d", coeffs.ravel().tolist()))
         rng = np.random.default_rng(1)
-        for t in rng.uniform(0.0, 2.0, 50):
+        times = rng.uniform(0.0, 2.0, 50)
+        for t in times:
             np.testing.assert_allclose(sample_at(traj, t), poly(np.array([t]))[0], atol=1e-12)
+        # a degree other than the integrator's 7: the same bits in floats and in arrays
+        np.testing.assert_array_equal(sample_at(traj, times), sample_at(traj, times.tolist()))
 
     def test_out_of_range_rejected(self):
         traj = integrate(lambda t, y: (0.0, 0.0), (0.0, (1.0, -1.0)), 1.0, 1e-10)
@@ -402,8 +428,10 @@ class TestSampleAt:
         batch = sample_at(traj, times)
         assert batch.shape == (len(times), 2)
         np.testing.assert_array_equal(batch, np.vstack([sample_at(traj, t) for t in times]))
-        np.testing.assert_array_equal(sample_at(traj, traj.ts), traj.states)
-        np.testing.assert_array_equal(sample_at(traj, traj.ts[-1]), traj.states[-1])
+        np.testing.assert_array_equal(batch, sample_at(traj, times.tolist()))
+        np.testing.assert_array_equal(sample_at(traj, np.array(traj.ts)), traj.states)
+        assert sample_at(traj, traj.ts) == traj.states
+        assert sample_at(traj, traj.ts[-1]) == traj.states[-1]
 
     def test_step_polynomials_end_at_the_next_state(self):
         # each step's continuous extension at u = 1 is that step's end state
@@ -418,10 +446,12 @@ class TestSampleAt:
                      integrate(partial(riccati2_rhs, coefficients_from_potential(P)),
                                (0.0, legendre_inverse(P, 0.0, s0)), 2.0, 1e-10)]
             for traj in trajs:
-                assert traj.coeffs.shape == (len(traj.ts) - 1, 7, 2)
-                end = traj.states[:-1] + traj.coeffs.sum(axis=1)
-                scale = np.maximum(1.0, np.maximum(np.abs(traj.states[:-1]), np.abs(traj.states[1:])))
-                assert np.all(np.abs(end - traj.states[1:]) <= 4 * np.finfo(float).eps * scale)
+                states, coeffs = np.array(traj.states), _coeffs(traj)
+                assert coeffs.shape == (len(traj.ts) - 1, 8, 2)
+                assert np.array_equal(coeffs[:, 0], states[:-1])
+                end = states[:-1] + coeffs[:, 1:].sum(axis=1)
+                scale = np.maximum(1.0, np.maximum(np.abs(states[:-1]), np.abs(states[1:])))
+                assert np.all(np.abs(end - states[1:]) <= 4 * np.finfo(float).eps * scale)
 
     def test_integral_drift_checks_pass_on_seeded_potentials(self):
         # with cubic Hermite sampling, seed 1 failed the F0 drift check
@@ -433,7 +463,7 @@ class TestSampleAt:
             assert not failed, (seed, failed)
 
     def test_derivative_free_trajectories_not_resampled(self):
-        traj = Trajectory(ts=np.array([0.0, 1.0]), states=np.zeros((2, 2)), system="superposed")
+        traj = Trajectory(ts=[0.0, 1.0], states=[(0.0, 0.0), (0.0, 0.0)], system="superposed")
         with pytest.raises(ValueError):
             sample_at(traj, 0.5)
 
@@ -536,8 +566,8 @@ class TestWrittenOutWeights:
     """The weights `integrate` writes out as literals are scipy's DOP853
     coefficients, bit for bit, in both components: each stage's node and
     row (C and A), the 8th-order weights (B), the 5th- and 3rd-order error
-    weights (E5 and E3), and `_D`, the continuous extension's rows (D) over
-    the stage derivatives each accepted step stores."""
+    weights (E5 and E3), and the continuous extension's rows (D), which give
+    its F3..F6."""
 
     def test_each_weight_is_scipys(self):
         dop = _dop853()
@@ -568,14 +598,11 @@ class TestWrittenOutWeights:
                 assert ast.unparse(named[f"{name}{m}"].right) == "sc"
                 assert _row(named[f"{name}{m}"].left, m) == _scipy_row(weights), (name, m)
         assert not dop.E5[12] and not dop.E3[12]
-        # `_D` holds D's columns over the stored stage derivatives, and D is zero over the others
-        (stored,) = [n.args[0] for n in ast.walk(tree)
-                     if isinstance(n, ast.Call) and ast.unparse(n.func) == "Ks.append"]
-        names = [elt.id for elt in stored.elts]
-        js = [int(name.removeprefix("k").split("_")[0]) for name in names[::2]]
-        assert names == [f"k{j}_{m}" for j in js for m in range(2)]
-        assert np.array_equal(_bits(integrator._D), _bits(dop.D[:, [j - 1 for j in js]]))
-        assert not np.delete(dop.D, [j - 1 for j in js], axis=1).any()
+        # F3..F6 are h times D's rows over the sixteen stage derivatives
+        for r, weights in enumerate(dop.D, start=3):
+            for m in range(2):
+                assert ast.unparse(named[f"f{r}_{m}"].left) == "h"
+                assert _row(named[f"f{r}_{m}"].right, m) == _scipy_row(weights), (r, m)
 
 
 class TestDotRounding:
