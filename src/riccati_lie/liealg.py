@@ -174,8 +174,8 @@ def decompose_rhs_check(P, ts, points):
     """Residual of the decomposition of the Hamiltonian RHS into fields, max
     component of |rhs - (X1 - a0 X2 - a1 X3 - a2 X4)|, at a time t and (x, p)
     point, or per row of (N,) times and (N, 2) points.  The RHS and the
-    decomposition each evaluate the potential (a derived one's memo builds it
-    once per nonzero time); a coefficient that is not finite gives a NaN or inf
+    decomposition each evaluate the potential, a derived one through its
+    compiled read; a coefficient that is not finite gives a NaN or inf
     residual, not a warning."""
     times, rows = np.ravel(ts).tolist(), np.reshape(points, (-1, 2)).tolist()
     # per time, the RHS and then the coefficients it read: (dx, dp, a0, a1, a2)

@@ -17,12 +17,11 @@ correspondence implemented here:
 
 `eval(t, k)` returns a picture's k-th derivatives: (a0, a1, a2) of a potential,
 (c0, c1, c2, c3, f0, f1) of a cubic picture.  A `PotentialSpec` is its three
-time functions, the Lie system's coefficients.  A derived picture is a `JetFn`
-built from Taylor jets.  All four pictures are `timefn.Picture`s: each reads
-order 0 through its `template`, the potential's the identity over its fields.
-Each states its field once, as `field` lines: a potential's the chart field
-below, a cubic picture's the first-order form of the equation.  Its `rhs`,
-which the integrator runs, compiles them after its order-0 read;
+time functions, the Lie system's coefficients; a derived picture is a `JetFn`,
+its map stated once over Taylor jets, which its reads trace into compiled
+source.  Each picture states its field once, as `field` lines: a potential's
+the chart field below, a cubic picture's the first-order form of the equation.
+Its `rhs`, which the integrator runs, compiles them after its order-0 read;
 `affine_rhs` and `riccati2_rhs` run them over any picture's `eval`.
 
 On the branch v + U > 0 the Legendre transform p = -1/(v + U)**2 is a
@@ -101,14 +100,16 @@ class PotentialSpec(Picture):
     a2: object
 
     names = ("a0", "a1", "a2")
-    template = (names, (("a0", 0, 0), ("a1", 1, 0), ("a2", 2, 0)), ("a0, a1, a2",), ())
+    template = (("a0", 0, 0), ("a1", 1, 0), ("a2", 2, 0), "a0, a1, a2")  # order 0's lines: its fields' reads
     # the chart field d(u, sigma)/dt of `affine_rhs`, with y = (u, sigma)
     field = ("u, sigma = y", "half = 0.5 * a1", "1.0 - a0 * sigma - half * u, a2 * u + half * sigma")
+
+    def _lines(self, order):
+        return (self.a0, self.a1, self.a2), self.template
 
     def eval(self, t, order=0):
         if order:
             return self.a0.eval(t, order), self.a1.eval(t, order), self.a2.eval(t, order)
-        # `JetFn.eval`'s order-0 read too: one method for both adds a call per read, about 3% of `affine_rhs`
         return self.inline(t) or self.floats(t)
 
 
@@ -116,8 +117,9 @@ _WINDOW_T_RESOLUTION = 1e-9  # narrowest interval the window check refines to, r
 
 
 def _positive(name, t, value: float) -> None:
-    if not value > 0.0:
-        raise DomainError(f"{name}(t) must be positive on the working interval; {name}({t})={value}")
+    if type(value) is not float or not value > 0.0:  # traced, the test is a line of the read
+        Jet.require(value > 0.0, lambda: DomainError(f"{name}(t) must be positive on the working interval; "
+                                                     f"{name}({t})={value}"))
 
 
 def _positive_on_window(name, f, grid) -> None:
@@ -162,14 +164,10 @@ def _drag(c2, c3, dc3, root):
     return c2 / root - dc3 / (2.0 * c3)
 
 
-_MAP_NAMES = (("drag", _drag), ("positive", _positive))  # what the maps' templates call
-
-
 @dataclass(frozen=True)
 class RiccatiSpec(JetFn):
     """The four cubic coefficients; `eval(t, k)` returns the k-th derivatives
-    (c0, c1, c2, c3, f0, f1), the drag pair derived from c2 and c3: at order 0
-    in plain floats (`template`), at any higher order from jets."""
+    (c0, c1, c2, c3, f0, f1), the drag pair derived from c2 and c3."""
 
     c0: object
     c1: object
@@ -177,16 +175,13 @@ class RiccatiSpec(JetFn):
     c3: object
 
     names = ("c0", "c1", "c2", "c3", "f0", "f1")
-    template = (("c0", "c1", "c2", "c3"), (("dc3", 3, 1), ("c3", 3, 0), ("c0", 0, 0), ("c1", 1, 0), ("c2", 2, 0)),
-                ('positive("c3", t, c3)', "root = sqrt(c3)", "c0, c1, c2, c3, drag(c2, c3, dc3, root), 3.0 * root"),
-                _MAP_NAMES)  # `jets` at n = 0, read in the same order
     # the first-order field d(x, v)/dt of `riccati2_rhs`, with y = (x, v)
     field = ("x, v = y", "v, -(f0 + f1 * x) * v - (c0 + x * (c1 + x * (c2 + x * c3)))")
 
     def jets(self, t, n):
-        c3 = Jet.of(self.c3, t, n + 1)  # the highest order first: views of one picture share its build
+        c3 = Jet.of(self.c3, t, n + 1)
         c0, c1, c2 = Jet.of(self.c0, t, n), Jet.of(self.c1, t, n), Jet.of(self.c2, t, n)
-        _positive("c3", t, c3.value)
+        _positive("c3", t, c3.coeffs[0])
         root = c3.sqrt()
         return c0, c1, c2, c3, _drag(c2, c3, c3.derivative(), root), 3.0 * root
 
@@ -227,17 +222,14 @@ def eval_U(P: PotentialSpec | JetFn, t: float, x: float):
 
 @dataclass(frozen=True)
 class _CubicOfPotential(JetFn):
-    P: PotentialSpec | JetFn
+    a0: object
+    a1: object
+    a2: object
 
     names, field = RiccatiSpec.names, RiccatiSpec.field
-    # `jets` at n = 0; a jet product's order 0 is fsum((x * y,)), which is x * y + 0.0
-    template = (("P.a0", "P.a1", "P.a2"),
-                (("da0", 0, 1), ("a0", 0, 0), ("da1", 1, 1), ("a1", 1, 0), ("da2", 2, 1), ("a2", 2, 0)),
-                ("(da0 + 0.5 * (a0 * a1 + 0.0), da1 + 0.5 * (a1 * a1 + 0.0) + (a0 * a2 + 0.0), "
-                 "da2 + 1.5 * (a1 * a2 + 0.0), a2 * a2 + 0.0, 1.5 * a1, 3.0 * a2)",), ())
 
     def jets(self, t, n):
-        a0, a1, a2 = [Jet.of(a, t, n + 1) for a in (self.P.a0, self.P.a1, self.P.a2)]
+        a0, a1, a2 = [Jet.of(a, t, n + 1) for a in (self.a0, self.a1, self.a2)]
         return (
             a0.derivative() + 0.5 * (a0 * a1),
             a1.derivative() + 0.5 * (a1 * a1) + a0 * a2,
@@ -258,25 +250,19 @@ def coefficients_from_potential(P: PotentialSpec | JetFn, grid=None) -> JetFn:
     """
     if grid is not None:
         _positive_on_window("a2", P.a2, grid)
-    return _CubicOfPotential(P)
+    return _CubicOfPotential(P.a0, P.a1, P.a2)
 
 
 @dataclass(frozen=True)
 class _PotentialOfCubic(JetFn):
-    R: JetFn
+    c1: object
+    c2: object
+    c3: object
 
     names, field = PotentialSpec.names, PotentialSpec.field
-    # `jets` at n = 0: c3 to order 2, c2 to order 1, c1; sqrt's orders 0 and 1, `_drag`'s quotients' order 1, a1'
-    template = (("R.c1", "R.c2", "R.c3"),
-                (("d2c3", 2, 2), ("dc3", 2, 1), ("c3", 2, 0), ("dc2", 1, 1), ("c2", 1, 0), ("c1", 0, 0)),
-                ("a2 = jet_sqrt(c3)", "da2 = dc3 / (2.0 * a2)", "a1 = (2.0 / 3.0) * drag(c2, c3, dc3, a2)",
-                 "da1 = (2.0 / 3.0) * ((dc2 - (da2 * (c2 / a2) + 0.0)) / a2"
-                 " - (2 * (d2c3 / 2) - (dc3 * 2.0 * (dc3 / (c3 * 2.0)) + 0.0)) / (c3 * 2.0))",
-                 "(c1 - da1 - 0.5 * (a1 * a1 + 0.0)) / a2, a1, a2"), _MAP_NAMES)
 
     def jets(self, t, n):
-        R = self.R
-        c3, c2, c1 = Jet.of(R.c3, t, n + 2), Jet.of(R.c2, t, n + 1), Jet.of(R.c1, t, n)
+        c3, c2, c1 = Jet.of(self.c3, t, n + 2), Jet.of(self.c2, t, n + 1), Jet.of(self.c1, t, n)
         a2 = c3.sqrt()
         a1 = (2.0 / 3.0) * _drag(c2, c3, c3.derivative(), a2)
         return (c1 - a1.derivative() - 0.5 * (a1 * a1)) / a2, a1, a2
@@ -291,16 +277,17 @@ def potential_from_coefficients(R: JetFn, grid) -> JetFn:
     read as time functions: the fields of a `RiccatiSpec`, views of a derived one.
     """
     _positive_on_window("c3", R.c3, grid)
-    return _PotentialOfCubic(R)
+    return _PotentialOfCubic(R.c1, R.c2, R.c3)
 
 
 def map_defect(R: JetFn, R2: JetFn, grid, names):
     """Sup over the grid of |R2 - R| for each named coefficient of two cubic
     pictures, R2 being R carried through the maps: the cubic picture of R's
     potential for c0, or `RiccatiSpec(R.c0, R.c1, R.c2, R.c3)` for the drag
-    pair (f1, f0).  R2 is read first, since it may be built over R's views."""
-    rows = [[abs(getattr(R2, name).eval(t) - getattr(R, name).eval(t)) for name in names]
-            for t in map(float, grid)]
+    pair (f1, f0).  Each is read once per grid time, R2 first."""
+    indices = [R.names.index(name) for name in names]
+    reads = ((R2.eval(t), R.eval(t)) for t in map(float, grid))
+    rows = [[abs(got[i] - want[i]) for i in indices] for got, want in reads]
     return tuple(map(max, zip(*rows)))
 
 

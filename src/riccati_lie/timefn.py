@@ -6,20 +6,16 @@ order requested anywhere in the library is evaluated in closed form --
 no finite differencing enters any coefficient.  A sum is read through a flat
 function of t compiled once per shape from its terms' templates (`_read_code`).
 
-A `Picture` is the coefficients of one equation, read as a tuple: the
-potential's three time functions, or a picture derived from another.
-Every picture reads order 0 through one compiled function of its time
-functions, built from its `template`, and its field dy/dt through one
-more, which runs the field's lines after that read.
-
-Coefficients *derived* from these sums through products, quotients and
+A `Picture` is the coefficients of one equation, read as a tuple through
+compiled functions of its time functions, and its field dy/dt through one
+more.  Coefficients *derived* from the sums through products, quotients and
 square roots (the maps between the potential and the cubic-equation
-parametrizations need all three) are handled by a small truncated
-Taylor-jet layer: a `Jet` holds the Taylor coefficients of a function at
-one point, and jet arithmetic propagates them exactly.  A `JetFn` is a
-derived coefficient picture: it builds the jets of all its coefficients
-at once and reads any derivative order off them, so its derivatives stay
-closed-form as well.
+parametrizations need all three) are stated once over truncated Taylor
+jets: a `Jet` holds the Taylor coefficients of a function at one point, and
+jet arithmetic propagates them exactly.  A `JetFn`'s `jets` build them for
+all its coefficients; run once per class and order over placeholder floats
+(`_trace`), they write its reads' source, so no jet arithmetic runs when a
+derived picture is read.
 
 Text grammar for configuration files::
 
@@ -38,6 +34,7 @@ must be finite.
 from __future__ import annotations
 
 import functools
+import collections
 import inspect
 import math
 import operator
@@ -67,7 +64,7 @@ __all__ = [
 class _Term:
     """A term: `params` are its numbers, as its class's `template` names them; `eval` is its compiled read."""
 
-    _reads = functools.cached_property(lambda self: _Reads((self,), raw=True))
+    _reads = functools.cached_property(lambda self: _Reads(functools.partial(_sum_read, (self,), False)))
 
     def eval(self, t, order=0):
         return self._reads[order](t)
@@ -101,12 +98,14 @@ class Poly(_Term):
         return f"s{c[0]}"
 
     def slope_bound(self, t0, t1):
-        """An upper bound of |d/dt| on [t0, t1], from the Taylor expansion of
-        the derivative at the midpoint m: Σ_j |p^(j)(m)| h^(j-1) / (j-1)!
-        with h the half-width, so it tightens to |p'(m)| on a narrow interval."""
-        m, h = 0.5 * (t0 + t1), 0.5 * abs(t1 - t0)
-        return sum(abs(self.eval(m, j)) * h ** (j - 1) / math.factorial(j - 1)
-                   for j in range(1, len(self.coeffs)))
+        """An upper bound of |d/dt| on [t0, t1], from the Taylor coefficients a_j of the polynomial at the
+        midpoint m, taken in floats by repeated synthetic division: Σ_j j |a_j| h^(j-1) with h the
+        half-width, so it tightens to |p'(m)| on a narrow interval."""
+        m, h, a = 0.5 * (t0 + t1), 0.5 * abs(t1 - t0), list(self.coeffs)
+        for i in range(len(a) - 1):
+            for k in range(len(a) - 2, i - 1, -1):
+                a[k] += m * a[k + 1]
+        return sum(j * abs(a[j]) * h ** (j - 1) for j in range(1, len(a)))
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ class TimeFn:
 
     terms: tuple
 
-    _reads = functools.cached_property(lambda self: _Reads(self.terms))
+    _reads = functools.cached_property(lambda self: _Reads(functools.partial(_sum_read, self.terms, True)))
 
     def eval(self, t, order=0):
         """Value (order=0) or exact order-th derivative at time t: the
@@ -191,82 +190,83 @@ class TimeFn:
 
 # --- compiled reads ------------------------------------------------------
 
-def _sqrt(x):  # a jet's square root at its point
-    if not x > 0.0:
-        raise DomainError(f"jet sqrt needs a positive value at the point, got {x}")
-    return math.sqrt(x)
-
-
 _NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "fsum": math.fsum, "sqrt": math.sqrt,
-              "jet_sqrt": _sqrt, "isfinite": math.isfinite, "RiccatiLieError": RiccatiLieError}
+              "isfinite": math.isfinite, "RiccatiLieError": RiccatiLieError, "DomainError": DomainError}
 
 
 @functools.lru_cache(maxsize=1024)
-def _read_code(shape, reads, lines, names, check, field=None):
-    """The code of `read(t, *params, *names)`: each (name, i, order) of `reads` assigns name the order-th derivative
-    of leaf i: where the leaf is None, its one param through `.eval`; else a sum's terms ((term class, number of
-    params) pairs), with a `check` as a + 0.0 or a + b + 0.0 (fsum's correctly rounded sum of finite terms; + 0.0
-    turns -0.0 into its 0.0) or fsum, with none as a one-term sum's term, a term's own read.  Then `lines` run, the
-    last the values returned; with a `check`, None where a line or a leaf's `.eval` raises ArithmeticError,
-    ValueError or a RiccatiLieError, or the check of the values is false.  No config number is in its source.
-
-    With a `field` (coefficients, field lines) the code is of `read(t, y, *params, *names)`, and `eval` is one of
-    `names`: it binds the values to the coefficients, which the check reads, and to `eval(t)`'s where it fails,
-    then runs the field lines over them and the state y, and returns the last."""
-    params, code = [], []
+def _read_code(shape, lines, names, check, field=()):
+    """The code of `read(t, *params)`: `lines` run in turn and `names` are assigned the last.  A line is source, or
+    a read (name, i, order, *checked) that assigns name the order-th derivative of leaf i: where its shape is None,
+    its one param through `.eval`; else a sum's terms ((term class, number of params) pairs), with a `check` as
+    a + 0.0 or a + b + 0.0 (fsum's correctly rounded sum of finite terms; + 0.0 turns -0.0 into its 0.0) or fsum,
+    with none as a one-term sum's term, a term's own read.  It returns `names`; with a `check`, None where a line
+    or a leaf's `.eval` raises ArithmeticError, ValueError or a RiccatiLieError, or `names` and the `checked` sums
+    do not sum to a finite number.  With `field` lines it is `read(t, y, *params, eval)`: where the check fails,
+    `names` are `eval(t)`'s, and it runs the field over them and the state y and returns the last.  No config
+    number is in its source."""
+    params, code, sums = [], [], []
     for i, terms in enumerate(shape):
         params += [f"leaf{i}"] if terms is None else [f"k{i}_{j}_{m}" for j, (_, n) in enumerate(terms)
                                                        for m in range(n)]
-    for name, i, order in reads:
-        parts = [f"({cls.template([f'k{i}_{j}_{m}' for m in range(n)], order, code)})"
-                 for j, (cls, n) in enumerate(shape[i] or ())]
-        code.append(f"{name} = " + (f"float(leaf{i}.eval(t, {order}))" if shape[i] is None else parts[0] if not check
-                                    else " + ".join([*parts, "0.0"]) if len(parts) <= 2
-                                    else f"fsum([{', '.join(parts)}])"))
-    *code, values = code + list(lines)
-    target = ", ".join(field[0]) if field else "values"
+    for line in lines:
+        if type(line) is not str:
+            name, i, order, *checked = line
+            parts = [f"({cls.template([f'k{i}_{j}_{m}' for m in range(n)], order, code)})"
+                     for j, (cls, n) in enumerate(shape[i] or ())]
+            sums += [name] if shape[i] is not None and checked else []
+            line = f"{name} = " + (f"float(leaf{i}.eval(t, {order}))" if shape[i] is None else parts[0] if not check
+                                   else " + ".join([*parts, "0.0"]) if len(parts) <= 2
+                                   else f"fsum([{', '.join(parts)}])")
+        code.append(line)
+    *code, values = code
+    target = ", ".join(names)
     code += [f"{target} = {values}"] if values != target else []  # a potential's values are its coefficients
     if check:
-        code = ["try:", *[f"    {line}" for line in code], f"    ok = {check}",
+        code = ["try:", *[f"    {line}" for line in code], f"    ok = isfinite({' + '.join([*sums, *names])})",
                 "except (ArithmeticError, ValueError, RiccatiLieError):", "    ok = False"]
-    values = "values if ok else None" if check else "values"
+    values = f"({target}) if ok else None" if check and not field else target
     if field:
-        *code, values = [*code, *(["if not ok:", f"    {target} = eval(t)"] if check else []), *field[1]]
-        params.insert(0, "y")
-    exec(compile("\n    ".join([f"def read(t, {', '.join(params + list(names))}):", *code, f"return {values}"]),
+        *code, values = [*code, *(["if not ok:", f"    {target} = eval(t)"] if check else []), *field]
+        params = ["y", *params, "eval"]
+    exec(compile("\n    ".join([f"def read(t, {', '.join(params)}):", *code, f"return {values}"]),
                  "<timefn read>", "exec"), _NAMESPACE, namespace := {})
     return namespace["read"].__code__
 
 
-def _compiled(leaves, reads, lines, check=None, names=(), field=None):  # bound to leaves, their numbers, `names`
+def _compiled(leaves, lines, names, check, field=(), evaluate=None):  # bound to leaves, their numbers, `evaluate`
     shape, params = [], []
     for leaf in leaves:
         shape.append(None if hasattr(leaf, "eval") else tuple((type(term), len(term.params)) for term in leaf))
         params += [leaf] if shape[-1] is None else [x for term in leaf for x in term.params]
-    code = _read_code(tuple(shape), reads, lines, tuple(name for name, _ in names), check, field)
-    return types.FunctionType(code, _NAMESPACE, "read", (*params, *(value for _, value in names)))
+    code = _read_code(tuple(shape), tuple(lines), tuple(names), check, tuple(field))
+    return types.FunctionType(code, _NAMESPACE, "read", (*params, evaluate) if field else tuple(params))
 
 
 def uncompiled_field(names, lines):
     """The field of `lines` over the coefficients `names` and the state y, the last the derivative, as
     `read(t, y, eval)`: they run over `eval(t)`, for any picture's `eval`.  A picture's `rhs` is the
     same lines compiled with its order-0 read."""
-    return types.FunctionType(_read_code((), (), ("eval(t)",), ("eval",), None, (names, lines)), _NAMESPACE, "read")
+    return types.FunctionType(_read_code((), ("eval(t)",), tuple(names), False, tuple(lines)), _NAMESPACE, "read")
+
+
+def _sum_read(terms, check, order):  # a sum of terms' compiled read: finite, or unchecked a one-term sum's term
+    return _compiled((terms,), (("v", 0, order), "v"), ("v",), check)
 
 
 class _Reads(dict):
-    """order -> the compiled read of a sum of terms, bound on first use: finite, or with `raw` a one-term sum's term."""
+    """order -> the compiled read `build(order)`, built on first use, and left out of a pickle."""
 
-    def __init__(self, terms, raw=False):
-        self.terms, self.raw = terms, raw
+    def __init__(self, build):
+        self.build = build
 
-    def __reduce__(self):  # pickled without the compiled reads, which it builds again on use
-        return _Reads, (self.terms, self.raw)
+    def __reduce__(self):
+        return _Reads, (self.build,)
 
     def __missing__(self, order):
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        read = self[order] = _compiled((self.terms,), (("v", 0, order),), ("v",), None if self.raw else "isfinite(v)")
+        read = self[order] = self.build(order)
         return read
 
 
@@ -327,12 +327,19 @@ def render_timefn(f: TimeFn) -> str:
 
 # --- Taylor jets ---------------------------------------------------------
 
+def _fsum(terms):  # math.fsum; traced, its line, a one-term sum x + 0.0 (the same bits, -0.0 to 0.0 too)
+    if terms and type(terms[0]) is _Var:
+        return terms[0].trace.line(f"{terms[0]!r} + 0.0" if len(terms) == 1 else f"fsum({terms!r})")
+    return math.fsum(terms)
+
+
 class Jet:
     """Truncated Taylor expansion at a point: coeffs[k] = f^(k)(t) / k!.
 
     Jets add, subtract, multiply and divide with jets, truncating to the
     shorter operand, so a rule that needs the derivative of an argument
     simply requests one extra order from it; a number can only scale a jet.
+    Over a trace's placeholder floats (`_Var`) every operation writes source.
     """
 
     __slots__ = ("coeffs",)
@@ -342,16 +349,27 @@ class Jet:
 
     @classmethod
     def of(cls, f, t, n: int) -> "Jet":
-        """Jet of a time function (anything with .eval(t, order)) to order n, read from n down."""
+        """Jet of a time function (anything with .eval(t, order)) to order n, read from n down; traced, of the leaf
+        of index f, whose reads are lines (name, f, order)."""
+        if type(t) is _Var:
+            names = [f"j{len(t.trace) + n - k}" for k in range(n + 1)]
+            t.trace += [(names[k], f, k) for k in range(n, -1, -1)]
+            return cls([_Var(t.trace, name) / math.factorial(k) for k, name in enumerate(names)])
         return cls([float(f.eval(t, k)) / math.factorial(k) for k in range(n, -1, -1)][::-1])
+
+    @staticmethod
+    def require(condition, error):
+        """Raise error() where condition is false; traced, the line that does, once per condition."""
+        if type(condition) is not _Var:
+            if not condition:
+                raise error()
+        elif condition.name not in (trace := condition.trace).tested:
+            trace.tested.add(condition.name)
+            trace.append(f"if not ({condition!r}): raise {type(exc := error()).__name__}(f{str(exc)!r})")
 
     def deriv(self, order: int) -> float:
         """The order-th derivative encoded by this jet."""
         return self.coeffs[order] * math.factorial(order)
-
-    @property
-    def value(self) -> float:
-        return self.coeffs[0]
 
     def derivative(self) -> "Jet":
         """Jet of f', one order shorter."""
@@ -373,96 +391,140 @@ class Jet:
             return Jet([c * other for c in a])
         b = other.coeffs
         n = len(a) if len(a) < len(b) else len(b)
-        return Jet([math.fsum([a[j] * b[k - j] for j in range(k + 1)]) for k in range(n)])
+        return Jet([_fsum([a[j] * b[k - j] for j in range(k + 1)]) for k in range(n)])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a, b = self.coeffs, other.coeffs
         n = len(a) if len(a) < len(b) else len(b)
-        if b[0] == 0.0:
-            raise ZeroDivisionError("jet division by a function vanishing at the point")
+        Jet.require(b[0] != 0.0, lambda: ZeroDivisionError("jet division by a function vanishing at the point"))
         out = [a[0] / b[0]]  # a[0] - math.fsum([]) is a[0]
         for k in range(1, n):
-            s = a[k] - math.fsum([b[j] * out[k - j] for j in range(1, k + 1)])
+            s = a[k] - _fsum([b[j] * out[k - j] for j in range(1, k + 1)])
             out.append(s / b[0])
         return Jet(out)
 
     def sqrt(self) -> "Jet":
         a = self.coeffs
-        root = _sqrt(a[0])
-        out = [root]
+        Jet.require(a[0] > 0.0, lambda: DomainError(f"jet sqrt needs a positive value at the point, got {a[0]}"))
+        out = [root := a[0].trace.line(f"sqrt({a[0]!r})") if type(a[0]) is _Var else math.sqrt(a[0])]
         for k in range(1, len(a)):
-            s = a[k] - math.fsum([out[j] * out[k - j] for j in range(1, k)])
+            s = a[k] - _fsum([out[j] * out[k - j] for j in range(1, k)])
             out.append(s / (2.0 * root))
         return Jet(out)
+
+
+# --- traced reads --------------------------------------------------------
+
+class _Var:
+    """A placeholder float of a traced `jets` run, by its name: an operation on it is a line of the trace, a
+    comparison the source of a test (`Jet.require`), and in an error message the value read."""
+
+    def __init__(self, trace, name):
+        self.trace, self.name = trace, name
+
+    __repr__ = lambda self: self.name
+    __format__ = lambda self, spec: f"{{{self.name}}}"
+
+
+def _operator(symbol, reflected):
+    def method(a, b):  # x * 1, 1 * x, x / 1 and x - 0.0 are x, to the bit
+        if f"{symbol}{b!r}" in ("*1", "/1", "-0.0") and (symbol == "*" or not reflected):
+            return a
+        source = f"{b!r} {symbol} {a!r}" if reflected else f"{a!r} {symbol} {b!r}"
+        return _Var(a.trace, source) if symbol in "!=>" else a.trace.line(source)
+    return method
+
+
+for _name, _symbol in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("gt", ">"), ("ne", "!=")):
+    setattr(_Var, f"__{_name}__", _operator(_symbol, False))
+    setattr(_Var, f"__r{_name}__", _operator(_symbol, True))
+
+
+class _Trace(list):
+    """A traced `jets` run: its lines, of source and of reads (name, leaf index, order), and the conditions `tested`."""
+
+    def __init__(self):
+        super().__init__()
+        self.tested, self.t = set(), _Var(self, "t")
+
+    def line(self, source):
+        self.append(f"{(name := f'j{len(self)}')} = {source}")
+        return _Var(self, name)
+
+
+_NAME, _assigned = r"\bj\d+\b", functools.partial(re.fullmatch, r"(j\d+) = (.*)")  # a placeholder, and its line
+
+
+@functools.cache
+def _trace(cls, order):
+    """The lines of a `cls` picture's read of `order`, once per process: its `jets(t, order)` traced with its i-th
+    field leaf i, then the values, the order-th derivatives.  A line no later one reads goes, but past order 0 an
+    `fsum`, which can raise: so order 0 computes no order that no value needs, and a higher order raises what the
+    jets raise.  A line read once that cannot raise goes into its use.  A read is checked (`_read_code`) unless a
+    value reaches it other than through a divisor."""
+    trace = _Trace()
+    values = ", ".join(repr(jet.deriv(order)) for jet in cls(*range(len(fields(cls)))).jets(trace.t, order))
+    lines, reached, uses = [*trace, values], set(re.findall(_NAME, values)), collections.Counter()
+    for i in reversed(range(len(lines))):
+        if type(lines[i]) is tuple:
+            lines[i] += () if lines[i][0] in reached else (True,)
+            continue
+        target, source = m.groups() if (m := _assigned(lines[i])) else (None, lines[i])
+        if target in reached:  # so are its operands, but a divisor
+            reached.update(re.findall(_NAME, source.partition(" / ")[0]))
+        raises = "fsum(" in source  # so it is never moved, nor left out past order 0
+        if target and not uses[target] and not (order and raises):
+            del lines[i]
+            continue
+        if target and uses[target] == 1 and not raises:
+            del lines[i]
+            use = next(j for j in range(i, len(lines)) if re.search(rf"\b{target}\b", str(lines[j])))
+            lines[use] = re.sub(rf"\b{target}\b", f"({source})", lines[use])
+        uses.update(re.findall(_NAME, source))
+    return tuple(lines)
 
 
 class Picture:
     """A coefficient picture: the coefficients `names` of one equation, read as a tuple by `eval(t, k)`.
 
-    A picture may give its order 0 as a `template` (leaves, reads, lines, names): `_read_code` reads of the
-    time functions at the attribute paths `leaves`, then `lines` of float arithmetic, the last the values.
-    `floats(t)` reads each leaf through its `eval`, which gives the error lines.  `inline(t)` decides leaf by
-    leaf: it inlines the terms of a TimeFn of floats and reads any other leaf through its `eval`, as `floats`
-    does, and returns the same values, or None where a line or a leaf's `eval` raises or the values' sum,
-    written out term by term, is not finite.  `eval` reads order 0 from `inline`, else from `floats`, which
-    raises the first failure in the order the leaves are read.
-
-    A picture with a template may give its field dy/dt as `field`: lines of arithmetic over `names` and a
-    state y, the last the derivative, which `uncompiled_field` runs over `eval(t)`.  `rhs(t, y)` runs them
-    over `inline`'s values, else over `eval(t)`'s, which is that uncompiled field: the same values, or the
-    same exception.  `floats`, `inline` and `rhs` are each compiled once per shape, built on first use and
-    left out of a pickle.
+    An order is read through functions `_read_code` compiles from a subclass's `_lines(order)`: the leaves (its
+    time functions) and lines over their reads, the last the values.  `floats(t)` reads each leaf through its
+    `eval`, which gives the error lines; `inline(t)` inlines the terms of a TimeFn of floats: the same values, or
+    None where a line or a leaf's `eval` raises or their sum is not finite.  `eval` reads `inline`, else `floats`,
+    which raises the first failure in the order the leaves are read.  A `field` is dy/dt, lines over `names` and a
+    state y, the last the derivative: `uncompiled_field` runs them over `eval(t)`, `rhs(t, y)` over `inline`'s
+    values, else `eval(t)`'s.  Each read is compiled once per shape, built on first use and left out of a pickle.
     """
 
     names = ()
-    template = None
     field = None
 
-    # inline: a TimeFn of floats as its terms, which read to the bits of its eval, as floats
-    def _map(self, inline, field=None):
-        paths, reads, lines, names = self.template
-        leaves = operator.attrgetter(*paths)(self)
+    def _map(self, order, inline, field=()):  # a TimeFn of floats inline as its terms, which read to its bits
+        leaves, lines = self._lines(order)
         if inline:
             leaves = [leaf.terms if type(leaf) is TimeFn
                       and {type(x) for term in leaf.terms for x in term.params} <= {float} else leaf for leaf in leaves]
-        terms = self.names if field else [f"values[{i}]" for i in range(len(self.names))]
-        check = f"isfinite({' + '.join(terms)})" if inline else None
-        if field:
-            names += (("eval", self.eval),)
-        return _compiled(leaves, reads, lines, check=check, names=names, field=field and (self.names, field))
+        return _compiled(leaves, lines, self.names, inline, field, self.eval)
 
-    floats = functools.cached_property(lambda self: self.template and self._map(inline=False))
-    inline = functools.cached_property(lambda self: self.template and self._map(inline=True))
-    rhs = functools.cached_property(lambda self: self.field and self._map(inline=True, field=self.field))
+    floats = functools.cached_property(lambda self: self._map(0, inline=False))
+    inline = functools.cached_property(lambda self: self._map(0, inline=True))
+    rhs = functools.cached_property(lambda self: self.field and self._map(0, inline=True, field=self.field))
 
     def __getstate__(self):  # without the compiled reads, which are built again on use
-        return {name: value for name, value in vars(self).items() if name not in ("floats", "inline", "rhs")}
+        return {name: value for name, value in vars(self).items() if type(value) is not types.FunctionType}
 
 
 class JetFn(Picture):
-    """A derived coefficient picture: every coefficient evaluated from one jet build.
+    """A derived picture, stated once as `jets(t, n)`: a Jet per coefficient of `names` to order n or more, of
+    `Jet.of` reads of its dataclass fields, time functions or views of a picture.  An order's lines are `jets` traced
+    (`_trace`); `eval` reads `_inlines[order]`, else `_floats[order]`: NumericError on an overflow in their
+    arithmetic, or naming the first value that is not finite.  A name that is not a field is a `Coefficient`
+    view, read through its picture's `eval`."""
 
-    Subclasses implement `jets(t, n)`, one Jet per coefficient of `names` to
-    order n or more, which only `eval` calls: it reads the order-th derivative
-    of every coefficient off them, as a tuple (NumericError on an overflow in
-    the jet arithmetic, or naming the first coefficient whose value it would
-    return is not finite).  Each name that is not a field is a `Coefficient` view.
-    A `template` is `jets` at n = 0: `floats` returns the bits of the jets'
-    order 0 wherever the jets return, and `eval` builds order 0 through the
-    template, with no jets.
-
-    `eval` keeps its last build (t, order, jets and values, out of `==`, `hash`
-    and `repr`) and serves any read at that t of an order no higher from it, to
-    the bit: a jet's k-th coefficient does not depend on the order built.  An
-    accepted DOP853 step's stages 12 and 13 share t + h, and a reader asks for
-    its highest order first.
-    An order-0 build keeps no jets, so a higher order at its t builds again.
-    A zero t hits only with the last build's sign: 0.0 == -0.0, but their coefficients may differ.
-    """
-
-    _last = (None, -1, (), ())  # (t, order, jets, values) of the last build
+    _inlines = functools.cached_property(lambda self: _Reads(functools.partial(self._map, inline=True)))
+    _floats = functools.cached_property(lambda self: _Reads(functools.partial(self._map, inline=False)))
 
     def __init_subclass__(cls):
         annotated = {name for klass in cls.__mro__ for name in inspect.get_annotations(klass)}
@@ -470,34 +532,23 @@ class JetFn(Picture):
             if name not in annotated:
                 setattr(cls, name, property(functools.partial(Coefficient, index=index)))
 
+    def _lines(self, order):
+        return [getattr(self, field.name) for field in fields(self)], _trace(type(self), order)
+
     def eval(self, t, order=0):
-        if order < 0:
-            raise ValueError(f"derivative order must be >= 0, got {order}")
-        last_t, built, jets, values = self._last
-        if t != last_t or order > built or (not t and math.copysign(1.0, t) != math.copysign(1.0, last_t)):
+        if (values := self._inlines[order](t)) is None:
             try:
-                if order or self.floats is None:
-                    jets = self.jets(t, order)
-                    values = tuple([jet.coeffs[0] for jet in jets])
-                else:
-                    jets, values = (), self.inline(t) or self.floats(t)
+                values = self._floats[order](t)
             # math.fsum's intermediate overflow, or its inf - inf, in a jet product, quotient or sqrt
             except (OverflowError, ValueError):
                 raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None
-            self.__dict__["_last"] = t, order, jets, values
-        values = tuple([jet.deriv(order) for jet in jets]) if order else values  # 0! is 1, and c * 1.0 is c
-        if not math.isfinite(sum(values)):  # a value that is not finite, or a sum that overflows
-            for name, value in zip(self.names, values):
-                if not math.isfinite(value):
-                    raise NumericError(f"coefficient {name} is not finite at t={t}")
+            if bad := [name for name, value in zip(self.names, values) if not math.isfinite(value)]:
+                raise NumericError(f"coefficient {bad[0]} is not finite at t={t}")
         return values
 
 
 class Coefficient:
-    """One coefficient of a picture read as a time function.  An `eval`
-    builds the whole picture, but reads at one t, through any of its
-    coefficients, share one build as long as none asks for a higher order
-    than the first: a reader asks for its highest order first."""
+    """One coefficient of a picture read as a time function: its `eval` reads the whole picture."""
 
     def __init__(self, picture: JetFn, index: int):
         self.picture, self.index = picture, index

@@ -419,6 +419,24 @@ class TestDerive:
         rc = cli.main(["derive", config(RICCATI.replace("c3 = poly 1", "c3 = poly -1"))])
         assert rc == cli.EXIT_DOMAIN
 
+    LONG_POLY = "poly 1" + " 0" * 170 + " 1e-10"  # 1 + 1e-10 t^171 >= 1 on [0, 1]
+
+    @pytest.mark.parametrize("source, argv", [
+        *[("riccati", argv) for argv in (["derive", "CONFIG"], ["simulate", "CONFIG", "--ic=0,-1", "--out", "OUT"],
+                                          ["simulate", "CONFIG", "--system", "riccati2", "--ic=0,0.5", "--out", "OUT"],
+                                          ["verify", "all", "CONFIG", "--trials", "3"])],
+        ("potential", ["derive", "CONFIG"]),
+    ], ids=["riccati-derive", "riccati-hamiltonian", "riccati-riccati2", "riccati-verify", "potential-derive"])
+    def test_a_long_poly_passes_the_window_check(self, config, tmp_path, capsys, source, argv):
+        # c3 or a2 of 172 coefficients: the window check's slope bound reads the poly's Taylor coefficients at the
+        # midpoint in floats, where its derivatives' perm(171, j) overflowed once converted to a float
+        text = RICCATI.replace("c3 = poly 1", f"c3 = {self.LONG_POLY}") if source == "riccati" \
+            else CANONICAL.replace("a2 = poly 1", f"a2 = {self.LONG_POLY}")
+        path = config(text)
+        argv = [path if arg == "CONFIG" else str(tmp_path / "out.csv") if arg == "OUT" else arg for arg in argv]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_nonpositive_a2_rejected_for_potential_derive(self, config, tmp_path, capsys):
         rc = cli.main(["derive", config(FREE)])
         assert rc == cli.EXIT_DOMAIN
@@ -1071,8 +1089,11 @@ class TestEntryPoint:
 FRESH_PROCESS = """
 import json, sys
 import riccati_lie
-from riccati_lie import cli
+from riccati_lie import cli, timefn
 import riccati_lie.cli
+
+# the traces built and the reads compiled by the imports: the two uncompiled fields of `model`, and no picture's read
+print(json.dumps([timefn._trace.cache_info().currsize, timefn._read_code.cache_info().currsize]))
 
 def loaded():
     return sorted(name for name in ("numpy", "riccati_lie.liealg", "riccati_lie.superpose", "riccati_lie.suites")
@@ -1097,14 +1118,16 @@ print(json.dumps(steps))
 
 class TestFreshProcess:
     """`import riccati_lie`, `simulate` in both pictures and `derive` import no numpy; `superpose` and `verify`
-    import it, and their modules, when they run."""
+    import it, and their modules, when they run.  The imports trace no picture and compile no picture's read."""
 
     def test_numpy_is_imported_by_superpose_and_verify_only(self, config, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS, config(CANONICAL)],
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        steps = json.loads(proc.stdout.splitlines()[-1])
+        lines = proc.stdout.splitlines()
+        built, steps = json.loads(lines[0]), json.loads(lines[-1])
+        assert built == [0, 2]
         assert [(name, rc) for name, rc, _ in steps] == [
             ("import", 0), ("simulate", 0), ("simulate", 0), ("simulate", 0), ("simulate-riccati2", 0),
             ("derive", 0), ("superpose", 0), ("verify", 0)]

@@ -1,7 +1,7 @@
 """Every exported name resolves, every import in the package is used, only
-`JetFn.eval` builds jets, only the two coefficient maps derive the drag pair,
+the tracer runs jets, only the two coefficient maps derive the drag pair,
 only the time functions' read builder compiles source, and every coefficient
-picture reads order 0 through its template.
+picture has a field and reads through its own `eval`.
 
 Tools that walk the package by `__all__` (the benchmark's tracer among
 them) look names up with a default, so a stale entry would vanish from
@@ -158,8 +158,9 @@ def test_the_private_import_check_sees_a_private_import(tmp_path):
 
 def _calls(path, name):
     """The function around each call of `name` in a module, as a method
-    (`x.name(...)`) or a plain function (`name(...)`): "Class.method" or
-    "function" ("" at module level), in source order."""
+    (`x.name(...)`), a plain function (`name(...)`) or an item of one
+    (`x.name[k](...)`): "Class.method" or "function" ("" at module level),
+    in source order."""
     calls = []
 
     def visit(node, scope):
@@ -167,8 +168,9 @@ def _calls(path, name):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and name in (getattr(child.func, "attr", None),
-                                                        getattr(child.func, "id", None)):
+            func = child.func.value if isinstance(child, ast.Call) and isinstance(child.func, ast.Subscript) \
+                else getattr(child, "func", None)
+            if isinstance(child, ast.Call) and name in (getattr(func, "attr", None), getattr(func, "id", None)):
                 calls.append(".".join(scope))
             visit(child, scope)
 
@@ -181,24 +183,24 @@ def _callers(name):
             for scope in _calls(path, name)}
 
 
-def test_only_jetfn_eval_builds_jets():
-    # every other reader of a picture goes through eval, which keeps the memo and
-    # maps a jet overflow to NumericError in one place
-    assert _callers("jets") == {("timefn", "JetFn.eval")}
+def test_only_the_tracer_runs_jets():
+    # a picture class's jets run once per order, over placeholders, when its read is traced; every reader of a
+    # picture goes through eval, which reads the traced source and maps an overflow to NumericError in one place
+    assert _callers("jets") == {("timefn", "_trace")}
 
 
 def test_only_the_maps_derive_the_drag_pair():
-    # (f0, f1) from (c2, c3) is stated once, in the two maps that need it: their jets call it,
-    # and their order-0 templates call it as `drag`, the name `_MAP_NAMES` binds it to;
+    # (f0, f1) from (c2, c3) is stated once, in the two maps that need it: their jets call it, and every read of
+    # them is those jets traced, so no name binds it into compiled source and no source text calls it;
     # `map_defect` measures a drag pair by building a `RiccatiSpec`
-    from riccati_lie import model
+    from riccati_lie import model, timefn
 
     assert _callers("_drag") == {("model", "RiccatiSpec.jets"), ("model", "_PotentialOfCubic.jets")}
-    assert dict(model._MAP_NAMES)["drag"] is model._drag
-    templates = {cls.__name__: cls.template for cls in (model.RiccatiSpec, model._CubicOfPotential,
-                                                        model._PotentialOfCubic)}
-    assert {name for name, (_, _, lines, _) in templates.items() if any("drag(" in line for line in lines)} \
-        == {"RiccatiSpec", "_PotentialOfCubic"}
+    assert all(value is not model._drag for value in timefn._NAMESPACE.values())
+    texts = [node.value for path in Path(riccati_lie.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert not [text for text in texts if "drag(" in text]
 
 
 def test_only_the_read_builder_compiles_source():
@@ -206,24 +208,28 @@ def test_only_the_read_builder_compiles_source():
     assert _callers("exec") == _callers("compile") == {("timefn", "_read_code")}
 
 
-def test_every_picture_reads_order_0_through_its_template():
-    # the four pictures of `model` each give their order 0 as a template, which only the pictures' own `eval`s
-    # read, through `inline` and else `floats`; each compiles it with its field as `rhs`, which the commands hand
-    # to the integrator, so no module calls the uncompiled fields `affine_rhs` and `riccati2_rhs`: the oracles and
-    # tests do
+def test_every_picture_has_a_field_and_reads_through_its_eval():
+    # the four pictures of `model` each read through compiled reads, which only the pictures' own `eval`s call:
+    # the potential's order 0 through `inline` and else `floats`, from its identity template, and every order of a
+    # derived picture through `_inlines` and else `_floats`, from its traced jets, with no template to transcribe
+    # them; each compiles its order 0 with its field as `rhs`, which the commands hand to the integrator, so no
+    # module calls the uncompiled fields `affine_rhs` and `riccati2_rhs`: the oracles and tests do
     from riccati_lie import model, timefn
 
     pictures = {name: cls for name, cls in vars(model).items()
                 if isinstance(cls, type) and issubclass(cls, timefn.Picture) and cls.__module__ == model.__name__}
     assert set(pictures) == {"PotentialSpec", "RiccatiSpec", "_CubicOfPotential", "_PotentialOfCubic"}
-    assert all(cls.template is not None and cls.field is not None for cls in pictures.values())
-    assert _callers("inline") == {("timefn", "JetFn.eval"), ("model", "PotentialSpec.eval")}
+    assert all(cls.field is not None for cls in pictures.values())
+    assert {name for name, cls in pictures.items() if hasattr(cls, "template")} == {"PotentialSpec"}
+    assert {name for name, cls in pictures.items() if not issubclass(cls, timefn.JetFn)} == {"PotentialSpec"}
+    assert _callers("inline") == _callers("floats") == {("model", "PotentialSpec.eval")}
+    assert _callers("_inlines") == _callers("_floats") == {("timefn", "JetFn.eval")}
     assert _callers("affine_rhs") == _callers("riccati2_rhs") == set()
-    assert _callers("floats") == {("timefn", "JetFn.eval"), ("model", "PotentialSpec.eval")}
 
 
 def test_the_jets_call_check_sees_a_planted_call(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("x = P.jets(0.0, 0)\n\nclass A:\n    def f(self, P):\n        return P.jets(0.0, 1)\n\n"
-                      "def g(R):\n    def h():\n        return R.jets(0.0, 0)\n    return jets(1), R.jets, h\n")
-    assert _calls(module, "jets") == ["", "A.f", "g.h", "g"]
+                      "def g(R):\n    def h():\n        return R.jets(0.0, 0)\n    return jets(1), R.jets, h\n"
+                      "\ndef k(R):\n    return R.jets[0](0.0)\n")
+    assert _calls(module, "jets") == ["", "A.f", "g.h", "g", "k"]

@@ -6,13 +6,14 @@ import pickle
 import re
 from array import array
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riccati_lie import cli, suites
+from riccati_lie import cli, suites, timefn
 from riccati_lie.errors import DomainError, GuardViolation, NumericError, RiccatiLieError
 from riccati_lie.integrator import Trajectory, hamiltonian_guard, integrate, sample_at
 from riccati_lie.model import (
@@ -320,72 +321,21 @@ class TestHamiltonSide:
             assert abs(dp + dh_dx) < 1e-6
 
 
-class CountingJets(JetFn):
-    """A picture that counts its builds: `JetFn.eval` calls `jets`, or the
-    order-0 `inline` (and `floats` where it returns None) where the wrapped
-    picture has them, only when its memo misses; the wrapped picture's
-    compiled `rhs` calls none of them.  It takes a cubic picture's names, so
-    that the views of a wrapped cubic picture exist."""
-
-    names = RiccatiSpec.names
-
-    def __init__(self, picture):
-        self.picture, self.calls = picture, 0
-        if picture.floats is None:  # every read builds jets
-            self.floats = self.inline = None
-
-    def jets(self, t, n):
-        self.calls += 1
-        return self.picture.jets(t, n)
-
-    def floats(self, t):
-        self.calls += 1
-        return self.picture.floats(t)
-
-    def inline(self, t):
-        self.calls += 1
-        return self.picture.inline(t)
-
-
-class CountingPotentialJets(CountingJets):
-    """`CountingJets` with a potential's names, for a derived potential."""
-
-    names = PotentialSpec.names
-
-
 # query times: both zeros, a NaN, and repeats
 _MEMO_TIMES = (0.0, -0.0, math.nan, 0.3, 0.3, 0.7, 1.25)
 
 
 class TestFieldMemo:
-    def test_one_evaluation_per_distinct_stage_time(self):
-        # stages 12 and 13 share t + h: an accepted step, which makes 15 RHS
-        # calls, builds the picture read through `eval` 14 times, and a rejected
-        # one, which stops after stage 12, 11 times (seed 62: both solves reject a
-        # step); a picture's compiled `rhs` reads its template directly, with
-        # no memo, and calls `eval` only where that read fails
+    def test_the_compiled_field_calls_no_eval(self):
+        # a picture's compiled `rhs` reads its time functions directly, with no memo, and calls `eval` only where
+        # that read fails: its trajectory is the uncompiled field's (seed 62: the solve rejects a step)
         R = coefficients_from_potential(random_potential(np.random.default_rng(62)))
-        hits = []
-
-        def guard(y):
-            return hamiltonian_guard(y) or hits.append(y)
-
-        for rhs, picture, ic, guard_fn in (
-            # a derived potential: a PotentialSpec is its time functions, with no jets to count
-            (hamilton_rhs, potential_from_coefficients(RiccatiSpec(R.c0, R.c1, R.c2, R.c3), GRID), (0.1, -1.0), guard),
-            (riccati2_rhs, R, (0.1, 0.5), None),
-        ):
-            counting = CountingJets(picture)
-            traj = integrate(partial(rhs, counting), (0.0, ic), 2.0, 1e-10, guard=guard_fn)
-            stats = traj.stats
-            assert not hits
-            assert stats.n_rejected > 0
-            assert counting.calls == stats.n_rhs - stats.n_accepted
-        # the compiled field of the last row's picture: its trajectory, and no `eval` call
+        traj = integrate(partial(riccati2_rhs, R), (0.0, (0.1, 0.5)), 2.0, 1e-10)
+        assert traj.stats.n_rejected > 0
         evals, compiled = [], dataclasses.replace(R)
         compiled.__dict__["eval"] = lambda t, order=0: evals.append(t) or R.eval(t, order)
         got = integrate(compiled.rhs, (0.0, (0.1, 0.5)), 2.0, 1e-10)
-        assert not evals and got.stats == stats and _bits(np.ravel(got.states)) == _bits(np.ravel(traj.states))
+        assert not evals and got.stats == traj.stats and _bits(np.ravel(got.states)) == _bits(np.ravel(traj.states))
 
     def test_field_equals_rhs_across_repeated_and_moved_times(self):
         rng = np.random.default_rng(48)
@@ -431,24 +381,6 @@ class TestFieldMemo:
         for t, order in calls:
             assert read(picture, t, order) == read(fresh(), t, order)
 
-    def test_an_order_0_build_keeps_no_jets(self):
-        # order 0 builds through the float form; a higher order at that t builds jets,
-        # and serves order 0 from them, to the float form's bits
-        R = coefficients_from_potential(random_potential(np.random.default_rng(45)))
-        counting = CountingJets(R)
-        values = counting.eval(0.37)
-        assert (counting.calls, counting._last[2]) == (1, ())
-        assert counting.eval(0.37, 1) == dataclasses.replace(R).eval(0.37, 1)
-        assert (counting.calls, len(counting._last[2])) == (2, 6)
-        assert repr(counting.eval(0.37)) == repr(values) and counting.calls == 2
-
-    def test_coefficient_views_share_one_build_per_time(self):
-        R = coefficients_from_potential(random_potential(np.random.default_rng(45)))
-        counting = CountingJets(R)
-        values = tuple(getattr(counting, name).eval(0.37) for name in counting.names)
-        assert counting.calls == 1
-        assert values == dataclasses.replace(R).eval(0.37)
-
 
 # the grammar over every finite double, where most functions overflow, moderate functions, and
 # raw terms as fields, whose values keep the sign of zero and may overflow
@@ -461,6 +393,10 @@ def _riccati_of_views(R):
     return RiccatiSpec(R.c0, R.c1, R.c2, R.c3)
 
 
+def _potential_of_views(R):
+    return _PotentialOfCubic(R.c1, R.c2, R.c3)
+
+
 # each a fresh picture from four fields: no memo is shared between reads
 _PICTURES = {
     "potential": lambda fs: coefficients_from_potential(PotentialSpec(*fs[:3])),
@@ -468,9 +404,9 @@ _PICTURES = {
     "riccati-of-views": lambda fs: _riccati_of_views(coefficients_from_potential(PotentialSpec(*fs[:3]))),
     "signed-potential": lambda fs: coefficients_from_potential(PotentialSpec(_SIGNED, _SIGNED, fs[2])),
     "signed-riccati": lambda fs: RiccatiSpec(_SIGNED, _SIGNED, _SIGNED, fs[3]),
-    # the derived potential of (c0, c1, c2, c3), and of the cubic picture of (a0, a1, a2), which reads views
-    "derived-potential": lambda fs: _PotentialOfCubic(RiccatiSpec(*fs)),
-    "derived-potential-of-views": lambda fs: _PotentialOfCubic(coefficients_from_potential(PotentialSpec(*fs[:3]))),
+    # the derived potential of (c1, c2, c3), and of the views of the cubic picture of (a0, a1, a2)
+    "derived-potential": lambda fs: _PotentialOfCubic(*fs[1:]),
+    "derived-potential-of-views": lambda fs: _potential_of_views(coefficients_from_potential(PotentialSpec(*fs[:3]))),
     # the Lie system's coefficients: a potential's order 0 is the identity over its fields
     "potential-spec": lambda fs: PotentialSpec(*fs[:3]),
 }
@@ -503,34 +439,58 @@ _leaves = st.one_of(_fns, _moderate_timefns.map(_of_numpy_floats))
 _coordinates = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
 
 
+def _on_floats(picture):
+    """picture as `jets` run on floats read it: its fields, and each view among them through `jets_read`."""
+    return SimpleNamespace(**{field.name: SimpleNamespace(eval=partial(_view_read, value))
+                              if isinstance(value := getattr(picture, field.name), timefn.Coefficient) else value
+                              for field in dataclasses.fields(picture)})
+
+
+def _view_read(view, t, order):
+    return jets_read(view.picture, t, order)[view.index]
+
+
+def jets_read(picture, t, order):
+    """A derived picture's `eval(t, order)` from its `jets` run directly on floats, with no compiled read:
+    `JetFn.eval`'s NumericError for an overflow in the jets and its check of the values."""
+    try:
+        jets = type(picture).jets(_on_floats(picture), t, order)
+    except (OverflowError, ValueError):
+        raise NumericError(f"overflow evaluating the coefficient jets at t={t}") from None
+    values = tuple(jet.deriv(order) for jet in jets)
+    for name, value in zip(picture.names, values):
+        if not math.isfinite(value):
+            raise NumericError(f"coefficient {name} is not finite at t={t}")
+    return values
+
+
 class TestFloatForms:
     """A potential, `RiccatiSpec`, the cubic picture of a potential and the
-    derived potential build order 0 in plain floats, from one template each:
-    a leaf that is a TimeFn of floats inlined, any other read through its
-    `eval`.  The reference is a derived picture's jets, through the same `eval`
-    with the float form switched off, and a potential's fields' own reads;
-    their errors included.  Only a potential's read may raise what a raw
-    term's formula raises: a derived picture's read raises RiccatiLieError."""
+    derived potential read each order in plain floats, through functions
+    compiled from their `jets` traced (a potential's order 0 from its identity
+    template): a leaf that is a TimeFn of floats inlined, any other read through
+    its `eval`.  The reference is a derived picture's `jets` run directly on
+    floats (`jets_read`), and a potential's fields' own reads; their errors
+    included.  Only a potential's read may raise what a raw term's formula
+    raises: a derived picture's read raises RiccatiLieError."""
 
     @staticmethod
-    def read(picture, t, floats=True):
-        if not floats:
-            picture.__dict__["floats"] = None
+    def read(picture, t, order=0, jets=False):
         raw = (ArithmeticError, ValueError) if isinstance(picture, PotentialSpec) else ()
         try:
-            if not floats and isinstance(picture, PotentialSpec):
-                return tuple(f.eval(t) for f in (picture.a0, picture.a1, picture.a2))
-            return picture.eval(t)
+            if jets and isinstance(picture, PotentialSpec):
+                return tuple(f.eval(t, order) for f in (picture.a0, picture.a1, picture.a2))
+            return jets_read(picture, t, order) if jets else picture.eval(t, order)
         except (RiccatiLieError, *raw) as exc:
             return exc
 
     @staticmethod
-    def assert_same(got, want, t, n):
+    def assert_same(got, want, t, n, order=0):
         if isinstance(want, tuple):
             assert isinstance(got, tuple) and _bits(got) == _bits(want) and set(map(type, got)) == {float}
-        elif "coefficient jets" not in str(want):  # a value that is not finite among them too
+        elif order or "coefficient jets" not in str(want):  # past order 0 every error; at 0 a value not finite too
             assert (type(got), str(got)) == (type(want), str(want))
-        elif isinstance(got, tuple):  # order 0 reads none of the extra order the jets overflowed in
+        elif isinstance(got, tuple):  # order 0 computes none of the extra order the jets overflowed in
             assert [type(v) for v in got] == [float] * n and all(map(math.isfinite, got))
         else:  # or the same error, or, where a value it does read is not finite, one naming it
             assert isinstance(got, NumericError)
@@ -547,6 +507,8 @@ class TestFloatForms:
     # c3 = a2^2 is inf on both paths, with no jet overflow; and f0 = c2/sqrt(c3) is inf
     @example("potential", [constant(0.0), constant(0.0), parse_timefn("poly 1e200"), constant(1.0)], [])
     @example("riccati", [constant(0.0), constant(0.0), constant(1e308), constant(1e-300)], [])
+    # c0 = 1e308 (1 + t) is inf at t = 1, where c0' is finite: a read past order 0 reads c0 too, and raises
+    @example("riccati", [parse_timefn("poly 1e308 1e308"), constant(0.0), constant(0.0), constant(1.0)], [1.0])
     # the same configs for the derived potential: a1 = (2/3) c2/sqrt(c3) is inf, and a0 = c1/sqrt(c3) + ... -inf
     @example("derived-potential", [constant(0.0), constant(0.0), constant(1e308), constant(1e-300)], [])
     @example("derived-potential", [constant(0.0), constant(-1e200), constant(0.0), constant(1e-300)], [])
@@ -558,6 +520,15 @@ class TestFloatForms:
                                             parse_timefn("poly 1e200 1e200"), constant(1.0)], [])
     @example("derived-potential-of-views", [constant(0.0), constant(0.0), parse_timefn("poly 1e200"),
                                             constant(1.0)], [])
+    # a view read past order 0 raises the jets' overflow in an order no value needs, before c3 = a2^2 = 0.0 fails
+    @example("riccati-of-views", [parse_timefn("sin 1 -3.836308318753482 0.6800912466702362; "
+                                               "sin 704878.1473125673 0.6691396418329365 -1.6577230260173728"),
+                                  parse_timefn("sin -0.923653304926007 4.274795589730463 2.8821631983847373; "
+                                               "cos -1e154 1.9977455541295663 2.6651297966271867"),
+                                  parse_timefn("sin 1.476251478230627e-249 2.6289607661833037 1.8979226133351883"),
+                                  constant(1.0)], [])
+    @example("riccati-of-views", [constant(0.0), parse_timefn("cos -1e154 2 2"), parse_timefn("sin 1e-249 2.6 1.9"),
+                                  constant(1.0)], [])
     # -0.0 + -0.0 is -0.0, the sum's 0.0
     @example("potential-spec", [TimeFn((Sin(-0.0, 1.0, 0.0), Sin(-0.0, 1.0, 0.0)))] * 3 + [constant(1.0)], [])
     # a0's own sum overflows; a1's sum of terms does
@@ -572,10 +543,12 @@ class TestFloatForms:
                                 constant(1.0)], [1.0])
     @example("potential-spec", [constant(1.0), constant(1.0), parse_timefn("poly 1e308 1e308; poly -1e308 -1e308"),
                                 constant(1.0)], [1.0])
-    def test_order_0_is_the_jets_bits(self, kind, fs, times):
+    def test_each_order_is_the_jets_bits(self, kind, fs, times):
         n = len(_PICTURES[kind](fs).names)
         for t in [0.0, -0.0] + times:
-            self.assert_same(self.read(_PICTURES[kind](fs), t), self.read(_PICTURES[kind](fs), t, floats=False), t, n)
+            for order in (0,) if kind == "potential-spec" else (0, 1, 2):  # a potential's others are its fields' own
+                self.assert_same(self.read(_PICTURES[kind](fs), t, order),
+                                 self.read(_PICTURES[kind](fs), t, order, jets=True), t, n, order)
 
     @staticmethod
     def field(rhs, t, y):
@@ -590,8 +563,8 @@ class TestFloatForms:
     # signed zeros in the coefficients and the state
     @example("signed-potential", [constant(1.0)] * 4, [], (-0.0, -0.0))
     @example("signed-riccati", [constant(1.0)] * 4, [], (-0.0, 0.0))
-    # `test_order_0_is_the_jets_bits`'s overflow configs: c3 = a2^2 overflows in its jets, c1's a0 a2 is inf, c3 and f0
-    # are inf
+    # `test_each_order_is_the_jets_bits`'s overflow configs: c3 = a2^2 overflows in its jets, c1's a0 a2 is inf, c3
+    # and f0 are inf
     @example("potential", [constant(0.0), constant(0.0), parse_timefn("poly 1e154 1e154"), constant(1.0)], [],
              (0.5, 1.0))
     @example("potential", [parse_timefn("poly 1e200 -1e200"), constant(0.0), parse_timefn("poly 1e200 1e200"),
@@ -619,7 +592,7 @@ class TestFloatForms:
     def test_a_potential_of_timefns_reads_its_fields_bits_inline(self, fs, t):
         # the path `affine_rhs` takes: three TimeFns of floats, read through the one compiled `inline`
         P = PotentialSpec(*fs)
-        self.assert_same(self.read(P, t), self.read(PotentialSpec(*fs), t, floats=False), t, 3)
+        self.assert_same(self.read(P, t), self.read(PotentialSpec(*fs), t, jets=True), t, 3)
         assert P.inline is not None
 
     @pytest.mark.parametrize("kind", ["potential", "riccati", "derived-potential", "potential-spec",
@@ -632,11 +605,11 @@ class TestFloatForms:
         for leaf, raw in ((floats[2], 0), (Sin(0.3, 2.0, 0.0), 1), (TimeFn((Poly((np.float64(0.1),)),)), 1)):
             fs = floats[:2] + [leaf] + floats[3:]
             picture = _PICTURES[kind](fs)
-            want = _bits(self.read(_PICTURES[kind](fs), 0.37, floats=False))
+            want = _bits(self.read(_PICTURES[kind](fs), 0.37, jets=True))
             assert _bits(picture.inline(0.37)) == _bits(picture.eval(0.37)) == want
             code = picture.inline.__code__
             leaves = sum(name.startswith("leaf") for name in code.co_varnames[:code.co_argcount])
-            assert leaves == (len(picture.template[0]) if kind.endswith("views") else raw)
+            assert leaves == (len(dataclasses.fields(picture)) if kind.endswith("views") else raw)
 
     @settings(max_examples=60)
     @given(st.lists(_moderate_timefns, min_size=4, max_size=4), st.data())
@@ -644,13 +617,19 @@ class TestFloatForms:
         gs = [TimeFn(tuple(data.draw(_redrawn(term)) for term in f.terms)) for f in fs]  # fs' shapes, new numbers
         for kind in ("potential", "riccati", "derived-potential", "potential-spec"):
             pictures = _PICTURES[kind](fs), _PICTURES[kind](gs)
-            for t in (0.0, 0.37, -1.25):
-                for which in (0, 1, 0):
-                    got = self.read(pictures[which], t)
-                    want = self.read(_PICTURES[kind]((fs, gs)[which]), t, floats=False)
-                    assert repr(got) == repr(want) and (not isinstance(got, tuple) or _bits(got) == _bits(want))
+            for order in (0, 1, 2):
+                for t in (0.0, 0.37, -1.25):
+                    for which in (0, 1, 0):
+                        got = self.read(pictures[which], t, order)
+                        want = self.read(_PICTURES[kind]((fs, gs)[which]), t, order, jets=True)
+                        assert repr(got) == repr(want) and (not isinstance(got, tuple) or _bits(got) == _bits(want))
             assert pictures[0].inline.__code__ is pictures[1].inline.__code__
             assert pictures[0].floats.__code__ is pictures[1].floats.__code__
+            if kind != "potential-spec":  # a potential's higher orders are its fields' own reads
+                for order in (1, 2):
+                    for reads in ("_inlines", "_floats"):
+                        codes = [getattr(picture, reads)[order].__code__ for picture in pictures]
+                        assert codes[0] is codes[1]
 
 
     def test_a_field_that_is_no_time_function_is_read_on_its_own(self):
@@ -700,66 +679,51 @@ class TestFloatForms:
             assert _bits([copy.eval(t, 2) for t in times]) == _bits([picture.eval(t, 2) for t in times])
 
 
-class TestOneBuildPerRead:
-    """A reader asks for its highest order first, so a picture read through
-    its views at one t is built once, whatever the orders read."""
+class TestReadsThroughViews:
+    """A picture built over another picture's views reads them as its jets
+    do: each view through its picture's `eval`, once per order read."""
 
     TIMES = (0.3, 0.7, 1.25, 1.6)
 
-    def test_jet_of_a_view_is_one_build(self):
+    def test_round_trips_read_each_view_once_per_order(self):
         R = coefficients_from_potential(random_potential(np.random.default_rng(45)))
-        counting = CountingJets(R)
-        for n, t in enumerate(self.TIMES):
-            counting.calls = 0
-            jet = Jet.of(counting.c3, t, n)
-            assert counting.calls == 1
-            assert jet.coeffs == Jet.of(dataclasses.replace(R).c3, t, n).coeffs
-
-    def test_round_trips_build_their_base_once_per_read(self):
-        R = coefficients_from_potential(random_potential(np.random.default_rng(45)))
-        derived_potential = CountingPotentialJets(potential_from_coefficients(R, GRID))
-        derived_cubic = CountingJets(R)
-        for base, round_trip in (
-            (derived_potential, coefficients_from_potential(derived_potential)),
-            (derived_cubic, potential_from_coefficients(derived_cubic, GRID)),
-        ):
+        derived_potential = potential_from_coefficients(R, GRID)
+        for base, round_trip in ((derived_potential, coefficients_from_potential(derived_potential)),
+                                 (R, potential_from_coefficients(R, GRID))):
+            calls = []
+            base.__dict__["eval"] = lambda t, order=0, base=base: calls.append(t) or type(base).eval(base, t, order)
             for order, t in enumerate(self.TIMES):
-                base.calls = 0
-                round_trip.eval(t, order)
-                assert base.calls == 1
+                calls.clear()
+                assert _bits(round_trip.eval(t, order)) == _bits(jets_read(round_trip, t, order))
+                # three views, to order n + 1 each (a's), or to n + 2, n + 1 and n (c3, c2 and c1)
+                assert calls == [t] * 3 * (order + 2)
 
-    # t0 = 0.0 and -0.0 are served from the memo like any other time: one build for the t0 report
-    @pytest.mark.parametrize("source, t0", [
-        pytest.param(text, t0, id=name if t0 == "0.25" else f"{name}-t0={t0}")
+    # the report reads one picture at t0; `map_defect` reads each of its two pictures once per grid time, and the
+    # one over views reads each view once per order its jets read: c3 to order 1, and c0, c1, c2, or a0, a1, a2 to
+    # order 1; t0 = 0.0 and -0.0 are read like any other time
+    @pytest.mark.parametrize("source, reads, t0", [
+        pytest.param(text, reads, t0, id=name if t0 == "0.25" else f"{name}-t0={t0}")
         for t0 in ("0.25", "0.0", "-0.0")
-        for name, text in (
-            ("potential", "[potential]\na0 = poly 0.2 -0.1\na1 = sin 0.4 1.3 0.2\na2 = poly 1 0.3\n"),
-            ("riccati", "[riccati]\nc0 = cos 0.3 2 0\nc1 = poly 0.1 0.2\nc2 = exp 0.5 -0.4\nc3 = poly 1 0 0.5\n"),
+        for name, text, reads in (
+            ("potential", "[potential]\na0 = poly 0.2 -0.1\na1 = sin 0.4 1.3 0.2\na2 = poly 1 0.3\n",
+             {"_CubicOfPotential": 1 + 11 + 11 * 5, "RiccatiSpec": 11, "view": 11 * 5}),
+            ("riccati", "[riccati]\nc0 = cos 0.3 2 0\nc1 = poly 0.1 0.2\nc2 = exp 0.5 -0.4\nc3 = poly 1 0 0.5\n",
+             {"_PotentialOfCubic": 1 + 11 * 6, "_CubicOfPotential": 11, "RiccatiSpec": 11, "view": 11 * 6}),
         )
     ])
-    def test_derive_builds_each_derived_picture_once_per_grid_time(self, source, t0, tmp_path, monkeypatch, capsys):
+    def test_derive_reads_each_picture_per_grid_time(self, source, reads, t0, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "c.ini"
         cfg.write_text(source + f"[run]\nt0 = {t0}\nt1 = {float(t0) + 1}\nstep = 0.1\n")
         assert cli.main(["derive", str(cfg)]) == cli.EXIT_OK
-        report = capsys.readouterr().out
-        scenarios, load = [], cli.load_scenario
-
-        def counted(path):  # the scenario with its derived picture counting its builds
-            sc = load(path)
-            if sc.source == "potential":
-                sc.riccati = CountingJets(sc.riccati)
-            else:
-                sc.potential = CountingPotentialJets(sc.potential)
-            scenarios.append(sc)
-            return sc
-
-        monkeypatch.setattr(cli, "load_scenario", counted)
+        report, counted = capsys.readouterr().out, []
+        eval_, view_eval = JetFn.eval, timefn.Coefficient.eval
+        monkeypatch.setattr(JetFn, "eval", lambda self, t, order=0: counted.append(type(self).__name__)
+                            or eval_(self, t, order))
+        monkeypatch.setattr(timefn.Coefficient, "eval", lambda self, t, order=0: counted.append("view")
+                            or view_eval(self, t, order))
         assert cli.main(["derive", str(cfg)]) == cli.EXIT_OK
         assert capsys.readouterr().out == report
-        (sc,) = scenarios
-        derived = sc.riccati if sc.source == "potential" else sc.potential
-        # the report's build at t0, then one per grid time for the defect sweep
-        assert derived.calls == len(sc.grid) + 1 == 12
+        assert {name: counted.count(name) for name in counted} == reads
 
 
 class TestLegendre:

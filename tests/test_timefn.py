@@ -453,18 +453,22 @@ class TestJets:
             assert jet.deriv(n) == pytest.approx(f.eval(1.1, n + 1), rel=1e-14)
 
     def test_jetfn_is_a_time_function(self):
-        f = TimeFn((Poly((0.0, 0.0, 1.0)),))  # t^2
+        @dataclass(frozen=True)
+        class Powers(JetFn):  # a picture reads its time functions through its fields
+            f: object
 
-        class Powers(JetFn):
+            names = ("f", "square")
+
             def jets(self, t, n):
-                j = Jet.of(f, t, n)
+                j = Jet.of(self.f, t, n)
                 return j, j * j  # t^2, t^4
 
-        assert Powers().eval(2.0) == (4.0, 16.0)
-        assert Powers().eval(2.0, 1)[1] == pytest.approx(32.0, rel=1e-15)
-        assert Powers().eval(2.0, 3) == (0.0, pytest.approx(48.0, rel=1e-15))
+        powers = Powers(TimeFn((Poly((0.0, 0.0, 1.0)),)))  # t^2
+        assert powers.eval(2.0) == (4.0, 16.0)
+        assert powers.eval(2.0, 1)[1] == pytest.approx(32.0, rel=1e-15)
+        assert powers.eval(2.0, 3) == (0.0, pytest.approx(48.0, rel=1e-15))
         with pytest.raises(ValueError):
-            Powers().eval(2.0, -1)
+            powers.eval(2.0, -1)
 
     def test_sqrt_requires_positive_value(self):
         with pytest.raises(DomainError):
