@@ -22,6 +22,9 @@ any other section or key (`CONFIG_KEYS`) is a config error::
     ic1 = 0.0 -0.25
     ic2 = 0.5 -1.0
 
+`_read_config` reads a config in one pass, by the grammar its docstring
+states; a file outside it is one `cannot parse <file>: line N: ...` error.
+
 All numeric output is CSV with a header row and 17-significant-digit
 decimals, which reproduces IEEE doubles bit-for-bit on re-read.
 
@@ -32,7 +35,6 @@ error or `verify --trials` outside 1..MAX_TRIALS, 3 domain, 4 genericity, 5 nume
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import os
 import sys
@@ -109,8 +111,8 @@ class Scenario:
         return map_defect(self.riccati, coefficients_from_potential(self.potential), self.grid, ["c0"])[0]
 
 
-def _get_float(cfg, key):
-    raw = cfg.get("run", key, fallback=RUN_DEFAULTS[key])
+def _get_float(run, key):
+    raw = run.get(key, RUN_DEFAULTS[key])
     try:
         value = float(raw)
     except ValueError:
@@ -130,28 +132,87 @@ def _parse_pair(raw: str):
     return pair
 
 
-def load_scenario(path: str) -> Scenario:
-    # no section inherits [DEFAULT]: it is an ordinary section, and not one of CONFIG_KEYS
-    cfg = configparser.ConfigParser(interpolation=None, default_section="")
+def _read_config(path: str) -> dict:
+    """The INI file at path as {section: {key: value}}, both in file order:
+    on every file the standard library's `ConfigParser` accepts, with no
+    interpolation and no default section, what it reads (`[DEFAULT]` is an
+    ordinary section, and no section inherits another's keys).
+
+    A line holding only whitespace is blank, and one whose first non-space
+    character is `#` or `;` a comment; both are skipped.  A line indented
+    deeper than the line of the key before it, with no header between,
+    continues that key's value, as do the blank lines up to it; the value's
+    lines are joined with newlines, trailing blank ones dropped.  Any other
+    line, stripped, is a section header `[name]` (name is everything between
+    the `[` and the line's last `]`, which has at least one character before
+    it; anything after that `]` is ignored) or `key = value`, split at the
+    first `=` or `:`, the key lower-cased, both stripped.  Each is one
+    ConfigError naming the file's line: a line that is neither, a key before
+    the first header, an empty key, a section or a key given twice.
+    """
     try:
-        read = cfg.read(path)
-    except (configparser.Error, UnicodeDecodeError) as exc:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError:
+        raise ConfigError(f"cannot read config file {path}") from None
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    for section in cfg.sections():  # file order; configparser lower-cases the keys
+
+    def fail(problem):
+        return ConfigError(f"cannot parse {path}: line {n}: {problem}")
+
+    cfg = {}
+    section = key = None  # the section's dict, and the key a deeper line continues
+    indent = 0  # the indent of the last header or key line
+    for n, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            if key and not stripped:
+                section[key].append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key and depth > indent:
+            section[key].append(stripped)
+            continue
+        indent = depth
+        end = stripped.rfind("]")
+        if stripped[0] == "[" and end > 1:
+            name, key = stripped[1:end], None
+            if name in cfg:
+                raise fail(f"duplicate section [{name}]")
+            section = cfg[name] = {}
+            continue
+        if section is None:
+            raise fail(f"{stripped!r} comes before any [section] header")
+        eq, colon = stripped.find("="), stripped.find(":")
+        split = eq if colon < 0 or 0 <= eq < colon else colon
+        if split < 0:
+            raise fail(f"{stripped!r} is neither a [section] header nor key = value")
+        key = stripped[:split].rstrip().lower()
+        if not key:
+            raise fail(f"empty key in {stripped!r}")
+        if key in section:
+            raise fail(f"duplicate key {key} in [{name}]")
+        section[key] = [stripped[split + 1:].strip()]
+    return {name: {key: "\n".join(lines).rstrip() for key, lines in keys.items()} for name, keys in cfg.items()}
+
+
+def load_scenario(path: str) -> Scenario:
+    cfg = _read_config(path)
+    for section, keys in cfg.items():
         if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in cfg.options(section):
+        for key in keys:
             if CONFIG_KEYS[section] is not None and key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"unknown key [{section}] {key}")
 
-    has_pot = cfg.has_section("potential")
-    has_ric = cfg.has_section("riccati")
+    has_pot = "potential" in cfg
+    has_ric = "riccati" in cfg
     if has_pot == has_ric:
         raise ConfigError("config needs exactly one of [potential] or [riccati]")
 
-    t0, t1, step, tol, seed = (_get_float(cfg, key) for key in RUN_DEFAULTS)
+    run = cfg.get("run", {})
+    t0, t1, step, tol, seed = (_get_float(run, key) for key in RUN_DEFAULTS)
     if not (seed.is_integer() and seed >= 0):
         raise ConfigError(f"[run] seed must be a non-negative integer, got {seed}")
     if not t1 > t0:
@@ -163,15 +224,15 @@ def load_scenario(path: str) -> Scenario:
     if not tol > 0.0:
         raise ConfigError(f"[run] tol must be positive, got {tol}")
 
-    ics = [_parse_pair(raw) for raw in cfg["ics"].values()] if cfg.has_section("ics") else []
+    ics = [_parse_pair(raw) for raw in cfg.get("ics", {}).values()]
 
     steps = max(1, round((t1 - t0) / step))
     source = "potential" if has_pot else "riccati"
     fns = []
     for key in CONFIG_KEYS[source]:  # in turn: a bad coefficient is named before a later missing one
-        if not cfg.has_option(source, key):
+        if key not in cfg[source]:
             raise ConfigError(f"missing [{source}] {key}")
-        fns.append(parse_timefn(cfg.get(source, key)))
+        fns.append(parse_timefn(cfg[source][key]))
     if has_pot:
         P = PotentialSpec(*fns)
         # no grid validation here: a2 > 0 is needed by the coefficient

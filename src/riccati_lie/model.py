@@ -48,7 +48,7 @@ from functools import cache, partial
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import DomainError, GuardViolation, NumericError
+from .errors import DomainError, GuardViolation, NumericError, RiccatiLieError
 from .integrator import GUARD_P_MAX, GUARD_T_RESOLUTION, Trajectory, integrate, sample_at
 from .timefn import Jet, JetFn, Picture, uncompiled_field
 
@@ -126,15 +126,26 @@ def _positive_on_window(name, f, grid) -> None:
     """DomainError unless the coefficient f, called name in messages, is
     positive on the whole window [grid[0], grid[-1]].
 
-    f is checked at the grid nodes.  With L >= |f'| on a segment [a, b],
-    taken from the terms' closed-form derivatives on that segment, f > 0 on
-    [a, b] whenever f(a) + f(b) > L (b - a); a segment where that fails is
-    bisected, so only the intervals near a dip are refined, and a steep part
-    of the window does not tighten the test elsewhere.  The bound for the
-    whole window is tried first, since it is computed once.  An f without
-    a `slope_bound` (a `Coefficient` view of a derived picture) is checked
-    at the nodes only.
+    With L >= |f'| on a segment [a, b], taken from the terms' closed-form
+    derivatives on that segment, f > 0 on [a, b] whenever f(a) + f(b) >
+    L (b - a).  That test is tried on the whole window first, from f at its
+    two ends: where it holds, no grid node is read.  Where it fails, or a
+    read or the bound raises, f is checked at every grid node in turn, and
+    a segment between two nodes that the test does not prove is bisected,
+    so only the intervals near a dip are refined, a steep part of the
+    window does not tighten the test elsewhere, and an error names the
+    first node or point, from the left, where f is not positive or not
+    finite.  An f without a `slope_bound` (a `Coefficient` view of a
+    derived picture) is checked at the nodes only.
     """
+    if hasattr(f, "slope_bound"):
+        a, b = float(grid[0]), float(grid[-1])
+        try:
+            fa, fb = f.eval(a), f.eval(b)
+            if type(fa) is type(fb) is float and fa > 0.0 and fb > 0.0 and fa + fb > f.slope_bound(a, b) * (b - a):
+                return
+        except (ArithmeticError, RiccatiLieError):
+            pass
     ts = [float(t) for t in grid]
     values = [f.eval(t) for t in ts]
     for t, value in zip(ts, values):

@@ -613,6 +613,23 @@ class TestConfigErrors:
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: cannot parse")
 
+    # each is one line naming the file's line, where the standard library's INI parser printed two or three
+    @pytest.mark.parametrize("text, line", [
+        pytest.param(CANONICAL.replace("a1 = poly 0\n", "a1 = poly 0\ngarbage line\n"), 4, id="stray-line"),
+        pytest.param("a0 = poly 0\n" + CANONICAL, 1, id="key-before-any-section"),
+        pytest.param(CANONICAL + "\n[potential]\n", 19, id="duplicate-section"),
+        pytest.param(CANONICAL.replace("a2 = poly 1\n", "a2 = poly 1\nA0 = poly 2\n"), 5, id="duplicate-key"),
+        pytest.param(CANONICAL.replace("a1 = poly 0\n", "a1 = poly 0\n= poly 2\n"), 4, id="empty-key"),
+        pytest.param(CANONICAL.replace("t1 = 1.0", "t1 1.0"), 8, id="no-delimiter"),
+    ])
+    def test_a_malformed_config_is_one_line(self, config, capsys, text, line):
+        path = config(text)
+        assert cli.main(["derive", path]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (err,) = captured.err.splitlines()
+        assert err.startswith(f"config error: cannot parse {path}: line {line}: "), err
+
     def test_both_sections_rejected(self, config):
         rc = cli.main(["derive", config(CANONICAL + "\n[riccati]\nc0 = poly 0\n")])
         assert rc == cli.EXIT_CONFIG
@@ -728,6 +745,51 @@ class TestConfigErrors:
         assert line == f"{label}: {cls(*args)}"
 
 
+# the pieces of an INI text: headers, keys with either delimiter, comments, blank, indented and stray lines
+_INDENTS = st.sampled_from(("", "", " ", "  ", "\t", "\x0c", "\u3000"))
+_HEADERS = st.builds("[{}]{}".format,
+                     st.sampled_from(("potential", "run", "DEFAULT", "Run", "ics", " ics ", "a]b", "]")),
+                     st.sampled_from(("", "", " trailing", "]", " = 1")))
+_KEY_LINES = st.builds("{}{}{}{}{}".format,
+                       st.sampled_from(("a0", "A0", "a1", "a2", "t0", "T1", "step", "ic1", "ic2", "x y", "", "İ")),
+                       st.sampled_from(("", " ", "\t")), st.sampled_from("=:"), st.sampled_from(("", " ", "  ")),
+                       st.sampled_from(("poly 1", "", "a=b", "1:2", " x ", "[run]", "# no comment", "v\t")))
+_COMMENTS = st.builds("{}{}".format, st.sampled_from("#;"), st.sampled_from(("", " c", " a = 1")))
+_CONTINUATIONS = st.builds("{}{}".format, st.sampled_from((" ", "  ", "\t", "    ")),
+                           st.sampled_from(("more", "[potential]", "k = v", "# c", "")))
+_STRAYS = st.sampled_from(("garbage line", "[]", "[]x", "x[y]", "\ufeffa = 1"))
+_INI_LINES = st.one_of(st.builds("{}{}".format, _INDENTS, st.one_of(_KEY_LINES, _HEADERS, _COMMENTS)), _KEY_LINES,
+                       _CONTINUATIONS, st.sampled_from(("", "   ")))
+# a header first, after a few comment or blank lines and one time in five a key; sometimes a stray line later
+_INI_TEXTS = st.builds(lambda before, key, header, after, stray: [*before, *key, header, *after[:stray[0]],
+                                                                  *stray[1:], *after[stray[0]:]],
+                       st.lists(_COMMENTS | st.sampled_from(("", "   ")), max_size=2),
+                       st.sampled_from((False,) * 4 + (True,)).flatmap(lambda k: st.tuples(*[_KEY_LINES] * k)),
+                       _HEADERS, st.lists(_INI_LINES, max_size=12),
+                       st.tuples(st.integers(0, 12)) | st.tuples(st.integers(0, 12), _STRAYS))
+
+
+class TestReadConfig:
+    """`cli._read_config` reads what the standard library's INI parser reads,
+    as `load_scenario` configured it before, and rejects what it rejects."""
+
+    @settings(max_examples=300)
+    @given(_INI_TEXTS, st.sampled_from(("\n", "\r\n", "\r")), st.booleans())
+    def test_the_reader_is_the_standard_parser(self, tmp_path_factory, lines, newline, last):
+        path = tmp_path_factory.getbasetemp() / "reader.ini"
+        path.write_bytes((newline.join(lines) + newline * last).encode())
+        oracle = configparser.ConfigParser(interpolation=None, default_section="")
+        try:
+            oracle.read(path)
+        except configparser.Error:
+            with pytest.raises(errors.ConfigError, match=rf"^cannot parse {re.escape(str(path))}: line \d+: "):
+                cli._read_config(str(path))
+            return
+        got = cli._read_config(str(path))
+        assert [(name, list(keys.items())) for name, keys in got.items()] == \
+            [(name, oracle.items(name, raw=True)) for name in oracle.sections()]
+
+
 class TestRunDefaults:
     """A [run] key is the file's [run] value, else the built-in default."""
 
@@ -821,15 +883,14 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("name", ["README", "docstring"])
     def test_the_documented_config_loads_and_is_in_the_table(self, config, name):
-        text = self.examples()[name]
-        cfg = configparser.ConfigParser(interpolation=None, default_section="")
-        cfg.read_string(text)
-        assert set(cfg.sections()) == {"potential", "run", "ics"}
+        path = config(self.examples()[name])
+        cfg = cli._read_config(path)
+        assert set(cfg) == {"potential", "run", "ics"}
         for section in ("potential", "run"):
-            assert cfg.options(section) == list(cli.CONFIG_KEYS[section])
+            assert list(cfg[section]) == list(cli.CONFIG_KEYS[section])
         # every [run] value shown is its default
-        assert dict(cfg["run"]) == cli.RUN_DEFAULTS
-        sc = cli.load_scenario(config(text))
+        assert cfg["run"] == cli.RUN_DEFAULTS
+        sc = cli.load_scenario(path)
         assert (sc.source, len(sc.ics)) == ("potential", 2)
 
 
@@ -1096,8 +1157,8 @@ import riccati_lie.cli
 print(json.dumps([timefn._trace.cache_info().currsize, timefn._read_code.cache_info().currsize]))
 
 def loaded():
-    return sorted(name for name in ("numpy", "riccati_lie.liealg", "riccati_lie.superpose", "riccati_lie.suites")
-                  if name in sys.modules)
+    return sorted(name for name in ("configparser", "numpy", "riccati_lie.liealg", "riccati_lie.superpose",
+                                    "riccati_lie.suites") if name in sys.modules)
 
 cfg = sys.argv[1]
 steps = [("import", 0, loaded())]

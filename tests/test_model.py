@@ -622,7 +622,7 @@ class TestFloatForms:
                     for which in (0, 1, 0):
                         got = self.read(pictures[which], t, order)
                         want = self.read(_PICTURES[kind]((fs, gs)[which]), t, order, jets=True)
-                        assert repr(got) == repr(want) and (not isinstance(got, tuple) or _bits(got) == _bits(want))
+                        self.assert_same(got, want, t, len(pictures[which].names), order)
             assert pictures[0].inline.__code__ is pictures[1].inline.__code__
             assert pictures[0].floats.__code__ is pictures[1].floats.__code__
             if kind != "potential-spec":  # a potential's higher orders are its fields' own reads
@@ -916,12 +916,29 @@ class TestWindowProofNearATangent:
     """A coefficient whose least value on the window is a tangent near zero
     is decided in few evaluations, and on the right side of zero."""
 
-    def test_tangent_zero_is_decided_in_few_evaluations(self, monkeypatch):
-        # 1 + sin(0.3 t) touches 0 at t = -5 pi/3; a trig slope bound of |A w| on
-        # every segment needs over 30,000 evaluations for each case
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The times `TimeFn.eval` is read at, in order."""
         calls = []
         eval_ = TimeFn.eval
         monkeypatch.setattr(TimeFn, "eval", lambda f, t, order=0: calls.append(t) or eval_(f, t, order))
+        return calls
+
+    def test_a_window_the_slope_bound_proves_reads_its_two_ends_only(self, calls):
+        # the c3 of the seed-21 benchmark config riccati0.ini, on its 201-node grid
+        c3 = parse_timefn("poly 1.311354451551052 -0.020419816530631778 -0.22557644299163479 "
+                          "0.0017569059176678866 0.009707634909472353")
+        _positive_on_window("c3", c3, np.linspace(0.0, 2.0, 201))
+        assert calls == [0.0, 2.0]
+
+    def test_a_window_the_slope_bound_does_not_prove_is_refined(self, calls):
+        # (t - 0.3)**2 + 1e-6: the ends read 0.090001 and 0.490001, and |c3'| <= 1.4 on [0, 1]
+        _positive_on_window("c3", parse_timefn("poly 0.090001 -0.6 1"), np.linspace(0.0, 1.0, 3))
+        assert calls[:5] == [0.0, 1.0, 0.0, 0.5, 1.0] and len(calls) > 5
+
+    def test_tangent_zero_is_decided_in_few_evaluations(self, calls):
+        # 1 + sin(0.3 t) touches 0 at t = -5 pi/3; a trig slope bound of |A w| on
+        # every segment needs over 30,000 evaluations for each case
         grid = np.linspace(-8.0, -3.0, 501)
         with pytest.raises(DomainError):
             _positive_on_window("c3", parse_timefn("poly 1; sin 1 0.3 0"), grid)
